@@ -35,7 +35,10 @@ def _matrix_from_dict(data: dict, key: str = "matrix") -> np.ndarray:
 
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    return data
 
 
 def _load_state(path: str, dims: tuple[int, int]):
@@ -70,7 +73,10 @@ def _parse_vector(text: str, length: int, name: str) -> np.ndarray:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != length:
         raise ValueError(f"{name} must have {length} comma-separated values, got {len(parts)}")
-    return np.array([float(p) for p in parts])
+    vec = np.array([float(p) for p in parts])
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{name} values must be finite")
+    return vec
 
 
 def _parse_rotation(text: str) -> q2.Rotation:
@@ -201,7 +207,8 @@ def cmd_tomography(args) -> int:
     spec = _load_spec(args.spec) if args.spec else JointStateCoeffs.blank(2, 2)
     truth = None
     if args.pairs:
-        pairs = tom.pairs_from_json(open(args.pairs).read())
+        with open(args.pairs) as fh:
+            pairs = tom.pairs_from_json(fh.read())
         n = int(round(np.sqrt(len(pairs[0][0]) + 1)))
         probes = tom.probe_set_from_pairs(n, pairs)
     elif args.map:

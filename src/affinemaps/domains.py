@@ -2,11 +2,15 @@
 
 The compatibility domain of a map is the set of subsystem Bloch-type
 vectors that extend to a positive joint state with the map's fixed
-environment/correlation coefficients.  When some coefficients are left
-free, membership becomes a convex feasibility problem between the affine
-set of coefficient-constrained Hermitian matrices and the PSD cone, solved
-here by alternating projections.  The positivity domain is the set of
-subsystem states whose image under the affine map is positive.
+environment/correlation coefficients.  Membership is decided by the
+margin t* = max over the free coefficients c of lambda_min(X(c)), X(c)
+the joint matrix with every fixed coefficient in place: a probe is inside
+iff t* >= -tol.  A fully fixed spec gives t* = lambda_min(X0) directly;
+otherwise a batched log-det barrier method with damped Newton steps
+(Boyd & Vandenberghe, Convex Optimization, ch. 11) brackets t* between
+the lambda_min of a witness completion and a dual bound, so every label
+is certified.  The positivity domain is the set of subsystem states whose
+image under the affine map is positive.
 """
 
 from __future__ import annotations
@@ -16,14 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import JointStateCoeffs, ProductBasis, build_basis, product_basis, reconstruct_state
-from .linalg import DEFAULT_TOL, is_psd
+from .basis import JointStateCoeffs, build_basis, product_basis
+from .linalg import DEFAULT_TOL, dagger, is_psd
 from .maps import AffineMap, apply_L
 from .qubit2 import bloch_action
-
-STALL_ITERS = 200
-STALL_REL = 1e-6
-DEFAULT_MAX_ITER = 10_000
 
 
 class InfeasibleError(Exception):
@@ -39,8 +39,76 @@ class DomainQuery:
     amap: AffineMap | None = None
 
 
-def _basis_for(spec: JointStateCoeffs) -> ProductBasis:
-    return product_basis(spec.n, spec.m)
+def _max_lambda_min(
+    spec: JointStateCoeffs, coeff: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Certified t* = max over the free coefficients c of lambda_min(X(c)).
+
+    ``coeff`` (batch, n^2, m^2) holds the fixed values of each problem and
+    ``spec.free`` marks the coefficients that make up c.  Returns (t, X)
+    with X (batch, d, d) the last iterate X(c); the label is t >= -tol.
+    With no free coefficient t = t* = lambda_min(X0).  Otherwise
+    S = X(c) - t 1 is kept positive definite by a log-det barrier,
+    centred by damped Newton steps for mu = 1e-2, 1e-4, ..., 1e-14.
+    lambda_min(X(c)) bounds t* from below.  While the Newton decrement is
+    below 1, Z = mu (S^-1 - S^-1 dS S^-1), dS the Newton step, is PSD with
+    trace 1 and no free components, so Tr[Z X0] bounds t* from above.
+    A problem stops once decided: inside (t = lower bound) when
+    lambda_min(X(c)) >= -tol, outside (t = upper bound) when the upper
+    bound is below -tol, otherwise by the midpoint of the bounds once they
+    are within tol/10.  One still open after the last mu is labelled by
+    lambda_min(X(c)).
+    """
+    pb = product_basis(spec.n, spec.m)
+    d = pb.dim
+    batch = len(coeff)
+    fixed = np.where(spec.free, 0.0, coeff).reshape(batch, -1)
+    x0 = np.einsum("bx,xij->bij", fixed, pb.mats.reshape(-1, d, d)) / d
+    free_ops = pb.mats[spec.free] / d
+    k = len(free_ops)
+    if k == 0:
+        return np.linalg.eigvalsh(x0)[:, 0], x0
+
+    eye = np.eye(d)
+    ops = np.concatenate([free_ops, -eye[None]])  # dS/dc and dS/dt
+    e_t = np.eye(k + 1)[k]
+    ridge = 1e-12 * np.eye(k + 1)  # the Hessian is singular where t* = 0 on a face
+    t_out = np.empty(batch)
+    x_out = np.empty_like(x0)
+    idx = np.arange(batch)
+    x = x0
+    t = np.linalg.eigvalsh(x)[:, 0] - 0.1
+    for mu in np.logspace(-2, -14, 7):
+        for _ in range(50):  # centring takes a few steps; the cap only bounds the loop
+            w, v = np.linalg.eigh(x - t[:, None, None] * eye)
+            lower = w[:, 0] + t
+            p = ((v / w[:, None, :]) @ dagger(v))[:, None] @ ops
+            g0 = np.einsum("bkii->bk", p).real
+            hess = np.einsum("bjxy,blyx->bjl", p, p).real
+            del p  # the largest array; freed before the next one is built
+            hess += np.einsum("bii->b", hess)[:, None, None] * ridge
+            grad = g0 + e_t / mu
+            step = np.linalg.solve(hess, grad[..., None])[..., 0]
+            dec = np.sqrt(np.maximum((grad * step).sum(axis=1), 0.0))
+            upper = np.where(dec < 1.0, t + mu * (d - (step * g0).sum(axis=1)), np.inf)
+
+            inside = lower >= -tol
+            close = upper - lower < tol / 10
+            done = inside | close | (upper < -tol)
+            t_out[idx[done]] = np.where(inside, lower, np.where(close, (lower + upper) / 2, upper))[done]
+            x_out[idx[done]] = x[done]
+            keep = ~done
+            if not keep.any():
+                return t_out, x_out
+            idx, x, t, step, dec = idx[keep], x[keep], t[keep], step[keep], dec[keep]
+            step *= np.where(dec > 0.25, 1.0 / (1.0 + dec), 1.0)[:, None]
+            x = x + np.einsum("bk,kij->bij", step[:, :k], free_ops)
+            t = t + step[:, k]
+            if dec.max() < 0.25:
+                break
+    t_out[idx] = np.linalg.eigvalsh(x)[:, 0]
+    x_out[idx] = x
+    return t_out, x_out
 
 
 def is_compatible_full(q: DomainQuery, tol: float = DEFAULT_TOL) -> bool:
@@ -48,129 +116,38 @@ def is_compatible_full(q: DomainQuery, tol: float = DEFAULT_TOL) -> bool:
     spec = q.spec.with_probe(q.probe)
     if not spec.fully_fixed:
         raise ValueError("spec has free coefficients; use is_compatible_partial")
-    pi = reconstruct_state(spec, _basis_for(spec))
-    return is_psd(pi, tol)
-
-
-def _fixed_norm_exceeds(spec: JointStateCoeffs, tol: float) -> bool:
-    """Necessary purity bound: sum of fixed squared coefficients <= NM - 1."""
-    fixed = ~spec.free
-    fixed[0, 0] = False
-    total = float((spec.coeff[fixed] ** 2).sum())
-    if total > spec.n * spec.m - 1 + 10 * tol:
-        return True
-    marg = ~spec.free[1:, 0]
-    if float((spec.coeff[1:, 0][marg] ** 2).sum()) > spec.n - 1 + 10 * tol:
-        return True
-    env = ~spec.free[0, 1:]
-    return float((spec.coeff[0, 1:][env] ** 2).sum()) > spec.m - 1 + 10 * tol
-
-
-def _alternating_projections(
-    start_coeffs: np.ndarray,
-    free: np.ndarray,
-    pb: ProductBasis,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched alternating projections between the coefficient-affine set
-    and the PSD cone.
-
-    ``start_coeffs`` (batch, n^2, m^2) must lie on the affine set (fixed
-    entries at their values, free entries at a starting guess).  Returns
-    (status, witness) where status is +1 feasible, -1 infeasible (distance
-    stalled above 10 tol for 200 consecutive iterations), 0 unknown, and
-    witness holds the PSD iterate for feasible entries.
-    """
-    batch = start_coeffs.shape[0]
-    d = pb.dim
-    coeffs = start_coeffs.copy()
-    status = np.zeros(batch, dtype=int)
-    decided_at_psd = np.zeros((batch, d, d), dtype=complex)
-    prev_dist = np.full(batch, np.inf)
-    stall = np.zeros(batch, dtype=int)
-    flat = pb.mats.reshape(-1, d, d)
-
-    for _ in range(max_iter):
-        active = status == 0
-        if not active.any():
-            break
-        idx = np.where(active)[0]
-        mats = np.einsum("bx,xij->bij", coeffs[idx].reshape(len(idx), -1), flat) / d
-        w, v = np.linalg.eigh(mats)
-        dist = np.sqrt((np.minimum(w, 0.0) ** 2).sum(axis=-1))
-        psd = np.einsum("bik,bk,bjk->bij", v, np.clip(w, 0.0, None), v.conj())
-
-        feas = dist <= tol
-        decrease = prev_dist[idx] - dist
-        stalled = (decrease < STALL_REL * np.maximum(dist, tol)) & (dist > 10 * tol)
-        stall[idx] = np.where(stalled, stall[idx] + 1, 0)
-        prev_dist[idx] = dist
-        infeas = (stall[idx] >= STALL_ITERS) & ~feas
-
-        if feas.any():
-            hit = idx[feas]
-            status[hit] = 1
-            decided_at_psd[hit] = psd[feas]
-        if infeas.any():
-            status[idx[infeas]] = -1
-
-        cont = ~feas & ~infeas
-        if cont.any():
-            sub = idx[cont]
-            raw = np.einsum("xji,bij->bx", flat, psd[cont]).real.reshape(
-                len(sub), pb.n**2, pb.m**2
-            )
-            coeffs[sub] = np.where(free, raw, coeffs[sub])
-    return status, decided_at_psd
+    t, _ = _max_lambda_min(spec, spec.coeff[None], tol)
+    return bool(t[0] >= -tol)
 
 
 def partial_feasibility(
-    spec: JointStateCoeffs,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    spec: JointStateCoeffs, tol: float = DEFAULT_TOL
 ) -> tuple[str, np.ndarray | None]:
     """Feasibility of a partially specified joint state, with witness.
 
-    Free coefficients start at zero; returns ("feasible", Pi) with a PSD
-    completion, ("infeasible", None) when the projection distance stalls,
-    or ("unknown", None) at iteration exhaustion.
+    Returns ("feasible", Pi) with a completion Pi that keeps every fixed
+    coefficient and has lambda_min >= -tol, or ("infeasible", None) when
+    no completion does.
     """
-    if _fixed_norm_exceeds(spec, tol):
-        return "infeasible", None
-    pb = _basis_for(spec)
-    start = spec.coeff.copy()
-    start[spec.free] = 0.0
-    status, witness = _alternating_projections(
-        start[None], spec.free, pb, tol, max_iter
-    )
-    if status[0] == 1:
-        return "feasible", witness[0]
-    return ("infeasible", None) if status[0] == -1 else ("unknown", None)
+    t, x = _max_lambda_min(spec, spec.coeff[None], tol)
+    return ("feasible", x[0]) if t[0] >= -tol else ("infeasible", None)
 
 
-def is_compatible_partial(
-    q: DomainQuery, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> str:
-    """Tri-state compatibility for specs with free coefficients.
-
-    Degenerates to the full test when the spec is fully fixed after probe
-    substitution.
-    """
-    spec = q.spec.with_probe(q.probe)
-    if spec.fully_fixed:
-        return "feasible" if is_compatible_full(q, tol) else "infeasible"
-    status, _ = partial_feasibility(spec, tol, max_iter)
+def is_compatible_partial(q: DomainQuery, tol: float = DEFAULT_TOL) -> str:
+    """Compatibility label, "feasible" or "infeasible", with or without free coefficients."""
+    status, _ = partial_feasibility(q.spec.with_probe(q.probe), tol)
     return status
 
 
 def probe_state(probe: np.ndarray, n: int) -> np.ndarray:
-    """Subsystem state (1/N)(1 + sum probe_alpha F_alpha) for a probe vector."""
-    basis = build_basis(n)
+    """Subsystem state (1/N)(1 + sum probe_alpha F_alpha) for probe vectors.
+
+    ``probe`` has shape (..., N^2 - 1); leading dimensions are batched.
+    """
     probe = np.asarray(probe, dtype=float)
-    if probe.shape != (n**2 - 1,):
+    if probe.shape[-1:] != (n**2 - 1,):
         raise ValueError(f"probe must have length {n**2 - 1}")
-    return (np.eye(n, dtype=complex) + np.einsum("a,aij->ij", probe, basis.mats[1:])) / n
+    return (np.eye(n, dtype=complex) + np.einsum("...a,aij->...ij", probe, build_basis(n).mats[1:])) / n
 
 
 def is_in_positivity_domain(
@@ -232,7 +209,7 @@ def _random_ball(count: int, seed: int) -> np.ndarray:
 
 @dataclass
 class DomainSample:
-    """Labeled probe cloud: compat in {1, 0, -1} (in/out/unknown), pos in {1, 0}."""
+    """Labeled probe cloud: compat in {1, 0} (in/out), pos in {1, 0}."""
 
     probes: np.ndarray
     compat: np.ndarray
@@ -279,18 +256,19 @@ def sample_domain(
     count: int | None = None,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> DomainSample:
     """Label probes in the unit ball with compatibility and positivity flags.
 
     Grid sections are uniform in the chosen coordinate plane; volume grids
     use Fibonacci-spiral shells; random mode draws uniformly from the ball
-    with the given seed.  Fully fixed specs use the direct PSD test; specs
-    with free coefficients run the alternating-projection solver (compat
-    -1 marks an undecided probe).  Without a map the pos column is 1.
+    with the given seed.  Compatibility is the sign of the certified margin
+    t* + tol for every probe, whether or not the spec has free
+    coefficients.  Without a map the pos column is 1.
     """
     if spec.n != 2:
         raise ValueError("domain sampling is implemented for qubit subsystems")
+    if resolution < 1:
+        raise ValueError(f"resolution must be positive, got {resolution}")
     if region == "grid":
         probes = _section_grid(section, resolution) if section else _fibonacci_shells(resolution)
     elif region == "random":
@@ -303,26 +281,15 @@ def sample_domain(
     if probes.size == 0:
         raise ValueError("no probes generated")
 
-    pb = _basis_for(spec)
     batch = probes.shape[0]
-    coeff = np.broadcast_to(spec.coeff, (batch,) + spec.coeff.shape).copy()
+    fixed = spec.with_probe(np.zeros(3))
+    coeff = np.broadcast_to(fixed.coeff, (batch,) + fixed.coeff.shape).copy()
     coeff[:, 1:, 0] = probes
-    free = spec.free.copy()
-    free[1:, 0] = False
-
-    if not free.any():
-        d = pb.dim
-        mats = np.einsum("bx,xij->bij", coeff.reshape(batch, -1), pb.mats.reshape(-1, d, d)) / d
-        wmin = np.linalg.eigvalsh(mats)[:, 0]
-        compat = (wmin >= -tol).astype(int)
-    else:
-        start = coeff.copy()
-        start[:, free] = 0.0
-        status, _ = _alternating_projections(start, free, pb, tol, max_iter)
-        compat = np.where(status == 1, 1, np.where(status == -1, 0, -1))
+    t, _ = _max_lambda_min(fixed, coeff, tol)
+    compat = (t >= -tol).astype(int)
 
     if amap is not None:
-        rhos = np.array([probe_state(p, 2) for p in probes])
+        rhos = probe_state(probes, 2)
         outs = np.einsum("nij,bjk,nlk->bil", amap.g_ops, rhos, amap.g_ops.conj()) + amap.k_mat
         pos = (np.linalg.eigvalsh(outs)[:, 0] >= -tol).astype(int)
     else:

@@ -16,13 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import JointStateCoeffs, build_basis
-from .domains import (
-    DomainQuery,
-    InfeasibleError,
-    is_compatible_full,
-    partial_feasibility,
-    probe_state,
-)
+from .domains import DomainQuery, InfeasibleError, is_compatible_partial, probe_state
 from .linalg import DEFAULT_TOL
 from .maps import AffineMap, apply_affine
 
@@ -48,12 +42,7 @@ class ProbeSet:
 
 
 def _admissible(spec: JointStateCoeffs, probe: np.ndarray, tol: float) -> bool:
-    q = DomainQuery(spec=spec, probe=probe)
-    test = spec.with_probe(probe)
-    if test.fully_fixed:
-        return is_compatible_full(q, tol)
-    status, _ = partial_feasibility(test, tol)
-    return status == "feasible"
+    return is_compatible_partial(DomainQuery(spec=spec, probe=probe), tol) == "feasible"
 
 
 def design_probes(
@@ -221,6 +210,8 @@ def pairs_to_json(pairs: list[tuple[np.ndarray, np.ndarray]]) -> str:
 
 def pairs_from_json(text: str) -> list[tuple[np.ndarray, np.ndarray]]:
     items = json.loads(text)
+    if not isinstance(items, list) or not items:
+        raise ValueError("pairs must be a non-empty JSON list")
     pairs = []
     for item in items:
         arr = np.asarray(item["rho_out"], dtype=float)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from affinemaps.basis import JointStateCoeffs
-from affinemaps.cli import fig1_spec, fig2_spec, main
-from affinemaps.maps import map_from_json_dict
+from affinemaps.cli import fig1_spec, fig1a_map, fig2_spec, main
+from affinemaps.maps import map_from_json_dict, map_to_json
 from affinemaps.qubit2 import SIGMA, IntHamParams, int_ham_b_matrix, int_ham_unitary, kappa_vector
 from affinemaps.tomography import pairs_to_json
 
@@ -178,6 +178,19 @@ def test_tomography_restricted_base_succeeds(tmp_path):
     assert read_json(out)["validation"]["passed"] is True
 
 
+def test_tomography_base_inside_partial_domain(tmp_path):
+    # (0.3, 0, 0) is strictly inside: max lambda_min over the free diagonals is +1.48e-4
+    map_path = tmp_path / "map.json"
+    map_path.write_text(map_to_json(fig1a_map()))
+    s_path = write_spec(tmp_path / "spec.json", fig1_spec(True))
+    out = tmp_path / "recon.json"
+    code = main(
+        ["tomography", "--map", str(map_path), "--spec", s_path, "--base", "0.3,0,0", "--out", str(out)]
+    )
+    assert code == 0
+    assert read_json(out)["validation"]["passed"] is True
+
+
 def test_tomography_external_pairs(tmp_path, rng):
     from affinemaps.maps import extract_map
     from affinemaps.basis import product_basis
@@ -271,6 +284,25 @@ def test_invalid_input_exit_codes(tmp_path):
     u_path = write_matrix(tmp_path / "u.json", np.eye(4) * 2.0)  # not unitary
     s_path = write_spec(tmp_path / "s.json", JointStateCoeffs.blank(2, 2))
     assert main(["extract", "--unitary", u_path, "--state", s_path]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tomography", "--pairs", "{empty_list}"],
+        ["apply", "--map", "{empty_list}", "--probe", "0,0,0"],
+        ["domains", "--spec", "{empty_list}"],
+        ["example", "int-ham", "--gamma", "nan,0,0"],
+        ["domains", "--spec", "{spec}", "--resolution", "0"],
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, argv):
+    paths = {"spec": write_spec(tmp_path / "spec.json", JointStateCoeffs.blank(2, 2))}
+    paths["empty_list"] = str(tmp_path / "list.json")
+    (tmp_path / "list.json").write_text("[]")
+    out = tmp_path / "out"
+    assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_unknown_subcommand_exits_2():

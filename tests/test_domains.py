@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinemaps.basis import JointStateCoeffs, expand_state, product_basis, reconstruct_state
+from affinemaps.cli import fig1_spec
 from affinemaps.linalg import is_psd, kron, random_density, random_unitary
 from affinemaps.maps import AffineMap, extract_G, extract_map
 from affinemaps.domains import (
@@ -99,7 +102,7 @@ def test_compatible_full_convexity(rng):
 
 
 # ---------------------------------------------------------------------------
-# partial compatibility (alternating projections)
+# partial compatibility (barrier solver)
 # ---------------------------------------------------------------------------
 def all_free_spec():
     spec = JointStateCoeffs.blank(2, 2)
@@ -170,11 +173,70 @@ def test_partial_monotone_relaxation(rng):
         assert status == "feasible"
 
 
+@pytest.mark.parametrize(
+    "radius, expected",
+    [(0.5, "feasible"), (1 + 2e-9, "feasible"), (1 + 6e-9, "infeasible"), (1.5, "infeasible")],
+)
+def test_partial_margin_decided_at_tolerance(rng, radius, expected):
+    # with only the marginal fixed t* = (1 - |a|)/4 exactly: Pi >= t 1 forces
+    # Tr_R Pi >= 2t 1, and rho_a (x) 1/2 attains it; the middle radii put t*
+    # at -tol/2 and -3 tol/2
+    direction = rng.normal(size=3)
+    q = DomainQuery(spec=all_free_spec(), probe=radius * direction / np.linalg.norm(direction))
+    assert is_compatible_partial(q) == expected
+
+
 def test_partial_feasibility_prefilter_marginal():
     spec = all_free_spec()
     spec = spec.with_probe(np.array([0.9, 0.9, 0.9]))
     status, _ = partial_feasibility(spec)
     assert status == "infeasible"
+
+
+def random_spec(seed, mask):
+    """Coefficients of a random full-rank joint state; bit j of mask frees entry j."""
+    spec = expand_state(random_density(4, np.random.default_rng(seed)), product_basis(2, 2))
+    spec.free = ((mask >> np.arange(16)) & 1).astype(bool).reshape(4, 4)
+    return spec
+
+
+free_masks = st.integers(0, 2**16 - 1).map(lambda m: m & ~1)  # (0, 0) stays fixed
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), mask=free_masks)
+def test_partial_freeing_keeps_state_feasible(pb22, seed, mask):
+    spec = random_spec(seed, mask)
+    status, witness = partial_feasibility(spec)
+    assert status == "feasible"
+    assert is_psd(witness)
+    fixed = ~spec.free
+    np.testing.assert_allclose(expand_state(witness, pb22).coeff[fixed], spec.coeff[fixed], atol=1e-8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    mask=free_masks,
+    direction=st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3),
+    radius=st.floats(1.001, 3.0),
+)
+def test_probe_outside_unit_ball_is_infeasible(seed, mask, direction, radius):
+    # the marginal of a joint state with lambda_min t has lambda_min >= 2t, and
+    # (1 - |a|)/2 <= -5e-4 here, far below -2 tol
+    probe = radius * np.array(direction) / np.linalg.norm(direction)
+    q = DomainQuery(spec=random_spec(seed, mask), probe=probe)
+    assert is_compatible_partial(q) == "infeasible"
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 2.0))
+def test_fixed_spec_labels_are_lambda_min_sign(pb22, seed, scale):
+    spec = random_spec(seed, 0)
+    spec.coeff[1:, 1:] *= scale  # scaled correlations cut the ball at various radii
+    s = sample_domain(spec, region="random", count=50, seed=seed % 1000)
+    lam = [np.linalg.eigvalsh(reconstruct_state(spec.with_probe(p), pb22))[0] for p in s.probes]
+    np.testing.assert_array_equal(s.compat, (np.array(lam) >= -1e-9).astype(int))
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +303,15 @@ def test_sample_domain_two_coefficient_sections():
     assert (feas[:, 2] > 0).all()
 
 
+def test_sample_domain_partial_labels_every_probe():
+    # the fig1 partial section holds probes such as (0.3, 0, 0) with max lambda_min +1.48e-4
+    s = sample_domain(fig1_spec(True), section="p1p2", resolution=41)
+    assert set(np.unique(s.compat)) <= {0, 1}
+    for probe in ([0.3, 0.0, 0.0], [0.0, 0.3, 0.0]):
+        at = np.abs(s.probes - probe).max(axis=1) < 1e-12
+        assert at.sum() == 1 and s.compat[at][0] == 1
+
+
 def test_sample_domain_deterministic(tmp_path):
     spec = two_coefficient_spec()
     s1 = sample_domain(spec, section="p1p3", resolution=21)
@@ -282,6 +353,8 @@ def test_sample_domain_rejects_bad_inputs():
         sample_domain(spec, region="random", count=0)
     with pytest.raises(ValueError):
         sample_domain(spec, region="grid", section="p9p9")
+    with pytest.raises(ValueError):
+        sample_domain(spec, region="grid", resolution=0)
 
 
 def test_sample_csv_format(tmp_path):
@@ -332,3 +405,10 @@ def test_probe_state_matches_bloch():
     rho = probe_state(np.array([0.1, -0.2, 0.3]), 2)
     expected = 0.5 * (I2 + 0.1 * SIGMA[0] - 0.2 * SIGMA[1] + 0.3 * SIGMA[2])
     np.testing.assert_allclose(rho, expected, atol=1e-15)
+
+
+def test_probe_state_batched(rng):
+    probes = rng.uniform(-0.5, 0.5, size=(2, 5, 3))
+    rhos = probe_state(probes, 2)
+    assert rhos.shape == (2, 5, 2, 2)
+    np.testing.assert_allclose(rhos[1, 3], probe_state(probes[1, 3], 2), atol=1e-15)
