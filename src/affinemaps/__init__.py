@@ -57,6 +57,7 @@ from .maps import (
     mean_value_correction,
     pm_decomposition,
     purity_delta,
+    w_operators,
 )
 from .qubit2 import (
     IntHamParams,

@@ -17,6 +17,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     dagger,
+    finite_array,
     kron,
     partial_trace,
     require_hermitian,
@@ -117,7 +118,7 @@ class JointStateCoeffs:
     free: np.ndarray
 
     def __post_init__(self):
-        self.coeff = np.array(self.coeff, dtype=float)
+        self.coeff = finite_array(self.coeff, "coefficients")
         self.free = np.array(self.free, dtype=bool)
         shape = (self.n**2, self.m**2)
         if self.coeff.shape != shape or self.free.shape != shape:
@@ -160,9 +161,9 @@ class JointStateCoeffs:
     @classmethod
     def from_json_dict(cls, data: dict) -> "JointStateCoeffs":
         return cls(
-            n=int(data["n"]),
-            m=int(data["m"]),
-            coeff=np.array(data["coeff"], dtype=float),
+            n=read_dim(data, "n"),
+            m=read_dim(data, "m"),
+            coeff=data["coeff"],
             free=np.array(data["free_mask"], dtype=bool),
         )
 
@@ -172,6 +173,14 @@ class JointStateCoeffs:
     @classmethod
     def from_json(cls, text: str) -> "JointStateCoeffs":
         return cls.from_json_dict(json.loads(text))
+
+
+def read_dim(data: dict, key: str) -> int:
+    """A dimension field of a JSON object: a positive integer."""
+    value = data[key]
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{key!r} must be a positive integer, got {value!r}")
+    return value
 
 
 def expand_state(pi: np.ndarray, pb: ProductBasis, tol: float = DEFAULT_TOL) -> JointStateCoeffs:

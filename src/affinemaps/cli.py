@@ -21,16 +21,7 @@ from . import qubit2 as q2
 from . import tomography as tom
 from .basis import JointStateCoeffs, product_basis, reconstruct_state
 from .domains import InfeasibleError
-from .linalg import DEFAULT_TOL
-
-
-def _cplx(mat: np.ndarray) -> list:
-    return np.stack([np.asarray(mat).real, np.asarray(mat).imag], axis=-1).tolist()
-
-
-def _matrix_from_dict(data: dict, key: str = "matrix") -> np.ndarray:
-    arr = np.asarray(data[key], dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
+from .linalg import DEFAULT_TOL, from_pairs, to_pairs
 
 
 def _load_json(path: str) -> dict:
@@ -41,6 +32,14 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _matrix(data: dict) -> np.ndarray:
+    """The square complex matrix of a {"matrix": [[[re, im], ...], ...]} object."""
+    mat = from_pairs(data["matrix"])
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {mat.shape}")
+    return mat
+
+
 def _load_state(path: str, dims: tuple[int, int]):
     """Load a joint state file: coefficient JSON or raw matrix JSON."""
     data = _load_json(path)
@@ -48,8 +47,11 @@ def _load_state(path: str, dims: tuple[int, int]):
         coeffs = JointStateCoeffs.from_json_dict(data)
         pb = product_basis(coeffs.n, coeffs.m)
         return reconstruct_state(coeffs, pb), pb
-    pb = product_basis(*dims)
-    return _matrix_from_dict(data), pb
+    pi = _matrix(data)
+    d = dims[0] * dims[1]
+    if pi.shape != (d, d):  # checked before the product basis is built for these dims
+        raise ValueError(f"state matrix has shape {pi.shape}, --dims {dims} needs {(d, d)}")
+    return pi, product_basis(*dims)
 
 
 def _load_map(path: str) -> mp.AffineMap:
@@ -81,7 +83,9 @@ def _parse_vector(text: str, length: int, name: str) -> np.ndarray:
 
 def _parse_rotation(text: str) -> q2.Rotation:
     data = json.loads(text)
-    return q2.Rotation(axis=tuple(float(x) for x in data["axis"]), angle=float(data["angle"]))
+    if not isinstance(data, dict):
+        raise ValueError('a rotation must be a JSON object {"axis": [x, y, z], "angle": t}')
+    return q2.Rotation(axis=data["axis"], angle=data["angle"])
 
 
 def _map_properties(amap: mp.AffineMap, tol: float) -> dict:
@@ -106,7 +110,7 @@ def cmd_extract(args) -> int:
     dims = tuple(int(x) for x in args.dims.split(","))
     if len(dims) != 2:
         raise ValueError("--dims must be N,M")
-    u = _matrix_from_dict(_load_json(args.unitary))
+    u = _matrix(_load_json(args.unitary))
     pi, pb = _load_state(args.state, dims)
     amap = mp.extract_map(u, pi, pb, args.tol)
     _write_payload(_map_payload(amap, args.tol), args.out)
@@ -118,11 +122,11 @@ def cmd_apply(args) -> int:
     if args.probe is not None:
         rho = dom.probe_state(_parse_vector(args.probe, amap.n**2 - 1, "--probe"), amap.n)
     elif args.state:
-        rho = _matrix_from_dict(_load_json(args.state))
+        rho = _matrix(_load_json(args.state))
     else:
         raise ValueError("apply requires --probe or --state")
     out = mp.apply_affine(amap, rho, args.tol)
-    payload = {"rho_out": _cplx(out)}
+    payload = {"rho_out": to_pairs(out)}
     if amap.n == 2:
         payload["bloch_out"] = [float(np.trace(q2.SIGMA[j] @ out).real) for j in range(3)]
     _write_payload(payload, args.out)
@@ -221,9 +225,9 @@ def cmd_tomography(args) -> int:
     recon = tom.reconstruct_map(probes)
     payload = {
         "n": recon.n,
-        "one_prime": _cplx(recon.one_prime),
-        "f_primes": [_cplx(f) for f in recon.f_primes],
-        "k": _cplx(recon.k_mat),
+        "one_prime": to_pairs(recon.one_prime),
+        "f_primes": to_pairs(recon.f_primes),
+        "k": to_pairs(recon.k_mat),
         "residual": recon.residual,
         "validation": tom.validate_reconstruction(recon, truth, args.tol).to_dict()
         if truth
@@ -364,6 +368,14 @@ def cmd_preset(args) -> int:
     return 0
 
 
+def _positive(text: str) -> float:
+    """argparse type: a positive finite float."""
+    value = float(text)
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="affinemaps",
@@ -372,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=0)
 
@@ -424,12 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", default=None, help="externally produced pair file")
     p.add_argument("--spec", default=None)
     p.add_argument("--base", default="0,0,0")
-    p.add_argument("--eps", type=float, default=0.05)
+    p.add_argument("--eps", type=_positive, default=0.05)
     common(p)
     p.set_defaults(func=cmd_tomography)
 
     p = sub.add_parser("kappa", help="search for large |kappa| and check bounds")
-    p.add_argument("--family", choices=["int_ham", "lorentz", "random_unitary"], required=True)
+    p.add_argument("--family", choices=list(q2.FAMILIES), required=True)
     p.add_argument("--trials", type=int, default=1000)
     common(p)
     p.set_defaults(func=cmd_kappa)

@@ -289,8 +289,7 @@ def sample_domain(
     compat = (t >= -tol).astype(int)
 
     if amap is not None:
-        rhos = probe_state(probes, 2)
-        outs = np.einsum("nij,bjk,nlk->bil", amap.g_ops, rhos, amap.g_ops.conj()) + amap.k_mat
+        outs = apply_L(amap, probe_state(probes, 2)) + amap.k_mat
         pos = (np.linalg.eigvalsh(outs)[:, 0] >= -tol).astype(int)
     else:
         pos = np.ones(batch, dtype=int)
@@ -315,6 +314,8 @@ def image_of_ball(
     """
     if amap.n != 2:
         raise ValueError("image_of_ball requires a qubit map")
+    if resolution < 1:
+        raise ValueError(f"resolution must be positive, got {resolution}")
     axes = SECTION_AXES.get(section)
     if axes is None:
         raise ValueError(f"unknown section {section!r}; expected one of {sorted(SECTION_AXES)}")

@@ -98,6 +98,31 @@ def require_density(rho: np.ndarray, tol: float = DEFAULT_TOL, name: str = "stat
         raise ValueError(f"{name} is not positive semidefinite to tolerance {tol:.3e}")
 
 
+def finite_array(data, name: str = "array") -> np.ndarray:
+    """Float copy of a rectangular nesting of finite numbers; ValueError otherwise."""
+    raw = np.asarray(data)
+    if raw.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold numbers only")
+    arr = raw.astype(float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} values must be finite")
+    return arr
+
+
+def to_pairs(mat) -> list:
+    """JSON form of a complex array: every scalar becomes an [re, im] pair."""
+    mat = np.asarray(mat)
+    return np.stack([mat.real, mat.imag], axis=-1).tolist()
+
+
+def from_pairs(data, name: str = "matrix") -> np.ndarray:
+    """Inverse of to_pairs; the last axis must hold [re, im] pairs."""
+    arr = finite_array(data, name)
+    if arr.ndim == 0 or arr.shape[-1] != 2:
+        raise ValueError(f"{name} must be a nested list of [re, im] pairs")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unitary via QR of a complex Gaussian matrix."""
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -18,15 +18,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import HermitianBasis, ProductBasis, build_basis
+from .basis import HermitianBasis, ProductBasis, build_basis, read_dim
 from .linalg import (
     DEFAULT_TOL,
     dagger,
-    kron,
+    from_pairs,
     partial_trace,
     require_density,
     require_hermitian,
     require_unitary,
+    to_pairs,
 )
 
 
@@ -78,7 +79,7 @@ class AffineMap:
     @cached_property
     def f_primes(self) -> np.ndarray:
         """L(F_alpha) for the traceless basis matrices, alpha = 1..n^2-1."""
-        return np.array([apply_L(self, f) for f in self.basis_s.mats[1:]])
+        return apply_L(self, self.basis_s.mats[1:])
 
 
 def extract_G(u: np.ndarray, basis_r: HermitianBasis, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -98,10 +99,10 @@ def extract_G(u: np.ndarray, basis_r: HermitianBasis, tol: float = DEFAULT_TOL) 
 
 
 def apply_L(amap: AffineMap, q: np.ndarray) -> np.ndarray:
-    """Homogeneous action L(Q) = sum_nu G(nu) Q G(nu)^dag."""
-    if q.shape != (amap.n, amap.n):
+    """Homogeneous action L(Q) = sum_nu G(nu) Q G(nu)^dag, batched over leading dimensions."""
+    if q.shape[-2:] != (amap.n, amap.n):
         raise ValueError(f"operand must be {amap.n}x{amap.n}, got {q.shape}")
-    return np.einsum("nij,jk,nlk->il", amap.g_ops, q, amap.g_ops.conj())
+    return np.einsum("nij,...jk,nlk->...il", amap.g_ops, q, amap.g_ops.conj())
 
 
 def apply_affine(amap: AffineMap, rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -116,8 +117,29 @@ def apply_affine(amap: AffineMap, rho: np.ndarray, tol: float = DEFAULT_TOL) -> 
 
 
 def linear_extension(amap: AffineMap, q: np.ndarray) -> np.ndarray:
-    """Linear map Q -> L(Q) + K Tr Q; agrees with apply_affine on unit trace."""
-    return apply_L(amap, q) + amap.k_mat * np.trace(q)
+    """Linear map Q -> L(Q) + K Tr Q, batched; agrees with apply_affine on unit trace."""
+    return apply_L(amap, q) + amap.k_mat * np.trace(q, axis1=-2, axis2=-1)[..., None, None]
+
+
+def w_operators(u: np.ndarray, obs: np.ndarray, m: int) -> np.ndarray:
+    """Joint operators W_a with Tr_S[A_a K] = Tr[Pi W_a] for every joint state Pi.
+
+    W_a = U^dag (A_a (x) 1) U - (Tr_R[U^dag (A_a (x) 1) U] / M) (x) 1 for the
+    stack ``obs`` (k, n, n) of subsystem observables and an environment of
+    dimension ``m``.  W_a depends on the dynamics alone; the state enters
+    only through Pi, and a product rho (x) 1/M gives Tr[Pi W_a] = 0.
+    """
+    k, n = obs.shape[0], obs.shape[-1]
+    d = n * m
+    if u.shape != (d, d):
+        raise ValueError(f"unitary has shape {u.shape}, expected {(d, d)}")
+    eye = np.eye(m)
+
+    def lift(a):
+        return np.einsum("kij,xy->kixjy", a, eye).reshape(k, d, d)
+
+    y = dagger(u) @ lift(obs) @ u
+    return y - lift(partial_trace(y, n, m) / m)
 
 
 def extract_K(
@@ -125,24 +147,18 @@ def extract_K(
 ) -> np.ndarray:
     """Inhomogeneous part K from the joint unitary and joint state.
 
-    K = (1/N) sum_{mu>=1} Tr[U^dag F_{mu 0} U (Pi - rho (x) 1/M)] F_{mu 0},
-    with rho = Tr_R Pi.  Only environment and correlation mean values enter;
-    the subsystem coefficients of Pi drop out.
+    K = (1/N) sum_{mu>=1} Tr[Pi W_mu] F_mu with W_mu the w_operators of the
+    traceless subsystem basis.  Only environment and correlation mean
+    values enter; the subsystem coefficients of Pi drop out.
     """
     require_unitary(u, tol)
     require_density(pi, tol, "joint state")
     n, m = pb.n, pb.m
     if pi.shape != (n * m, n * m):
         raise ValueError(f"joint state has shape {pi.shape}, basis expects {(n * m, n * m)}")
-    rho = partial_trace(pi, n, m, side="right")
-    diff = pi - kron(rho, np.eye(m) / m)
-    k = np.zeros((n, n), dtype=complex)
-    udag = dagger(u)
-    for mu in range(1, n**2):
-        f_joint = pb.mats[mu, 0]
-        coeff = np.trace(udag @ f_joint @ u @ diff)
-        k += coeff * pb.basis_s.mats[mu]
-    k /= n
+    f = pb.basis_s.mats[1:]
+    coeff = np.einsum("aij,ji->a", w_operators(u, f, m), pi)
+    k = np.einsum("a,aij->ij", coeff, f) / n
     imag = float(np.abs(k - dagger(k)).max())
     if imag > 10 * tol:
         raise ValueError(f"extracted K is not Hermitian (deviation {imag:.3e})")
@@ -162,7 +178,7 @@ def extract_map(
 
 
 def mean_value_correction(a: np.ndarray, u: np.ndarray, pi: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """Tr_S[A K] = Tr[U^dag A U (Pi - rho (x) 1/M)] for a subsystem observable A.
+    """Tr_S[A K] = Tr[Pi W_A] for a subsystem observable A (see w_operators).
 
     This is the part of the evolved mean value <A> that the homogeneous map
     alone misses; it vanishes for every A iff Pi is the product rho (x) 1/M.
@@ -172,12 +188,8 @@ def mean_value_correction(a: np.ndarray, u: np.ndarray, pi: np.ndarray, tol: flo
     d = pi.shape[0]
     if d % n:
         raise ValueError(f"joint dimension {d} not divisible by subsystem dimension {n}")
-    m = d // n
-    rho = partial_trace(pi, n, m, side="right")
-    diff = pi - kron(rho, np.eye(m) / m)
-    a_joint = kron(a, np.eye(m))
-    val = np.trace(dagger(u) @ a_joint @ u @ diff)
-    return float(val.real)
+    w = w_operators(u, a[None], d // n)[0]
+    return float(np.einsum("ij,ji->", w, pi).real)
 
 
 @dataclass(frozen=True)
@@ -223,12 +235,8 @@ class ChoiMatrix:
 
 def choi_matrix(amap: AffineMap) -> ChoiMatrix:
     n = amap.n
-    c = np.zeros((n**2, n**2), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[j, k] = 1.0
-            c[j * n : (j + 1) * n, k * n : (k + 1) * n] = linear_extension(amap, e)
+    units = np.eye(n**2, dtype=complex).reshape(n, n, n, n)  # units[j, k] = E_jk
+    c = linear_extension(amap, units).transpose(0, 2, 1, 3).reshape(n**2, n**2)
     return ChoiMatrix(n=n, c=0.5 * (c + dagger(c)))
 
 
@@ -273,32 +281,23 @@ def purity_delta(amap: AffineMap, rho: np.ndarray, tol: float = DEFAULT_TOL) -> 
 
 def map_to_json_dict(amap: AffineMap) -> dict:
     """Serializable map representation, complex scalars as [re, im] pairs."""
-
-    def cplx(mat: np.ndarray) -> list:
-        return np.stack([mat.real, mat.imag], axis=-1).tolist()
-
     return {
         "n": amap.n,
         "m": amap.m,
-        "g_ops": [cplx(g) for g in amap.g_ops],
-        "k": cplx(amap.k_mat),
-        "one_prime": cplx(amap.one_prime),
-        "f_primes": [cplx(f) for f in amap.f_primes],
-        "b_matrix": cplx(b_matrix(amap).b),
+        "g_ops": to_pairs(amap.g_ops),
+        "k": to_pairs(amap.k_mat),
+        "one_prime": to_pairs(amap.one_prime),
+        "f_primes": to_pairs(amap.f_primes),
+        "b_matrix": to_pairs(b_matrix(amap).b),
     }
-
-
-def _from_pairs(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    return arr[..., 0] + 1j * arr[..., 1]
 
 
 def map_from_json_dict(data: dict) -> AffineMap:
     return AffineMap(
-        n=int(data["n"]),
-        m=int(data["m"]),
-        g_ops=np.array([_from_pairs(g) for g in data["g_ops"]]),
-        k_mat=_from_pairs(data["k"]),
+        n=read_dim(data, "n"),
+        m=read_dim(data, "m"),
+        g_ops=from_pairs(data["g_ops"], "g_ops"),
+        k_mat=from_pairs(data["k"], "k"),
     )
 
 

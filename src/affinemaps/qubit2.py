@@ -12,13 +12,13 @@ G(0) = (D1 + D2)/2 and G(1) = (D1 - D2)/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .basis import JointStateCoeffs, expand_state, product_basis, reconstruct_state
-from .linalg import DEFAULT_TOL, dagger, kron, random_density, random_unitary
-from .maps import AffineMap, BMatrix, apply_L, extract_K
+from .linalg import DEFAULT_TOL, finite_array, kron, random_density, random_unitary, to_pairs
+from .maps import AffineMap, BMatrix, apply_L, extract_K, w_operators
 
 I2 = np.eye(2, dtype=complex)
 SIGMA = np.array(
@@ -49,7 +49,9 @@ class Rotation:
     angle: float
 
     def __post_init__(self):
-        a = np.asarray(self.axis, dtype=float)
+        a = finite_array(self.axis, "rotation axis")
+        if a.shape != (3,) or finite_array(self.angle, "rotation angle").shape != ():
+            raise ValueError("a rotation needs three axis values and one angle")
         norm = np.linalg.norm(a)
         if abs(norm - 1.0) > 1e-12 and not (norm == 0.0 and self.angle == 0.0):
             raise ValueError(f"rotation axis must be unit length, got |axis| = {norm}")
@@ -80,12 +82,7 @@ def bloch_action(amap: AffineMap) -> tuple[np.ndarray, np.ndarray]:
     """Affine action on Bloch vectors, a -> T a + kappa, for a qubit map."""
     if amap.n != 2:
         raise ValueError("Bloch action requires a qubit map")
-    t_mat = np.array(
-        [
-            [0.5 * np.trace(SIGMA[j] @ apply_L(amap, SIGMA[k])).real for k in range(3)]
-            for j in range(3)
-        ]
-    )
+    t_mat = 0.5 * np.einsum("jab,kba->jk", SIGMA, apply_L(amap, SIGMA)).real
     return t_mat, kappa_vector(amap.k_mat)
 
 
@@ -106,13 +103,19 @@ def int_ham_unitary(p: IntHamParams) -> np.ndarray:
     return u
 
 
+def _two_qubit_coeff(corr: JointStateCoeffs) -> np.ndarray:
+    if (corr.n, corr.m) != (2, 2):
+        raise ValueError(f"two-qubit mean values expected, got dimensions ({corr.n}, {corr.m})")
+    return corr.coeff
+
+
 def int_ham_kappa(p: IntHamParams, corr: JointStateCoeffs) -> np.ndarray:
     """Inhomogeneous Bloch vector from the interaction angles and mean values.
 
     kappa_1 = <x1> sin g2 sin g3 - <s2 x3> cos g2 sin g3 + <s3 x2> sin g2 cos g3
     and cyclic; only <x_k> and the off-diagonal <s_j x_k> enter.
     """
-    c = corr.coeff
+    c = _two_qubit_coeff(corr)
     s = np.sin(p.gamma)
     co = np.cos(p.gamma)
     return np.array(
@@ -204,7 +207,7 @@ def lorentz_map(p: LorentzParams, corr: JointStateCoeffs) -> AffineMap:
     d2 = su2_from_rotation(p.r2.axis, p.r2.angle)
     zero = np.zeros((2, 2), dtype=complex)
     g_ops = np.array([0.5 * (d1 + d2), 0.5 * (d1 - d2), zero, zero])
-    v = corr.coeff[1:, 1]
+    v = _two_qubit_coeff(corr)[1:, 1]
     kappa = 0.5 * (p.r1.matrix @ v - p.r2.matrix @ v)
     return AffineMap(n=2, m=2, g_ops=g_ops, k_mat=k_from_kappa(kappa))
 
@@ -242,40 +245,6 @@ def kappa_bounds_check(
 class KappaSearchResult(NamedTuple):
     best_kappa_norm: float
     witness: dict
-
-
-def _kappa_component_ops_int_ham(gamma: np.ndarray) -> np.ndarray:
-    """Joint-space operators W_j with kappa_j = Tr[Pi W_j] for the interaction family."""
-    s, c = np.sin(gamma), np.cos(gamma)
-    sx = [kron(SIGMA[j], SIGMA[k]) for j in range(3) for k in range(3)]
-    xi = [kron(I2, SIGMA[k]) for k in range(3)]
-
-    def sk(j, k):
-        return sx[j * 3 + k]
-
-    return np.array(
-        [
-            s[1] * s[2] * xi[0] - c[1] * s[2] * sk(1, 2) + s[1] * c[2] * sk(2, 1),
-            s[2] * s[0] * xi[1] - c[2] * s[0] * sk(2, 0) + s[2] * c[0] * sk(0, 2),
-            s[0] * s[1] * xi[2] - c[0] * s[1] * sk(0, 1) + s[0] * c[1] * sk(1, 0),
-        ]
-    )
-
-
-def _kappa_component_ops_lorentz(r1: Rotation, r2: Rotation) -> np.ndarray:
-    diff = r1.matrix - r2.matrix
-    base = np.array([kron(SIGMA[k], SIGMA[0]) for k in range(3)])
-    return 0.5 * np.einsum("jk,kab->jab", diff, base)
-
-
-def _kappa_component_ops_unitary(u: np.ndarray) -> np.ndarray:
-    """W_j = U^dag (s_j (x) 1) U - (Tr_R[...]/2) (x) 1, so kappa_j = Tr[Pi W_j]."""
-    ops = []
-    for j in range(3):
-        y = dagger(u) @ kron(SIGMA[j], I2) @ u
-        y_s = 0.5 * y.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
-        ops.append(y - kron(y_s, I2))
-    return np.array(ops)
 
 
 def _best_state_kappa(w_ops: np.ndarray, iters: int = 8) -> tuple[float, np.ndarray, np.ndarray]:
@@ -325,10 +294,60 @@ def _golden_refine(f, lo: float, hi: float, iters: int = 40) -> tuple[float, flo
     return x, max(fc, fd)
 
 
-def _cplx_coeffs(pi: np.ndarray) -> np.ndarray:
-    """Full (4, 4) mean-value array of a two-qubit state."""
-    pb = product_basis(2, 2)
-    return np.einsum("abij,ji->ab", pb.mats, pi).real
+def _random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Uniform axis and angle, as the four values (axis, angle)."""
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    return np.append(axis, rng.uniform(0, 2 * np.pi))
+
+
+def _rotation(p: np.ndarray) -> Rotation:
+    return Rotation(axis=tuple(p[:3]), angle=float(p[3]))
+
+
+class _Family(NamedTuple):
+    """A two-qubit unitary family as a flat parameter vector.
+
+    ``draw`` samples parameters, ``unitary`` maps them to U, ``fields``
+    gives their witness entries, and ``refine`` lists the coordinates the
+    search refines, each with its golden-section interval around a value.
+    """
+
+    draw: Callable[[np.random.Generator], np.ndarray]
+    unitary: Callable[[np.ndarray], np.ndarray]
+    fields: Callable[[np.ndarray], dict]
+    refine: tuple[tuple[int, Callable[[float], tuple[float, float]]], ...]
+
+
+FAMILIES = {
+    "int_ham": _Family(
+        draw=lambda rng: rng.uniform(0, 2 * np.pi, size=3),
+        unitary=lambda p: int_ham_unitary(IntHamParams(gamma=tuple(p))),
+        fields=lambda p: {"gamma": p.tolist()},
+        refine=tuple((i, lambda x: (x - 0.5, x + 0.5)) for i in range(3)),
+    ),
+    "lorentz": _Family(
+        draw=lambda rng: np.concatenate([_random_rotation(rng), _random_rotation(rng)]),
+        unitary=lambda p: lorentz_unitary(LorentzParams(r1=_rotation(p[:4]), r2=_rotation(p[4:]))),
+        fields=lambda p: {
+            "r1": {"axis": p[:3].tolist(), "angle": float(p[3])},
+            "r2": {"axis": p[4:7].tolist(), "angle": float(p[7])},
+        },
+        refine=((7, lambda x: (0.0, 2 * np.pi)),),
+    ),
+    "random_unitary": _Family(
+        draw=lambda rng: random_unitary(4, rng),
+        unitary=lambda p: p,
+        fields=lambda p: {"unitary": to_pairs(p)},
+        refine=(),
+    ),
+}
+
+
+def _family(name: str) -> _Family:
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}")
+    return FAMILIES[name]
 
 
 def kappa_search(
@@ -337,98 +356,41 @@ def kappa_search(
     """Randomized search with local refinement for the largest |kappa|.
 
     For each parameter draw the best state is found exactly (top
-    eigenvector of the kappa component operators along a direction,
-    alternated to convergence); for the closed-form families the best
-    parameters are then refined by coordinate golden-section search.
-    Deterministic for a given seed.
+    eigenvector of the kappa component operators w_operators(U, SIGMA, 2)
+    along a direction, alternated to convergence); the best parameters are
+    then refined by coordinate golden-section search where the family
+    lists refinement coordinates.  Deterministic for a given seed.
     """
+    fam = _family(family)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    best_norm = -1.0
-    witness: dict = {}
 
-    if family == "int_ham":
-        best_gamma = None
-        for _ in range(trials):
-            gamma = rng.uniform(0, 2 * np.pi, size=3)
-            norm, kappa, pi = _best_state_kappa(_kappa_component_ops_int_ham(gamma), state_iters)
-            if norm > best_norm:
-                best_norm, best_gamma = norm, gamma
-                witness = {"gamma": gamma.tolist(), "kappa": kappa.tolist(), "coeff": _cplx_coeffs(pi).tolist()}
-        gamma = np.array(best_gamma)
-        for axis in range(3):
-            def eval_axis(x, axis=axis):
-                g = gamma.copy()
-                g[axis] = x
-                return _best_state_kappa(_kappa_component_ops_int_ham(g), state_iters)[0]
+    def best_state(p):
+        return _best_state_kappa(w_operators(fam.unitary(p), SIGMA, 2), state_iters)
 
-            x, val = _golden_refine(eval_axis, gamma[axis] - 0.5, gamma[axis] + 0.5)
-            if val > best_norm:
-                gamma[axis] = x
-                best_norm = val
-        norm, kappa, pi = _best_state_kappa(_kappa_component_ops_int_ham(gamma), state_iters)
-        witness = {"gamma": gamma.tolist(), "kappa": kappa.tolist(), "coeff": _cplx_coeffs(pi).tolist()}
-        best_norm = norm
+    best_norm, best = -1.0, None
+    for _ in range(trials):
+        p = fam.draw(rng)
+        norm = best_state(p)[0]
+        if norm > best_norm:
+            best_norm, best = norm, p
+    for i, interval in fam.refine:
+        def at(x, i=i):
+            p = best.copy()
+            p[i] = x
+            return best_state(p)[0]
 
-    elif family == "lorentz":
-        best_pair = None
-        for _ in range(trials):
-            r1 = _random_rotation(rng)
-            r2 = _random_rotation(rng)
-            norm, kappa, pi = _best_state_kappa(_kappa_component_ops_lorentz(r1, r2), state_iters)
-            if norm > best_norm:
-                best_norm, best_pair = norm, (r1, r2)
-                witness = _lorentz_witness(r1, r2, kappa, pi)
-        r1, r2 = best_pair
-
-        def eval_angle(t):
-            r2t = Rotation(axis=r2.axis, angle=t)
-            return _best_state_kappa(_kappa_component_ops_lorentz(r1, r2t), state_iters)[0]
-
-        t, val = _golden_refine(eval_angle, 0.0, 2 * np.pi)
+        x, val = _golden_refine(at, *interval(best[i]))
         if val > best_norm:
-            r2 = Rotation(axis=r2.axis, angle=float(t))
-            best_norm, kappa, pi = _best_state_kappa(
-                _kappa_component_ops_lorentz(r1, r2), state_iters
-            )
-            witness = _lorentz_witness(r1, r2, kappa, pi)
-
-    elif family == "random_unitary":
-        for _ in range(trials):
-            u = random_unitary(4, rng)
-            norm, kappa, pi = _best_state_kappa(_kappa_component_ops_unitary(u), state_iters)
-            if norm > best_norm:
-                best_norm = norm
-                witness = {
-                    "unitary": np.stack([u.real, u.imag], axis=-1).tolist(),
-                    "kappa": kappa.tolist(),
-                    "coeff": _cplx_coeffs(pi).tolist(),
-                }
-    else:
-        raise ValueError(f"unknown family {family!r}")
-
-    return KappaSearchResult(best_kappa_norm=float(best_norm), witness=witness)
-
-
-def _random_rotation(rng: np.random.Generator) -> Rotation:
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    return Rotation(axis=tuple(axis), angle=float(rng.uniform(0, 2 * np.pi)))
-
-
-def _lorentz_witness(r1: Rotation, r2: Rotation, kappa: np.ndarray, pi: np.ndarray) -> dict:
-    return {
-        "r1": {"axis": list(r1.axis), "angle": r1.angle},
-        "r2": {"axis": list(r2.axis), "angle": r2.angle},
+            best[i], best_norm = x, val
+    norm, kappa, pi = best_state(best)
+    witness = {
+        **fam.fields(best),
         "kappa": kappa.tolist(),
-        "coeff": _cplx_coeffs(pi).tolist(),
+        "coeff": expand_state(pi, product_basis(2, 2)).coeff.tolist(),
     }
-
-
-def random_valid_pair(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Random (unitary, two-qubit density matrix) pair for bound sweeps."""
-    return random_unitary(4, rng), random_density(4, rng)
+    return KappaSearchResult(best_kappa_norm=float(norm), witness=witness)
 
 
 class BoundsSweep(NamedTuple):
@@ -440,20 +402,14 @@ class BoundsSweep(NamedTuple):
 
 def bounds_sweep(family: str, trials: int, seed: int = 0, tol: float = DEFAULT_TOL) -> BoundsSweep:
     """Check the two kappa bounds over random family draws and random states."""
+    fam = _family(family)
     rng = np.random.default_rng(seed)
     pb = product_basis(2, 2)
     ok = 0
     max_norm = 0.0
     min_margin = np.inf
     for _ in range(trials):
-        if family == "int_ham":
-            u = int_ham_unitary(IntHamParams(gamma=tuple(rng.uniform(0, 2 * np.pi, 3))))
-        elif family == "lorentz":
-            u = lorentz_unitary(LorentzParams(r1=_random_rotation(rng), r2=_random_rotation(rng)))
-        elif family == "random_unitary":
-            u = random_unitary(4, rng)
-        else:
-            raise ValueError(f"unknown family {family!r}")
+        u = fam.unitary(fam.draw(rng))
         coeffs = expand_state(random_density(4, rng), pb)
         res = kappa_bounds_check(u, coeffs, tol)
         ok += int(res.ok)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import JointStateCoeffs, build_basis
 from .domains import DomainQuery, InfeasibleError, is_compatible_partial, probe_state
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, finite_array, from_pairs, to_pairs
 from .maps import AffineMap, apply_affine
 
 
@@ -64,8 +64,8 @@ def design_probes(
     n_axes = spec.n**2 - 1
     if base.shape != (n_axes,):
         raise ValueError(f"base must have length {n_axes}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     if not _admissible(spec, base, tol):
         raise InfeasibleError(f"base probe {base.tolist()} is outside the compatibility domain")
     probes = [base]
@@ -197,14 +197,10 @@ def validate_reconstruction(
 
 def pairs_to_json(pairs: list[tuple[np.ndarray, np.ndarray]]) -> str:
     """JSON exchange format: [{"rho_in_coeffs": [...], "rho_out": [[[re, im], ...]]}]."""
-    items = []
-    for coeffs, out in pairs:
-        items.append(
-            {
-                "rho_in_coeffs": np.asarray(coeffs, dtype=float).tolist(),
-                "rho_out": np.stack([out.real, out.imag], axis=-1).tolist(),
-            }
-        )
+    items = [
+        {"rho_in_coeffs": np.asarray(coeffs, dtype=float).tolist(), "rho_out": to_pairs(out)}
+        for coeffs, out in pairs
+    ]
     return json.dumps(items)
 
 
@@ -214,10 +210,13 @@ def pairs_from_json(text: str) -> list[tuple[np.ndarray, np.ndarray]]:
         raise ValueError("pairs must be a non-empty JSON list")
     pairs = []
     for item in items:
-        arr = np.asarray(item["rho_out"], dtype=float)
-        pairs.append(
-            (np.asarray(item["rho_in_coeffs"], dtype=float), arr[..., 0] + 1j * arr[..., 1])
-        )
+        if not isinstance(item, dict):
+            raise ValueError("each pair must be a JSON object")
+        coeffs = finite_array(item["rho_in_coeffs"], "rho_in_coeffs")
+        out = from_pairs(item["rho_out"], "rho_out")
+        if coeffs.ndim != 1 or out.ndim != 2:
+            raise ValueError("rho_in_coeffs must be a vector and rho_out a matrix")
+        pairs.append((coeffs, out))
     return pairs
 
 

@@ -2,10 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinemaps.basis import JointStateCoeffs
 from affinemaps.cli import fig1_spec, fig1a_map, fig2_spec, main
-from affinemaps.maps import map_from_json_dict, map_to_json
+from affinemaps.maps import map_from_json_dict, map_to_json, map_to_json_dict
 from affinemaps.qubit2 import SIGMA, IntHamParams, int_ham_b_matrix, int_ham_unitary, kappa_vector
 from affinemaps.tomography import pairs_to_json
 
@@ -286,6 +288,35 @@ def test_invalid_input_exit_codes(tmp_path):
     assert main(["extract", "--unitary", u_path, "--state", s_path]) == 2
 
 
+ROT = '{"axis": [0, 0, 1], "angle": 0.5}'
+
+
+def malformed_files(tmp_path) -> dict:
+    """Name -> path of one valid map and spec, and of files each broken in one field."""
+    good_map = map_to_json_dict(fig1a_map())
+    nan_spec = JointStateCoeffs.blank(2, 2).to_json_dict()
+    nan_spec["coeff"][0][1] = float("nan")
+    contents = {
+        "spec": JointStateCoeffs.blank(2, 2).to_json_dict(),
+        "map": good_map,
+        "empty_list": [],
+        "list_of_one": [1],
+        "matrix_object": {"matrix": {"re": 1}},
+        "matrix_scalar": {"matrix": 3},
+        "map_g_ops_5": {**good_map, "g_ops": 5},
+        "map_k_nan": {**good_map, "k": [[[float("nan"), 0], [0, 0]], [[0, 0], [0, 0]]]},
+        "map_n_list": {**good_map, "n": [2]},
+        "pairs_out_object": [{"rho_in_coeffs": [0, 0, 0], "rho_out": {"re": 1}}],
+        "spec_nan": nan_spec,
+        "spec_21": JointStateCoeffs.blank(2, 1).to_json_dict(),
+    }
+    paths = {}
+    for name, value in contents.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(value))
+    return paths
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -294,15 +325,74 @@ def test_invalid_input_exit_codes(tmp_path):
         ["domains", "--spec", "{empty_list}"],
         ["example", "int-ham", "--gamma", "nan,0,0"],
         ["domains", "--spec", "{spec}", "--resolution", "0"],
+        ["apply", "--map", "{map}", "--state", "{matrix_object}"],
+        ["extract", "--unitary", "{matrix_scalar}", "--state", "{spec}"],
+        ["check-cp", "--map", "{map_g_ops_5}"],
+        ["tomography", "--pairs", "{pairs_out_object}"],
+        ["check-cp", "--map", "{map_k_nan}"],
+        ["tomography", "--pairs", "{list_of_one}"],
+        ["example", "lorentz", "--r1", "[1]", "--r2", ROT],
+        ["example", "lorentz", "--r1", '{"axis": [[0, 0, 1]], "angle": 0}', "--r2", ROT],
+        ["example", "lorentz", "--r1", '{"axis": [0, 0, 1], "angle": "nan"}', "--r2", ROT],
+        ["check-cp", "--map", "{map_n_list}"],
+        ["domains", "--spec", "{spec_nan}"],
+        ["tomography", "--map", "{map}", "--eps", "nan"],
+        ["domains", "--spec", "{spec}", "--tol", "nan"],
+        ["domains", "--spec", "{spec}", "--tol", "-1"],
+        ["image", "--map", "{map}", "--section", "p1p2", "--resolution", "0"],
+        ["example", "int-ham", "--spec", "{spec_21}"],
+        ["example", "lorentz", "--r1", ROT, "--r2", ROT, "--spec", "{spec_21}"],
     ],
 )
 def test_malformed_input_exits_2(tmp_path, argv):
-    paths = {"spec": write_spec(tmp_path / "spec.json", JointStateCoeffs.blank(2, 2))}
-    paths["empty_list"] = str(tmp_path / "list.json")
-    (tmp_path / "list.json").write_text("[]")
+    paths = malformed_files(tmp_path)
     out = tmp_path / "out"
-    assert main([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
+    assert main([paths.get(a.strip("{}"), a) for a in argv] + ["--out", str(out)]) == 2
     assert not (tmp_path / "out.csv").exists()
+
+
+JSON_KEYS = ["n", "m", "coeff", "free_mask", "g_ops", "k", "matrix", "axis", "angle", "rho_in_coeffs", "rho_out"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(JSON_KEYS), inner, max_size=5),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(value=json_values, key=st.sampled_from(JSON_KEYS))
+def test_fuzzed_json_inputs_keep_exit_contract(tmp_path_factory, value, key):
+    # each input file is written twice: as the drawn value, and as a valid
+    # object with the drawn key's field replaced by it
+    tmp = tmp_path_factory.mktemp("fuzz")
+    paths = malformed_files(tmp)
+    good_map = read_json(paths["map"])
+    pairs = json.loads(pairs_to_json([(np.zeros(3), np.eye(2) / 2)] * 4))
+    rotation = json.loads(ROT)
+    files = {
+        "raw": value,
+        "map": {**good_map, key: value},
+        "spec": {**read_json(paths["spec"]), key: value},
+        "pairs": [{**pairs[0], key: value}] + pairs[1:],
+        "matrix": {"matrix": value},
+    }
+    for name, content in files.items():
+        (tmp / f"{name}.json").write_text(json.dumps(content))
+    f = {name: str(tmp / f"{name}.json") for name in files}
+    runs = [
+        ["apply", "--map", f["raw"], "--probe", "0,0,0"],
+        ["check-cp", "--map", f["map"]],
+        ["apply", "--map", paths["map"], "--state", f["matrix"]],
+        ["extract", "--unitary", f["matrix"], "--state", paths["spec"]],
+        ["extract", "--unitary", f["raw"], "--state", f["spec"]],
+        ["domains", "--spec", f["spec"], "--resolution", "3"],
+        ["tomography", "--pairs", f["pairs"]],
+        ["tomography", "--pairs", f["raw"]],
+        ["example", "int-ham", "--spec", f["spec"]],
+        ["example", "lorentz", "--r1", json.dumps(value), "--r2", json.dumps({**rotation, key: value})],
+    ]
+    for argv in runs:
+        assert main(argv + ["--out", str(tmp / "out")]) in (0, 2, 3, 4), argv
 
 
 def test_unknown_subcommand_exits_2():

@@ -1,14 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
 from affinemaps.linalg import (
     dagger,
+    from_pairs,
     herm_eig,
     is_psd,
     kron,
     partial_trace,
     random_density,
     random_unitary,
+    to_pairs,
     unitary_from_hermitian,
 )
 from affinemaps.qubit2 import I2, SIGMA
@@ -153,3 +157,17 @@ def test_random_density_is_state(rng):
     rho = random_density(4, rng)
     assert is_psd(rho)
     assert abs(np.trace(rho).real - 1.0) < 1e-12
+
+
+def test_pairs_round_trip_is_exact(rng):
+    z = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    np.testing.assert_array_equal(from_pairs(json.loads(json.dumps(to_pairs(z)))), z)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [3, [1.0, 2.0, 3.0], {"re": 1}, [[1.0, {}]], [[1.0, 2.0], [3.0]], [["1", "2"]], [[float("nan"), 0.0]], [[True, False]], None],
+)
+def test_from_pairs_rejects_malformed(data):
+    with pytest.raises(ValueError):
+        from_pairs(data)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinemaps.basis import (
     build_basis,
@@ -41,6 +43,7 @@ from affinemaps.qubit2 import (
 )
 
 AXIS_Z = (0.0, 0.0, 1.0)
+DIMS = [(2, 2), (3, 2), (2, 3), (3, 3)]
 
 
 # ---------------------------------------------------------------------------
@@ -52,11 +55,6 @@ def evolve_joint(u, pi, n, m):
 
 def l_by_partial_trace(u, q, n, m):
     return partial_trace(u @ kron(q, np.eye(m) / m) @ dagger(u), n, m, "right")
-
-
-def k_brute_force(u, pi, n, m):
-    rho = partial_trace(pi, n, m, "right")
-    return partial_trace(u @ (pi - kron(rho, np.eye(m) / m)) @ dagger(u), n, m, "right")
 
 
 def identity_with_kappa(kappa):
@@ -155,6 +153,17 @@ def test_apply_L_matches_partial_trace_form(rng):
             )
 
 
+def test_apply_L_batched(rng):
+    amap = random_map(rng, n=3, m=2)
+    q = rng.normal(size=(2, 4, 3, 3)) + 1j * rng.normal(size=(2, 4, 3, 3))
+    batched_l, batched_ext = apply_L(amap, q), linear_extension(amap, q)
+    for idx in np.ndindex(2, 4):
+        np.testing.assert_array_equal(batched_l[idx], apply_L(amap, q[idx]))
+        np.testing.assert_array_equal(batched_ext[idx], linear_extension(amap, q[idx]))
+    with pytest.raises(ValueError):
+        apply_L(amap, q[..., :2])
+
+
 def test_apply_L_interaction_contraction(pb22):
     gamma = (0.4, 0.9, 1.7)
     u = int_ham_unitary(IntHamParams(gamma=gamma))
@@ -215,13 +224,16 @@ def test_extract_K_two_momentum_example(pb22):
     np.testing.assert_allclose(kappa_vector(k), [0.8, 0.0, 0.0], atol=1e-12)
 
 
-def test_extract_K_matches_brute_force(pb22, rng):
-    for _ in range(30):
-        u = random_unitary(4, rng)
-        pi = random_density(4, rng)
-        np.testing.assert_allclose(
-            extract_K(u, pi, pb22), k_brute_force(u, pi, 2, 2), atol=1e-12
-        )
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dims=st.sampled_from(DIMS), seed=st.integers(0, 2**32 - 1))
+def test_extract_K_matches_brute_force(dims, seed):
+    # K = Tr_R[U Pi U^dag] - L(rho), with L(rho) = Tr_R[U (rho (x) 1/M) U^dag]
+    n, m = dims
+    rng = np.random.default_rng(seed)
+    u, pi = random_unitary(n * m, rng), random_density(n * m, rng)
+    rho = partial_trace(pi, n, m, "right")
+    expected = evolve_joint(u, pi, n, m) - l_by_partial_trace(u, rho, n, m)
+    np.testing.assert_allclose(extract_K(u, pi, product_basis(n, m)), expected, atol=1e-12)
 
 
 def test_extract_K_independent_of_subsystem_coefficients(pb22, rng):
@@ -446,16 +458,16 @@ def test_mean_value_correction_single_angle():
     )
 
 
-def test_mean_value_correction_consistent_with_k(pb22, rng):
-    for _ in range(10):
-        u = random_unitary(4, rng)
-        pi = random_density(4, rng)
-        k = extract_K(u, pi, pb22)
-        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        a = g + dagger(g)
-        np.testing.assert_allclose(
-            mean_value_correction(a, u, pi), np.trace(a @ k).real, atol=1e-12
-        )
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(dims=st.sampled_from(DIMS), seed=st.integers(0, 2**32 - 1))
+def test_mean_value_correction_consistent_with_k(dims, seed):
+    n, m = dims
+    rng = np.random.default_rng(seed)
+    u, pi = random_unitary(n * m, rng), random_density(n * m, rng)
+    k = extract_K(u, pi, product_basis(n, m))
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    a = g + dagger(g)
+    assert abs(mean_value_correction(a, u, pi) - np.trace(a @ k).real) < 1e-12
 
 
 # ---------------------------------------------------------------------------

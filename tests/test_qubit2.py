@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affinemaps.basis import JointStateCoeffs, expand_state, transfer_matrix
-from affinemaps.linalg import dagger, kron, random_density, random_unitary
-from affinemaps.maps import apply_L, b_matrix, choi_and_cp, extract_map
+from affinemaps.basis import JointStateCoeffs, expand_state, reconstruct_state, transfer_matrix
+from affinemaps.linalg import dagger, from_pairs, kron, partial_trace, random_density, random_unitary
+from affinemaps.maps import apply_L, b_matrix, choi_and_cp, extract_map, w_operators
 from affinemaps.qubit2 import (
     GOLDEN_KAPPA_BOUND,
     I2,
@@ -342,3 +344,68 @@ def test_kappa_search_witness_state_is_valid(pb22):
     assert is_psd(reconstruct_state(coeffs, pb22))
     kappa = int_ham_kappa(IntHamParams(gamma=tuple(result.witness["gamma"])), coeffs)
     np.testing.assert_allclose(np.linalg.norm(kappa), result.best_kappa_norm, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the W-operator kernel against the closed forms, and the pinned search
+# ---------------------------------------------------------------------------
+angles = st.floats(0.0, 2 * np.pi)
+
+
+def kernel_kappa(u, pi):
+    return np.einsum("jab,ba->j", w_operators(u, SIGMA, 2), pi).real
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(gamma=st.tuples(angles, angles, angles), seed=st.integers(0, 2**32 - 1))
+def test_w_operators_match_int_ham_kappa(pb22, gamma, seed):
+    pi = random_density(4, np.random.default_rng(seed))
+    p = IntHamParams(gamma=gamma)
+    expected = int_ham_kappa(p, expand_state(pi, pb22))
+    np.testing.assert_allclose(kernel_kappa(int_ham_unitary(p), pi), expected, atol=1e-12)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(angle1=angles, angle2=angles, seed=st.integers(0, 2**32 - 1))
+def test_w_operators_match_lorentz_kappa(pb22, angle1, angle2, seed):
+    rng = np.random.default_rng(seed)
+    axes = rng.normal(size=(2, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    p = LorentzParams(
+        r1=Rotation(axis=tuple(axes[0]), angle=angle1), r2=Rotation(axis=tuple(axes[1]), angle=angle2)
+    )
+    pi = random_density(4, rng)
+    expected = kappa_vector(lorentz_map(p, expand_state(pi, pb22)).k_mat)
+    np.testing.assert_allclose(kernel_kappa(lorentz_unitary(p), pi), expected, atol=1e-12)
+
+
+def witness_unitary(family, w):
+    if family == "int_ham":
+        return int_ham_unitary(IntHamParams(gamma=tuple(w["gamma"])))
+    if family == "lorentz":
+        return lorentz_unitary(LorentzParams(r1=Rotation(**w["r1"]), r2=Rotation(**w["r2"])))
+    return from_pairs(w["unitary"])
+
+
+# best |kappa| and bounds_sweep(family, 200, seed + 1) as first computed with
+# the family-specific component operators
+PINNED_SEARCH = [
+    ("int_ham", 0, 1.1535466443706217, (200, 200, 0.6457719776860559, 0.5695347092181856), ["gamma"]),
+    ("lorentz", 1, 1.0000000000000004, (200, 200, 0.6767576770263369, 0.631820296648583), ["r1", "r2"]),
+    ("random_unitary", 2, 1.1545440808522143, (200, 200, 0.8204309136468106, 0.4695085488551751), ["unitary"]),
+]
+
+
+@pytest.mark.parametrize("family,seed,best,sweep,fields", PINNED_SEARCH)
+def test_kappa_search_pinned(pb22, family, seed, best, sweep, fields):
+    result = kappa_search(family, trials=200, seed=seed)
+    assert abs(result.best_kappa_norm - best) < 1e-12
+    np.testing.assert_allclose(bounds_sweep(family, trials=200, seed=seed + 1), sweep, rtol=0, atol=1e-12)
+    w = result.witness
+    assert list(w) == fields + ["kappa", "coeff"]
+    # the witness reproduces the norm: kappa of Tr_R[U Pi U^dag] - Tr_R[U (rho (x) 1/2) U^dag]
+    u = witness_unitary(family, w)
+    pi = reconstruct_state(JointStateCoeffs(2, 2, np.array(w["coeff"]), np.zeros((4, 4), bool)), pb22)
+    rho = partial_trace(pi, 2, 2)
+    k = partial_trace(u @ (pi - kron(rho, I2 / 2)) @ dagger(u), 2, 2)
+    assert abs(np.linalg.norm(kappa_vector(k)) - result.best_kappa_norm) < 1e-9
