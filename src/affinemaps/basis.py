@@ -9,6 +9,7 @@ joint density matrix is encoded by the real mean values <F_{mu nu}>.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -25,14 +26,28 @@ from .linalg import (
 )
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# build_basis and product_basis stay plain functions in front of private
+# caches, so that introspection (perfbench's layer tracer) still sees functions.
 def build_basis(n: int) -> "HermitianBasis":
     """Orthogonal Hermitian basis for dimension n.
 
     Ordering: identity, then symmetric off-diagonal pairs (row-major over
     j < k), then antisymmetric pairs, then diagonal generators.  All
     matrices are scaled so Tr[F_mu F_nu] = n delta_{mu nu}; for n = 2 this
-    reproduces the Pauli matrices {I, s1, s2, s3}.
+    reproduces the Pauli matrices {I, s1, s2, s3}.  The basis is built once
+    per n and shared by every caller, so its array is read-only: copy it
+    before modifying.
     """
+    return _build_basis(n)
+
+
+@functools.cache
+def _build_basis(n: int) -> "HermitianBasis":
     if n < 2:
         raise ValueError(f"basis dimension must be >= 2, got {n}")
     scale = np.sqrt(n / 2.0)
@@ -55,7 +70,7 @@ def build_basis(n: int) -> "HermitianBasis":
         d[:l] = 1.0
         d[l] = -l
         mats.append(scale * np.sqrt(2.0 / (l * (l + 1))) * np.diag(d))
-    return HermitianBasis(dim=n, mats=np.array(mats))
+    return HermitianBasis(dim=n, mats=_read_only(np.array(mats)))
 
 
 @dataclass(frozen=True)
@@ -71,7 +86,16 @@ class HermitianBasis:
 
 
 def product_basis(n: int, m: int) -> "ProductBasis":
-    """Product basis F_{mu nu} = F_mu (x) F_nu for an (n, m) bipartition."""
+    """Product basis F_{mu nu} = F_mu (x) F_nu for an (n, m) bipartition.
+
+    Built once per (n, m) and shared like build_basis: its arrays are
+    read-only.
+    """
+    return _product_basis(n, m)
+
+
+@functools.cache
+def _product_basis(n: int, m: int) -> "ProductBasis":
     return ProductBasis(basis_s=build_basis(n), basis_r=build_basis(m))
 
 
@@ -82,13 +106,8 @@ class ProductBasis:
     mats: np.ndarray = field(init=False)  # (n^2, m^2, n*m, n*m)
 
     def __post_init__(self):
-        n2, m2 = self.basis_s.dim**2, self.basis_r.dim**2
-        d = self.basis_s.dim * self.basis_r.dim
-        prod = np.empty((n2, m2, d, d), dtype=complex)
-        for mu in range(n2):
-            for nu in range(m2):
-                prod[mu, nu] = kron(self.basis_s.mats[mu], self.basis_r.mats[nu])
-        object.__setattr__(self, "mats", prod)
+        prod = kron(self.basis_s.mats[:, None], self.basis_r.mats[None])
+        object.__setattr__(self, "mats", _read_only(prod))
 
     @property
     def n(self) -> int:

@@ -303,13 +303,15 @@ def fig1a_map() -> mp.AffineMap:
     return q2.int_ham_map(q2.IntHamParams(gamma=FIG1A_GAMMA), fig1_spec(diagonals_free=False))
 
 
-def _emit_section(spec, amap, section, resolution, seed, tol, out_dir, stem) -> str:
+def _emit_section(spec, amap, section, resolution, seed, tol, out_dir, stem, files) -> dom.DomainSample:
+    """Sample one grid section, write it as <stem>_<section>.csv and list the file in ``files``."""
     sample = dom.sample_domain(
         spec, amap=amap, region="grid", section=section, resolution=resolution, seed=seed, tol=tol
     )
     name = f"{stem}_{section}.csv"
     sample.write_csv(os.path.join(out_dir, name))
-    return name
+    files.append(name)
+    return sample
 
 
 def cmd_preset(args) -> int:
@@ -321,8 +323,8 @@ def cmd_preset(args) -> int:
     if args.name == "fig1":
         for section in ("p1p2", "p1p3", "p2p3"):
             for label, spec in (("partial", fig1_spec(True)), ("full", fig1_spec(False))):
-                meta["files"].append(
-                    _emit_section(spec, None, section, res, args.seed, args.tol, out_dir, f"fig1_{label}")
+                _emit_section(
+                    spec, None, section, res, args.seed, args.tol, out_dir, f"fig1_{label}", meta["files"]
                 )
         meta["spec_partial"] = fig1_spec(True).to_json_dict()
         meta["spec_full"] = fig1_spec(False).to_json_dict()
@@ -332,13 +334,11 @@ def cmd_preset(args) -> int:
         _write_payload(_map_payload(amap, args.tol), os.path.join(out_dir, "fig1a_map.json"))
         meta["files"].append("fig1a_map.json")
         meta["gamma"] = list(FIG1A_GAMMA)
-        for label, spec in (("partial", fig1_spec(True)), ("full", fig1_spec(False))):
-            meta["files"].append(
-                _emit_section(spec, amap, "p1p2", res, args.seed, args.tol, out_dir, f"fig1a_{label}")
-            )
-        sample = dom.sample_domain(
-            fig1_spec(False), amap=amap, region="grid", section="p1p2",
-            resolution=res, seed=args.seed, tol=args.tol,
+        _emit_section(
+            fig1_spec(True), amap, "p1p2", res, args.seed, args.tol, out_dir, "fig1a_partial", meta["files"]
+        )
+        sample = _emit_section(
+            fig1_spec(False), amap, "p1p2", res, args.seed, args.tol, out_dir, "fig1a_full", meta["files"]
         )
         t_mat, kappa = q2.bloch_action(amap)
         mapped = sample.probes @ t_mat.T + kappa
@@ -354,9 +354,7 @@ def cmd_preset(args) -> int:
     elif args.name == "fig2":
         spec = fig2_spec()
         for section in ("p1p2", "p1p3", "p2p3"):
-            meta["files"].append(
-                _emit_section(spec, None, section, res, args.seed, args.tol, out_dir, "fig2")
-            )
+            _emit_section(spec, None, section, res, args.seed, args.tol, out_dir, "fig2", meta["files"])
         meta["spec"] = spec.to_json_dict()
 
     else:

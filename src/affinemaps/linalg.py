@@ -44,7 +44,11 @@ def allclose(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
+    """Kronecker product; dimensions multiply.
+
+    Leading axes follow np.kron, so kron(a, b) of a stack a (k, n, n) and a
+    matrix b is the stack of kron(a[i], b).
+    """
     return np.kron(a, b)
 
 

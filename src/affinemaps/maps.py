@@ -127,17 +127,19 @@ def w_operators(u: np.ndarray, obs: np.ndarray, m: int) -> np.ndarray:
     W_a = U^dag (A_a (x) 1) U - (Tr_R[U^dag (A_a (x) 1) U] / M) (x) 1 for the
     stack ``obs`` (k, n, n) of subsystem observables and an environment of
     dimension ``m``.  W_a depends on the dynamics alone; the state enters
-    only through Pi, and a product rho (x) 1/M gives Tr[Pi W_a] = 0.
+    only through Pi, and a product rho (x) 1/M gives Tr[Pi W_a] = 0.  A
+    stack ``u`` (..., d, d) of unitaries gives W of shape (..., k, d, d).
     """
-    k, n = obs.shape[0], obs.shape[-1]
+    n = obs.shape[-1]
     d = n * m
-    if u.shape != (d, d):
+    if u.shape[-2:] != (d, d):
         raise ValueError(f"unitary has shape {u.shape}, expected {(d, d)}")
     eye = np.eye(m)
 
     def lift(a):
-        return np.einsum("kij,xy->kixjy", a, eye).reshape(k, d, d)
+        return np.einsum("...ij,xy->...ixjy", a, eye).reshape(a.shape[:-2] + (d, d))
 
+    u = u[..., None, :, :]
     y = dagger(u) @ lift(obs) @ u
     return y - lift(partial_trace(y, n, m) / m)
 

@@ -30,6 +30,7 @@ SIGMA = np.array(
     dtype=complex,
 )
 PAULIS = np.concatenate([I2[None], SIGMA])
+SIGMA_PAIRS = np.array([kron(s, s) for s in SIGMA])  # s_j (x) s_j, the interaction generators
 
 GOLDEN_KAPPA_BOUND = (1 + np.sqrt(5)) / 2
 
@@ -92,14 +93,21 @@ def k_from_kappa(kappa) -> np.ndarray:
 
 
 def int_ham_unitary(p: IntHamParams) -> np.ndarray:
-    """exp(-i/2 sum_j gamma_j s_j (x) x_j).
+    """exp(-i/2 sum_j gamma_j s_j (x) x_j)."""
+    return _int_ham_unitaries(np.asarray(p.gamma, dtype=float))
+
+
+def _int_ham_unitaries(gamma: np.ndarray) -> np.ndarray:
+    """int_ham_unitary for angles of shape (..., 3).
 
     The three generators commute, so the exponential is the product of the
     factor exponentials cos(g/2) - i sin(g/2) s_j (x) x_j.
     """
+    half = gamma[..., None, None] / 2
+    f = np.cos(half) * np.eye(4) - 1j * np.sin(half) * SIGMA_PAIRS
     u = np.eye(4, dtype=complex)
-    for j, g in enumerate(p.gamma):
-        u = u @ (np.cos(g / 2) * np.eye(4) - 1j * np.sin(g / 2) * kron(SIGMA[j], SIGMA[j]))
+    for j in range(3):
+        u = u @ f[..., j, :, :]
     return u
 
 
@@ -173,28 +181,34 @@ def int_ham_b_matrix(p: IntHamParams, kappa) -> BMatrix:
     return BMatrix(n=2, b=b)
 
 
-def su2_from_rotation(axis, angle: float) -> np.ndarray:
+def su2_from_rotation(axis, angle) -> np.ndarray:
     """2x2 unitary D = cos(a/2) 1 - i sin(a/2) axis . sigma.
 
     Satisfies D^dag s_j D = sum_k R_{jk} s_k with R the axis-angle rotation
-    matrix; products compose as D1 D2 -> R1 @ R2.
+    matrix; products compose as D1 D2 -> R1 @ R2.  Batched over the leading
+    dimensions of ``axis`` (..., 3) and ``angle`` (...); a zero axis with
+    a zero angle gives the identity.
     """
     n = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(n)
-    if norm == 0.0 and angle == 0.0:
-        return I2.copy()
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"rotation axis must be unit length, got |axis| = {norm}")
-    return np.cos(angle / 2) * I2 - 1j * np.sin(angle / 2) * np.einsum("j,jab->ab", n, SIGMA)
+    angle = np.asarray(angle, dtype=float)
+    norm = np.linalg.norm(n, axis=-1)
+    bad = (np.abs(norm - 1.0) > 1e-12) & ~((norm == 0.0) & (angle == 0.0))
+    if bad.any():
+        raise ValueError(f"rotation axis must be unit length, got |axis| = {norm[bad].flat[0]}")
+    a = angle[..., None, None]
+    return np.cos(a / 2) * I2 - 1j * np.sin(a / 2) * np.einsum("...j,jab->...ab", n, SIGMA)
 
 
 def lorentz_unitary(p: LorentzParams) -> np.ndarray:
     """U = D1 (x) (1 + x1)/2 + D2 (x) (1 - x1)/2."""
-    d1 = su2_from_rotation(p.r1.axis, p.r1.angle)
-    d2 = su2_from_rotation(p.r2.axis, p.r2.angle)
-    plus = 0.5 * (I2 + SIGMA[0])
-    minus = 0.5 * (I2 - SIGMA[0])
-    return kron(d1, plus) + kron(d2, minus)
+    return _lorentz_unitaries(np.array([*p.r1.axis, p.r1.angle, *p.r2.axis, p.r2.angle], dtype=float))
+
+
+def _lorentz_unitaries(p: np.ndarray) -> np.ndarray:
+    """lorentz_unitary for parameters (r1.axis, r1.angle, r2.axis, r2.angle) of shape (..., 8)."""
+    d1 = su2_from_rotation(p[..., :3], p[..., 3])
+    d2 = su2_from_rotation(p[..., 4:7], p[..., 7])
+    return kron(d1, 0.5 * (I2 + SIGMA[0])) + kron(d2, 0.5 * (I2 - SIGMA[0]))
 
 
 def lorentz_map(p: LorentzParams, corr: JointStateCoeffs) -> AffineMap:
@@ -247,31 +261,44 @@ class KappaSearchResult(NamedTuple):
     witness: dict
 
 
-def _best_state_kappa(w_ops: np.ndarray, iters: int = 8) -> tuple[float, np.ndarray, np.ndarray]:
-    """Maximize |kappa| over states for fixed component operators.
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis, each rounded as np.linalg.norm rounds one vector."""
+    return np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0, 0]
 
-    Alternates between the best pure state for a direction u (top
-    eigenvector of sum u_j W_j) and realigning u with the achieved kappa.
-    Returns (|kappa|, kappa, state).
+
+def _best_state_kappa(w_ops: np.ndarray, iters: int = 8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximize |kappa| over states for a stack of fixed component operators.
+
+    ``w_ops`` has shape (B, 3, 4, 4).  Per slice, alternates between the
+    best pure state for a direction u (top eigenvector of sum u_j W_j) and
+    realigning u with the achieved kappa; a slice with W = 0 keeps the
+    maximally mixed state, and a slice stops once its |kappa| is below
+    1e-14.  Returns (|kappa| (B,), kappa (B, 3), state (B, 4, 4)).
     """
-    weights = np.linalg.norm(w_ops.reshape(3, -1), axis=1)
-    if weights.max() < 1e-15:
-        return 0.0, np.zeros(3), np.eye(4, dtype=complex) / 4
-    u_dir = weights / np.linalg.norm(weights)
-    best = (0.0, np.zeros(3), np.eye(4, dtype=complex) / 4)
+    b, d = w_ops.shape[0], w_ops.shape[-1]
+    norms, kappas = np.zeros(b), np.zeros((b, 3))
+    states = np.broadcast_to(np.eye(d, dtype=complex) / d, (b, d, d)).copy()
+    weights = np.linalg.norm(w_ops.reshape(b, 3, -1), axis=-1)
+    live = np.flatnonzero(weights.max(axis=1) >= 1e-15)
+    u_dir = weights[live] / _norms(weights[live])[:, None]
     for _ in range(iters):
-        w = np.einsum("j,jab->ab", u_dir, w_ops)
-        _, vecs = np.linalg.eigh(w)
-        psi = vecs[:, -1]
-        pi = np.outer(psi, psi.conj())
-        kappa = np.einsum("jab,ba->j", w_ops, pi).real
-        norm = float(np.linalg.norm(kappa))
-        if norm > best[0]:
-            best = (norm, kappa, pi)
-        if norm < 1e-14:
+        if live.size == 0:
             break
-        u_dir = kappa / norm
-    return best
+        w_live = w_ops[live]
+        _, vecs = np.linalg.eigh(np.einsum("zj,zjab->zab", u_dir, w_live))
+        psi = vecs[..., -1]
+        pi = psi[:, :, None] * psi[:, None, :].conj()
+        # kappa_j = Re Tr[W_j pi], summed over b within a, then over a, so that
+        # a slice's value does not depend on the batch it is evaluated in
+        pi_t = pi[:, None].swapaxes(-1, -2)
+        kappa = (w_live.real * pi_t.real - w_live.imag * pi_t.imag).sum(-1).sum(-1)
+        norm = _norms(kappa)
+        better = norm > norms[live]
+        idx = live[better]
+        norms[idx], kappas[idx], states[idx] = norm[better], kappa[better], pi[better]
+        keep = norm >= 1e-14
+        live, u_dir = live[keep], kappa[keep] / norm[keep, None]
+    return norms, kappas, states
 
 
 def _golden_refine(f, lo: float, hi: float, iters: int = 40) -> tuple[float, float]:
@@ -301,16 +328,13 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     return np.append(axis, rng.uniform(0, 2 * np.pi))
 
 
-def _rotation(p: np.ndarray) -> Rotation:
-    return Rotation(axis=tuple(p[:3]), angle=float(p[3]))
-
-
 class _Family(NamedTuple):
     """A two-qubit unitary family as a flat parameter vector.
 
-    ``draw`` samples parameters, ``unitary`` maps them to U, ``fields``
-    gives their witness entries, and ``refine`` lists the coordinates the
-    search refines, each with its golden-section interval around a value.
+    ``draw`` samples one parameter vector, ``unitary`` maps a stack of them
+    to a stack of U, ``fields`` gives one vector's witness entries, and
+    ``refine`` lists the coordinates the search refines, each with its
+    golden-section interval around a value.
     """
 
     draw: Callable[[np.random.Generator], np.ndarray]
@@ -322,13 +346,13 @@ class _Family(NamedTuple):
 FAMILIES = {
     "int_ham": _Family(
         draw=lambda rng: rng.uniform(0, 2 * np.pi, size=3),
-        unitary=lambda p: int_ham_unitary(IntHamParams(gamma=tuple(p))),
+        unitary=_int_ham_unitaries,
         fields=lambda p: {"gamma": p.tolist()},
         refine=tuple((i, lambda x: (x - 0.5, x + 0.5)) for i in range(3)),
     ),
     "lorentz": _Family(
         draw=lambda rng: np.concatenate([_random_rotation(rng), _random_rotation(rng)]),
-        unitary=lambda p: lorentz_unitary(LorentzParams(r1=_rotation(p[:4]), r2=_rotation(p[4:]))),
+        unitary=_lorentz_unitaries,
         fields=lambda p: {
             "r1": {"axis": p[:3].tolist(), "angle": float(p[3])},
             "r2": {"axis": p[4:7].tolist(), "angle": float(p[7])},
@@ -350,6 +374,9 @@ def _family(name: str) -> _Family:
     return FAMILIES[name]
 
 
+_BLOCK = 1024  # trials evaluated per batch, which bounds the memory of a search at any trial count
+
+
 def kappa_search(
     family: str, trials: int, seed: int = 0, state_iters: int = 8
 ) -> KappaSearchResult:
@@ -359,32 +386,35 @@ def kappa_search(
     eigenvector of the kappa component operators w_operators(U, SIGMA, 2)
     along a direction, alternated to convergence); the best parameters are
     then refined by coordinate golden-section search where the family
-    lists refinement coordinates.  Deterministic for a given seed.
+    lists refinement coordinates.  Draws are made one trial at a time, so
+    the random stream does not depend on the batching, and evaluated in
+    batches of _BLOCK trials.  Deterministic for a given seed.
     """
     fam = _family(family)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
 
-    def best_state(p):
-        return _best_state_kappa(w_operators(fam.unitary(p), SIGMA, 2), state_iters)
+    def best_states(params):
+        return _best_state_kappa(w_operators(fam.unitary(params), SIGMA, 2), state_iters)
 
     best_norm, best = -1.0, None
-    for _ in range(trials):
-        p = fam.draw(rng)
-        norm = best_state(p)[0]
-        if norm > best_norm:
-            best_norm, best = norm, p
+    for start in range(0, trials, _BLOCK):
+        params = np.array([fam.draw(rng) for _ in range(min(_BLOCK, trials - start))])
+        norms = best_states(params)[0]
+        i = int(np.argmax(norms))
+        if norms[i] > best_norm:
+            best_norm, best = norms[i], params[i].copy()
     for i, interval in fam.refine:
         def at(x, i=i):
             p = best.copy()
             p[i] = x
-            return best_state(p)[0]
+            return best_states(p[None])[0][0]
 
         x, val = _golden_refine(at, *interval(best[i]))
         if val > best_norm:
             best[i], best_norm = x, val
-    norm, kappa, pi = best_state(best)
+    norm, kappa, pi = (a[0] for a in best_states(best[None]))
     witness = {
         **fam.fields(best),
         "kappa": kappa.tolist(),
@@ -409,7 +439,7 @@ def bounds_sweep(family: str, trials: int, seed: int = 0, tol: float = DEFAULT_T
     max_norm = 0.0
     min_margin = np.inf
     for _ in range(trials):
-        u = fam.unitary(fam.draw(rng))
+        u = fam.unitary(fam.draw(rng)[None])[0]
         coeffs = expand_state(random_density(4, rng), pb)
         res = kappa_bounds_check(u, coeffs, tol)
         ok += int(res.ok)

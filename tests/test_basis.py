@@ -50,6 +50,30 @@ def test_product_basis_orthogonality():
     np.testing.assert_allclose(gram, 6 * np.eye(len(flat)), atol=1e-12)
 
 
+def test_bases_are_cached():
+    pb = product_basis(2, 3)
+    assert product_basis(2, 3) is pb
+    assert build_basis(3) is build_basis(3)
+    assert pb.basis_s is build_basis(2) and pb.basis_r is build_basis(3)
+
+
+@pytest.mark.parametrize("mats", [lambda: build_basis(2).mats, lambda: product_basis(2, 2).mats])
+def test_cached_basis_is_read_only(mats):
+    arr = mats()
+    with pytest.raises(ValueError):
+        arr[(0,) * arr.ndim] = 2.0
+    assert arr[(0,) * arr.ndim] == 1.0
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_product_basis_matches_kron_loop(dims):
+    pb = product_basis(*dims)
+    s, r = pb.basis_s.mats, pb.basis_r.mats
+    loop = np.array([[np.kron(s[mu], r[nu]) for nu in range(len(r))] for mu in range(len(s))])
+    # bit for bit, signed zeros included
+    assert np.array_equal(pb.mats.view(np.uint64), loop.view(np.uint64))
+
+
 def test_expand_maximally_mixed(pb22):
     coeffs = expand_state(np.eye(4) / 4, pb22)
     expected = np.zeros((4, 4))

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import affinemaps
+from affinemaps import domains
 from affinemaps.basis import JointStateCoeffs
 from affinemaps.cli import fig1_spec, fig1a_map, fig2_spec, main
 from affinemaps.maps import map_from_json_dict, map_to_json, map_to_json_dict
@@ -264,9 +269,19 @@ def test_preset_fig1_sections_permute(tmp_path):
         assert all(c13[(y, x)] == v for (x, y), v in c12.items())
 
 
-def test_preset_fig1a_outputs(tmp_path):
+def test_preset_fig1a_outputs(tmp_path, monkeypatch):
     out_dir = tmp_path / "fig1a"
+    calls = []
+    sample_domain = domains.sample_domain
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return sample_domain(*args, **kwargs)
+
+    monkeypatch.setattr(domains, "sample_domain", counted)
     assert main(["preset", "fig1a", "--resolution", "15", "--out", str(out_dir)]) == 0
+    # one sample per section: the mapped CSV reuses the fully fixed p1p2 section
+    assert len(calls) == 2
     meta = read_json(out_dir / "fig1a_meta.json")
     names = {p.split("/")[-1] for p in meta["files"]}
     assert {"fig1a_map.json", "fig1a_mapped_p1p2.csv", "fig1a_circle_p1p2.csv"} <= names
@@ -275,6 +290,19 @@ def test_preset_fig1a_outputs(tmp_path):
     assert len(circle) == 361
     mapped = (out_dir / "fig1a_mapped_p1p2.csv").read_text().strip().split("\n")
     assert mapped[0] == "in1,in2,in3,out1,out2,out3,compat,pos"
+    full = (out_dir / "fig1a_full_p1p2.csv").read_text().strip().split("\n")[1:]
+    # its inputs and labels are the fully fixed section's rows
+    assert [row.split(",") for row in full] == [row.split(",")[:3] + row.split(",")[6:] for row in mapped[1:]]
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(affinemaps.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "kappa.json"
+    argv = [sys.executable, "-m", "affinemaps", "kappa", "--family", "int_ham", "--trials", "2", "--out", str(out)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert read_json(out)["trials"] == 2
 
 
 def test_invalid_input_exit_codes(tmp_path):

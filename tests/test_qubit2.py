@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from affinemaps.basis import JointStateCoeffs, expand_state, reconstruct_state, transfer_matrix
 from affinemaps.linalg import dagger, from_pairs, kron, partial_trace, random_density, random_unitary
 from affinemaps.maps import apply_L, b_matrix, choi_and_cp, extract_map, w_operators
+from affinemaps import qubit2
 from affinemaps.qubit2 import (
+    FAMILIES,
     GOLDEN_KAPPA_BOUND,
     I2,
     SIGMA,
@@ -25,6 +27,7 @@ from affinemaps.qubit2 import (
     lorentz_map,
     lorentz_unitary,
     su2_from_rotation,
+    _best_state_kappa,
 )
 
 AXIS_Z = (0.0, 0.0, 1.0)
@@ -281,6 +284,15 @@ def test_kappa_bounds_random_pairs(pb22, rng):
         assert res.kappa_norm <= GOLDEN_KAPPA_BOUND + 1e-9
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+def test_kappa_bounds_hold_for_haar_unitaries(pb22, seed, rank):
+    rng = np.random.default_rng(seed)
+    res = kappa_bounds_check(random_unitary(4, rng), expand_state(random_density(4, rng, rank), pb22))
+    assert res.ok
+    assert res.kappa_norm <= GOLDEN_KAPPA_BOUND + 1e-9
+
+
 def test_kappa_bounds_meet_at_golden_ratio():
     a = (np.sqrt(5.0) - 1) / 2
     assert abs(np.sqrt(3 - a**2) - (1 + a)) < 1e-12
@@ -409,3 +421,90 @@ def test_kappa_search_pinned(pb22, family, seed, best, sweep, fields):
     rho = partial_trace(pi, 2, 2)
     k = partial_trace(u @ (pi - kron(rho, I2 / 2)) @ dagger(u), 2, 2)
     assert abs(np.linalg.norm(kappa_vector(k)) - result.best_kappa_norm) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the batched search against per-slice evaluation
+# ---------------------------------------------------------------------------
+def family_stack(family, count, seed):
+    rng = np.random.default_rng(seed)
+    return np.array([FAMILIES[family].draw(rng) for _ in range(count)])
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_family_unitaries_batched_match_single(family):
+    params = family_stack(family, 20, 7)
+    stack = FAMILIES[family].unitary(params)
+    single = np.array([FAMILIES[family].unitary(p[None])[0] for p in params])
+    assert np.array_equal(stack, single)
+    if family == "int_ham":
+        assert np.array_equal(stack[0], int_ham_unitary(IntHamParams(gamma=tuple(params[0]))))
+    if family == "lorentz":
+        p = params[0]
+        rot = LorentzParams(r1=Rotation(tuple(p[:3]), p[3]), r2=Rotation(tuple(p[4:7]), p[7]))
+        assert np.array_equal(stack[0], lorentz_unitary(rot))
+
+
+def best_state_kappa_loop(w_ops, iters=8):
+    """Reference: the per-slice alternation on one (3, 4, 4) stack, as a plain loop."""
+    weights = np.linalg.norm(w_ops.reshape(3, -1), axis=1)
+    best = (0.0, np.zeros(3), np.eye(4, dtype=complex) / 4)
+    if weights.max() < 1e-15:
+        return best
+    u_dir = weights / np.linalg.norm(weights)
+    for _ in range(iters):
+        psi = np.linalg.eigh(np.einsum("j,jab->ab", u_dir, w_ops))[1][:, -1]
+        pi = np.outer(psi, psi.conj())
+        kappa = np.einsum("jab,ba->j", w_ops, pi).real
+        norm = float(np.linalg.norm(kappa))
+        if norm > best[0]:
+            best = (norm, kappa, pi)
+        if norm < 1e-14:
+            break
+        u_dir = kappa / norm
+    return best
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_best_state_kappa_batched_matches_slices(family):
+    u = FAMILIES[family].unitary(family_stack(family, 30, 3))
+    u = np.concatenate([u[:15], np.eye(4, dtype=complex)[None], u[15:]])  # U = 1 gives W = 0
+    w = w_operators(u, SIGMA, 2)
+    norms, kappas, states = _best_state_kappa(w)
+    for i in range(len(u)):
+        single = tuple(a[0] for a in _best_state_kappa(w[i : i + 1]))
+        for norm, kappa, state in (best_state_kappa_loop(w[i]), single):
+            assert abs(norms[i] - norm) < 1e-12
+            np.testing.assert_allclose(kappas[i], kappa, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(states[i], state, rtol=0, atol=1e-12)
+    assert norms[15] == 0.0 and np.array_equal(states[15], np.eye(4) / 4)
+    assert (norms[np.arange(len(u)) != 15] > 0).all()
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_kappa_search_blocks_do_not_change_result(family, monkeypatch):
+    one_block = kappa_search(family, trials=40, seed=2)
+    monkeypatch.setattr(qubit2, "_BLOCK", 16)
+    assert kappa_search(family, trials=40, seed=2) == one_block
+
+
+def test_kappa_search_trial_stage_is_the_per_trial_maximum():
+    # random_unitary refines nothing, so the result is the best of the per-trial evaluations
+    rng = np.random.default_rng(8)
+    per_trial = [
+        _best_state_kappa(w_operators(random_unitary(4, rng)[None], SIGMA, 2))[0][0] for _ in range(50)
+    ]
+    assert kappa_search("random_unitary", trials=50, seed=8).best_kappa_norm == max(per_trial)
+
+
+def test_int_ham_closed_form_witness_reaches_two_over_root_three():
+    g = np.arccos(1 / np.sqrt(3))
+    u = int_ham_unitary(IntHamParams(gamma=(g, g, g)))
+    norm, kappa, pi = (a[0] for a in _best_state_kappa(w_operators(u[None], SIGMA, 2)))
+    assert abs(norm - 2 / np.sqrt(3)) < 1e-12
+    assert abs(np.trace(pi) - 1) < 1e-12 and np.linalg.eigvalsh(pi)[0] > -1e-12
+    # the state reproduces the norm: kappa of Tr_R[U (Pi - rho (x) 1/2) U^dag]
+    rho = partial_trace(pi, 2, 2)
+    k = partial_trace(u @ (pi - kron(rho, I2 / 2)) @ dagger(u), 2, 2)
+    np.testing.assert_allclose(kappa_vector(k), kappa, rtol=0, atol=1e-12)
+    assert abs(np.linalg.norm(kappa_vector(k)) - 2 / np.sqrt(3)) < 1e-12
