@@ -1,16 +1,19 @@
-"""Compatibility and positivity domain membership, feasibility, and sampling.
+"""Compatibility and positivity domain membership and sampling.
 
 The compatibility domain of a map is the set of subsystem Bloch-type
 vectors that extend to a positive joint state with the map's fixed
-environment/correlation coefficients.  Membership is decided by the
-margin t* = max over the free coefficients c of lambda_min(X(c)), X(c)
-the joint matrix with every fixed coefficient in place: a probe is inside
-iff t* >= -tol.  A fully fixed spec gives t* = lambda_min(X0) directly;
-otherwise a batched log-det barrier method with damped Newton steps
-(Boyd & Vandenberghe, Convex Optimization, ch. 11) brackets t* between
-the lambda_min of a witness completion and a dual bound, so every label
-is certified.  The positivity domain is the set of subsystem states whose
-image under the affine map is positive.
+environment/correlation coefficients.  ``compatibility(spec, probes, tol)``
+decides it for a batch of probes by the margin t* = max over the free
+coefficients c of lambda_min(X(c)), X(c) the joint matrix with every fixed
+coefficient and the probe in place, and returns (inside, margin,
+completion): inside is margin >= -tol and completion is the witness X(c).
+A fully fixed spec gives t* = lambda_min(X0) directly; otherwise a batched
+log-det barrier method with damped Newton steps (Boyd & Vandenberghe,
+Convex Optimization, ch. 11) brackets t* between the lambda_min of the
+completion and a dual bound, so every label is certified.  The margin of
+an inside probe is that lambda_min, a lower bound on t*.  The positivity
+domain is the set of subsystem states whose image under the affine map is
+positive; ``positivity(amap, probes, tol)`` labels a batch of probes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import JointStateCoeffs, build_basis, product_basis
-from .linalg import DEFAULT_TOL, dagger, is_psd
+from .linalg import DEFAULT_TOL, dagger
 from .maps import AffineMap, apply_L
 from .qubit2 import bloch_action
 
@@ -30,55 +33,61 @@ class InfeasibleError(Exception):
     """A required domain membership could not be satisfied."""
 
 
-@dataclass
-class DomainQuery:
-    """A membership question: fixed spec coefficients plus a probe vector."""
+def compatibility(
+    spec: JointStateCoeffs, probes: np.ndarray, tol: float = DEFAULT_TOL
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Certified compatibility labels for probes of shape (..., n^2 - 1).
 
-    spec: JointStateCoeffs
-    probe: np.ndarray
-    amap: AffineMap | None = None
-
-
-def _max_lambda_min(
-    spec: JointStateCoeffs, coeff: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Certified t* = max over the free coefficients c of lambda_min(X(c)).
-
-    ``coeff`` (batch, n^2, m^2) holds the fixed values of each problem and
-    ``spec.free`` marks the coefficients that make up c.  Returns (t, X)
-    with X (batch, d, d) the last iterate X(c); the label is t >= -tol.
-    With no free coefficient t = t* = lambda_min(X0).  Otherwise
+    Each probe is written into the subsystem column <F_{alpha 0}> of
+    ``spec``, which it fixes whatever ``spec.free`` says there; leading
+    dimensions are batched.  Returns (inside, margin, completion): margin
+    is t* = max over the free coefficients c of lambda_min(X(c)), inside is
+    margin >= -tol and completion (..., d, d) is the last iterate X(c).
+    With no free coefficient margin = t* = lambda_min(X0).  Otherwise
     S = X(c) - t 1 is kept positive definite by a log-det barrier,
     centred by damped Newton steps for mu = 1e-2, 1e-4, ..., 1e-14.
     lambda_min(X(c)) bounds t* from below.  While the Newton decrement is
     below 1, Z = mu (S^-1 - S^-1 dS S^-1), dS the Newton step, is PSD with
     trace 1 and no free components, so Tr[Z X0] bounds t* from above.
-    A problem stops once decided: inside (t = lower bound) when
-    lambda_min(X(c)) >= -tol, outside (t = upper bound) when the upper
-    bound is below -tol, otherwise by the midpoint of the bounds once they
-    are within tol/10.  One still open after the last mu is labelled by
-    lambda_min(X(c)).
+    A probe stops once decided: inside (margin = lower bound) when
+    lambda_min(X(c)) >= -tol, outside (margin = upper bound) when the
+    upper bound is below -tol, otherwise by the midpoint of the bounds once
+    they are within tol/10.  One still open after the last mu is labelled
+    by lambda_min(X(c)).  The centring loop stops on a test over the whole
+    batch, so the margin of an inside probe can move by about 5e-6 with
+    the batch it is solved in.
     """
+    probes = np.asarray(probes, dtype=float)
+    n_axes = spec.n**2 - 1
+    if probes.shape[-1:] != (n_axes,):
+        raise ValueError(f"probe must have length {n_axes}, got shape {probes.shape}")
+    lead = probes.shape[:-1]
+    flat = probes.reshape(-1, n_axes)
+    coeff = np.broadcast_to(spec.coeff, (len(flat),) + spec.coeff.shape).copy()
+    coeff[:, 1:, 0] = flat
+    free = spec.free.copy()
+    free[1:, 0] = False
+
     pb = product_basis(spec.n, spec.m)
     d = pb.dim
     batch = len(coeff)
-    fixed = np.where(spec.free, 0.0, coeff).reshape(batch, -1)
-    x0 = np.einsum("bx,xij->bij", fixed, pb.mats.reshape(-1, d, d)) / d
-    free_ops = pb.mats[spec.free] / d
+    fixed = np.where(free, 0.0, coeff).reshape(batch, -1)
+    x0 = (fixed @ pb.mats.reshape(-1, d * d)).reshape(batch, d, d) / d
+    free_ops = pb.mats[free] / d
     k = len(free_ops)
-    if k == 0:
-        return np.linalg.eigvalsh(x0)[:, 0], x0
+    margin = np.linalg.eigvalsh(x0)[:, 0]
+    completion = x0  # its rows are replaced as the search decides them
 
     eye = np.eye(d)
     ops = np.concatenate([free_ops, -eye[None]])  # dS/dc and dS/dt
     e_t = np.eye(k + 1)[k]
     ridge = 1e-12 * np.eye(k + 1)  # the Hessian is singular where t* = 0 on a face
-    t_out = np.empty(batch)
-    x_out = np.empty_like(x0)
-    idx = np.arange(batch)
+    idx = np.arange(batch if k else 0)  # a fully fixed spec needs no search
     x = x0
-    t = np.linalg.eigvalsh(x)[:, 0] - 0.1
+    t = margin - 0.1
     for mu in np.logspace(-2, -14, 7):
+        if not idx.size:
+            break
         for _ in range(50):  # centring takes a few steps; the cap only bounds the loop
             w, v = np.linalg.eigh(x - t[:, None, None] * eye)
             lower = w[:, 0] + t
@@ -95,48 +104,19 @@ def _max_lambda_min(
             inside = lower >= -tol
             close = upper - lower < tol / 10
             done = inside | close | (upper < -tol)
-            t_out[idx[done]] = np.where(inside, lower, np.where(close, (lower + upper) / 2, upper))[done]
-            x_out[idx[done]] = x[done]
+            margin[idx[done]] = np.where(inside, lower, np.where(close, (lower + upper) / 2, upper))[done]
+            completion[idx[done]] = x[done]
             keep = ~done
-            if not keep.any():
-                return t_out, x_out
             idx, x, t, step, dec = idx[keep], x[keep], t[keep], step[keep], dec[keep]
             step *= np.where(dec > 0.25, 1.0 / (1.0 + dec), 1.0)[:, None]
             x = x + np.einsum("bk,kij->bij", step[:, :k], free_ops)
             t = t + step[:, k]
-            if dec.max() < 0.25:
+            if dec.max(initial=0.0) < 0.25:
                 break
-    t_out[idx] = np.linalg.eigvalsh(x)[:, 0]
-    x_out[idx] = x
-    return t_out, x_out
-
-
-def is_compatible_full(q: DomainQuery, tol: float = DEFAULT_TOL) -> bool:
-    """PSD test of the fully specified joint state after probe substitution."""
-    spec = q.spec.with_probe(q.probe)
-    if not spec.fully_fixed:
-        raise ValueError("spec has free coefficients; use is_compatible_partial")
-    t, _ = _max_lambda_min(spec, spec.coeff[None], tol)
-    return bool(t[0] >= -tol)
-
-
-def partial_feasibility(
-    spec: JointStateCoeffs, tol: float = DEFAULT_TOL
-) -> tuple[str, np.ndarray | None]:
-    """Feasibility of a partially specified joint state, with witness.
-
-    Returns ("feasible", Pi) with a completion Pi that keeps every fixed
-    coefficient and has lambda_min >= -tol, or ("infeasible", None) when
-    no completion does.
-    """
-    t, x = _max_lambda_min(spec, spec.coeff[None], tol)
-    return ("feasible", x[0]) if t[0] >= -tol else ("infeasible", None)
-
-
-def is_compatible_partial(q: DomainQuery, tol: float = DEFAULT_TOL) -> str:
-    """Compatibility label, "feasible" or "infeasible", with or without free coefficients."""
-    status, _ = partial_feasibility(q.spec.with_probe(q.probe), tol)
-    return status
+    if idx.size:
+        margin[idx] = np.linalg.eigvalsh(x)[:, 0]
+        completion[idx] = x
+    return (margin >= -tol).reshape(lead), margin.reshape(lead), completion.reshape(lead + (d, d))
 
 
 def probe_state(probe: np.ndarray, n: int) -> np.ndarray:
@@ -150,36 +130,37 @@ def probe_state(probe: np.ndarray, n: int) -> np.ndarray:
     return (np.eye(n, dtype=complex) + np.einsum("...a,aij->...ij", probe, build_basis(n).mats[1:])) / n
 
 
-def is_in_positivity_domain(
-    amap: AffineMap, probe: np.ndarray, tol: float = DEFAULT_TOL
-) -> bool:
-    """True iff the map sends the probe's state to a positive matrix.
+def positivity(amap: AffineMap, probes: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Positivity-domain label per probe of shape (..., n^2 - 1).
 
-    The probe must itself define a PSD state; boundary cases within tol are
-    counted as inside (domains are closed).
+    True where the map sends the probe's state to a matrix with
+    lambda_min >= -tol; boundary cases within tol count as inside (domains
+    are closed).  Raises ValueError when a probe is not itself a state.
     """
-    rho = probe_state(probe, amap.n)
-    if not is_psd(rho, tol):
+    rho = probe_state(probes, amap.n)
+    if (np.linalg.eigvalsh(rho)[..., 0] < -tol).any():
         raise ValueError("probe does not define a positive state")
-    return is_psd(apply_L(amap, rho) + amap.k_mat, tol)
+    return np.linalg.eigvalsh(apply_L(amap, rho) + amap.k_mat)[..., 0] >= -tol
 
 
 SECTION_AXES = {"p1p2": (0, 1), "p1p3": (0, 2), "p2p3": (1, 2)}
 
 
-def _section_grid(section: str, resolution: int) -> np.ndarray:
+def _section_axes(section: str) -> tuple[int, int]:
     axes = SECTION_AXES.get(section)
     if axes is None:
         raise ValueError(f"unknown section {section!r}; expected one of {sorted(SECTION_AXES)}")
+    return axes
+
+
+def _section_grid(section: str, resolution: int) -> np.ndarray:
+    axes = _section_axes(section)
     line = np.linspace(-1.0, 1.0, resolution)
-    probes = []
-    for x in line:
-        for y in line:
-            p = np.zeros(3)
-            p[axes[0]], p[axes[1]] = x, y
-            if x * x + y * y <= 1.0 + 1e-12:
-                probes.append(p)
-    return np.array(probes)
+    x, y = np.meshgrid(line, line, indexing="ij")
+    disc = x * x + y * y <= 1.0 + 1e-12
+    probes = np.zeros((int(disc.sum()), 3))
+    probes[:, axes[0]], probes[:, axes[1]] = x[disc], y[disc]
+    return probes
 
 
 def _fibonacci_shells(resolution: int) -> np.ndarray:
@@ -261,9 +242,9 @@ def sample_domain(
 
     Grid sections are uniform in the chosen coordinate plane; volume grids
     use Fibonacci-spiral shells; random mode draws uniformly from the ball
-    with the given seed.  Compatibility is the sign of the certified margin
-    t* + tol for every probe, whether or not the spec has free
-    coefficients.  Without a map the pos column is 1.
+    with the given seed.  One ``compatibility`` call labels every probe,
+    whether or not the spec has free coefficients, and one ``positivity``
+    call fills the pos column; without a map the pos column is 1.
     """
     if spec.n != 2:
         raise ValueError("domain sampling is implemented for qubit subsystems")
@@ -272,6 +253,8 @@ def sample_domain(
     if region == "grid":
         probes = _section_grid(section, resolution) if section else _fibonacci_shells(resolution)
     elif region == "random":
+        if section:
+            raise ValueError("a section applies to grid regions only")
         n_pts = count if count is not None else resolution**2
         if n_pts <= 0:
             raise ValueError("count must be positive")
@@ -281,18 +264,8 @@ def sample_domain(
     if probes.size == 0:
         raise ValueError("no probes generated")
 
-    batch = probes.shape[0]
-    fixed = spec.with_probe(np.zeros(3))
-    coeff = np.broadcast_to(fixed.coeff, (batch,) + fixed.coeff.shape).copy()
-    coeff[:, 1:, 0] = probes
-    t, _ = _max_lambda_min(fixed, coeff, tol)
-    compat = (t >= -tol).astype(int)
-
-    if amap is not None:
-        outs = apply_L(amap, probe_state(probes, 2)) + amap.k_mat
-        pos = (np.linalg.eigvalsh(outs)[:, 0] >= -tol).astype(int)
-    else:
-        pos = np.ones(batch, dtype=int)
+    compat = compatibility(spec, probes, tol)[0].astype(int)
+    pos = positivity(amap, probes, tol).astype(int) if amap is not None else np.ones(len(probes), dtype=int)
 
     return DomainSample(
         probes=probes,
@@ -316,9 +289,7 @@ def image_of_ball(
         raise ValueError("image_of_ball requires a qubit map")
     if resolution < 1:
         raise ValueError(f"resolution must be positive, got {resolution}")
-    axes = SECTION_AXES.get(section)
-    if axes is None:
-        raise ValueError(f"unknown section {section!r}; expected one of {sorted(SECTION_AXES)}")
+    axes = _section_axes(section)
     t_mat, kappa = bloch_action(amap)
     theta = 2 * np.pi * np.arange(resolution) / resolution
     inputs = np.zeros((resolution, 3))

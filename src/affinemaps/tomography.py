@@ -4,7 +4,9 @@ Because the map is affine in the state, finite differences between probe
 states that differ along a single basis axis recover the homogeneous
 images F'_alpha exactly at any step size, and the image of the identity
 follows from any single output.  Probe states are restricted to the
-compatibility domain of the declared coefficient spec.
+compatibility domain of the declared coefficient spec: ``design_probes``
+labels its candidates with one ``domains.compatibility`` call per step
+size.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .basis import JointStateCoeffs, build_basis
-from .domains import DomainQuery, InfeasibleError, is_compatible_partial, probe_state
+from .domains import InfeasibleError, compatibility, probe_state
 from .linalg import DEFAULT_TOL, finite_array, from_pairs, to_pairs
 from .maps import AffineMap, apply_affine
 
@@ -41,8 +43,7 @@ class ProbeSet:
         return self.spec.n
 
 
-def _admissible(spec: JointStateCoeffs, probe: np.ndarray, tol: float) -> bool:
-    return is_compatible_partial(DomainQuery(spec=spec, probe=probe), tol) == "feasible"
+MAX_HALVINGS = 20
 
 
 def design_probes(
@@ -50,15 +51,16 @@ def design_probes(
     base: np.ndarray,
     eps: float = 0.05,
     tol: float = DEFAULT_TOL,
-    max_halvings: int = 20,
 ) -> ProbeSet:
     """Base state plus one single-axis perturbation per coefficient axis.
 
     Each perturbation tries base + eps e_alpha, then base - eps e_alpha,
-    halving eps up to ``max_halvings`` times until the probe lies in the
-    compatibility domain.  Raises InfeasibleError if the base is outside
-    the domain or some axis admits no feasible step (empty interior along
-    that axis).
+    halving eps up to MAX_HALVINGS times until the probe lies in the
+    compatibility domain.  One ``compatibility`` call per step size labels
+    the base (first step only) and both candidates of every axis not yet
+    placed; each axis keeps the first admissible candidate in that order.
+    Raises InfeasibleError if the base is outside the domain or some axis
+    admits no feasible step (empty interior along that axis).
     """
     base = np.asarray(base, dtype=float)
     n_axes = spec.n**2 - 1
@@ -66,30 +68,34 @@ def design_probes(
         raise ValueError(f"base must have length {n_axes}")
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
-    if not _admissible(spec, base, tol):
-        raise InfeasibleError(f"base probe {base.tolist()} is outside the compatibility domain")
-    probes = [base]
     deltas = np.zeros(n_axes)
-    for alpha in range(n_axes):
-        step = eps
-        found = False
-        for _ in range(max_halvings + 1):
-            for sign in (+1.0, -1.0):
-                cand = base.copy()
-                cand[alpha] += sign * step
-                if _admissible(spec, cand, tol):
-                    probes.append(cand)
-                    deltas[alpha] = sign * step
-                    found = True
-                    break
-            if found:
-                break
-            step /= 2.0
-        if not found:
-            raise InfeasibleError(
-                f"no feasible perturbation along axis {alpha + 1} at minimum step {step:.3e}"
-            )
-    return ProbeSet(spec=spec, base=base, deltas=deltas, probes=np.array(probes))
+    axes = np.arange(n_axes)  # the axes not yet placed
+    step = eps
+    for halving in range(MAX_HALVINGS + 1):
+        cand = np.tile(base, (len(axes), 2, 1))
+        cand[np.arange(len(axes)), :, axes] += np.array([1.0, -1.0]) * step
+        cand = cand.reshape(-1, n_axes)
+        if halving == 0:
+            cand = np.vstack([base, cand])
+        inside = compatibility(spec, cand, tol)[0]
+        if halving == 0:
+            if not inside[0]:
+                raise InfeasibleError(f"base probe {base.tolist()} is outside the compatibility domain")
+            inside = inside[1:]
+        inside = inside.reshape(-1, 2)
+        placed = inside.any(axis=1)
+        deltas[axes[placed]] = np.where(inside[placed, 0], 1.0, -1.0) * step
+        axes = axes[~placed]
+        if not axes.size:
+            break
+        step /= 2.0
+    else:
+        raise InfeasibleError(
+            f"no feasible perturbation along axis {axes[0] + 1} at minimum step {step:.3e}"
+        )
+    probes = np.tile(base, (n_axes + 1, 1))
+    probes[np.arange(1, n_axes + 1), np.arange(n_axes)] += deltas
+    return ProbeSet(spec=spec, base=base, deltas=deltas, probes=probes)
 
 
 def evaluate_probes(probes: ProbeSet, evolve: Callable[[np.ndarray], np.ndarray]) -> ProbeSet:

@@ -11,7 +11,7 @@ import pytest
 
 from affinemaps.basis import JointStateCoeffs, expand_state, product_basis, reconstruct_state
 from affinemaps.cli import fig2_spec, main
-from affinemaps.domains import DomainQuery, is_compatible_full, sample_domain
+from affinemaps.domains import compatibility, sample_domain
 from affinemaps.linalg import dagger, kron, partial_trace
 from affinemaps.maps import (
     AffineMap,
@@ -200,7 +200,7 @@ def test_criterion_5_two_sphere_geometry():
     minus = probes[:, 0] ** 2 + probes[:, 1] ** 2 + (probes[:, 2] - SQ3) ** 2 <= (1 - SQ3) ** 2
     disagreements = int((feasible != (plus & minus)).sum())
     assert disagreements == 0
-    assert not is_compatible_full(DomainQuery(spec=spec, probe=np.zeros(3)))
+    assert not compatibility(spec, np.zeros(3))[0]
     assert (probes[feasible, 2] > 0).all()
     plane = sample_domain(spec, section="p1p2", resolution=41)
     assert not (plane.compat == 1).any()

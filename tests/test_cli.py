@@ -370,6 +370,7 @@ def malformed_files(tmp_path) -> dict:
         ["image", "--map", "{map}", "--section", "p1p2", "--resolution", "0"],
         ["example", "int-ham", "--spec", "{spec_21}"],
         ["example", "lorentz", "--r1", ROT, "--r2", ROT, "--spec", "{spec_21}"],
+        ["domains", "--spec", "{spec}", "--region", "random", "--count", "5", "--section", "p1p2"],
     ],
 )
 def test_malformed_input_exits_2(tmp_path, argv):
@@ -387,7 +388,7 @@ json_values = st.recursive(
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(value=json_values, key=st.sampled_from(JSON_KEYS))
 def test_fuzzed_json_inputs_keep_exit_contract(tmp_path_factory, value, key):
     # each input file is written twice: as the drawn value, and as a valid

@@ -4,16 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinemaps.basis import JointStateCoeffs, expand_state, product_basis, reconstruct_state
-from affinemaps.cli import fig1_spec
+from affinemaps.cli import fig1_spec, fig2_spec
 from affinemaps.linalg import is_psd, kron, random_density, random_unitary
 from affinemaps.maps import AffineMap, extract_G, extract_map
 from affinemaps.domains import (
-    DomainQuery,
+    _section_grid,
+    compatibility,
     image_of_ball,
-    is_compatible_full,
-    is_compatible_partial,
-    is_in_positivity_domain,
-    partial_feasibility,
+    positivity,
     probe_state,
     sample_domain,
 )
@@ -52,53 +50,51 @@ def sphere_inequalities(probe, x=SQ3):
 # ---------------------------------------------------------------------------
 def test_compatible_full_uncorrelated_ball(rng):
     spec = JointStateCoeffs.blank(2, 2)
-    for _ in range(50):
-        probe = rng.uniform(-1, 1, 3)
-        expected = np.linalg.norm(probe) <= 1.0
-        assert is_compatible_full(DomainQuery(spec=spec, probe=probe)) == expected
+    probes = rng.uniform(-1, 1, size=(50, 3))
+    expected = np.linalg.norm(probes, axis=1) <= 1.0
+    np.testing.assert_array_equal(compatibility(spec, probes)[0], expected)
 
 
 def test_compatible_full_origin_excluded():
-    q = DomainQuery(spec=two_coefficient_spec(), probe=np.zeros(3))
-    assert not is_compatible_full(q)
+    assert not compatibility(two_coefficient_spec(), np.zeros(3))[0]
 
 
 def test_compatible_full_small_sphere_center():
-    q = DomainQuery(spec=two_coefficient_spec(), probe=np.array([0.0, 0.0, SQ3]))
-    assert is_compatible_full(q)
+    assert compatibility(two_coefficient_spec(), np.array([0.0, 0.0, SQ3]))[0]
 
 
 def test_compatible_full_matches_sphere_geometry(rng):
-    spec = two_coefficient_spec()
-    disagreements = 0
-    for _ in range(2000):
-        probe = rng.uniform(-1, 1, 3)
-        if probe @ probe > 1:
-            continue
-        full = is_compatible_full(DomainQuery(spec=spec, probe=probe))
-        disagreements += full != sphere_inequalities(probe)
+    probes = rng.uniform(-1, 1, size=(2000, 3))
+    probes = probes[(probes**2).sum(axis=1) <= 1]
+    full = compatibility(two_coefficient_spec(), probes)[0]
+    disagreements = sum(f != sphere_inequalities(p) for f, p in zip(full, probes))
     assert disagreements == 0
-
-
-def test_compatible_full_requires_fixed_spec():
-    spec = JointStateCoeffs.blank(2, 2)
-    spec.free[1, 1] = True
-    with pytest.raises(ValueError):
-        is_compatible_full(DomainQuery(spec=spec, probe=np.zeros(3)))
 
 
 def test_compatible_full_convexity(rng):
     # sampled feasible pairs have feasible midpoints
     spec = two_coefficient_spec()
-    feasible = []
-    for _ in range(500):
-        probe = rng.uniform(-1, 1, 3)
-        if probe @ probe <= 1 and is_compatible_full(DomainQuery(spec=spec, probe=probe)):
-            feasible.append(probe)
+    probes = rng.uniform(-1, 1, size=(500, 3))
+    probes = probes[(probes**2).sum(axis=1) <= 1]
+    feasible = probes[compatibility(spec, probes)[0]]
     assert len(feasible) >= 2
-    for i in range(0, len(feasible) - 1, 2):
-        mid = 0.5 * (feasible[i] + feasible[i + 1])
-        assert is_compatible_full(DomainQuery(spec=spec, probe=mid))
+    pairs = len(feasible) // 2
+    mids = 0.5 * (feasible[0 : 2 * pairs : 2] + feasible[1 : 2 * pairs : 2])
+    assert compatibility(spec, mids)[0].all()
+
+
+@settings(max_examples=40)
+@given(probes=st.lists(st.tuples(*[st.floats(-1.5, 1.5)] * 3), min_size=1, max_size=50))
+def test_fig2_margin_is_exact(probes):
+    # the fig2 state splits into the sigma_1 = +-1 blocks of R:
+    # (1/4)((1 +- x) 1 + (a +- x e3).sigma), so lambda_min has a closed form
+    a = np.array(probes)
+    e3 = np.array([0.0, 0.0, SQ3])
+    exact = np.minimum(1 - SQ3 - np.linalg.norm(a - e3, axis=1), 1 + SQ3 - np.linalg.norm(a + e3, axis=1)) / 4
+    inside, margin, completion = compatibility(fig2_spec(), a)
+    np.testing.assert_allclose(margin, exact, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(inside, margin >= -1e-9)
+    assert completion.shape == (len(a), 4, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +111,8 @@ def test_partial_feasible_with_witness():
     spec = all_free_spec()
     spec.coeff[1, 1] = 1.0
     spec.free[1, 1] = False
-    spec = spec.with_probe(np.zeros(3))
-    status, witness = partial_feasibility(spec)
-    assert status == "feasible"
+    inside, _, witness = compatibility(spec, np.zeros(3))
+    assert inside
     assert is_psd(witness)
     assert abs(np.trace(kron(SIGMA[0], SIGMA[0]) @ witness).real - 1.0) < 1e-8
     assert abs(np.trace(witness).real - 1.0) < 1e-8
@@ -129,20 +124,20 @@ def test_partial_infeasible_overweight_pair():
     spec.free[0, 1] = False
     spec.coeff[3, 1] = 0.9
     spec.free[3, 1] = False
-    spec = spec.with_probe(np.zeros(3))
-    status, _ = partial_feasibility(spec)
-    assert status == "infeasible"
+    assert not compatibility(spec, np.zeros(3))[0]
 
 
-def test_partial_degenerates_to_full(rng):
+def test_partial_degenerates_to_full(rng, pb22):
+    # free bits on the probe column are overridden by the probe: no search
+    # is left, and the label is the sign of lambda_min of the fixed state
     spec = two_coefficient_spec()
-    for _ in range(20):
-        probe = rng.uniform(-1, 1, 3)
-        if probe @ probe > 1:
-            continue
-        q = DomainQuery(spec=spec, probe=probe)
-        expected = "feasible" if is_compatible_full(q) else "infeasible"
-        assert is_compatible_partial(q) == expected
+    masked = spec.copy()
+    masked.free[1:, 0] = True
+    probes = rng.uniform(-1, 1, size=(20, 3))
+    probes = probes[(probes**2).sum(axis=1) <= 1]
+    expected = [np.linalg.eigvalsh(reconstruct_state(spec.with_probe(p), pb22))[0] >= -1e-9 for p in probes]
+    np.testing.assert_array_equal(compatibility(spec, probes)[0], expected)
+    np.testing.assert_array_equal(compatibility(masked, probes)[0], expected)
 
 
 def test_partial_witness_reproduces_fixed_coefficients(pb22, rng):
@@ -151,10 +146,10 @@ def test_partial_witness_reproduces_fixed_coefficients(pb22, rng):
     spec.free[1:, 1:] = True
     spec.coeff[0, 1] = 0.4
     probes = rng.uniform(-0.4, 0.4, size=(10, 3))
-    for probe in probes:
+    inside, _, witnesses = compatibility(spec, probes)
+    assert inside.all()
+    for probe, witness in zip(probes, witnesses):
         sub = spec.with_probe(probe)
-        status, witness = partial_feasibility(sub)
-        assert status == "feasible"
         back = expand_state(witness, pb22)
         fixed = ~sub.free
         np.testing.assert_allclose(back.coeff[fixed], sub.coeff[fixed], atol=1e-8)
@@ -166,11 +161,24 @@ def test_partial_monotone_relaxation(rng):
     for _ in range(10):
         full_spec = expand_state(random_density(4, rng), pb)
         probe = full_spec.coeff[1:, 0]
-        assert is_compatible_full(DomainQuery(spec=full_spec, probe=probe))
+        assert compatibility(full_spec, probe)[0]
         relaxed = full_spec.copy()
         relaxed.free[1, 1] = relaxed.free[2, 2] = relaxed.free[3, 3] = True
-        status, _ = partial_feasibility(relaxed.with_probe(probe))
-        assert status == "feasible"
+        assert compatibility(relaxed, probe)[0]
+
+
+def test_batched_labels_match_probe_by_probe():
+    # the barrier's stopping test sees the whole batch, so margins of inside
+    # probes move with the batch; the labels must not
+    spec = fig1_spec(True)
+    probes = _section_grid("p1p2", 41)
+    single = [compatibility(spec, p)[0] for p in probes]
+    batched = compatibility(spec, probes)
+    np.testing.assert_array_equal(batched[0], single)
+    nested = compatibility(spec, probes.reshape(3, -1, 3))  # 1257 = 3 x 419 probes
+    for flat, lead in zip(batched, nested):
+        assert lead.shape[:2] == (3, 419)
+        np.testing.assert_array_equal(lead.reshape(flat.shape), flat)
 
 
 @pytest.mark.parametrize(
@@ -182,15 +190,12 @@ def test_partial_margin_decided_at_tolerance(rng, radius, expected):
     # Tr_R Pi >= 2t 1, and rho_a (x) 1/2 attains it; the middle radii put t*
     # at -tol/2 and -3 tol/2
     direction = rng.normal(size=3)
-    q = DomainQuery(spec=all_free_spec(), probe=radius * direction / np.linalg.norm(direction))
-    assert is_compatible_partial(q) == expected
+    inside = compatibility(all_free_spec(), radius * direction / np.linalg.norm(direction))[0]
+    assert inside == (expected == "feasible")
 
 
-def test_partial_feasibility_prefilter_marginal():
-    spec = all_free_spec()
-    spec = spec.with_probe(np.array([0.9, 0.9, 0.9]))
-    status, _ = partial_feasibility(spec)
-    assert status == "infeasible"
+def test_partial_compatibility_prefilter_marginal():
+    assert not compatibility(all_free_spec(), np.array([0.9, 0.9, 0.9]))[0]
 
 
 def random_spec(seed, mask):
@@ -203,18 +208,18 @@ def random_spec(seed, mask):
 free_masks = st.integers(0, 2**16 - 1).map(lambda m: m & ~1)  # (0, 0) stays fixed
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), mask=free_masks)
 def test_partial_freeing_keeps_state_feasible(pb22, seed, mask):
     spec = random_spec(seed, mask)
-    status, witness = partial_feasibility(spec)
-    assert status == "feasible"
+    inside, _, witness = compatibility(spec, spec.coeff[1:, 0])
+    assert inside
     assert is_psd(witness)
-    fixed = ~spec.free
+    fixed = ~spec.with_probe(spec.coeff[1:, 0]).free  # the probe column is always fixed
     np.testing.assert_allclose(expand_state(witness, pb22).coeff[fixed], spec.coeff[fixed], atol=1e-8)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     seed=st.integers(0, 2**32 - 1),
     mask=free_masks,
@@ -225,11 +230,10 @@ def test_probe_outside_unit_ball_is_infeasible(seed, mask, direction, radius):
     # the marginal of a joint state with lambda_min t has lambda_min >= 2t, and
     # (1 - |a|)/2 <= -5e-4 here, far below -2 tol
     probe = radius * np.array(direction) / np.linalg.norm(direction)
-    q = DomainQuery(spec=random_spec(seed, mask), probe=probe)
-    assert is_compatible_partial(q) == "infeasible"
+    assert not compatibility(random_spec(seed, mask), probe)[0]
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 2.0))
 def test_fixed_spec_labels_are_lambda_min_sign(pb22, seed, scale):
     spec = random_spec(seed, 0)
@@ -245,10 +249,8 @@ def test_fixed_spec_labels_are_lambda_min_sign(pb22, seed, scale):
 def test_positivity_cp_map_whole_ball(rng, pb22):
     g = extract_G(random_unitary(4, rng), pb22.basis_r)
     amap = AffineMap(n=2, m=2, g_ops=g, k_mat=np.zeros((2, 2), dtype=complex))
-    for _ in range(50):
-        probe = rng.uniform(-1, 1, 3)
-        if probe @ probe <= 1:
-            assert is_in_positivity_domain(amap, probe)
+    probes = rng.uniform(-1, 1, size=(50, 3))
+    assert positivity(amap, probes[(probes**2).sum(axis=1) <= 1]).all()
 
 
 def kappa_one_map():
@@ -261,20 +263,20 @@ def kappa_one_map():
 
 def test_positivity_boundary_point_included():
     # |a^U| = 1 exactly at the origin probe: closed domains include it
-    assert is_in_positivity_domain(kappa_one_map(), np.zeros(3))
+    assert positivity(kappa_one_map(), np.zeros(3))
 
 
 def test_positivity_axis_probe_excluded():
     # probe along the relative rotation axis adds kappa undamped: |a^U| > 1
     amap = kappa_one_map()
-    assert not is_in_positivity_domain(amap, np.array([0.0, 0.0, 0.5]))
+    assert not positivity(amap, np.array([0.0, 0.0, 0.5]))
     # probe orthogonal to the axis is averaged away: back on the boundary
-    assert is_in_positivity_domain(amap, np.array([0.5, 0.0, 0.0]))
+    assert positivity(amap, np.array([0.5, 0.0, 0.0]))
 
 
 def test_positivity_rejects_invalid_probe():
     with pytest.raises(ValueError):
-        is_in_positivity_domain(kappa_one_map(), np.array([1.2, 0.0, 0.0]))
+        positivity(kappa_one_map(), np.array([[0.5, 0.0, 0.0], [1.2, 0.0, 0.0]]))
 
 
 def test_positivity_contains_true_evolution_images(pb22, rng):
@@ -282,12 +284,9 @@ def test_positivity_contains_true_evolution_images(pb22, rng):
     spec = two_coefficient_spec(0.4)
     u = random_unitary(4, rng)
     amap = extract_map(u, reconstruct_state(spec.with_probe(np.zeros(3)), pb22), pb22)
-    for _ in range(50):
-        probe = rng.uniform(-1, 1, 3)
-        if probe @ probe > 1:
-            continue
-        if is_compatible_full(DomainQuery(spec=spec, probe=probe)):
-            assert is_in_positivity_domain(amap, probe)
+    probes = rng.uniform(-1, 1, size=(50, 3))
+    probes = probes[(probes**2).sum(axis=1) <= 1]
+    assert positivity(amap, probes[compatibility(spec, probes)[0]]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +354,8 @@ def test_sample_domain_rejects_bad_inputs():
         sample_domain(spec, region="grid", section="p9p9")
     with pytest.raises(ValueError):
         sample_domain(spec, region="grid", resolution=0)
+    with pytest.raises(ValueError):
+        sample_domain(spec, region="random", count=5, section="p1p2")
 
 
 def test_sample_csv_format(tmp_path):

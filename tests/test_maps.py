@@ -224,7 +224,7 @@ def test_extract_K_two_momentum_example(pb22):
     np.testing.assert_allclose(kappa_vector(k), [0.8, 0.0, 0.0], atol=1e-12)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(dims=st.sampled_from(DIMS), seed=st.integers(0, 2**32 - 1))
 def test_extract_K_matches_brute_force(dims, seed):
     # K = Tr_R[U Pi U^dag] - L(rho), with L(rho) = Tr_R[U (rho (x) 1/M) U^dag]
@@ -458,7 +458,7 @@ def test_mean_value_correction_single_angle():
     )
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(dims=st.sampled_from(DIMS), seed=st.integers(0, 2**32 - 1))
 def test_mean_value_correction_consistent_with_k(dims, seed):
     n, m = dims

@@ -284,7 +284,7 @@ def test_kappa_bounds_random_pairs(pb22, rng):
         assert res.kappa_norm <= GOLDEN_KAPPA_BOUND + 1e-9
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
 def test_kappa_bounds_hold_for_haar_unitaries(pb22, seed, rank):
     rng = np.random.default_rng(seed)
@@ -368,7 +368,7 @@ def kernel_kappa(u, pi):
     return np.einsum("jab,ba->j", w_operators(u, SIGMA, 2), pi).real
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(gamma=st.tuples(angles, angles, angles), seed=st.integers(0, 2**32 - 1))
 def test_w_operators_match_int_ham_kappa(pb22, gamma, seed):
     pi = random_density(4, np.random.default_rng(seed))
@@ -377,7 +377,7 @@ def test_w_operators_match_int_ham_kappa(pb22, gamma, seed):
     np.testing.assert_allclose(kernel_kappa(int_ham_unitary(p), pi), expected, atol=1e-12)
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(angle1=angles, angle2=angles, seed=st.integers(0, 2**32 - 1))
 def test_w_operators_match_lorentz_kappa(pb22, angle1, angle2, seed):
     rng = np.random.default_rng(seed)

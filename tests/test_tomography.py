@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from affinemaps.basis import JointStateCoeffs, expand_state, product_basis
-from affinemaps.domains import DomainQuery, InfeasibleError, is_compatible_full
+from affinemaps.domains import InfeasibleError, compatibility
 from affinemaps.linalg import random_density, random_unitary
 from affinemaps.maps import AffineMap, extract_map
 from affinemaps.qubit2 import I2, SIGMA, IntHamParams, int_ham_map, k_from_kappa
 from affinemaps.tomography import (
+    MAX_HALVINGS,
     design_probes,
     evaluate_probes,
     map_oracle,
@@ -52,8 +53,7 @@ def test_design_probes_rejects_outside_base():
 def test_design_probes_restricted_base_accepted():
     spec = two_coefficient_spec()
     probes = design_probes(spec, np.array([0.0, 0.0, SQ3]), eps=0.05)
-    for p in probes.probes:
-        assert is_compatible_full(DomainQuery(spec=spec, probe=p))
+    assert compatibility(spec, probes.probes)[0].all()
 
 
 def test_design_probes_halves_step():
@@ -69,6 +69,61 @@ def test_design_probes_validates_arguments():
         design_probes(spec, np.zeros(2))
     with pytest.raises(ValueError):
         design_probes(spec, np.zeros(3), eps=-1.0)
+
+
+def sequential_design(spec, base, eps, tol=1e-9):
+    """The probe-by-probe search: per axis +step, then -step, halving the step.
+
+    Returns (probes, deltas), or None where design_probes must raise.
+    """
+    if not compatibility(spec, base, tol)[0]:
+        return None
+    probes, deltas = [base], np.zeros(len(base))
+    for alpha in range(len(base)):
+        step = eps
+        for _ in range(MAX_HALVINGS + 1):
+            for sign in (1.0, -1.0):
+                cand = base.copy()
+                cand[alpha] += sign * step
+                if compatibility(spec, cand, tol)[0]:
+                    probes.append(cand)
+                    deltas[alpha] = sign * step
+                    break
+            else:
+                step /= 2.0
+                continue
+            break
+        else:
+            return None
+    return np.array(probes), deltas
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("mixing", [1.0, 1e-3])
+def test_design_probes_matches_sequential_search(dims, mixing):
+    # mixing 1 draws full-rank states; 1e-3 mixes a pure state with that much
+    # of one, which forces halvings; its odd draws jitter the base, mostly outside
+    n, m = dims
+    d = n * m
+    rng = np.random.default_rng(d + int(mixing < 1))
+    pb = product_basis(n, m)
+    halved = raised = 0
+    for i in range(12):
+        pi = (1 - mixing) * random_density(d, rng, rank=1) + mixing * random_density(d, rng)
+        spec = expand_state(pi, pb)
+        base = spec.coeff[1:, 0] + (1 - mixing) * (i % 2) * rng.normal(scale=1e-3, size=n**2 - 1)
+        expected = sequential_design(spec, base, eps=0.05)
+        if expected is None:
+            raised += 1
+            with pytest.raises(InfeasibleError):
+                design_probes(spec, base, eps=0.05)
+            continue
+        got = design_probes(spec, base, eps=0.05)
+        np.testing.assert_array_equal(got.probes, expected[0])
+        np.testing.assert_array_equal(got.deltas, expected[1])
+        halved += bool((np.abs(got.deltas) < 0.05).any())
+    if mixing < 1:
+        assert halved > 0 and raised > 0
 
 
 def test_reconstruct_identity_evolution():
