@@ -185,23 +185,15 @@ def cmd_domains(args) -> int:
     return 0
 
 
-def _write_pairs_csv(path: str, inputs: np.ndarray, outputs: np.ndarray, extra=None) -> None:
-    header = "in1,in2,in3,out1,out2,out3"
-    if extra:
-        header += "," + ",".join(extra[0])
-    lines = [header]
-    for i, (a, b) in enumerate(zip(inputs, outputs)):
-        row = ",".join(f"{x:.9g}" for x in a) + "," + ",".join(f"{x:.9g}" for x in b)
-        if extra:
-            row += "," + ",".join(str(int(v[i])) for v in extra[1])
-        lines.append(row)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_pairs_csv(path: str, inputs: np.ndarray, outputs: np.ndarray, labels: dict | None = None) -> None:
+    labels = labels or {}
+    header = ",".join(["in1,in2,in3,out1,out2,out3", *labels])
+    dom._write_csv(path, header, np.hstack([inputs, outputs]), list(labels.values()))
 
 
 def cmd_image(args) -> int:
     amap = _load_map(args.map)
-    inputs, outputs = dom.image_of_ball(amap, args.section, args.resolution)
+    inputs, outputs = q2.image_of_ball(amap, args.section, args.resolution)
     csv_path, _ = _csv_paths(args.out)
     _write_pairs_csv(csv_path, inputs, outputs)
     return 0
@@ -213,8 +205,7 @@ def cmd_tomography(args) -> int:
     if args.pairs:
         with open(args.pairs) as fh:
             pairs = tom.pairs_from_json(fh.read())
-        n = int(round(np.sqrt(len(pairs[0][0]) + 1)))
-        probes = tom.probe_set_from_pairs(n, pairs)
+        probes = tom.probe_set_from_pairs(len(pairs[0][1]), pairs)
     elif args.map:
         truth = _load_map(args.map)
         base = _parse_vector(args.base, truth.n**2 - 1, "--base")
@@ -342,12 +333,10 @@ def cmd_preset(args) -> int:
         )
         t_mat, kappa = q2.bloch_action(amap)
         mapped = sample.probes @ t_mat.T + kappa
-        _write_pairs_csv(
-            os.path.join(out_dir, "fig1a_mapped_p1p2.csv"), sample.probes, mapped,
-            extra=(["compat", "pos"], [sample.compat, sample.pos]),
-        )
+        mapped_path = os.path.join(out_dir, "fig1a_mapped_p1p2.csv")
+        _write_pairs_csv(mapped_path, sample.probes, mapped, {"compat": sample.compat, "pos": sample.pos})
         meta["files"].append("fig1a_mapped_p1p2.csv")
-        circle_in, circle_out = dom.image_of_ball(amap, "p1p2", resolution=360)
+        circle_in, circle_out = q2.image_of_ball(amap, "p1p2", resolution=360)
         _write_pairs_csv(os.path.join(out_dir, "fig1a_circle_p1p2.csv"), circle_in, circle_out)
         meta["files"].append("fig1a_circle_p1p2.csv")
 

@@ -26,7 +26,6 @@ import numpy as np
 from .basis import JointStateCoeffs, build_basis, product_basis
 from .linalg import DEFAULT_TOL, dagger
 from .maps import AffineMap, apply_L
-from .qubit2 import bloch_action
 
 
 class InfeasibleError(Exception):
@@ -146,7 +145,8 @@ def positivity(amap: AffineMap, probes: np.ndarray, tol: float = DEFAULT_TOL) ->
 SECTION_AXES = {"p1p2": (0, 1), "p1p3": (0, 2), "p2p3": (1, 2)}
 
 
-def _section_axes(section: str) -> tuple[int, int]:
+def section_axes(section: str) -> tuple[int, int]:
+    """Coordinate indices of a section plane such as "p1p2"."""
     axes = SECTION_AXES.get(section)
     if axes is None:
         raise ValueError(f"unknown section {section!r}; expected one of {sorted(SECTION_AXES)}")
@@ -154,7 +154,7 @@ def _section_axes(section: str) -> tuple[int, int]:
 
 
 def _section_grid(section: str, resolution: int) -> np.ndarray:
-    axes = _section_axes(section)
+    axes = section_axes(section)
     line = np.linspace(-1.0, 1.0, resolution)
     x, y = np.meshgrid(line, line, indexing="ij")
     disc = x * x + y * y <= 1.0 + 1e-12
@@ -166,17 +166,13 @@ def _section_grid(section: str, resolution: int) -> np.ndarray:
 def _fibonacci_shells(resolution: int) -> np.ndarray:
     """Deterministic ball grid: Fibonacci spirals on concentric shells."""
     shells = max(1, resolution // 4)
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    pts = [np.zeros(3)]
-    for s in range(1, shells + 1):
-        r = s / shells
-        count = resolution
-        i = np.arange(count)
-        z = 1.0 - 2.0 * (i + 0.5) / count
-        radial = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        theta = golden * i
-        pts.append(np.column_stack([r * radial * np.cos(theta), r * radial * np.sin(theta), r * z]).reshape(-1, 3))
-    return np.vstack([np.atleast_2d(p) for p in pts])
+    i = np.arange(resolution)
+    z = 1.0 - 2.0 * (i + 0.5) / resolution
+    radial = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    theta = np.pi * (3.0 - np.sqrt(5.0)) * i  # golden-angle spiral, shared by every shell
+    radii = np.arange(1, shells + 1) / shells
+    pts = [np.column_stack([r * radial * np.cos(theta), r * radial * np.sin(theta), r * z]) for r in radii]
+    return np.vstack([np.zeros((1, 3)), *pts])
 
 
 def _random_ball(count: int, seed: int) -> np.ndarray:
@@ -186,6 +182,14 @@ def _random_ball(count: int, seed: int) -> np.ndarray:
         cand = rng.uniform(-1.0, 1.0, size=(count, 3))
         pts.extend(cand[(cand**2).sum(axis=1) <= 1.0])
     return np.array(pts[:count])
+
+
+def _write_csv(path, header: str, values: np.ndarray, labels=()) -> None:
+    """Write ``header``, then per row the ``values`` as %.9g and the ``labels`` columns as %d, in one write."""
+    columns = [*np.asarray(values, dtype=float).T.tolist(), *(np.asarray(c).astype(int).tolist() for c in labels)]
+    fmt = ",".join(["%.9g"] * np.shape(values)[1] + ["%d"] * len(labels))
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, *(fmt % row for row in zip(*columns))]) + "\n")
 
 
 @dataclass
@@ -202,14 +206,8 @@ class DomainSample:
     meta: dict = field(default_factory=dict)
 
     def write_csv(self, path) -> None:
-        k = self.probes.shape[1]
-        header = ",".join(f"a{i + 1}" for i in range(k)) + ",compat,pos"
-        lines = [header]
-        for p, c, s in zip(self.probes, self.compat, self.pos):
-            coords = ",".join(f"{x:.9g}" for x in p)
-            lines.append(f"{coords},{int(c)},{int(s)}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        header = ",".join(f"a{i + 1}" for i in range(self.probes.shape[1])) + ",compat,pos"
+        _write_csv(path, header, self.probes, (self.compat, self.pos))
 
     def sidecar_dict(self, spec: JointStateCoeffs, map_ref: str | None = None) -> dict:
         return {
@@ -276,24 +274,3 @@ def sample_domain(
         resolution=resolution,
         seed=seed,
     )
-
-
-def image_of_ball(
-    amap: AffineMap, section: str, resolution: int = 256
-) -> tuple[np.ndarray, np.ndarray]:
-    """Image of the unit circle of a section plane under the Bloch action.
-
-    Returns (inputs, outputs), each (resolution, 3); qubit maps only.
-    """
-    if amap.n != 2:
-        raise ValueError("image_of_ball requires a qubit map")
-    if resolution < 1:
-        raise ValueError(f"resolution must be positive, got {resolution}")
-    axes = _section_axes(section)
-    t_mat, kappa = bloch_action(amap)
-    theta = 2 * np.pi * np.arange(resolution) / resolution
-    inputs = np.zeros((resolution, 3))
-    inputs[:, axes[0]] = np.cos(theta)
-    inputs[:, axes[1]] = np.sin(theta)
-    outputs = inputs @ t_mat.T + kappa
-    return inputs, outputs

@@ -3,11 +3,13 @@
 The homogeneous part L is completely positive and unital; it is carried by
 multiplication operators G(nu) on the subsystem, defined by the expansion
 U = sum_nu G(nu) (x) F_nu of the joint unitary over an environment basis,
-so that L(Q) = sum_nu G(nu) Q G(nu)^dag.  The inhomogeneous part K is a
-traceless Hermitian matrix determined by the environment and correlation
-mean values of the joint state.  The linear extension Q -> L(Q) + K Tr Q
-agrees with the affine map on density matrices and admits B-matrix, Choi,
-and signed operator-sum representations.
+so that L(Q) = sum_nu G(nu) Q G(nu)^dag.  L is applied through the
+homogeneous B array b4[r, j, s, k] = sum_nu G(nu)_{rj} conj(G(nu)_{sk}),
+built once per map, as one contraction over the flattened (j, k) index.
+The inhomogeneous part K is a traceless Hermitian matrix determined by the
+environment and correlation mean values of the joint state.  The linear
+extension Q -> L(Q) + K Tr Q agrees with the affine map on density
+matrices and admits B-matrix, Choi, and signed operator-sum representations.
 """
 
 from __future__ import annotations
@@ -61,9 +63,8 @@ class AffineMap:
         tr = complex(np.trace(self.k_mat))
         if abs(tr) > tol:
             raise ValueError(f"K must be traceless, got trace {tr:.3e}")
-        eye = np.eye(self.n)
-        left = np.einsum("nji,njk->ik", self.g_ops.conj(), self.g_ops)
-        right = np.einsum("nij,nkj->ik", self.g_ops, self.g_ops.conj())
+        eye = np.eye(self.n)  # sum G^dag G and sum G G^dag are traces of the B array
+        left, right = np.einsum("rjrk->jk", self.b4), np.einsum("rjsj->rs", self.b4)
         if np.abs(left - eye).max() > tol or np.abs(right - eye).max() > tol:
             raise ValueError("G operators violate the completeness sums")
 
@@ -75,6 +76,11 @@ class AffineMap:
     def one_prime(self) -> np.ndarray:
         """Image of the identity under the linear extension: 1 + N K."""
         return np.eye(self.n, dtype=complex) + self.n * self.k_mat
+
+    @cached_property
+    def b4(self) -> np.ndarray:
+        """Homogeneous B array b4[r, j, s, k] = sum_nu G(nu)_{rj} conj(G(nu)_{sk})."""
+        return np.einsum("nrj,nsk->rjsk", self.g_ops, self.g_ops.conj())
 
     @cached_property
     def f_primes(self) -> np.ndarray:
@@ -98,11 +104,19 @@ def extract_G(u: np.ndarray, basis_r: HermitianBasis, tol: float = DEFAULT_TOL) 
     return np.einsum("iajc,xca->xij", u4, basis_r.mats) / m
 
 
+def _contract_b4(b4: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Q'_{rs} = sum_{jk} b4[r, j, s, k] Q_{jk}, batched over leading dimensions of ``q``."""
+    n, q = b4.shape[0], np.asarray(q)
+    if q.shape[-2:] != (n, n):
+        raise ValueError(f"operand must be {n}x{n}, got {q.shape}")
+    sup = b4.transpose(1, 3, 0, 2).reshape(n * n, n * n)
+    # einsum, not @: a BLAS matmul rounds a slice differently depending on the batch
+    return np.einsum("...x,xy->...y", q.reshape(q.shape[:-2] + (n * n,)), sup).reshape(q.shape[:-2] + (n, n))
+
+
 def apply_L(amap: AffineMap, q: np.ndarray) -> np.ndarray:
-    """Homogeneous action L(Q) = sum_nu G(nu) Q G(nu)^dag, batched over leading dimensions."""
-    if q.shape[-2:] != (amap.n, amap.n):
-        raise ValueError(f"operand must be {amap.n}x{amap.n}, got {q.shape}")
-    return np.einsum("nij,...jk,nlk->...il", amap.g_ops, q, amap.g_ops.conj())
+    """L(Q) = sum_nu G(nu) Q G(nu)^dag through the homogeneous B array ``amap.b4``, batched."""
+    return _contract_b4(amap.b4, q)
 
 
 def apply_affine(amap: AffineMap, rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -196,7 +210,7 @@ def mean_value_correction(a: np.ndarray, u: np.ndarray, pi: np.ndarray, tol: flo
 
 @dataclass(frozen=True)
 class BMatrix:
-    """Component array B with Q'_{rs} = sum_{jk} B[(r,j),(s,k)] Q_{jk}.
+    """Component array B with Q'_{rs} = sum_{jk} B[(r,j),(s,k)] Q_{jk}; ``apply`` is batched.
 
     Composite indices are flattened row-major, so for n = 2 rows and
     columns run in the order 11, 12, 21, 22 (one-based).
@@ -207,15 +221,13 @@ class BMatrix:
 
     def apply(self, q: np.ndarray) -> np.ndarray:
         n = self.n
-        b4 = self.b.reshape(n, n, n, n)
-        return np.einsum("rjsk,jk->rs", b4, q)
+        return _contract_b4(self.b.reshape(n, n, n, n), q)
 
 
 def b_matrix(amap: AffineMap) -> BMatrix:
     """B[(r,j),(s,k)] = sum_nu G(nu)_{rj} conj(G(nu)_{sk}) + K_{rs} delta_{jk}."""
     n = amap.n
-    b4 = np.einsum("nrj,nsk->rjsk", amap.g_ops, amap.g_ops.conj())
-    b4 = b4 + np.einsum("rs,jk->rjsk", amap.k_mat, np.eye(n))
+    b4 = amap.b4 + np.einsum("rs,jk->rjsk", amap.k_mat, np.eye(n))
     return BMatrix(n=n, b=b4.reshape(n**2, n**2))
 
 

@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .basis import JointStateCoeffs, expand_state, product_basis, reconstruct_state
+from .domains import section_axes
 from .linalg import DEFAULT_TOL, finite_array, kron, random_density, random_unitary, to_pairs
 from .maps import AffineMap, BMatrix, apply_L, extract_K, w_operators
 
@@ -85,6 +86,22 @@ def bloch_action(amap: AffineMap) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("Bloch action requires a qubit map")
     t_mat = 0.5 * np.einsum("jab,kba->jk", SIGMA, apply_L(amap, SIGMA)).real
     return t_mat, kappa_vector(amap.k_mat)
+
+
+def image_of_ball(amap: AffineMap, section: str, resolution: int = 256) -> tuple[np.ndarray, np.ndarray]:
+    """Image of the unit circle of a section plane under the Bloch action.
+
+    Returns (inputs, outputs), each (resolution, 3); qubit maps only.
+    """
+    if amap.n != 2:
+        raise ValueError("image_of_ball requires a qubit map")
+    if resolution < 1:
+        raise ValueError(f"resolution must be positive, got {resolution}")
+    t_mat, kappa = bloch_action(amap)
+    theta = 2 * np.pi * np.arange(resolution) / resolution
+    inputs = np.zeros((resolution, 3))
+    inputs[:, section_axes(section)] = np.column_stack([np.cos(theta), np.sin(theta)])
+    return inputs, inputs @ t_mat.T + kappa
 
 
 def k_from_kappa(kappa) -> np.ndarray:

@@ -211,17 +211,21 @@ def pairs_to_json(pairs: list[tuple[np.ndarray, np.ndarray]]) -> str:
 
 
 def pairs_from_json(text: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Parse pairs_to_json output: n^2 - 1 coefficients and an n x n rho_out per pair, n from the first."""
     items = json.loads(text)
     if not isinstance(items, list) or not items:
         raise ValueError("pairs must be a non-empty JSON list")
     pairs = []
-    for item in items:
+    for i, item in enumerate(items):
         if not isinstance(item, dict):
             raise ValueError("each pair must be a JSON object")
         coeffs = finite_array(item["rho_in_coeffs"], "rho_in_coeffs")
         out = from_pairs(item["rho_out"], "rho_out")
-        if coeffs.ndim != 1 or out.ndim != 2:
-            raise ValueError("rho_in_coeffs must be a vector and rho_out a matrix")
+        n = len(pairs[0][1]) if pairs else int(np.sqrt(coeffs.size + 1))
+        if coeffs.shape != (n * n - 1,):
+            raise ValueError(f"rho_in_coeffs of pair {i} has shape {coeffs.shape}, expected n^2 - 1 = {n * n - 1} entries")
+        if out.shape != (n, n):
+            raise ValueError(f"rho_out of pair {i} has shape {out.shape}, expected {(n, n)}")
         pairs.append((coeffs, out))
     return pairs
 

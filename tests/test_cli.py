@@ -337,6 +337,8 @@ def malformed_files(tmp_path) -> dict:
         "pairs_out_object": [{"rho_in_coeffs": [0, 0, 0], "rho_out": {"re": 1}}],
         "spec_nan": nan_spec,
         "spec_21": JointStateCoeffs.blank(2, 1).to_json_dict(),
+        "pairs_4_coeffs": json.loads(pairs_to_json([(np.zeros(4), np.eye(2) / 2)] * 4)),
+        "pairs_3x3_out": json.loads(pairs_to_json([(np.zeros(3), np.eye(3) / 3)] * 4)),
     }
     paths = {}
     for name, value in contents.items():
@@ -371,6 +373,8 @@ def malformed_files(tmp_path) -> dict:
         ["example", "int-ham", "--spec", "{spec_21}"],
         ["example", "lorentz", "--r1", ROT, "--r2", ROT, "--spec", "{spec_21}"],
         ["domains", "--spec", "{spec}", "--region", "random", "--count", "5", "--section", "p1p2"],
+        ["tomography", "--pairs", "{pairs_4_coeffs}"],
+        ["tomography", "--pairs", "{pairs_3x3_out}"],
     ],
 )
 def test_malformed_input_exits_2(tmp_path, argv):
@@ -378,6 +382,12 @@ def test_malformed_input_exits_2(tmp_path, argv):
     out = tmp_path / "out"
     assert main([paths.get(a.strip("{}"), a) for a in argv] + ["--out", str(out)]) == 2
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("name, field", [("pairs_4_coeffs", "rho_in_coeffs"), ("pairs_3x3_out", "rho_out")])
+def test_tomography_pair_shape_error_names_the_field(tmp_path, capsys, name, field):
+    assert main(["tomography", "--pairs", malformed_files(tmp_path)[name], "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field} of pair 0 ")
 
 
 JSON_KEYS = ["n", "m", "coeff", "free_mask", "g_ops", "k", "matrix", "axis", "angle", "rho_in_coeffs", "rho_out"]

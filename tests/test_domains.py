@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinemaps.basis import JointStateCoeffs, expand_state, product_basis, reconstruct_state
-from affinemaps.cli import fig1_spec, fig2_spec
+from affinemaps.cli import _write_pairs_csv, fig1_spec, fig2_spec
 from affinemaps.linalg import is_psd, kron, random_density, random_unitary
 from affinemaps.maps import AffineMap, extract_G, extract_map
 from affinemaps.domains import (
+    DomainSample,
     _section_grid,
     compatibility,
-    image_of_ball,
     positivity,
     probe_state,
     sample_domain,
@@ -21,6 +21,7 @@ from affinemaps.qubit2 import (
     IntHamParams,
     LorentzParams,
     Rotation,
+    image_of_ball,
     int_ham_map,
     k_from_kappa,
     lorentz_map,
@@ -373,6 +374,35 @@ def test_sample_csv_format(tmp_path):
     meta = json.loads(sidecar.read_text())
     assert meta["resolution"] == 11 and meta["section"] == "p1p3"
     assert meta["spec"]["coeff"][0][1] == pytest.approx(SQ3)
+
+
+def per_row_csv(header, values, labels):
+    """Reference CSV text: one f-string per value, joined row by row."""
+    lines = [header]
+    for i, row in enumerate(values):
+        lines.append(",".join([f"{x:.9g}" for x in row] + [str(int(c[i])) for c in labels]))
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_matches_per_row_format(tmp_path):
+    edges = np.array([[-0.0, 5e-324, 1e-300], [1 / 3, np.pi, -1e20], [0.0, -1 / 3, 1.0]])
+    edge_sample = DomainSample(
+        probes=edges, compat=np.array([1, 0, 1]), pos=np.array([0, 1, 1]),
+        section=None, region="grid", resolution=1, seed=0,
+    )
+    sample = sample_domain(two_coefficient_spec(), amap=kappa_one_map(), section="p1p3", resolution=201)
+    assert set(sample.pos) == {0, 1} and set(sample.compat) == {0, 1}
+    for s in (edge_sample, sample):
+        s.write_csv(tmp_path / "s.csv")
+        expected = per_row_csv("a1,a2,a3,compat,pos", s.probes, (s.compat, s.pos))
+        assert (tmp_path / "s.csv").read_text() == expected
+
+    outputs = sample.probes[::-1] * np.e
+    _write_pairs_csv(str(tmp_path / "p.csv"), sample.probes, outputs, {"compat": sample.compat})
+    expected = per_row_csv("in1,in2,in3,out1,out2,out3,compat", np.hstack([sample.probes, outputs]), (sample.compat,))
+    assert (tmp_path / "p.csv").read_text() == expected
+    _write_pairs_csv(str(tmp_path / "e.csv"), edges, edges[::-1])
+    assert (tmp_path / "e.csv").read_text() == per_row_csv("in1,in2,in3,out1,out2,out3", np.hstack([edges, edges[::-1]]), ())
 
 
 # ---------------------------------------------------------------------------

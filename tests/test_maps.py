@@ -164,6 +164,19 @@ def test_apply_L_batched(rng):
         apply_L(amap, q[..., :2])
 
 
+@settings(max_examples=40)
+@given(dims=st.sampled_from(DIMS), lead=st.sampled_from([(), (3,), (2, 4)]), seed=st.integers(0, 2**32 - 1))
+def test_apply_L_matches_operator_sum(dims, lead, seed):
+    # L through the homogeneous B array equals sum_nu G Q G^dag and the B matrix of the K = 0 map
+    n, m = dims
+    rng = np.random.default_rng(seed)
+    amap = random_k_zero_map(rng, n, m)
+    q = rng.normal(size=lead + (n, n)) + 1j * rng.normal(size=lead + (n, n))
+    explicit = sum(g @ q @ dagger(g) for g in amap.g_ops)
+    np.testing.assert_allclose(apply_L(amap, q), explicit, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(b_matrix(amap).apply(q), apply_L(amap, q), rtol=0, atol=1e-13)
+
+
 def test_apply_L_interaction_contraction(pb22):
     gamma = (0.4, 0.9, 1.7)
     u = int_ham_unitary(IntHamParams(gamma=gamma))
@@ -325,6 +338,15 @@ def test_b_matrix_matches_linear_extension_on_matrix_units(rng):
             e = np.zeros((2, 2), dtype=complex)
             e[j, k] = 1.0
             np.testing.assert_allclose(b.apply(e), linear_extension(amap, e), atol=1e-10)
+
+
+@pytest.mark.parametrize("dims", DIMS)
+def test_b_matrix_bytes_unchanged(rng, dims):
+    # reference: the sum over nu as one einsum, plus K (x) 1, rounded as b_matrix must round it
+    amap = random_map(rng, *dims)
+    g, n = amap.g_ops, amap.n
+    old = np.einsum("nrj,nsk->rjsk", g, g.conj()) + np.einsum("rs,jk->rjsk", amap.k_mat, np.eye(n))
+    np.testing.assert_array_equal(b_matrix(amap).b, old.reshape(n**2, n**2))
 
 
 def test_b_matrix_choi_reshuffle(rng):
