@@ -20,7 +20,6 @@ from .linalg import (
     dagger,
     finite_array,
     kron,
-    partial_trace,
     require_hermitian,
     require_unitary,
 )
@@ -268,8 +267,3 @@ def transfer_matrix(u: np.ndarray, pb: ProductBasis, tol: float = DEFAULT_TOL) -
     if imag > tol:
         raise ValueError(f"transfer matrix has imaginary residue {imag:.3e}")
     return TransferMatrix(n=pb.n, m=pb.m, t=t.real)
-
-
-def marginal_state(pi: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Subsystem density matrix Tr_R Pi."""
-    return partial_trace(pi, n, m, side="right")

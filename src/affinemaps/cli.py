@@ -181,7 +181,7 @@ def cmd_domains(args) -> int:
     )
     csv_path, meta_path = _csv_paths(args.out)
     sample.write_csv(csv_path)
-    sample.write_sidecar(meta_path, spec, map_ref=args.map)
+    _write_payload(sample.sidecar_dict(spec, args.map), meta_path)
     return 0
 
 
@@ -204,8 +204,7 @@ def cmd_tomography(args) -> int:
     truth = None
     if args.pairs:
         with open(args.pairs) as fh:
-            pairs = tom.pairs_from_json(fh.read())
-        probes = tom.probe_set_from_pairs(len(pairs[0][1]), pairs)
+            probes = tom.pairs_from_json(fh.read())
     elif args.map:
         truth = _load_map(args.map)
         base = _parse_vector(args.base, truth.n**2 - 1, "--base")
@@ -349,9 +348,7 @@ def cmd_preset(args) -> int:
     else:
         raise ValueError(f"unknown preset {args.name!r}")
 
-    with open(os.path.join(out_dir, f"{args.name}_meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=1)
-        fh.write("\n")
+    _write_payload(meta, os.path.join(out_dir, f"{args.name}_meta.json"))
     return 0
 
 

@@ -18,7 +18,6 @@ positive; ``positivity(amap, probes, tol)`` labels a batch of probes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,11 +218,6 @@ class DomainSample:
             "region": self.region,
             **self.meta,
         }
-
-    def write_sidecar(self, path, spec: JointStateCoeffs, map_ref: str | None = None) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.sidecar_dict(spec, map_ref), fh, indent=1)
-            fh.write("\n")
 
 
 def sample_domain(

@@ -17,10 +17,6 @@ def hermitian_deviation(a: np.ndarray) -> float:
     return float(np.abs(a - dagger(a)).max())
 
 
-def is_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return a.shape[-1] == a.shape[-2] and hermitian_deviation(a) <= tol
-
-
 def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL, name: str = "matrix") -> None:
     dev = hermitian_deviation(a)
     if dev > tol:
@@ -37,12 +33,6 @@ def require_unitary(u: np.ndarray, tol: float = DEFAULT_TOL, name: str = "matrix
         raise ValueError(f"{name} is not unitary to tolerance {tol:.3e}")
 
 
-def allclose(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Entrywise equality with an explicit absolute tolerance."""
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and bool(np.all(np.abs(a - b) <= tol))
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; dimensions multiply.
 
@@ -52,22 +42,12 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def partial_trace(m: np.ndarray, dim_s: int, dim_r: int, side: str = "right") -> np.ndarray:
-    """Trace out one tensor factor of a (dim_s*dim_r) square matrix.
-
-    side="right" traces out the second factor (returns dim_s x dim_s);
-    side="left" traces out the first (returns dim_r x dim_r). The full
-    trace is preserved either way.
-    """
+def partial_trace(m: np.ndarray, dim_s: int, dim_r: int) -> np.ndarray:
+    """Trace out the second tensor factor of a (dim_s*dim_r) square matrix, batched."""
     d = dim_s * dim_r
     if m.shape[-2:] != (d, d):
         raise ValueError(f"expected {d}x{d} matrix for dims ({dim_s},{dim_r}), got {m.shape}")
-    resh = m.reshape(m.shape[:-2] + (dim_s, dim_r, dim_s, dim_r))
-    if side == "right":
-        return np.trace(resh, axis1=-3, axis2=-1)
-    if side == "left":
-        return np.trace(resh, axis1=-4, axis2=-2)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return np.trace(m.reshape(m.shape[:-2] + (dim_s, dim_r, dim_s, dim_r)), axis1=-3, axis2=-1)
 
 
 def herm_eig(h: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -32,6 +32,8 @@ from .linalg import (
     to_pairs,
 )
 
+VALIDATE_TOL = 1e-8  # tolerance of the Hermiticity, trace and completeness checks on a new map
+
 
 @dataclass
 class AffineMap:
@@ -47,7 +49,6 @@ class AffineMap:
     m: int
     g_ops: np.ndarray
     k_mat: np.ndarray
-    validate_tol: float = 1e-8
 
     def __post_init__(self):
         self.g_ops = np.asarray(self.g_ops, dtype=complex)
@@ -58,7 +59,7 @@ class AffineMap:
             )
         if self.k_mat.shape != (self.n, self.n):
             raise ValueError(f"K must be {self.n}x{self.n}, got {self.k_mat.shape}")
-        tol = self.validate_tol
+        tol = VALIDATE_TOL
         require_hermitian(self.k_mat, tol, "K")
         tr = complex(np.trace(self.k_mat))
         if abs(tr) > tol:

@@ -394,9 +394,7 @@ def _family(name: str) -> _Family:
 _BLOCK = 1024  # trials evaluated per batch, which bounds the memory of a search at any trial count
 
 
-def kappa_search(
-    family: str, trials: int, seed: int = 0, state_iters: int = 8
-) -> KappaSearchResult:
+def kappa_search(family: str, trials: int, seed: int = 0) -> KappaSearchResult:
     """Randomized search with local refinement for the largest |kappa|.
 
     For each parameter draw the best state is found exactly (top
@@ -413,7 +411,7 @@ def kappa_search(
     rng = np.random.default_rng(seed)
 
     def best_states(params):
-        return _best_state_kappa(w_operators(fam.unitary(params), SIGMA, 2), state_iters)
+        return _best_state_kappa(w_operators(fam.unitary(params), SIGMA, 2))
 
     best_norm, best = -1.0, None
     for start in range(0, trials, _BLOCK):

@@ -1,49 +1,49 @@
 """Reconstruction of the affine map from input/output state pairs.
 
-Because the map is affine in the state, finite differences between probe
-states that differ along a single basis axis recover the homogeneous
-images F'_alpha exactly at any step size, and the image of the identity
-follows from any single output.  Probe states are restricted to the
-compatibility domain of the declared coefficient spec: ``design_probes``
-labels its candidates with one ``domains.compatibility`` call per step
-size.
+The map is affine in the state, so n^2 pairs with affinely independent
+inputs determine it exactly.  A ``ProbeSet`` holds probe vectors
+(k, n^2 - 1) and outputs (k, n, n) as arrays; the oracle evolves the
+whole stack in one call, and one least-squares fit over the stack, which
+must have full rank, recovers (1', F'_alpha).  ``design_probes`` keeps
+its probes inside the compatibility domain of the declared coefficient
+spec with one ``domains.compatibility`` call per step size.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .basis import JointStateCoeffs, build_basis
+from .basis import JointStateCoeffs
 from .domains import InfeasibleError, compatibility, probe_state
 from .linalg import DEFAULT_TOL, finite_array, from_pairs, to_pairs
-from .maps import AffineMap, apply_affine
+from .maps import AffineMap, apply_L
 
 
 @dataclass
 class ProbeSet:
-    """Designed probe states and (once evaluated) their evolved outputs.
+    """Probe vectors (k, n^2 - 1) and, once evaluated, their outputs (k, n, n).
 
-    ``probes`` holds the base Bloch-type vector first, then one singly
-    perturbed vector per axis; ``deltas`` records the signed step actually
-    used along each axis.
+    A designed set holds the base vector first, then one singly perturbed
+    vector per axis; ``deltas`` records the signed step used along each
+    axis, and is zero for pairs read from a file.
     """
 
-    spec: JointStateCoeffs
-    base: np.ndarray
-    deltas: np.ndarray
     probes: np.ndarray
-    pairs: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    deltas: np.ndarray
+    outputs: np.ndarray | None = None
 
     @property
     def n(self) -> int:
-        return self.spec.n
+        return math.isqrt(self.probes.shape[1] + 1)
 
 
 MAX_HALVINGS = 20
+FIT_TOL = 1e-8  # largest residual of a fit that counts as one affine map
 
 
 def design_probes(
@@ -95,20 +95,20 @@ def design_probes(
         )
     probes = np.tile(base, (n_axes + 1, 1))
     probes[np.arange(1, n_axes + 1), np.arange(n_axes)] += deltas
-    return ProbeSet(spec=spec, base=base, deltas=deltas, probes=probes)
+    return ProbeSet(probes=probes, deltas=deltas)
 
 
 def evaluate_probes(probes: ProbeSet, evolve: Callable[[np.ndarray], np.ndarray]) -> ProbeSet:
-    """Fill in output states by calling the evolution oracle on each probe."""
-    probes.pairs = [(p.copy(), np.asarray(evolve(p), dtype=complex)) for p in probes.probes]
+    """Fill in ``outputs`` with one oracle call on the whole probe stack."""
+    probes.outputs = np.asarray(evolve(probes.probes), dtype=complex)
     return probes
 
 
 def map_oracle(amap: AffineMap) -> Callable[[np.ndarray], np.ndarray]:
-    """Evolution oracle backed by a known affine map."""
+    """Evolution oracle backed by a known affine map: probes (..., n^2 - 1) to outputs (..., n, n)."""
 
-    def evolve(probe: np.ndarray) -> np.ndarray:
-        return apply_affine(amap, probe_state(probe, amap.n))
+    def evolve(probes: np.ndarray) -> np.ndarray:
+        return apply_L(amap, probe_state(probes, amap.n)) + amap.k_mat
 
     return evolve
 
@@ -126,38 +126,28 @@ class MapReconstruction:
     def k_mat(self) -> np.ndarray:
         return (self.one_prime - np.eye(self.n)) / self.n
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Evolved state from the recovered basis images."""
-        basis = build_basis(self.n)
-        coeffs = np.einsum("aij,ji->a", basis.mats[1:], rho).real
-        out = self.one_prime * np.trace(rho) / self.n
-        out = out + np.einsum("a,aij->ij", coeffs, self.f_primes) / self.n
-        return out
 
+def reconstruct_map(probes: ProbeSet) -> MapReconstruction:
+    """Least-squares fit of N rho_out = 1' + sum_alpha c_alpha F'_alpha over the evaluated stack.
 
-def reconstruct_map(probes: ProbeSet, fit_tol: float = 1e-8) -> MapReconstruction:
-    """Solve the affine relation N rho_out = 1' + sum_alpha c_alpha F'_alpha.
-
-    Uses the exact triangular structure for designed probes and a
-    least-squares fit for arbitrary (over-determined) pair lists; raises if
-    the residual exceeds ``fit_tol`` (the pairs are then not consistent
-    with a single affine map).
+    Raises ValueError if the design [1, c] has rank below n^2 (some
+    F'_alpha is then undetermined) or the residual exceeds FIT_TOL (the
+    pairs are not consistent with one affine map).
     """
-    if not probes.pairs:
-        raise ValueError("probe set has no evaluated pairs; call evaluate_probes first")
+    if probes.outputs is None:
+        raise ValueError("probe set has no outputs; call evaluate_probes first")
     n = probes.n
-    n_axes = n**2 - 1
-    if len(probes.pairs) < n_axes + 1:
-        raise ValueError(f"need at least {n_axes + 1} pairs, got {len(probes.pairs)}")
-    design = np.array([np.concatenate([[1.0], c]) for c, _ in probes.pairs])
-    targets = np.array([n * out.reshape(-1) for _, out in probes.pairs])
-    sol, *_ = np.linalg.lstsq(design, targets, rcond=None)
+    design = np.hstack([np.ones((len(probes.probes), 1)), probes.probes])
+    targets = n * probes.outputs.reshape(len(design), n * n)
+    sol, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
+    if rank < n * n:
+        raise ValueError(f"probe design has rank {rank}; {n * n} affinely independent inputs are needed")
     residual = float(np.abs(design @ sol - targets).max())
-    if residual > fit_tol:
+    if residual > FIT_TOL:
         raise ValueError(
             f"pairs are inconsistent with one affine map (residual {residual:.3e})"
         )
-    mats = sol.reshape(n_axes + 1, n, n)
+    mats = sol.reshape(n * n, n, n)
     return MapReconstruction(n=n, one_prime=mats[0], f_primes=mats[1:], residual=residual)
 
 
@@ -201,43 +191,34 @@ def validate_reconstruction(
     )
 
 
-def pairs_to_json(pairs: list[tuple[np.ndarray, np.ndarray]]) -> str:
-    """JSON exchange format: [{"rho_in_coeffs": [...], "rho_out": [[[re, im], ...]]}]."""
+def pairs_to_json(probes: ProbeSet) -> str:
+    """JSON exchange format of an evaluated set: [{"rho_in_coeffs": [...], "rho_out": [[[re, im], ...]]}]."""
     items = [
-        {"rho_in_coeffs": np.asarray(coeffs, dtype=float).tolist(), "rho_out": to_pairs(out)}
-        for coeffs, out in pairs
+        {"rho_in_coeffs": coeffs, "rho_out": out}
+        for coeffs, out in zip(probes.probes.tolist(), to_pairs(probes.outputs))
     ]
     return json.dumps(items)
 
 
-def pairs_from_json(text: str) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Parse pairs_to_json output: n^2 - 1 coefficients and an n x n rho_out per pair, n from the first."""
+def pairs_from_json(text: str) -> ProbeSet:
+    """Evaluated set with zero deltas from pairs_to_json text; n >= 2 from the first pair's coefficients."""
     items = json.loads(text)
     if not isinstance(items, list) or not items:
         raise ValueError("pairs must be a non-empty JSON list")
-    pairs = []
+    probes, outputs = [], []
     for i, item in enumerate(items):
         if not isinstance(item, dict):
             raise ValueError("each pair must be a JSON object")
         coeffs = finite_array(item["rho_in_coeffs"], "rho_in_coeffs")
         out = from_pairs(item["rho_out"], "rho_out")
-        n = len(pairs[0][1]) if pairs else int(np.sqrt(coeffs.size + 1))
+        if i == 0:
+            n = math.isqrt(coeffs.size + 1)
+            if n < 2:
+                raise ValueError(f"rho_in_coeffs of pair 0 has {coeffs.size} entries; n >= 2 needs n^2 - 1 >= 3")
         if coeffs.shape != (n * n - 1,):
             raise ValueError(f"rho_in_coeffs of pair {i} has shape {coeffs.shape}, expected n^2 - 1 = {n * n - 1} entries")
         if out.shape != (n, n):
             raise ValueError(f"rho_out of pair {i} has shape {out.shape}, expected {(n, n)}")
-        pairs.append((coeffs, out))
-    return pairs
-
-
-def probe_set_from_pairs(n: int, pairs: list[tuple[np.ndarray, np.ndarray]]) -> ProbeSet:
-    """Wrap externally produced pairs for reconstruction (no admissibility check)."""
-    spec = JointStateCoeffs.blank(n, 2)
-    base = pairs[0][0] if pairs else np.zeros(n**2 - 1)
-    return ProbeSet(
-        spec=spec,
-        base=np.asarray(base, dtype=float),
-        deltas=np.zeros(n**2 - 1),
-        probes=np.array([c for c, _ in pairs]),
-        pairs=[(np.asarray(c, dtype=float), o) for c, o in pairs],
-    )
+        probes.append(coeffs)
+        outputs.append(out)
+    return ProbeSet(probes=np.array(probes), deltas=np.zeros(n * n - 1), outputs=np.array(outputs))

@@ -145,7 +145,7 @@ def test_criterion_3_purity_theorem_both_directions():
             if kept >= 1000:
                 break
             k = np.zeros((2, 2), dtype=complex)
-            rho = partial_trace(pi, 2, 2, "right")
+            rho = partial_trace(pi, 2, 2)
             diff = pi - kron(rho, I2 / 2)
             for mu in range(3):
                 k += np.trace(dagger(u) @ kron(SIGMA[mu], I2) @ u @ diff) * SIGMA[mu] / 2

@@ -14,7 +14,7 @@ from affinemaps.basis import JointStateCoeffs
 from affinemaps.cli import fig1_spec, fig1a_map, fig2_spec, main
 from affinemaps.maps import map_from_json_dict, map_to_json, map_to_json_dict
 from affinemaps.qubit2 import SIGMA, IntHamParams, int_ham_b_matrix, int_ham_unitary, kappa_vector
-from affinemaps.tomography import pairs_to_json
+from affinemaps.tomography import ProbeSet, evaluate_probes, map_oracle, pairs_to_json
 
 SQ3 = 1.0 / np.sqrt(3.0)
 
@@ -208,7 +208,7 @@ def test_tomography_external_pairs(tmp_path, rng):
     probes = design_probes(JointStateCoeffs.blank(2, 2), np.zeros(3), eps=0.05)
     evaluate_probes(probes, map_oracle(truth))
     pairs_path = tmp_path / "pairs.json"
-    pairs_path.write_text(pairs_to_json(probes.pairs))
+    pairs_path.write_text(pairs_to_json(probes))
     out = tmp_path / "recon.json"
     assert main(["tomography", "--pairs", str(pairs_path), "--out", str(out)]) == 0
     data = read_json(out)
@@ -317,6 +317,14 @@ def test_invalid_input_exit_codes(tmp_path):
 
 
 ROT = '{"axis": [0, 0, 1], "angle": 0.5}'
+HALF = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]  # the 2x2 maximally mixed state as [re, im] pairs
+THIRD = [[[1 / 3 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
+
+
+def full_rank_pairs() -> list:
+    """The origin and one 0.1 step per axis, with their images under the fig1a map."""
+    probes = ProbeSet(np.vstack([np.zeros(3), 0.1 * np.eye(3)]), np.zeros(3))
+    return json.loads(pairs_to_json(evaluate_probes(probes, map_oracle(fig1a_map()))))
 
 
 def malformed_files(tmp_path) -> dict:
@@ -337,8 +345,14 @@ def malformed_files(tmp_path) -> dict:
         "pairs_out_object": [{"rho_in_coeffs": [0, 0, 0], "rho_out": {"re": 1}}],
         "spec_nan": nan_spec,
         "spec_21": JointStateCoeffs.blank(2, 1).to_json_dict(),
-        "pairs_4_coeffs": json.loads(pairs_to_json([(np.zeros(4), np.eye(2) / 2)] * 4)),
-        "pairs_3x3_out": json.loads(pairs_to_json([(np.zeros(3), np.eye(3) / 3)] * 4)),
+        "pairs_4_coeffs": [{"rho_in_coeffs": [0.0, 0.0, 0.0, 0.0], "rho_out": HALF}] * 4,
+        "pairs_3x3_out": [{"rho_in_coeffs": [0.0, 0.0, 0.0], "rho_out": THIRD}] * 4,
+        "pairs_no_coeffs": [{"rho_in_coeffs": [], "rho_out": [[[1.0, 0.0]]]}] * 4,
+        # four probes on the a1 axis with their identity-map outputs: rank 2, not 4
+        "pairs_collinear": [
+            {"rho_in_coeffs": [a, 0.0, 0.0], "rho_out": [[[0.5, 0.0], [a / 2, 0.0]], [[a / 2, 0.0], [0.5, 0.0]]]}
+            for a in (0.0, 0.1, 0.2, 0.3)
+        ],
     }
     paths = {}
     for name, value in contents.items():
@@ -375,6 +389,8 @@ def malformed_files(tmp_path) -> dict:
         ["domains", "--spec", "{spec}", "--region", "random", "--count", "5", "--section", "p1p2"],
         ["tomography", "--pairs", "{pairs_4_coeffs}"],
         ["tomography", "--pairs", "{pairs_3x3_out}"],
+        ["tomography", "--pairs", "{pairs_no_coeffs}"],
+        ["tomography", "--pairs", "{pairs_collinear}"],
     ],
 )
 def test_malformed_input_exits_2(tmp_path, argv):
@@ -384,7 +400,9 @@ def test_malformed_input_exits_2(tmp_path, argv):
     assert not (tmp_path / "out.csv").exists()
 
 
-@pytest.mark.parametrize("name, field", [("pairs_4_coeffs", "rho_in_coeffs"), ("pairs_3x3_out", "rho_out")])
+@pytest.mark.parametrize(
+    "name, field", [("pairs_4_coeffs", "rho_in_coeffs"), ("pairs_3x3_out", "rho_out"), ("pairs_no_coeffs", "rho_in_coeffs")]
+)
 def test_tomography_pair_shape_error_names_the_field(tmp_path, capsys, name, field):
     assert main(["tomography", "--pairs", malformed_files(tmp_path)[name], "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field} of pair 0 ")
@@ -406,7 +424,7 @@ def test_fuzzed_json_inputs_keep_exit_contract(tmp_path_factory, value, key):
     tmp = tmp_path_factory.mktemp("fuzz")
     paths = malformed_files(tmp)
     good_map = read_json(paths["map"])
-    pairs = json.loads(pairs_to_json([(np.zeros(3), np.eye(2) / 2)] * 4))
+    pairs = full_rank_pairs()
     rotation = json.loads(ROT)
     files = {
         "raw": value,

@@ -367,11 +367,8 @@ def test_sample_csv_format(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "a1,a2,a3,compat,pos"
     assert len(lines) == 1 + len(s.probes)
-    sidecar = tmp_path / "section.json"
-    s.write_sidecar(sidecar, spec, map_ref=None)
-    import json
-
-    meta = json.loads(sidecar.read_text())
+    meta = s.sidecar_dict(spec, map_ref=None)
+    assert meta["map"] is None
     assert meta["resolution"] == 11 and meta["section"] == "p1p3"
     assert meta["spec"]["coeff"][0][1] == pytest.approx(SQ3)
 

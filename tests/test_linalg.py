@@ -43,30 +43,29 @@ def test_kron_associative(rng):
 def test_partial_trace_product_form(rng):
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    np.testing.assert_allclose(partial_trace(kron(a, b), 2, 3, "right"), a * np.trace(b), atol=1e-12)
-    np.testing.assert_allclose(partial_trace(kron(a, b), 2, 3, "left"), b * np.trace(a), atol=1e-12)
+    np.testing.assert_allclose(partial_trace(kron(a, b), 2, 3), a * np.trace(b), atol=1e-12)
 
 
 def test_partial_trace_maximally_mixed():
-    np.testing.assert_allclose(partial_trace(np.eye(4) / 4, 2, 2, "right"), np.eye(2) / 2, atol=1e-15)
+    np.testing.assert_allclose(partial_trace(np.eye(4) / 4, 2, 2), np.eye(2) / 2, atol=1e-15)
 
 
 def test_partial_trace_single_env_coefficient():
     # joint state with <S3> = 0.5 and every other coefficient zero
     pi = 0.25 * (np.eye(4) + 0.5 * kron(SIGMA[2], I2))
     expected = 0.5 * (I2 + 0.5 * SIGMA[2])
-    np.testing.assert_allclose(partial_trace(pi, 2, 2, "right"), expected, atol=1e-14)
+    np.testing.assert_allclose(partial_trace(pi, 2, 2), expected, atol=1e-14)
 
 
 def test_partial_trace_preserves_trace(rng):
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    for side, dims in [("right", (2, 3)), ("left", (2, 3))]:
-        assert abs(np.trace(partial_trace(m, *dims, side)) - np.trace(m)) < 1e-12
+    for dims in [(2, 3), (3, 2)]:
+        assert abs(np.trace(partial_trace(m, *dims)) - np.trace(m)) < 1e-12
 
 
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(ValueError):
-        partial_trace(np.eye(4), 2, 3, "right")
+        partial_trace(np.eye(4), 2, 3)
 
 
 def test_herm_eig_sigma3():

@@ -50,11 +50,11 @@ DIMS = [(2, 2), (3, 2), (2, 3), (3, 3)]
 # joint-space brute-force oracles
 # ---------------------------------------------------------------------------
 def evolve_joint(u, pi, n, m):
-    return partial_trace(u @ pi @ dagger(u), n, m, "right")
+    return partial_trace(u @ pi @ dagger(u), n, m)
 
 
 def l_by_partial_trace(u, q, n, m):
-    return partial_trace(u @ kron(q, np.eye(m) / m) @ dagger(u), n, m, "right")
+    return partial_trace(u @ kron(q, np.eye(m) / m) @ dagger(u), n, m)
 
 
 def identity_with_kappa(kappa):
@@ -244,7 +244,7 @@ def test_extract_K_matches_brute_force(dims, seed):
     n, m = dims
     rng = np.random.default_rng(seed)
     u, pi = random_unitary(n * m, rng), random_density(n * m, rng)
-    rho = partial_trace(pi, n, m, "right")
+    rho = partial_trace(pi, n, m)
     expected = evolve_joint(u, pi, n, m) - l_by_partial_trace(u, rho, n, m)
     np.testing.assert_allclose(extract_K(u, pi, product_basis(n, m)), expected, atol=1e-12)
 
@@ -282,7 +282,7 @@ def test_apply_affine_end_to_end(pb22, rng):
         u = random_unitary(4, rng)
         pi = random_density(4, rng)
         amap = extract_map(u, pi, pb22)
-        rho = partial_trace(pi, 2, 2, "right")
+        rho = partial_trace(pi, 2, 2)
         np.testing.assert_allclose(
             apply_affine(amap, rho), evolve_joint(u, pi, 2, 2), atol=1e-10
         )
@@ -370,7 +370,7 @@ def test_choi_k_zero_is_cp(rng):
 def test_choi_trace_preservation(rng):
     amap = random_map(rng)
     choi = choi_matrix(amap).c
-    out_traced = partial_trace(choi, 2, 2, "right")
+    out_traced = partial_trace(choi, 2, 2)
     np.testing.assert_allclose(out_traced, np.eye(2), atol=1e-12)
 
 

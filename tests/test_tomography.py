@@ -4,16 +4,17 @@ import pytest
 from affinemaps.basis import JointStateCoeffs, expand_state, product_basis
 from affinemaps.domains import InfeasibleError, compatibility
 from affinemaps.linalg import random_density, random_unitary
-from affinemaps.maps import AffineMap, extract_map
+from affinemaps.domains import probe_state
+from affinemaps.maps import AffineMap, apply_affine, extract_map
 from affinemaps.qubit2 import I2, SIGMA, IntHamParams, int_ham_map, k_from_kappa
 from affinemaps.tomography import (
     MAX_HALVINGS,
+    ProbeSet,
     design_probes,
     evaluate_probes,
     map_oracle,
     pairs_from_json,
     pairs_to_json,
-    probe_set_from_pairs,
     reconstruct_map,
     validate_reconstruction,
 )
@@ -162,7 +163,7 @@ def test_reconstruct_base_at_origin_reads_one_prime():
     evaluate_probes(probes, map_oracle(amap))
     recon = reconstruct_map(probes)
     # at zero base the identity image is just N rho_out
-    base_out = probes.pairs[0][1]
+    base_out = probes.outputs[0]
     np.testing.assert_allclose(recon.one_prime, 2 * base_out, atol=1e-12)
     np.testing.assert_allclose(recon.one_prime, np.eye(2) + 2 * amap.k_mat, atol=1e-12)
 
@@ -188,23 +189,12 @@ def test_reconstruction_base_independent(rng):
     np.testing.assert_allclose(recons[0].f_primes, recons[1].f_primes, atol=1e-9)
 
 
-def test_reconstruction_apply_matches_truth(rng):
-    truth = random_map(rng)
-    probes = design_probes(JointStateCoeffs.blank(2, 2), np.zeros(3), eps=0.05)
-    evaluate_probes(probes, map_oracle(truth))
-    recon = reconstruct_map(probes)
-    rho = random_density(2, rng)
-    from affinemaps.maps import apply_affine
-
-    np.testing.assert_allclose(recon.apply(rho), apply_affine(truth, rho), atol=1e-10)
-
-
 def test_reconstruction_with_noise_reports_deviation(rng):
     truth = random_map(rng)
     probes = design_probes(JointStateCoeffs.blank(2, 2), np.zeros(3), eps=0.05)
     evaluate_probes(probes, map_oracle(truth))
-    noisy = [(c, out + 1e-6 * rng.normal(size=(2, 2))) for c, out in probes.pairs]
-    probes.pairs = [(c, 0.5 * (o + o.conj().T)) for c, o in noisy]
+    noisy = probes.outputs + 1e-6 * rng.normal(size=probes.outputs.shape)
+    probes.outputs = 0.5 * (noisy + noisy.conj().swapaxes(-1, -2))
     recon = reconstruct_map(probes)
     report = validate_reconstruction(recon, truth, tol=1e-9)
     # deviation scales like noise / eps; just confirm it is reported, not tiny
@@ -219,10 +209,8 @@ def test_reconstruct_requires_pairs():
 
 def test_reconstruct_overdetermined_consistent(rng):
     truth = random_map(rng)
-    coeffs = [rng.uniform(-0.4, 0.4, 3) for _ in range(12)]
-    oracle = map_oracle(truth)
-    pairs = [(c, oracle(c)) for c in coeffs]
-    recon = reconstruct_map(probe_set_from_pairs(2, pairs))
+    coeffs = rng.uniform(-0.4, 0.4, size=(12, 3))
+    recon = reconstruct_map(evaluate_probes(ProbeSet(coeffs, np.zeros(3)), map_oracle(truth)))
     assert validate_reconstruction(recon, truth, tol=1e-9).passed
     assert recon.residual < 1e-10
 
@@ -230,24 +218,47 @@ def test_reconstruct_overdetermined_consistent(rng):
 def test_reconstruct_inconsistent_pairs_raise(rng):
     truth_a = random_map(rng)
     truth_b = random_map(rng)
-    coeffs = [rng.uniform(-0.4, 0.4, 3) for _ in range(12)]
-    pairs = [(c, map_oracle(truth_a)(c)) for c in coeffs[:6]]
-    pairs += [(c, map_oracle(truth_b)(c)) for c in coeffs[6:]]
+    coeffs = rng.uniform(-0.4, 0.4, size=(12, 3))
+    outputs = np.concatenate([map_oracle(truth_a)(coeffs[:6]), map_oracle(truth_b)(coeffs[6:])])
     with pytest.raises(ValueError, match="inconsistent"):
-        reconstruct_map(probe_set_from_pairs(2, pairs))
+        reconstruct_map(ProbeSet(coeffs, np.zeros(3), outputs))
+
+
+@pytest.mark.parametrize(
+    "coeffs, rank",
+    [
+        ([[0, 0, 0], [0.1, 0, 0], [0.2, 0, 0], [0.3, 0, 0]], 2),  # all on the a1 axis
+        ([[0.1, 0.2, 0.3]] * 4, 1),  # one probe four times
+        ([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0], [0.1, 0.1, 0]] * 3, 3),  # over-determined but planar
+    ],
+)
+def test_reconstruct_rank_deficient_design_raises(rng, coeffs, rank):
+    # lstsq would return a minimum-norm fit with some F'_alpha set to zero
+    probes = evaluate_probes(ProbeSet(np.array(coeffs, dtype=float), np.zeros(3)), map_oracle(random_map(rng)))
+    with pytest.raises(ValueError, match=f"rank {rank};"):
+        reconstruct_map(probes)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (3, 3)])
+def test_map_oracle_stack_matches_per_probe_apply_affine(rng, n, m):
+    pb = product_basis(n, m)
+    truth = extract_map(random_unitary(n * m, rng), random_density(n * m, rng), pb)
+    probes = rng.uniform(-0.2, 0.2, size=(9, n * n - 1))
+    stack = map_oracle(truth)(probes)
+    assert stack.shape == (9, n, n)
+    for probe, out in zip(probes, stack):
+        np.testing.assert_array_equal(out, apply_affine(truth, probe_state(probe, n)))
 
 
 def test_pairs_json_round_trip(rng):
     truth = random_map(rng)
     probes = design_probes(JointStateCoeffs.blank(2, 2), np.zeros(3), eps=0.05)
     evaluate_probes(probes, map_oracle(truth))
-    text = pairs_to_json(probes.pairs)
-    back = pairs_from_json(text)
-    assert len(back) == len(probes.pairs)
-    for (c1, o1), (c2, o2) in zip(probes.pairs, back):
-        np.testing.assert_allclose(c1, c2)
-        np.testing.assert_allclose(o1, o2)
-    recon = reconstruct_map(probe_set_from_pairs(2, back))
+    back = pairs_from_json(pairs_to_json(probes))
+    np.testing.assert_array_equal(back.probes, probes.probes)
+    np.testing.assert_array_equal(back.outputs, probes.outputs)
+    np.testing.assert_array_equal(back.deltas, 0.0)
+    recon = reconstruct_map(back)
     assert validate_reconstruction(recon, truth, tol=1e-9).passed
 
 
@@ -273,5 +284,5 @@ def test_probe_pairs_match_joint_evolution(pb22, rng):
     amap = extract_map(u, pi, pb22)
     probe = spec.coeff[1:, 0]
     out_map = map_oracle(amap)(probe)
-    out_joint = partial_trace(u @ pi @ dagger(u), 2, 2, "right")
+    out_joint = partial_trace(u @ pi @ dagger(u), 2, 2)
     np.testing.assert_allclose(out_map, out_joint, atol=1e-12)
