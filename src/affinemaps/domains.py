@@ -13,7 +13,9 @@ Convex Optimization, ch. 11) brackets t* between the lambda_min of the
 completion and a dual bound, so every label is certified.  The margin of
 an inside probe is that lambda_min, a lower bound on t*.  The positivity
 domain is the set of subsystem states whose image under the affine map is
-positive; ``positivity(amap, probes, tol)`` labels a batch of probes.
+positive; ``positivity(amap, probes, tol)`` labels a batch of probes, for
+qubits by the closed-form 2x2 spectrum of ``linalg.lambda_min``.  The CSV
+encoder formats each distinct value of a column once and gathers the rows.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import JointStateCoeffs, build_basis, product_basis
-from .linalg import DEFAULT_TOL, dagger
+from .linalg import DEFAULT_TOL, dagger, lambda_min
 from .maps import AffineMap, apply_L
 
 
@@ -73,7 +75,7 @@ def compatibility(
     x0 = (fixed @ pb.mats.reshape(-1, d * d)).reshape(batch, d, d) / d
     free_ops = pb.mats[free] / d
     k = len(free_ops)
-    margin = np.linalg.eigvalsh(x0)[:, 0]
+    margin = lambda_min(x0)
     completion = x0  # its rows are replaced as the search decides them
 
     eye = np.eye(d)
@@ -112,7 +114,7 @@ def compatibility(
             if dec.max(initial=0.0) < 0.25:
                 break
     if idx.size:
-        margin[idx] = np.linalg.eigvalsh(x)[:, 0]
+        margin[idx] = lambda_min(x)
         completion[idx] = x
     return (margin >= -tol).reshape(lead), margin.reshape(lead), completion.reshape(lead + (d, d))
 
@@ -136,9 +138,9 @@ def positivity(amap: AffineMap, probes: np.ndarray, tol: float = DEFAULT_TOL) ->
     are closed).  Raises ValueError when a probe is not itself a state.
     """
     rho = probe_state(probes, amap.n)
-    if (np.linalg.eigvalsh(rho)[..., 0] < -tol).any():
+    if (lambda_min(rho) < -tol).any():
         raise ValueError("probe does not define a positive state")
-    return np.linalg.eigvalsh(apply_L(amap, rho) + amap.k_mat)[..., 0] >= -tol
+    return lambda_min(apply_L(amap, rho) + amap.k_mat) >= -tol
 
 
 SECTION_AXES = {"p1p2": (0, 1), "p1p3": (0, 2), "p2p3": (1, 2)}
@@ -183,12 +185,18 @@ def _random_ball(count: int, seed: int) -> np.ndarray:
     return np.array(pts[:count])
 
 
+def _format_column(column: np.ndarray, fmt: str) -> list:
+    """``fmt % x`` per entry of a float64 or int64 column, once per distinct bit pattern (-0.0 apart from 0.0)."""
+    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    return np.array([fmt % x for x in keys.view(column.dtype).tolist()], dtype=object)[inverse].tolist()
+
+
 def _write_csv(path, header: str, values: np.ndarray, labels=()) -> None:
     """Write ``header``, then per row the ``values`` as %.9g and the ``labels`` columns as %d, in one write."""
-    columns = [*np.asarray(values, dtype=float).T.tolist(), *(np.asarray(c).astype(int).tolist() for c in labels)]
-    fmt = ",".join(["%.9g"] * np.shape(values)[1] + ["%d"] * len(labels))
+    columns = [_format_column(c, "%.9g") for c in np.asarray(values, dtype=float).T]
+    columns += [_format_column(np.asarray(c).astype(np.int64), "%d") for c in labels]
     with open(path, "w") as fh:
-        fh.write("\n".join([header, *(fmt % row for row in zip(*columns))]) + "\n")
+        fh.write("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
 
 
 @dataclass

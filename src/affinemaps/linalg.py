@@ -66,10 +66,18 @@ def unitary_from_hermitian(h: np.ndarray, scale: float = 1.0, tol: float = DEFAU
     return (v * np.exp(-1j * scale * w)) @ dagger(v)
 
 
-def is_psd(h: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the minimum eigenvalue of Hermitian h is >= -tol."""
+def lambda_min(h: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue per matrix of a Hermitian stack (..., n, n): closed form for n = 2, else eigvalsh."""
+    if h.shape[-1] != 2:
+        return np.linalg.eigvalsh(h)[..., 0]
+    a, d = h[..., 0, 0].real, h[..., 1, 1].real  # h = [[a, b], [b*, d]]
+    return (a + d) / 2 - np.hypot((a - d) / 2, np.abs(h[..., 0, 1]))
+
+
+def is_psd(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Per matrix of a Hermitian stack (..., n, n): lambda_min >= -tol."""
     require_hermitian(h, tol)
-    return bool(np.linalg.eigvalsh(h)[..., 0].min() >= -tol)
+    return lambda_min(h) >= -tol
 
 
 def require_density(rho: np.ndarray, tol: float = DEFAULT_TOL, name: str = "state") -> None:
@@ -78,7 +86,7 @@ def require_density(rho: np.ndarray, tol: float = DEFAULT_TOL, name: str = "stat
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > max(tol, 1e-9) * 10:
         raise ValueError(f"{name} has trace {tr:.6g}, expected 1")
-    if not is_psd(rho, tol):
+    if not is_psd(rho, tol).all():
         raise ValueError(f"{name} is not positive semidefinite to tolerance {tol:.3e}")
 
 
@@ -107,17 +115,18 @@ def from_pairs(data, name: str = "matrix") -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Gaussian matrix."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_unitary(dim: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    """Haar-random unitaries of shape ``shape + (dim, dim)`` via QR of complex Gaussian matrices."""
+    z = rng.normal(size=shape + (dim, dim)) + 1j * rng.normal(size=shape + (dim, dim))
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Random density matrix G G^dagger / Tr, with optional rank restriction."""
+def random_density(dim: int, rng: np.random.Generator, rank: int | None = None, shape: tuple = ()) -> np.ndarray:
+    """Random density matrices G G^dagger / Tr of shape ``shape + (dim, dim)``, with optional rank restriction."""
     k = dim if rank is None else rank
-    g = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+    g = rng.normal(size=shape + (dim, k)) + 1j * rng.normal(size=shape + (dim, k))
     m = g @ dagger(g)
-    return m / np.trace(m).real
+    tr = np.einsum("...ii->...", m).real if shape else np.trace(m).real  # sum orders differ; each keeps its seeded draws
+    return m / tr[..., None, None]

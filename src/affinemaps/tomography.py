@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import JointStateCoeffs
 from .domains import InfeasibleError, compatibility, probe_state
-from .linalg import DEFAULT_TOL, finite_array, from_pairs, to_pairs
+from .linalg import DEFAULT_TOL, finite_array, from_pairs, require_hermitian, to_pairs
 from .maps import AffineMap, apply_L
 
 
@@ -219,6 +219,9 @@ def pairs_from_json(text: str) -> ProbeSet:
             raise ValueError(f"rho_in_coeffs of pair {i} has shape {coeffs.shape}, expected n^2 - 1 = {n * n - 1} entries")
         if out.shape != (n, n):
             raise ValueError(f"rho_out of pair {i} has shape {out.shape}, expected {(n, n)}")
+        require_hermitian(out, name=f"rho_out of pair {i}")  # not positivity: noisy outputs must load
+        if abs(np.trace(out) - 1.0) > 10 * DEFAULT_TOL:
+            raise ValueError(f"rho_out of pair {i} has trace {complex(np.trace(out)):.6g}, expected 1")
         probes.append(coeffs)
         outputs.append(out)
     return ProbeSet(probes=np.array(probes), deltas=np.zeros(n * n - 1), outputs=np.array(outputs))

@@ -12,7 +12,7 @@ import pytest
 from affinemaps.basis import JointStateCoeffs, expand_state, product_basis, reconstruct_state
 from affinemaps.cli import fig2_spec, main
 from affinemaps.domains import compatibility, sample_domain
-from affinemaps.linalg import dagger, kron, partial_trace
+from affinemaps.linalg import dagger, kron, partial_trace, random_density, random_unitary
 from affinemaps.maps import (
     AffineMap,
     b_matrix,
@@ -49,20 +49,6 @@ PB22 = product_basis(2, 2)
 SQ3 = 1.0 / np.sqrt(3.0)
 
 
-def haar_batch(dim, count, rng):
-    z = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
-    q, r = np.linalg.qr(z)
-    d = np.einsum("bii->bi", r)
-    return q * (d / np.abs(d))[:, None, :]
-
-
-def density_batch(dim, count, rng):
-    g = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
-    m = g @ dagger(g)
-    tr = np.einsum("bii->b", m).real
-    return m / tr[:, None, None]
-
-
 def report(num, label, detail, elapsed, budget):
     print(f"ACCEPTANCE {num} [{label}]: PASS ({detail}, {elapsed:.1f}s < {budget}s)")
 
@@ -74,7 +60,7 @@ def test_criterion_1_int_ham_closed_forms():
     max_b = 0.0
     for _ in range(500):
         gamma = tuple(rng.uniform(0, 2 * np.pi, 3))
-        pi = density_batch(4, 1, rng)[0]
+        pi = random_density(4, rng, shape=(1,))[0]
         corr = expand_state(pi, PB22)
         params = IntHamParams(gamma=gamma)
         closed = int_ham_map(params, corr)
@@ -104,7 +90,7 @@ def test_criterion_2_lorentz_closed_forms():
             r1=Rotation(axis=tuple(axes[0]), angle=float(rng.uniform(0, 2 * np.pi))),
             r2=Rotation(axis=tuple(axes[1]), angle=float(rng.uniform(0, 2 * np.pi))),
         )
-        pi = density_batch(4, 1, rng)[0]
+        pi = random_density(4, rng, shape=(1,))[0]
         corr = expand_state(pi, PB22)
         closed = lorentz_map(params, corr)
         numeric = extract_map(lorentz_unitary(params), pi, PB22)
@@ -123,12 +109,12 @@ def test_criterion_3_purity_theorem_both_directions():
     rng = np.random.default_rng(103)
     t0 = time.perf_counter()
     # K = 0: purity never increases
-    unitaries = haar_batch(4, 1000, rng)
+    unitaries = random_unitary(4, rng, shape=(1000,))
     fr = PB22.basis_r.mats
     worst = -np.inf
     for u in unitaries:
         g = np.einsum("iajc,xca->xij", u.reshape(2, 2, 2, 2), fr) / 2
-        rhos = density_batch(2, 1000, rng)
+        rhos = random_density(2, rng, shape=(1000,))
         outs = np.einsum("nij,bjk,nlk->bil", g, rhos, g.conj())
         delta = np.einsum("bij,bji->b", outs, outs).real - np.einsum("bij,bji->b", rhos, rhos).real
         worst = max(worst, float(delta.max()))
@@ -139,8 +125,8 @@ def test_criterion_3_purity_theorem_both_directions():
     max_rel = 0.0
     while kept < 1000:
         count = 1200
-        us = haar_batch(4, count, rng)
-        pis = density_batch(4, count, rng)
+        us = random_unitary(4, rng, shape=(count,))
+        pis = random_density(4, rng, shape=(count,))
         for u, pi in zip(us, pis):
             if kept >= 1000:
                 break
@@ -173,7 +159,7 @@ def test_criterion_4_g_operator_completeness():
     worst = 0.0
     for n, m in [(2, 2), (2, 3), (3, 2)]:
         pb = product_basis(n, m)
-        u = haar_batch(n * m, 1000, rng)
+        u = random_unitary(n * m, rng, shape=(1000,))
         g = np.einsum("biajc,xca->bxij", u.reshape(-1, n, m, n, m), pb.basis_r.mats) / m
         left = np.einsum("bxji,bxjk->bik", g.conj(), g)
         right = np.einsum("bxij,bxkj->bik", g, g.conj())
@@ -216,8 +202,8 @@ def test_criterion_6_kappa_bounds_and_search():
     rng = np.random.default_rng(106)
     t0 = time.perf_counter()
     count = 10000
-    us = haar_batch(4, count, rng)
-    pis = density_batch(4, count, rng)
+    us = random_unitary(4, rng, shape=(count,))
+    pis = random_density(4, rng, shape=(count,))
     sig_joint = np.array([kron(SIGMA[j], I2) for j in range(3)])
     y = np.einsum("bqa,jqr,brc->bjac", us.conj(), sig_joint, us)
     rhos = np.einsum("bsrtr->bst", pis.reshape(count, 2, 2, 2, 2))
@@ -252,8 +238,8 @@ def test_criterion_6_kappa_bounds_and_search():
 def test_criterion_7_cp_detection():
     rng = np.random.default_rng(107)
     t0 = time.perf_counter()
-    us = haar_batch(4, 1000, rng)
-    pis = density_batch(4, 1000, rng)
+    us = random_unitary(4, rng, shape=(1000,))
+    pis = random_density(4, rng, shape=(1000,))
     cp_count = 0
     for u, pi in zip(us, pis):
         amap = extract_map(u, pi, PB22)
@@ -262,7 +248,7 @@ def test_criterion_7_cp_detection():
         assert is_cp == all(s == 1 for s in signs)
         cp_count += is_cp
     # every K = 0 map is CP
-    for u in haar_batch(4, 50, rng):
+    for u in random_unitary(4, rng, shape=(50,)):
         g = extract_G(u, PB22.basis_r)
         amap = AffineMap(n=2, m=2, g_ops=g, k_mat=np.zeros((2, 2), dtype=complex))
         _, is_cp = choi_and_cp(amap, tol=1e-9)
@@ -287,7 +273,7 @@ def test_criterion_8_tomography_round_trip():
     blank = JointStateCoeffs.blank(2, 2)
     worst = 0.0
     for _ in range(100):
-        truth = extract_map(haar_batch(4, 1, rng)[0], density_batch(4, 1, rng)[0], PB22)
+        truth = extract_map(random_unitary(4, rng), random_density(4, rng, shape=(1,))[0], PB22)
         probes = design_probes(blank, np.zeros(3), eps=0.05)
         evaluate_probes(probes, map_oracle(truth))
         recon = reconstruct_map(probes)
@@ -298,7 +284,7 @@ def test_criterion_8_tomography_round_trip():
     from affinemaps.domains import InfeasibleError
 
     truth = extract_map(
-        haar_batch(4, 1, rng)[0],
+        random_unitary(4, rng),
         reconstruct_state(spec.with_probe(np.array([0.0, 0.0, SQ3])), PB22),
         PB22,
     )

@@ -327,6 +327,13 @@ def full_rank_pairs() -> list:
     return json.loads(pairs_to_json(evaluate_probes(probes, map_oracle(fig1a_map()))))
 
 
+def identity_pairs(offset) -> list:
+    """The origin and one 0.1 step per axis, with their identity-map outputs plus ``offset``."""
+    probes = ProbeSet(np.vstack([np.zeros(3), 0.1 * np.eye(3)]), np.zeros(3))
+    evaluate_probes(probes, lambda p: domains.probe_state(p, 2) + np.asarray(offset))
+    return json.loads(pairs_to_json(probes))
+
+
 def malformed_files(tmp_path) -> dict:
     """Name -> path of one valid map and spec, and of files each broken in one field."""
     good_map = map_to_json_dict(fig1a_map())
@@ -348,6 +355,8 @@ def malformed_files(tmp_path) -> dict:
         "pairs_4_coeffs": [{"rho_in_coeffs": [0.0, 0.0, 0.0, 0.0], "rho_out": HALF}] * 4,
         "pairs_3x3_out": [{"rho_in_coeffs": [0.0, 0.0, 0.0], "rho_out": THIRD}] * 4,
         "pairs_no_coeffs": [{"rho_in_coeffs": [], "rho_out": [[[1.0, 0.0]]]}] * 4,
+        "pairs_non_hermitian": identity_pairs([[0.0, 0.3], [0.0, 0.0]]),
+        "pairs_trace_2": identity_pairs(np.eye(2) / 2),
         # four probes on the a1 axis with their identity-map outputs: rank 2, not 4
         "pairs_collinear": [
             {"rho_in_coeffs": [a, 0.0, 0.0], "rho_out": [[[0.5, 0.0], [a / 2, 0.0]], [[a / 2, 0.0], [0.5, 0.0]]]}
@@ -391,6 +400,8 @@ def malformed_files(tmp_path) -> dict:
         ["tomography", "--pairs", "{pairs_3x3_out}"],
         ["tomography", "--pairs", "{pairs_no_coeffs}"],
         ["tomography", "--pairs", "{pairs_collinear}"],
+        ["tomography", "--pairs", "{pairs_non_hermitian}"],
+        ["tomography", "--pairs", "{pairs_trace_2}"],
     ],
 )
 def test_malformed_input_exits_2(tmp_path, argv):
@@ -401,7 +412,14 @@ def test_malformed_input_exits_2(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
-    "name, field", [("pairs_4_coeffs", "rho_in_coeffs"), ("pairs_3x3_out", "rho_out"), ("pairs_no_coeffs", "rho_in_coeffs")]
+    "name, field",
+    [
+        ("pairs_4_coeffs", "rho_in_coeffs"),
+        ("pairs_3x3_out", "rho_out"),
+        ("pairs_no_coeffs", "rho_in_coeffs"),
+        ("pairs_non_hermitian", "rho_out"),
+        ("pairs_trace_2", "rho_out"),
+    ],
 )
 def test_tomography_pair_shape_error_names_the_field(tmp_path, capsys, name, field):
     assert main(["tomography", "--pairs", malformed_files(tmp_path)[name], "--out", str(tmp_path / "out")]) == 2

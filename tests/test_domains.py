@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from affinemaps.basis import JointStateCoeffs, expand_state, product_basis, reconstruct_state
 from affinemaps.cli import _write_pairs_csv, fig1_spec, fig2_spec
 from affinemaps.linalg import is_psd, kron, random_density, random_unitary
-from affinemaps.maps import AffineMap, extract_G, extract_map
+from affinemaps.maps import AffineMap, apply_L, extract_G, extract_map
 from affinemaps.domains import (
+    SECTION_AXES,
     DomainSample,
     _section_grid,
     compatibility,
@@ -280,6 +281,17 @@ def test_positivity_rejects_invalid_probe():
         positivity(kappa_one_map(), np.array([[0.5, 0.0, 0.0], [1.2, 0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("section", sorted(SECTION_AXES))
+def test_positivity_matches_eigvalsh_on_fig2_sections(section):
+    # the closed-form qubit spectrum labels every probe as LAPACK does; each section holds both labels
+    amap = int_ham_map(IntHamParams(gamma=(2.28, 3.02, 2.87)), fig2_spec())
+    probes = _section_grid(section, 201)
+    images = apply_L(amap, probe_state(probes, 2)) + amap.k_mat
+    expected = np.linalg.eigvalsh(images)[:, 0] >= -1e-9
+    assert expected.any() and not expected.all()
+    np.testing.assert_array_equal(positivity(amap, probes), expected)
+
+
 def test_positivity_contains_true_evolution_images(pb22, rng):
     # probes in the compatibility domain evolve to positive states
     spec = two_coefficient_spec(0.4)
@@ -387,9 +399,15 @@ def test_write_csv_matches_per_row_format(tmp_path):
         probes=edges, compat=np.array([1, 0, 1]), pos=np.array([0, 1, 1]),
         section=None, region="grid", resolution=1, seed=0,
     )
+    # signed zeros repeat in the first column, the last column is constant
+    zeros = np.array([[0.0, 1.0, 0.25], [-0.0, 0.0, 0.25], [0.0, -0.0, 0.25], [-0.0, 2.0, 0.25]])
+    zero_sample = DomainSample(
+        probes=zeros, compat=np.array([1, 1, 1, 1]), pos=np.array([0, 1, 0, 1]),
+        section=None, region="grid", resolution=1, seed=0,
+    )
     sample = sample_domain(two_coefficient_spec(), amap=kappa_one_map(), section="p1p3", resolution=201)
     assert set(sample.pos) == {0, 1} and set(sample.compat) == {0, 1}
-    for s in (edge_sample, sample):
+    for s in (edge_sample, zero_sample, sample):
         s.write_csv(tmp_path / "s.csv")
         expected = per_row_csv("a1,a2,a3,compat,pos", s.probes, (s.compat, s.pos))
         assert (tmp_path / "s.csv").read_text() == expected

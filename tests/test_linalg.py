@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from affinemaps.linalg import (
     dagger,
@@ -9,6 +11,7 @@ from affinemaps.linalg import (
     herm_eig,
     is_psd,
     kron,
+    lambda_min,
     partial_trace,
     random_density,
     random_unitary,
@@ -147,6 +150,47 @@ def test_is_psd_rejects_non_hermitian():
         is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_is_psd_is_batched():
+    overweight = 0.25 * (np.eye(4) + 0.9 * kron(SIGMA[2], SIGMA[0]) + 0.9 * kron(I2, SIGMA[0]))
+    stack = np.array([[np.eye(4) / 4, overweight]] * 3)
+    np.testing.assert_array_equal(is_psd(stack), [[True, False]] * 3)
+    assert is_psd(np.eye(2)).shape == ()
+
+
+@st.composite
+def hermitian_2x2_stacks(draw):
+    """2x2 Hermitian stacks [[a, b], [b*, d]] of leading shape (), (3,) or (2, 4), scaled by 1e-150 to 1e150."""
+    shape = draw(st.sampled_from([(), (3,), (2, 4)]))
+    kind = draw(st.sampled_from(["general", "diagonal", "degenerate", "rank1"]))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    size = int(np.prod(shape))
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    a, d, re, im = np.array(draw(st.lists(unit, min_size=4 * size, max_size=4 * size))).reshape(4, size)
+    b = re + 1j * im
+    if kind == "rank1":  # v v^dagger with v = (b, d)
+        a, b, d = np.abs(b) ** 2, b * d, d * d
+    elif kind != "general":
+        b = 0 * b
+        d = a if kind == "degenerate" else d
+    h = np.empty((size, 2, 2), dtype=complex)
+    h[:, 0, 0], h[:, 0, 1], h[:, 1, 0], h[:, 1, 1] = a, b, np.conj(b), d
+    return scale * h.reshape(shape + (2, 2))
+
+
+@given(h=hermitian_2x2_stacks())
+def test_lambda_min_closed_form_matches_eigvalsh(h):
+    got = lambda_min(h)
+    assert got.shape == h.shape[:-2]
+    bound = 4 * np.finfo(float).eps * np.abs(h).max(axis=(-2, -1))
+    assert (np.abs(got - np.linalg.eigvalsh(h)[..., 0]) <= bound).all()
+
+
+def test_lambda_min_larger_matrices_use_eigvalsh(rng):
+    g = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    h = g + dagger(g)
+    np.testing.assert_array_equal(lambda_min(h), np.linalg.eigvalsh(h)[:, 0])
+
+
 def test_random_unitary_is_unitary(rng):
     u = random_unitary(6, rng)
     np.testing.assert_allclose(dagger(u) @ u, np.eye(6), atol=1e-12)
@@ -156,6 +200,21 @@ def test_random_density_is_state(rng):
     rho = random_density(4, rng)
     assert is_psd(rho)
     assert abs(np.trace(rho).real - 1.0) < 1e-12
+
+
+def test_random_batches_are_states_and_unitaries():
+    us = random_unitary(3, np.random.default_rng(7), shape=(2, 4))
+    np.testing.assert_allclose(dagger(us) @ us, np.broadcast_to(np.eye(3), (2, 4, 3, 3)), atol=1e-12)
+    rhos = random_density(3, np.random.default_rng(7), shape=(2, 4))
+    assert rhos.shape == (2, 4, 3, 3) and is_psd(rhos).all()
+    np.testing.assert_allclose(np.trace(rhos, axis1=-2, axis2=-1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("draw", [random_unitary, random_density])
+def test_random_batch_of_one_draws_the_single_matrix(draw):
+    # shape (1,) and the default () consume the same stream
+    single = draw(4, np.random.default_rng(7))
+    np.testing.assert_allclose(draw(4, np.random.default_rng(7), shape=(1,))[0], single, atol=1e-15)
 
 
 def test_pairs_round_trip_is_exact(rng):

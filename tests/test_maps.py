@@ -251,6 +251,7 @@ def test_extract_K_matches_brute_force(dims, seed):
 
 def test_extract_K_independent_of_subsystem_coefficients(pb22, rng):
     # perturbing only the <F_{alpha 0}> block leaves K unchanged
+    shifted_states = []
     for _ in range(10):
         u = random_unitary(4, rng)
         pi = random_density(4, rng)
@@ -258,8 +259,10 @@ def test_extract_K_independent_of_subsystem_coefficients(pb22, rng):
         shifted = coeffs.copy()
         shifted.coeff[1:, 0] += rng.uniform(-0.01, 0.01, size=3)
         pi2 = reconstruct_state(shifted, pb22)
-        assert is_psd(pi2)
+        shifted_states.append(pi2)
         np.testing.assert_allclose(extract_K(u, pi, pb22), extract_K(u, pi2, pb22), atol=1e-12)
+    psd = is_psd(np.array(shifted_states))
+    assert psd.shape == (10,) and psd.all()
 
 
 def test_extract_K_rejects_non_state(pb22, rng):
