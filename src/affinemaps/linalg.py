@@ -50,22 +50,6 @@ def partial_trace(m: np.ndarray, dim_s: int, dim_r: int) -> np.ndarray:
     return np.trace(m.reshape(m.shape[:-2] + (dim_s, dim_r, dim_s, dim_r)), axis1=-3, axis2=-1)
 
 
-def herm_eig(h: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector columns); raises on
-    non-Hermitian input.
-    """
-    require_hermitian(h, tol)
-    return np.linalg.eigh(h)
-
-
-def unitary_from_hermitian(h: np.ndarray, scale: float = 1.0, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """exp(-i * scale * h) for Hermitian h, via eigendecomposition."""
-    w, v = herm_eig(h, tol)
-    return (v * np.exp(-1j * scale * w)) @ dagger(v)
-
-
 def lambda_min(h: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue per matrix of a Hermitian stack (..., n, n): closed form for n = 2, else eigvalsh."""
     if h.shape[-1] != 2:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .basis import JointStateCoeffs, expand_state, product_basis, reconstruct_state
 from .domains import section_axes
-from .linalg import DEFAULT_TOL, finite_array, kron, random_density, random_unitary, to_pairs
-from .maps import AffineMap, BMatrix, apply_L, extract_K, w_operators
+from .linalg import DEFAULT_TOL, finite_array, kron, random_density, random_unitary, require_density, require_unitary, to_pairs
+from .maps import AffineMap, BMatrix, apply_L, w_operators
 
 I2 = np.eye(2, dtype=complex)
 SIGMA = np.array(
@@ -257,11 +257,14 @@ def kappa_bounds_check(
 
     Both bounds hold for any unitary and any two-qubit density matrix; they
     meet at |<sigma>| = (sqrt(5) - 1)/2, where each equals (1 + sqrt(5))/2.
+    kappa_j = Re Tr[Pi W_j] with W_j = w_operators(u, SIGMA, 2), the kernel
+    the search maximizes; ``u`` must be unitary and ``coeffs`` a state.
     """
-    pb = product_basis(2, 2)
-    pi = reconstruct_state(coeffs, pb)
-    k = extract_K(u, pi, pb, tol)
-    kappa_norm = float(np.linalg.norm(kappa_vector(k)))
+    require_unitary(u, tol)
+    pi = reconstruct_state(coeffs, product_basis(2, 2))
+    require_density(pi, tol, "joint state")
+    kappa = np.einsum("aij,ji->a", w_operators(u, SIGMA, 2), pi).real
+    kappa_norm = float(np.linalg.norm(kappa))
     a_norm = float(np.linalg.norm(coeffs.coeff[1:, 0]))
     bound_a = float(np.sqrt(max(3.0 - a_norm**2, 0.0)))
     bound_b = 1.0 + a_norm
@@ -318,22 +321,39 @@ def _best_state_kappa(w_ops: np.ndarray, iters: int = 8) -> tuple[np.ndarray, np
     return norms, kappas, states
 
 
+_LOOKAHEAD = 3  # golden-section steps per call of the refined function: 2^3 - 1 = 7 points
+
+
 def _golden_refine(f, lo: float, hi: float, iters: int = 40) -> tuple[float, float]:
-    """Golden-section maximization of a scalar function on [lo, hi]."""
+    """Golden-section maximization of a scalar function on [lo, hi].
+
+    ``f`` maps an array of points to their values.  Each call covers the
+    next k = _LOOKAHEAD steps: it evaluates the 2^k - 1 points that those
+    steps could need, one per outcome of the comparisons not yet known, and
+    the walk down that tree gives the iterates and the result of the
+    one-point-per-step search in 1 + ceil(iters / k) calls, not 2 + iters.
+    """
     phi = (np.sqrt(5) - 1) / 2
     a, b = lo, hi
     c = b - phi * (b - a)
     d = a + phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = f(d)
+    fc, fd = f(np.array([c, d]))
+
+    def step(a, b, c, d, left):
+        # the bracket after one step; its new point is c after a left step (fc >= fd), else d
+        return (a, d, d - phi * (d - a), c, left) if left else (c, b, d, c + phi * (b - c), left)
+
+    for done in range(0, iters, _LOOKAHEAD):
+        k = min(_LOOKAHEAD, iters - done)
+        tree = [step(a, b, c, d, fc >= fd)]  # node i has children 2i + 1 (left) and 2i + 2
+        for i in range(2 ** (k - 1) - 1):
+            tree += [step(*tree[i][:4], True), step(*tree[i][:4], False)]
+        values = f(np.array([node[2] if node[4] else node[3] for node in tree]))
+        i = 0
+        for _ in range(k):
+            a, b, c, d, left = tree[i]
+            fc, fd = (values[i], fc) if left else (fd, values[i])
+            i = 2 * i + (1 if fc >= fd else 2)
     x = c if fc >= fd else d
     return x, max(fc, fd)
 
@@ -400,10 +420,10 @@ def kappa_search(family: str, trials: int, seed: int = 0) -> KappaSearchResult:
     For each parameter draw the best state is found exactly (top
     eigenvector of the kappa component operators w_operators(U, SIGMA, 2)
     along a direction, alternated to convergence); the best parameters are
-    then refined by coordinate golden-section search where the family
-    lists refinement coordinates.  Draws are made one trial at a time, so
-    the random stream does not depend on the batching, and evaluated in
-    batches of _BLOCK trials.  Deterministic for a given seed.
+    then refined by coordinate golden-section search where the family lists
+    refinement coordinates, one batch per _LOOKAHEAD steps.  Draws are made
+    one trial at a time, so the random stream does not depend on the
+    batching, and evaluated in batches of _BLOCK trials; deterministic per seed.
     """
     fam = _family(family)
     if trials < 1:
@@ -421,10 +441,10 @@ def kappa_search(family: str, trials: int, seed: int = 0) -> KappaSearchResult:
         if norms[i] > best_norm:
             best_norm, best = norms[i], params[i].copy()
     for i, interval in fam.refine:
-        def at(x, i=i):
-            p = best.copy()
-            p[i] = x
-            return best_states(p[None])[0][0]
+        def at(xs, i=i):
+            p = np.repeat(best[None], len(xs), axis=0)
+            p[:, i] = xs
+            return best_states(p)[0]
 
         x, val = _golden_refine(at, *interval(best[i]))
         if val > best_norm:
@@ -446,16 +466,22 @@ class BoundsSweep(NamedTuple):
 
 
 def bounds_sweep(family: str, trials: int, seed: int = 0, tol: float = DEFAULT_TOL) -> BoundsSweep:
-    """Check the two kappa bounds over random family draws and random states."""
+    """Check the two kappa bounds over random family draws and random states.
+
+    Every trial is drawn first, in the seeded order (one family draw, then
+    one random_density(4)), and all parameters map to unitaries in one
+    batched call; each (U, state) pair is then checked by its own
+    kappa_bounds_check call.
+    """
     fam = _family(family)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     pb = product_basis(2, 2)
-    ok = 0
-    max_norm = 0.0
-    min_margin = np.inf
-    for _ in range(trials):
-        u = fam.unitary(fam.draw(rng)[None])[0]
-        coeffs = expand_state(random_density(4, rng), pb)
+    # per trial: one family draw, then one random_density(4)
+    params, states = zip(*[(fam.draw(rng), expand_state(random_density(4, rng), pb)) for _ in range(trials)])
+    ok, max_norm, min_margin = 0, 0.0, np.inf
+    for u, coeffs in zip(fam.unitary(np.array(params)), states):
         res = kappa_bounds_check(u, coeffs, tol)
         ok += int(res.ok)
         max_norm = max(max_norm, res.kappa_norm)

@@ -108,14 +108,16 @@ def test_criterion_2_lorentz_closed_forms():
 def test_criterion_3_purity_theorem_both_directions():
     rng = np.random.default_rng(103)
     t0 = time.perf_counter()
-    # K = 0: purity never increases
+    # K = 0: purity never increases; L acts on each unitary's states as one
+    # 4x4 matrix S[il, jk] = sum_n G_n[ij] conj(G_n[lk]) on the flattened rho
     unitaries = random_unitary(4, rng, shape=(1000,))
     fr = PB22.basis_r.mats
+    g = np.einsum("uiajc,xca->uxij", unitaries.reshape(-1, 2, 2, 2, 2), fr) / 2
+    superops = np.einsum("unij,unlk->uiljk", g, g.conj()).reshape(-1, 4, 4)
     worst = -np.inf
-    for u in unitaries:
-        g = np.einsum("iajc,xca->xij", u.reshape(2, 2, 2, 2), fr) / 2
+    for s in superops:
         rhos = random_density(2, rng, shape=(1000,))
-        outs = np.einsum("nij,bjk,nlk->bil", g, rhos, g.conj())
+        outs = (rhos.reshape(-1, 4) @ s.T).reshape(-1, 2, 2)
         delta = np.einsum("bij,bji->b", outs, outs).real - np.einsum("bij,bji->b", rhos, rhos).real
         worst = max(worst, float(delta.max()))
     assert worst <= 1e-10
@@ -123,27 +125,26 @@ def test_criterion_3_purity_theorem_both_directions():
     # K != 0: purity strictly increases at the maximally mixed state by sum lambda_n^2
     kept = 0
     max_rel = 0.0
+    lifted = kron(SIGMA, I2)  # s_mu (x) 1
     while kept < 1000:
         count = 1200
         us = random_unitary(4, rng, shape=(count,))
         pis = random_density(4, rng, shape=(count,))
-        for u, pi in zip(us, pis):
-            if kept >= 1000:
-                break
-            k = np.zeros((2, 2), dtype=complex)
-            rho = partial_trace(pi, 2, 2)
-            diff = pi - kron(rho, I2 / 2)
-            for mu in range(3):
-                k += np.trace(dagger(u) @ kron(SIGMA[mu], I2) @ u @ diff) * SIGMA[mu] / 2
-            kappa = kappa_vector(k)
-            if np.linalg.norm(kappa) <= 1e-3:
-                continue
-            kept += 1
-            lam = np.linalg.eigvalsh(0.5 * (k + dagger(k)))
-            out = I2 / 2 + 0.5 * (k + dagger(k))
-            delta = float((np.trace(out @ out) - 0.5).real)
-            assert delta > 0
-            max_rel = max(max_rel, abs(delta - float((lam**2).sum())) / float((lam**2).sum()))
+        diff = pis - kron(partial_trace(pis, 2, 2), I2 / 2)
+        traces = np.trace(dagger(us)[:, None] @ lifted @ us[:, None] @ diff[:, None], axis1=-2, axis2=-1)
+        k = np.zeros((count, 2, 2), dtype=complex)
+        for mu in range(3):
+            k += traces[:, mu, None, None] * SIGMA[mu] / 2
+        kappa = np.einsum("jab,zba->zj", SIGMA, k).real
+        # the first draws with |kappa| > 1e-3, up to 1000 in all
+        idx = np.flatnonzero(np.linalg.norm(kappa, axis=1) > 1e-3)[: 1000 - kept]
+        kept += idx.size
+        h = 0.5 * (k[idx] + dagger(k[idx]))
+        lam2 = (np.linalg.eigvalsh(h) ** 2).sum(-1)
+        out = I2 / 2 + h
+        delta = (np.trace(out @ out, axis1=-2, axis2=-1) - 0.5).real
+        assert (delta > 0).all()
+        max_rel = max(max_rel, float((np.abs(delta - lam2) / lam2).max()))
     assert max_rel <= 1e-8
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from affinemaps.linalg import (
     dagger,
     from_pairs,
-    herm_eig,
     is_psd,
     kron,
     lambda_min,
@@ -16,7 +15,6 @@ from affinemaps.linalg import (
     random_density,
     random_unitary,
     to_pairs,
-    unitary_from_hermitian,
 )
 from affinemaps.qubit2 import I2, SIGMA
 
@@ -69,63 +67,6 @@ def test_partial_trace_preserves_trace(rng):
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(ValueError):
         partial_trace(np.eye(4), 2, 3)
-
-
-def test_herm_eig_sigma3():
-    w, _ = herm_eig(SIGMA[2])
-    np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
-
-
-def test_herm_eig_sigma1_tensor_sigma1():
-    # characteristic polynomial of s1 x s1 is (l^2 - 1)^2: eigenvalues -1, -1, 1, 1
-    w, _ = herm_eig(kron(SIGMA[0], SIGMA[0]))
-    np.testing.assert_allclose(w, [-1.0, -1.0, 1.0, 1.0], atol=1e-14)
-
-
-def test_herm_eig_correlation_operator():
-    # W = (0.6 s1 + 0.8 s3) x x1 squares to the identity: eigenvalues +-1 doubly
-    w_op = kron(0.6 * SIGMA[0] + 0.8 * SIGMA[2], SIGMA[0])
-    w, _ = herm_eig(w_op)
-    np.testing.assert_allclose(w, [-1.0, -1.0, 1.0, 1.0], atol=1e-12)
-
-
-def test_herm_eig_reconstructs(rng):
-    for _ in range(20):
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = g + dagger(g)
-        w, v = herm_eig(h)
-        np.testing.assert_allclose((v * w) @ dagger(v), h, atol=1e-10)
-
-
-def test_herm_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_unitary_from_hermitian_zero_scale():
-    np.testing.assert_allclose(unitary_from_hermitian(SIGMA[2], 0.0), np.eye(2), atol=1e-14)
-
-
-def test_unitary_from_hermitian_involutory_series():
-    # for h^2 = 1 the exponential is cos(t) - i sin(t) h; checked against the solver
-    gamma = 1.3
-    h = kron(SIGMA[2], SIGMA[2])
-    series = np.cos(gamma / 2) * np.eye(4) - 1j * np.sin(gamma / 2) * h
-    np.testing.assert_allclose(unitary_from_hermitian(h, gamma / 2), series, atol=1e-12)
-
-
-def test_unitary_from_hermitian_unitarity():
-    h = 0.3 * kron(SIGMA[0], SIGMA[0]) + 0.7 * kron(SIGMA[1], SIGMA[1]) + 1.1 * kron(SIGMA[2], SIGMA[2])
-    u = unitary_from_hermitian(h, 0.5)
-    np.testing.assert_allclose(dagger(u) @ u, np.eye(4), atol=1e-12)
-
-
-def test_unitary_from_hermitian_random(rng):
-    for _ in range(20):
-        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = g + dagger(g)
-        u = unitary_from_hermitian(h, rng.uniform(-2, 2))
-        np.testing.assert_allclose(dagger(u) @ u, np.eye(4), atol=1e-10)
 
 
 def test_is_psd_maximally_mixed():

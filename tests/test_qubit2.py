@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from affinemaps.basis import JointStateCoeffs, expand_state, reconstruct_state, transfer_matrix
 from affinemaps.linalg import dagger, from_pairs, kron, partial_trace, random_density, random_unitary
-from affinemaps.maps import apply_L, b_matrix, choi_and_cp, extract_map, w_operators
+from affinemaps.maps import apply_L, b_matrix, choi_and_cp, extract_K, extract_map, w_operators
 from affinemaps import qubit2
 from affinemaps.qubit2 import (
     FAMILIES,
@@ -28,6 +28,7 @@ from affinemaps.qubit2 import (
     lorentz_unitary,
     su2_from_rotation,
     _best_state_kappa,
+    _golden_refine,
 )
 
 AXIS_Z = (0.0, 0.0, 1.0)
@@ -52,14 +53,13 @@ def test_int_ham_unitary_pi_angle():
 
 
 def test_int_ham_unitary_matches_eigendecomposition(rng):
-    from affinemaps.linalg import unitary_from_hermitian
-
     for _ in range(10):
         gamma = rng.uniform(0, 2 * np.pi, 3)
         h = sum(gamma[j] * kron(SIGMA[j], SIGMA[j]) for j in range(3))
+        w, v = np.linalg.eigh(h)  # exp(-i h / 2) = V exp(-i w / 2) V^dag
         np.testing.assert_allclose(
             int_ham_unitary(IntHamParams(gamma=tuple(gamma))),
-            unitary_from_hermitian(h, 0.5),
+            (v * np.exp(-0.5j * w)) @ dagger(v),
             atol=1e-12,
         )
 
@@ -293,6 +293,17 @@ def test_kappa_bounds_hold_for_haar_unitaries(pb22, seed, rank):
     assert res.kappa_norm <= GOLDEN_KAPPA_BOUND + 1e-9
 
 
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+def test_kappa_bounds_norm_equals_extracted_K(pb22, seed, rank):
+    # the check reads kappa off w_operators; the norm is bit for bit the one read off extract_K
+    rng = np.random.default_rng(seed)
+    u = random_unitary(4, rng)
+    coeffs = expand_state(random_density(4, rng, rank), pb22)
+    k = extract_K(u, reconstruct_state(coeffs, pb22), pb22)
+    assert kappa_bounds_check(u, coeffs).kappa_norm == np.linalg.norm(kappa_vector(k))
+
+
 def test_kappa_bounds_meet_at_golden_ratio():
     a = (np.sqrt(5.0) - 1) / 2
     assert abs(np.sqrt(3 - a**2) - (1 + a)) < 1e-12
@@ -305,6 +316,12 @@ def test_kappa_bounds_rejects_non_state(rng):
     coeffs.coeff[3, 1] = 0.9
     with pytest.raises(ValueError):
         kappa_bounds_check(random_unitary(4, rng), coeffs)
+
+
+def test_kappa_bounds_rejects_non_unitary(pb22, rng):
+    coeffs = expand_state(random_density(4, rng), pb22)
+    with pytest.raises(ValueError, match="not unitary"):
+        kappa_bounds_check(1.01 * random_unitary(4, rng), coeffs)
 
 
 def test_kappa_search_lorentz_reaches_limit():
@@ -344,6 +361,68 @@ def test_bounds_sweep_all_families():
         sweep = bounds_sweep(family, trials=50, seed=9)
         assert sweep.ok == sweep.checked == 50
         assert sweep.max_kappa_norm <= GOLDEN_KAPPA_BOUND
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_bounds_sweep_rejects_nonpositive_trials(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        bounds_sweep("int_ham", trials)
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_bounds_sweep_matches_per_trial_loop(pb22, family):
+    # reference: one family draw, one state and one check per trial, in the seeded order
+    rng = np.random.default_rng(9)
+    ok, max_norm, min_margin = 0, 0.0, np.inf
+    for _ in range(50):
+        u = FAMILIES[family].unitary(FAMILIES[family].draw(rng)[None])[0]
+        res = kappa_bounds_check(u, expand_state(random_density(4, rng), pb22))
+        ok += int(res.ok)
+        max_norm = max(max_norm, res.kappa_norm)
+        min_margin = min(min_margin, min(res.bound_a, res.bound_b) - res.kappa_norm)
+    assert tuple(bounds_sweep(family, 50, seed=9)) == (50, ok, max_norm, float(min_margin))
+
+
+def golden_refine_loop(f, lo, hi, iters):
+    """Reference: golden-section search evaluating one point per step."""
+    phi = (np.sqrt(5) - 1) / 2
+    a, b = lo, hi
+    c = b - phi * (b - a)
+    d = a + phi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = f(d)
+    x = c if fc >= fd else d
+    return x, max(fc, fd)
+
+
+GOLDEN_TARGETS = {
+    "smooth peak": lambda x: np.exp(-((x - 0.3173) ** 2)),
+    "plateau": lambda x: np.minimum(1.0 - np.abs(x - 0.4), 0.8),  # fc == fd ties on the flat top
+    "step": lambda x: np.where(x < 0.61, 0.25, 1.0),
+}
+
+
+@pytest.mark.parametrize("iters", [1, 2, 3, 40, 41])
+@pytest.mark.parametrize("target", list(GOLDEN_TARGETS))
+def test_golden_refine_matches_one_point_search(target, iters):
+    g = GOLDEN_TARGETS[target]
+    calls = []
+
+    def batched(xs):
+        calls.append(len(xs))
+        return g(xs)
+
+    expected = golden_refine_loop(lambda x: g(np.array([x]))[0], -0.5, 1.5, iters)
+    assert _golden_refine(batched, -0.5, 1.5, iters) == expected
+    assert len(calls) == 1 + -(-iters // 3)
 
 
 def test_kappa_search_witness_state_is_valid(pb22):
