@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    dagger,
-    finite_array,
-    kron,
-    require_hermitian,
-    require_unitary,
-)
+from .linalg import DEFAULT_TOL, finite_array, require_hermitian
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -105,7 +98,7 @@ class ProductBasis:
     mats: np.ndarray = field(init=False)  # (n^2, m^2, n*m, n*m)
 
     def __post_init__(self):
-        prod = kron(self.basis_s.mats[:, None], self.basis_r.mats[None])
+        prod = np.kron(self.basis_s.mats[:, None], self.basis_r.mats[None])
         object.__setattr__(self, "mats", _read_only(prod))
 
     @property
@@ -157,16 +150,6 @@ class JointStateCoeffs:
 
     def copy(self) -> "JointStateCoeffs":
         return JointStateCoeffs(self.n, self.m, self.coeff.copy(), self.free.copy())
-
-    def with_probe(self, probe: np.ndarray) -> "JointStateCoeffs":
-        """Overwrite the subsystem mean values <F_{alpha 0}> and fix them."""
-        probe = np.asarray(probe, dtype=float)
-        if probe.shape != (self.n**2 - 1,):
-            raise ValueError(f"probe must have length {self.n**2 - 1}, got {probe.shape}")
-        out = self.copy()
-        out.coeff[1:, 0] = probe
-        out.free[1:, 0] = False
-        return out
 
     def to_json_dict(self) -> dict:
         return {
@@ -226,44 +209,3 @@ def reconstruct_state(c: JointStateCoeffs, pb: ProductBasis) -> np.ndarray:
     if (c.n, c.m) != (pb.n, pb.m):
         raise ValueError(f"coefficients are ({c.n},{c.m}), basis is ({pb.n},{pb.m})")
     return np.einsum("ab,abij->ij", c.coeff, pb.mats) / pb.dim
-
-
-def marginal_coeffs(c: JointStateCoeffs) -> np.ndarray:
-    """The subsystem Bloch-type vector <F_{alpha 0}>, alpha = 1..N^2-1."""
-    if c.free[:, 0].any():
-        raise ValueError("subsystem coefficients <F_{alpha 0}> are not all fixed")
-    return c.coeff[1:, 0].copy()
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Real orthogonal matrix t with U^dag F_{mu nu} U = sum t[munu, albe] F_{albe}.
-
-    Rows and columns are flattened composite indices mu*m^2 + nu.
-    """
-
-    n: int
-    m: int
-    t: np.ndarray
-
-    def index(self, mu: int, nu: int) -> int:
-        return mu * self.m**2 + nu
-
-
-def transfer_matrix(u: np.ndarray, pb: ProductBasis, tol: float = DEFAULT_TOL) -> TransferMatrix:
-    """Expansion of the Heisenberg action of a unitary over the product basis.
-
-    t[munu, albe] = (1/NM) Tr[F_{albe} U^dag F_{mu nu} U].  Composition
-    follows the conjugation order: t(U1 @ U2) = t(U1) @ t(U2).
-    """
-    require_unitary(u, tol)
-    d = pb.dim
-    if u.shape != (d, d):
-        raise ValueError(f"unitary has shape {u.shape}, basis expects ({d},{d})")
-    flat = pb.mats.reshape(-1, d, d)
-    conj = np.einsum("ai,xij,jb->xab", dagger(u), flat, u)
-    t = np.einsum("yba,xab->xy", flat, conj) / d
-    imag = float(np.abs(t.imag).max())
-    if imag > tol:
-        raise ValueError(f"transfer matrix has imaginary residue {imag:.3e}")
-    return TransferMatrix(n=pb.n, m=pb.m, t=t.real)

@@ -367,10 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
+    def common(p, tol=True, seed=False):  # only options the subcommand reads
+        if tol:
+            p.add_argument("--tol", type=_positive, default=DEFAULT_TOL)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("extract", help="extract (L, K) from a unitary and a joint state")
     p.add_argument("--unitary", required=True)
@@ -404,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", choices=["grid", "random"], default="grid")
     p.add_argument("--resolution", type=int, default=101)
     p.add_argument("--count", type=int, default=None)
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_domains)
     p.set_defaults(out="domain_section")
 
@@ -412,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--section", choices=sorted(dom.SECTION_AXES), required=True)
     p.add_argument("--resolution", type=int, default=256)
-    common(p)
+    common(p, tol=False)
     p.set_defaults(func=cmd_image, out="image_section")
 
     p = sub.add_parser("tomography", help="reconstruct a map from probe pairs")
@@ -427,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kappa", help="search for large |kappa| and check bounds")
     p.add_argument("--family", choices=list(q2.FAMILIES), required=True)
     p.add_argument("--trials", type=int, default=1000)
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_kappa)
 
     p = sub.add_parser("example", help="closed-form example families")
@@ -442,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preset", help="emit the bundled figure data sets")
     p.add_argument("name", choices=["fig1", "fig1a", "fig2"])
     p.add_argument("--resolution", type=int, default=101)
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_preset)
 
     return parser

@@ -33,15 +33,6 @@ def require_unitary(u: np.ndarray, tol: float = DEFAULT_TOL, name: str = "matrix
         raise ValueError(f"{name} is not unitary to tolerance {tol:.3e}")
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply.
-
-    Leading axes follow np.kron, so kron(a, b) of a stack a (k, n, n) and a
-    matrix b is the stack of kron(a[i], b).
-    """
-    return np.kron(a, b)
-
-
 def partial_trace(m: np.ndarray, dim_s: int, dim_r: int) -> np.ndarray:
     """Trace out the second tensor factor of a (dim_s*dim_r) square matrix, batched."""
     d = dim_s * dim_r

@@ -6,10 +6,13 @@ U = sum_nu G(nu) (x) F_nu of the joint unitary over an environment basis,
 so that L(Q) = sum_nu G(nu) Q G(nu)^dag.  L is applied through the
 homogeneous B array b4[r, j, s, k] = sum_nu G(nu)_{rj} conj(G(nu)_{sk}),
 built once per map, as one contraction over the flattened (j, k) index.
-The inhomogeneous part K is a traceless Hermitian matrix determined by the
-environment and correlation mean values of the joint state.  The linear
-extension Q -> L(Q) + K Tr Q agrees with the affine map on density
-matrices and admits B-matrix, Choi, and signed operator-sum representations.
+The inhomogeneous part K is a traceless Hermitian matrix read off the
+Heisenberg picture: K's coefficients are Tr[Pi W_mu] with the joint
+operators W_mu of ``w_operators``, so only environment and correlation
+mean values of the joint state enter.  The linear extension
+Q -> L(Q) + K Tr Q agrees with the affine map on density matrices; it is
+``BMatrix.apply``, the Choi matrix is the reindexed B matrix, and the
+signed operator sum comes from the Choi spectrum.
 """
 
 from __future__ import annotations
@@ -124,16 +127,8 @@ def apply_affine(amap: AffineMap, rho: np.ndarray, tol: float = DEFAULT_TOL) -> 
     """Full map L(rho) + K applied to a subsystem density matrix."""
     if rho.shape != (amap.n, amap.n):
         raise ValueError(f"state must be {amap.n}x{amap.n}, got {rho.shape}")
-    require_hermitian(rho, tol, "state")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > 10 * tol:
-        raise ValueError(f"state trace is {tr:.6g}, expected 1")
+    require_density(rho, tol, "state")
     return apply_L(amap, rho) + amap.k_mat
-
-
-def linear_extension(amap: AffineMap, q: np.ndarray) -> np.ndarray:
-    """Linear map Q -> L(Q) + K Tr Q, batched; agrees with apply_affine on unit trace."""
-    return apply_L(amap, q) + amap.k_mat * np.trace(q, axis1=-2, axis2=-1)[..., None, None]
 
 
 def w_operators(u: np.ndarray, obs: np.ndarray, m: int) -> np.ndarray:
@@ -141,9 +136,13 @@ def w_operators(u: np.ndarray, obs: np.ndarray, m: int) -> np.ndarray:
 
     W_a = U^dag (A_a (x) 1) U - (Tr_R[U^dag (A_a (x) 1) U] / M) (x) 1 for the
     stack ``obs`` (k, n, n) of subsystem observables and an environment of
-    dimension ``m``.  W_a depends on the dynamics alone; the state enters
-    only through Pi, and a product rho (x) 1/M gives Tr[Pi W_a] = 0.  A
-    stack ``u`` (..., d, d) of unitaries gives W of shape (..., k, d, d).
+    dimension ``m``.  For A_a = F_alpha this is the Heisenberg row
+    t[alpha 0, .] without its gamma = 0 part: with
+    U^dag (F_alpha (x) 1) U = sum t[alpha 0, beta gamma] F_{beta gamma},
+    W_alpha = sum_{beta, gamma >= 1} t[alpha 0, beta gamma] F_{beta gamma}.
+    W_a depends on the dynamics alone; the state enters only through Pi,
+    and a product rho (x) 1/M gives Tr[Pi W_a] = 0.  A stack ``u``
+    (..., d, d) of unitaries gives W of shape (..., k, d, d).
     """
     n = obs.shape[-1]
     d = n * m
@@ -194,21 +193,6 @@ def extract_map(
     )
 
 
-def mean_value_correction(a: np.ndarray, u: np.ndarray, pi: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """Tr_S[A K] = Tr[Pi W_A] for a subsystem observable A (see w_operators).
-
-    This is the part of the evolved mean value <A> that the homogeneous map
-    alone misses; it vanishes for every A iff Pi is the product rho (x) 1/M.
-    """
-    require_hermitian(a, tol, "observable")
-    n = a.shape[0]
-    d = pi.shape[0]
-    if d % n:
-        raise ValueError(f"joint dimension {d} not divisible by subsystem dimension {n}")
-    w = w_operators(u, a[None], d // n)[0]
-    return float(np.einsum("ij,ji->", w, pi).real)
-
-
 @dataclass(frozen=True)
 class BMatrix:
     """Component array B with Q'_{rs} = sum_{jk} B[(r,j),(s,k)] Q_{jk}; ``apply`` is batched.
@@ -236,8 +220,9 @@ def b_matrix(amap: AffineMap) -> BMatrix:
 class ChoiMatrix:
     """Block matrix sum_{jk} E_{jk} (x) f(E_{jk}) of the linear extension f.
 
-    Input index first, output index second; Hermitian, and its partial
-    trace over the output factor is the identity (trace preservation).
+    Input index first, output index second: C[(j,r),(k,s)] = B[(r,j),(s,k)].
+    Hermitian, and its partial trace over the output factor is the
+    identity (trace preservation).
     """
 
     n: int
@@ -250,8 +235,7 @@ class ChoiMatrix:
 
 def choi_matrix(amap: AffineMap) -> ChoiMatrix:
     n = amap.n
-    units = np.eye(n**2, dtype=complex).reshape(n, n, n, n)  # units[j, k] = E_jk
-    c = linear_extension(amap, units).transpose(0, 2, 1, 3).reshape(n**2, n**2)
+    c = b_matrix(amap).b.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n**2, n**2)
     return ChoiMatrix(n=n, c=0.5 * (c + dagger(c)))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import JointStateCoeffs, expand_state, product_basis, reconstruct_state
 from .domains import section_axes
-from .linalg import DEFAULT_TOL, finite_array, kron, random_density, random_unitary, require_density, require_unitary, to_pairs
+from .linalg import DEFAULT_TOL, finite_array, random_density, random_unitary, require_density, require_unitary, to_pairs
 from .maps import AffineMap, BMatrix, apply_L, w_operators
 
 I2 = np.eye(2, dtype=complex)
@@ -31,7 +31,7 @@ SIGMA = np.array(
     dtype=complex,
 )
 PAULIS = np.concatenate([I2[None], SIGMA])
-SIGMA_PAIRS = np.array([kron(s, s) for s in SIGMA])  # s_j (x) s_j, the interaction generators
+SIGMA_PAIRS = np.array([np.kron(s, s) for s in SIGMA])  # s_j (x) s_j, the interaction generators
 
 GOLDEN_KAPPA_BOUND = (1 + np.sqrt(5)) / 2
 
@@ -225,7 +225,7 @@ def _lorentz_unitaries(p: np.ndarray) -> np.ndarray:
     """lorentz_unitary for parameters (r1.axis, r1.angle, r2.axis, r2.angle) of shape (..., 8)."""
     d1 = su2_from_rotation(p[..., :3], p[..., 3])
     d2 = su2_from_rotation(p[..., 4:7], p[..., 7])
-    return kron(d1, 0.5 * (I2 + SIGMA[0])) + kron(d2, 0.5 * (I2 - SIGMA[0]))
+    return np.kron(d1, 0.5 * (I2 + SIGMA[0])) + np.kron(d2, 0.5 * (I2 - SIGMA[0]))
 
 
 def lorentz_map(p: LorentzParams, corr: JointStateCoeffs) -> AffineMap:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import JointStateCoeffs
 from .domains import InfeasibleError, compatibility, probe_state
-from .linalg import DEFAULT_TOL, finite_array, from_pairs, require_hermitian, to_pairs
+from .linalg import DEFAULT_TOL, finite_array, from_pairs, require_hermitian
 from .maps import AffineMap, apply_L
 
 
@@ -191,17 +191,8 @@ def validate_reconstruction(
     )
 
 
-def pairs_to_json(probes: ProbeSet) -> str:
-    """JSON exchange format of an evaluated set: [{"rho_in_coeffs": [...], "rho_out": [[[re, im], ...]]}]."""
-    items = [
-        {"rho_in_coeffs": coeffs, "rho_out": out}
-        for coeffs, out in zip(probes.probes.tolist(), to_pairs(probes.outputs))
-    ]
-    return json.dumps(items)
-
-
 def pairs_from_json(text: str) -> ProbeSet:
-    """Evaluated set with zero deltas from pairs_to_json text; n >= 2 from the first pair's coefficients."""
+    """Evaluated set with zero deltas from a JSON list [{"rho_in_coeffs": [...], "rho_out": [[[re, im], ...]]}]; n from pair 0."""
     items = json.loads(text)
     if not isinstance(items, list) or not items:
         raise ValueError("pairs must be a non-empty JSON list")

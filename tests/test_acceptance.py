@@ -12,7 +12,7 @@ import pytest
 from affinemaps.basis import JointStateCoeffs, expand_state, product_basis, reconstruct_state
 from affinemaps.cli import fig2_spec, main
 from affinemaps.domains import compatibility, sample_domain
-from affinemaps.linalg import dagger, kron, partial_trace, random_density, random_unitary
+from affinemaps.linalg import dagger, partial_trace, random_density, random_unitary
 from affinemaps.maps import (
     AffineMap,
     b_matrix,
@@ -125,12 +125,12 @@ def test_criterion_3_purity_theorem_both_directions():
     # K != 0: purity strictly increases at the maximally mixed state by sum lambda_n^2
     kept = 0
     max_rel = 0.0
-    lifted = kron(SIGMA, I2)  # s_mu (x) 1
+    lifted = np.kron(SIGMA, I2)  # s_mu (x) 1
     while kept < 1000:
         count = 1200
         us = random_unitary(4, rng, shape=(count,))
         pis = random_density(4, rng, shape=(count,))
-        diff = pis - kron(partial_trace(pis, 2, 2), I2 / 2)
+        diff = pis - np.kron(partial_trace(pis, 2, 2), I2 / 2)
         traces = np.trace(dagger(us)[:, None] @ lifted @ us[:, None] @ diff[:, None], axis1=-2, axis2=-1)
         k = np.zeros((count, 2, 2), dtype=complex)
         for mu in range(3):
@@ -205,7 +205,7 @@ def test_criterion_6_kappa_bounds_and_search():
     count = 10000
     us = random_unitary(4, rng, shape=(count,))
     pis = random_density(4, rng, shape=(count,))
-    sig_joint = np.array([kron(SIGMA[j], I2) for j in range(3)])
+    sig_joint = np.array([np.kron(SIGMA[j], I2) for j in range(3)])
     y = np.einsum("bqa,jqr,brc->bjac", us.conj(), sig_joint, us)
     rhos = np.einsum("bsrtr->bst", pis.reshape(count, 2, 2, 2, 2))
     prod = np.einsum("bst,ru->bsrtu", rhos, I2 / 2).reshape(count, 4, 4)
@@ -284,11 +284,9 @@ def test_criterion_8_tomography_round_trip():
     spec = fig2_spec()
     from affinemaps.domains import InfeasibleError
 
-    truth = extract_map(
-        random_unitary(4, rng),
-        reconstruct_state(spec.with_probe(np.array([0.0, 0.0, SQ3])), PB22),
-        PB22,
-    )
+    joint = spec.copy()
+    joint.coeff[1:, 0] = [0.0, 0.0, SQ3]
+    truth = extract_map(random_unitary(4, rng), reconstruct_state(joint, PB22), PB22)
     with pytest.raises(InfeasibleError):
         design_probes(spec, np.zeros(3), eps=0.05)
     probes = design_probes(spec, np.array([0.0, 0.0, SQ3]), eps=0.05)

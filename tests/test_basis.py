@@ -7,13 +7,11 @@ from affinemaps.basis import (
     JointStateCoeffs,
     build_basis,
     expand_state,
-    marginal_coeffs,
     product_basis,
     reconstruct_state,
-    transfer_matrix,
 )
-from affinemaps.linalg import kron, random_density, random_unitary
-from affinemaps.qubit2 import I2, PAULIS, SIGMA, int_ham_unitary, IntHamParams
+from affinemaps.linalg import random_density
+from affinemaps.qubit2 import PAULIS, SIGMA
 
 
 def test_build_basis_qubit_is_pauli():
@@ -83,7 +81,7 @@ def test_expand_maximally_mixed(pb22):
 
 
 def test_expand_bell_correlation(pb22):
-    pi = 0.25 * (np.eye(4) + kron(SIGMA[0], SIGMA[0]))
+    pi = 0.25 * (np.eye(4) + np.kron(SIGMA[0], SIGMA[0]))
     coeffs = expand_state(pi, pb22)
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
@@ -137,69 +135,6 @@ def test_reconstruct_rejects_free_entries(pb22):
     coeffs.free[1, 1] = True
     with pytest.raises(ValueError):
         reconstruct_state(coeffs, pb22)
-
-
-def test_marginal_coeffs_mixed():
-    coeffs = JointStateCoeffs.blank(2, 2)
-    np.testing.assert_allclose(marginal_coeffs(coeffs), np.zeros(3), atol=1e-15)
-
-
-def test_marginal_coeffs_product(pb22, rng):
-    rho = random_density(2, rng)
-    pi = kron(rho, I2 / 2)
-    coeffs = expand_state(pi, pb22)
-    bloch = np.array([np.trace(SIGMA[j] @ rho).real for j in range(3)])
-    np.testing.assert_allclose(marginal_coeffs(coeffs), bloch, atol=1e-13)
-
-
-def test_marginal_coeffs_read_off():
-    coeffs = JointStateCoeffs.blank(2, 2)
-    coeffs.coeff[1:, 0] = [0.2, 0.0, 0.4]
-    np.testing.assert_allclose(marginal_coeffs(coeffs), [0.2, 0.0, 0.4], atol=1e-15)
-
-
-def test_transfer_matrix_identity(pb22):
-    t = transfer_matrix(np.eye(4, dtype=complex), pb22)
-    np.testing.assert_allclose(t.t, np.eye(16), atol=1e-13)
-
-
-def test_transfer_matrix_single_angle(pb22):
-    gamma = 0.9
-    u = int_ham_unitary(IntHamParams(gamma=(0.0, 0.0, gamma)))
-    t = transfer_matrix(u, pb22)
-    row = t.t[t.index(1, 0)]
-    expected = np.zeros(16)
-    expected[t.index(1, 0)] = np.cos(gamma)
-    expected[t.index(2, 3)] = -np.sin(gamma)
-    np.testing.assert_allclose(row, expected, atol=1e-12)
-
-
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
-def test_transfer_matrix_orthogonal(dims, rng):
-    pb = product_basis(*dims)
-    u = random_unitary(pb.dim, rng)
-    t = transfer_matrix(u, pb).t
-    np.testing.assert_allclose(t @ t.T, np.eye(len(t)), atol=1e-10)
-
-
-def test_transfer_matrix_identity_row_and_column(pb22, rng):
-    t = transfer_matrix(random_unitary(4, rng), pb22).t
-    e0 = np.zeros(16)
-    e0[0] = 1.0
-    np.testing.assert_allclose(t[0], e0, atol=1e-12)
-    np.testing.assert_allclose(t[:, 0], e0, atol=1e-12)
-
-
-def test_transfer_matrix_composition(pb22, rng):
-    # conjugation (U1 U2)^dag F (U1 U2) expands the inner factor first
-    u1, u2 = random_unitary(4, rng), random_unitary(4, rng)
-    t12 = transfer_matrix(u1 @ u2, pb22).t
-    np.testing.assert_allclose(t12, transfer_matrix(u1, pb22).t @ transfer_matrix(u2, pb22).t, atol=1e-10)
-
-
-def test_transfer_matrix_rejects_non_unitary(pb22):
-    with pytest.raises(ValueError):
-        transfer_matrix(np.eye(4) * 2.0, pb22)
 
 
 def test_coeffs_json_round_trip():

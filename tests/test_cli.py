@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pairs_json
+
 import affinemaps
 from affinemaps import domains
 from affinemaps.basis import JointStateCoeffs
 from affinemaps.cli import fig1_spec, fig1a_map, fig2_spec, main
 from affinemaps.maps import map_from_json_dict, map_to_json, map_to_json_dict
 from affinemaps.qubit2 import SIGMA, IntHamParams, int_ham_b_matrix, int_ham_unitary, kappa_vector
-from affinemaps.tomography import ProbeSet, evaluate_probes, map_oracle, pairs_to_json
+from affinemaps.tomography import ProbeSet, evaluate_probes, map_oracle
 
 SQ3 = 1.0 / np.sqrt(3.0)
 
@@ -54,7 +56,8 @@ def test_extract_interaction_parameters_match_closed_form_b(tmp_path):
     gamma = (2 * np.sqrt(5.0), 2 * np.sqrt(3.0), 2 * np.sqrt(2.0))
     u_path = write_matrix(tmp_path / "u.json", int_ham_unitary(IntHamParams(gamma=gamma)))
     # the all-quarters correlation spec is positive only at probe (1/4, 1/4, 1/4)
-    state = fig1_spec(diagonals_free=False).with_probe(np.array([0.25, 0.25, 0.25]))
+    state = fig1_spec(diagonals_free=False)
+    state.coeff[1:, 0] = 0.25
     s_path = write_spec(tmp_path / "state.json", state)
     out = tmp_path / "map.json"
     assert main(["extract", "--unitary", u_path, "--state", s_path, "--out", str(out)]) == 0
@@ -208,7 +211,7 @@ def test_tomography_external_pairs(tmp_path, rng):
     probes = design_probes(JointStateCoeffs.blank(2, 2), np.zeros(3), eps=0.05)
     evaluate_probes(probes, map_oracle(truth))
     pairs_path = tmp_path / "pairs.json"
-    pairs_path.write_text(pairs_to_json(probes))
+    pairs_path.write_text(pairs_json(probes))
     out = tmp_path / "recon.json"
     assert main(["tomography", "--pairs", str(pairs_path), "--out", str(out)]) == 0
     data = read_json(out)
@@ -324,14 +327,14 @@ THIRD = [[[1 / 3 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
 def full_rank_pairs() -> list:
     """The origin and one 0.1 step per axis, with their images under the fig1a map."""
     probes = ProbeSet(np.vstack([np.zeros(3), 0.1 * np.eye(3)]), np.zeros(3))
-    return json.loads(pairs_to_json(evaluate_probes(probes, map_oracle(fig1a_map()))))
+    return json.loads(pairs_json(evaluate_probes(probes, map_oracle(fig1a_map()))))
 
 
 def identity_pairs(offset) -> list:
     """The origin and one 0.1 step per axis, with their identity-map outputs plus ``offset``."""
     probes = ProbeSet(np.vstack([np.zeros(3), 0.1 * np.eye(3)]), np.zeros(3))
     evaluate_probes(probes, lambda p: domains.probe_state(p, 2) + np.asarray(offset))
-    return json.loads(pairs_to_json(probes))
+    return json.loads(pairs_json(probes))
 
 
 def malformed_files(tmp_path) -> dict:
@@ -402,6 +405,9 @@ def malformed_files(tmp_path) -> dict:
         ["tomography", "--pairs", "{pairs_collinear}"],
         ["tomography", "--pairs", "{pairs_non_hermitian}"],
         ["tomography", "--pairs", "{pairs_trace_2}"],
+        # probe (3, 0, 0) is no state: its eigenvalues are -1 and 2
+        ["apply", "--map", "{map}", "--probe", "3,0,0"],
+        ["purity", "--map", "{map}", "--probe", "3,0,0"],
     ],
 )
 def test_malformed_input_exits_2(tmp_path, argv):
@@ -409,6 +415,26 @@ def test_malformed_input_exits_2(tmp_path, argv):
     out = tmp_path / "out"
     assert main([paths.get(a.strip("{}"), a) for a in argv] + ["--out", str(out)]) == 2
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["apply", "purity"])
+def test_pure_probe_on_the_sphere_is_a_state(tmp_path, command):
+    paths = malformed_files(tmp_path)
+    assert main([command, "--map", paths["map"], "--probe", "1,0,0", "--out", str(tmp_path / "out.json")]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["image", "--map", "{map}", "--section", "p1p2", "--tol", "1"],
+        ["extract", "--unitary", "{map}", "--state", "{spec}", "--seed", "1"],
+        ["apply", "--map", "{map}", "--probe", "0,0,0", "--seed", "1"],
+    ],
+)
+def test_options_a_subcommand_does_not_read_exit_2(tmp_path, capsys, argv):
+    paths = malformed_files(tmp_path)
+    assert main([paths.get(a.strip("{}"), a) for a in argv] + ["--out", str(tmp_path / "out")]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from affinemaps.linalg import (
     dagger,
     from_pairs,
     is_psd,
-    kron,
     lambda_min,
     partial_trace,
     random_density,
@@ -19,32 +18,10 @@ from affinemaps.linalg import (
 from affinemaps.qubit2 import I2, SIGMA
 
 
-def test_kron_identity():
-    assert np.array_equal(kron(I2, I2), np.eye(4))
-
-
-def test_kron_sigma3_identity():
-    assert np.array_equal(kron(SIGMA[2], I2), np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex))
-
-
-def test_kron_f11_normalization():
-    # direct 4x4 multiplication oracle for Tr[(s1 x s1)^2]
-    f11 = kron(SIGMA[0], SIGMA[0])
-    prod = f11 @ f11
-    assert abs(np.trace(prod).real - 4.0) < 1e-14
-
-
-def test_kron_associative(rng):
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    np.testing.assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
-
-
 def test_partial_trace_product_form(rng):
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    np.testing.assert_allclose(partial_trace(kron(a, b), 2, 3), a * np.trace(b), atol=1e-12)
+    np.testing.assert_allclose(partial_trace(np.kron(a, b), 2, 3), a * np.trace(b), atol=1e-12)
 
 
 def test_partial_trace_maximally_mixed():
@@ -53,7 +30,7 @@ def test_partial_trace_maximally_mixed():
 
 def test_partial_trace_single_env_coefficient():
     # joint state with <S3> = 0.5 and every other coefficient zero
-    pi = 0.25 * (np.eye(4) + 0.5 * kron(SIGMA[2], I2))
+    pi = 0.25 * (np.eye(4) + 0.5 * np.kron(SIGMA[2], I2))
     expected = 0.5 * (I2 + 0.5 * SIGMA[2])
     np.testing.assert_allclose(partial_trace(pi, 2, 2), expected, atol=1e-14)
 
@@ -75,12 +52,12 @@ def test_is_psd_maximally_mixed():
 
 def test_is_psd_rejects_overweight_correlations():
     # fixed <x1> = <s3 x1> = 0.9 with zero probe: min eigenvalue is negative
-    pi = 0.25 * (np.eye(4) + 0.9 * kron(SIGMA[2], SIGMA[0]) + 0.9 * kron(I2, SIGMA[0]))
+    pi = 0.25 * (np.eye(4) + 0.9 * np.kron(SIGMA[2], SIGMA[0]) + 0.9 * np.kron(I2, SIGMA[0]))
     assert not is_psd(pi)
 
 
 def test_is_psd_boundary_state():
-    pi = 0.25 * (np.eye(4) + kron(SIGMA[0], SIGMA[0]))
+    pi = 0.25 * (np.eye(4) + np.kron(SIGMA[0], SIGMA[0]))
     assert is_psd(pi)
     w = np.linalg.eigvalsh(pi)
     np.testing.assert_allclose(w, [0.0, 0.0, 0.5, 0.5], atol=1e-14)
@@ -92,7 +69,7 @@ def test_is_psd_rejects_non_hermitian():
 
 
 def test_is_psd_is_batched():
-    overweight = 0.25 * (np.eye(4) + 0.9 * kron(SIGMA[2], SIGMA[0]) + 0.9 * kron(I2, SIGMA[0]))
+    overweight = 0.25 * (np.eye(4) + 0.9 * np.kron(SIGMA[2], SIGMA[0]) + 0.9 * np.kron(I2, SIGMA[0]))
     stack = np.array([[np.eye(4) / 4, overweight]] * 3)
     np.testing.assert_array_equal(is_psd(stack), [[True, False]] * 3)
     assert is_psd(np.eye(2)).shape == ()

@@ -3,14 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinemaps.basis import (
-    build_basis,
-    expand_state,
-    product_basis,
-    reconstruct_state,
-    transfer_matrix,
-)
-from affinemaps.linalg import dagger, is_psd, kron, partial_trace, random_density, random_unitary
+from conftest import heisenberg_rows
+
+from affinemaps.basis import build_basis, expand_state, product_basis, reconstruct_state
+from affinemaps.linalg import dagger, is_psd, partial_trace, random_density, random_unitary
 from affinemaps.maps import (
     AffineMap,
     apply_L,
@@ -21,13 +17,12 @@ from affinemaps.maps import (
     extract_G,
     extract_K,
     extract_map,
-    linear_extension,
     map_from_json,
     map_to_json,
     map_to_json_dict,
-    mean_value_correction,
     pm_decomposition,
     purity_delta,
+    w_operators,
 )
 from affinemaps.qubit2 import (
     I2,
@@ -54,7 +49,7 @@ def evolve_joint(u, pi, n, m):
 
 
 def l_by_partial_trace(u, q, n, m):
-    return partial_trace(u @ kron(q, np.eye(m) / m) @ dagger(u), n, m)
+    return partial_trace(u @ np.kron(q, np.eye(m) / m) @ dagger(u), n, m)
 
 
 def identity_with_kappa(kappa):
@@ -110,7 +105,7 @@ def test_extract_G_reconstructs_unitary(dims, rng):
     pb = product_basis(*dims)
     u = random_unitary(pb.dim, rng)
     g = extract_G(u, pb.basis_r)
-    rebuilt = sum(kron(g[nu], pb.basis_r.mats[nu]) for nu in range(pb.m**2))
+    rebuilt = sum(np.kron(g[nu], pb.basis_r.mats[nu]) for nu in range(pb.m**2))
     np.testing.assert_allclose(rebuilt, u, atol=1e-10)
 
 
@@ -156,10 +151,11 @@ def test_apply_L_matches_partial_trace_form(rng):
 def test_apply_L_batched(rng):
     amap = random_map(rng, n=3, m=2)
     q = rng.normal(size=(2, 4, 3, 3)) + 1j * rng.normal(size=(2, 4, 3, 3))
-    batched_l, batched_ext = apply_L(amap, q), linear_extension(amap, q)
+    b = b_matrix(amap)
+    batched_l, batched_ext = apply_L(amap, q), b.apply(q)
     for idx in np.ndindex(2, 4):
         np.testing.assert_array_equal(batched_l[idx], apply_L(amap, q[idx]))
-        np.testing.assert_array_equal(batched_ext[idx], linear_extension(amap, q[idx]))
+        np.testing.assert_array_equal(batched_ext[idx], b.apply(q[idx]))
     with pytest.raises(ValueError):
         apply_L(amap, q[..., :2])
 
@@ -213,7 +209,7 @@ def test_apply_L_two_momentum_rotation_average(pb22):
 def test_extract_K_mixed_environment_product(pb22, rng):
     # K vanishes exactly when Pi equals rho (x) 1/M
     u = random_unitary(4, rng)
-    pi = kron(random_density(2, rng), I2 / 2)
+    pi = np.kron(random_density(2, rng), I2 / 2)
     np.testing.assert_allclose(extract_K(u, pi, pb22), 0.0, atol=1e-12)
 
 
@@ -221,7 +217,7 @@ def test_extract_K_single_angle_coefficient(pb22):
     # gamma = (0, 0, g), <s1 x3> = c: kappa = (0, c sin g, 0)
     gamma, c = 0.8, 0.35
     u = int_ham_unitary(IntHamParams(gamma=(0.0, 0.0, gamma)))
-    pi = 0.25 * (np.eye(4) + c * kron(SIGMA[0], SIGMA[2]))
+    pi = 0.25 * (np.eye(4) + c * np.kron(SIGMA[0], SIGMA[2]))
     k = extract_K(u, pi, pb22)
     np.testing.assert_allclose(kappa_vector(k), [0.0, c * np.sin(gamma), 0.0], atol=1e-13)
 
@@ -232,7 +228,7 @@ def test_extract_K_two_momentum_example(pb22):
         r1=Rotation(axis=(0.0, 0.0, 0.0), angle=0.0), r2=Rotation(axis=AXIS_Z, angle=np.pi)
     )
     u = lorentz_unitary(params)
-    pi = 0.25 * (np.eye(4) + 0.8 * kron(SIGMA[0], SIGMA[0]))
+    pi = 0.25 * (np.eye(4) + 0.8 * np.kron(SIGMA[0], SIGMA[0]))
     k = extract_K(u, pi, pb22)
     np.testing.assert_allclose(kappa_vector(k), [0.8, 0.0, 0.0], atol=1e-12)
 
@@ -272,7 +268,7 @@ def test_extract_K_rejects_non_state(pb22, rng):
 
 
 # ---------------------------------------------------------------------------
-# apply_affine / linear_extension
+# apply_affine / the linear extension Q -> L(Q) + K Tr Q (BMatrix.apply)
 # ---------------------------------------------------------------------------
 def test_apply_affine_identity_map():
     amap = identity_with_kappa([0.0, 0.0, 0.0])
@@ -297,30 +293,26 @@ def test_apply_affine_shifts_maximally_mixed():
     np.testing.assert_allclose(out, 0.5 * (I2 + 0.4 * SIGMA[2]), atol=1e-14)
 
 
-def test_linear_extension_traceless_input(rng):
+def test_b_matrix_apply_traceless_input(rng):
     amap = random_map(rng)
     q = 0.7 * SIGMA[0] + 0.2 * SIGMA[2]
-    np.testing.assert_allclose(linear_extension(amap, q), apply_L(amap, q), atol=1e-13)
+    np.testing.assert_allclose(b_matrix(amap).apply(q), apply_L(amap, q), atol=1e-13)
 
 
-def test_linear_extension_identity_image(rng):
+def test_b_matrix_apply_identity_image(rng):
     amap = random_map(rng)
     np.testing.assert_allclose(
-        linear_extension(amap, I2), np.eye(2) + 2 * amap.k_mat, atol=1e-12
+        b_matrix(amap).apply(I2), np.eye(2) + 2 * amap.k_mat, atol=1e-12
     )
     np.testing.assert_allclose(amap.one_prime, np.eye(2) + 2 * amap.k_mat, atol=1e-14)
 
 
-def test_linear_extension_additive(rng):
-    amap = random_map(rng)
+def test_b_matrix_apply_additive(rng):
+    b = b_matrix(random_map(rng))
     for _ in range(10):
         q1 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         q2 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        np.testing.assert_allclose(
-            linear_extension(amap, q1 + q2),
-            linear_extension(amap, q1) + linear_extension(amap, q2),
-            atol=1e-12,
-        )
+        np.testing.assert_allclose(b.apply(q1 + q2), b.apply(q1) + b.apply(q2), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +325,16 @@ def test_b_matrix_identity_action(rng):
     np.testing.assert_allclose(b.apply(q), q, atol=1e-14)
 
 
-def test_b_matrix_matches_linear_extension_on_matrix_units(rng):
+def test_b_matrix_matches_operator_sum_on_matrix_units(rng):
+    # Q -> sum_nu G Q G^dag + K Tr Q on every E_jk
     amap = random_map(rng)
     b = b_matrix(amap)
     for j in range(2):
         for k in range(2):
             e = np.zeros((2, 2), dtype=complex)
             e[j, k] = 1.0
-            np.testing.assert_allclose(b.apply(e), linear_extension(amap, e), atol=1e-10)
+            explicit = sum(g @ e @ dagger(g) for g in amap.g_ops) + amap.k_mat * (j == k)
+            np.testing.assert_allclose(b.apply(e), explicit, atol=1e-10)
 
 
 @pytest.mark.parametrize("dims", DIMS)
@@ -359,6 +353,21 @@ def test_b_matrix_choi_reshuffle(rng):
     choi = choi_matrix(amap).c
     reshuffled = choi.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
     np.testing.assert_allclose(reshuffled, b, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", DIMS)
+def test_choi_is_reindexed_b_matrix(rng, dims):
+    # reference: the linear extension of the matrix units E_jk, arranged as blocks and symmetrized
+    # a K read from JSON may be Hermitian only to tolerance, hence the second map
+    n, m = dims
+    units = np.eye(n**2, dtype=complex).reshape(n, n, n, n)  # units[j, k] = E_jk
+    for _ in range(20):
+        exact = random_map(rng, n, m)
+        skewed = AffineMap(n, m, exact.g_ops, exact.k_mat + 1e-10 * (np.eye(n, k=1) - np.eye(n, k=-1)))
+        for amap in (exact, skewed):
+            ext = apply_L(amap, units) + amap.k_mat * np.trace(units, axis1=-2, axis2=-1)[..., None, None]
+            c = ext.transpose(0, 2, 1, 3).reshape(n**2, n**2)
+            assert np.array_equal(choi_matrix(amap).c, 0.5 * (c + dagger(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +399,7 @@ def test_choi_identity_with_kappa_not_cp():
 def test_choi_equal_rotations_cp(pb22):
     rot = Rotation(axis=(0.0, 1.0, 0.0), angle=1.3)
     u = lorentz_unitary(LorentzParams(r1=rot, r2=rot))
-    pi = 0.25 * (np.eye(4) + 0.6 * kron(SIGMA[0], SIGMA[0]))
+    pi = 0.25 * (np.eye(4) + 0.6 * np.kron(SIGMA[0], SIGMA[0]))
     amap = extract_map(u, pi, pb22)
     np.testing.assert_allclose(amap.k_mat, 0.0, atol=1e-12)
     _, is_cp = choi_and_cp(amap)
@@ -426,7 +435,7 @@ def test_pm_decomposition_reconstructs(rng):
         ops, signs = pm_decomposition(amap)
         q = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         rebuilt = sum(s * (c @ q @ dagger(c)) for c, s in zip(ops, signs))
-        np.testing.assert_allclose(rebuilt, linear_extension(amap, q), atol=1e-9)
+        np.testing.assert_allclose(rebuilt, b_matrix(amap).apply(q), atol=1e-9)
 
 
 def test_cp_flag_matches_sign_census(rng):
@@ -465,50 +474,77 @@ def test_purity_qubit_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# mean value correction
+# W operators: Tr_S[A K] = Re Tr[Pi W_A], the mean-value part the homogeneous map misses
 # ---------------------------------------------------------------------------
-def test_mean_value_correction_mixed_environment_product(pb22, rng):
+def trace_pi_w(a, u, pi):
+    n = a.shape[0]
+    w = w_operators(u, a[None], pi.shape[0] // n)[0]
+    return np.einsum("ij,ji->", w, pi).real
+
+
+def test_w_operators_mixed_environment_product(pb22, rng):
     u = random_unitary(4, rng)
-    pi = kron(random_density(2, rng), I2 / 2)
+    pi = np.kron(random_density(2, rng), I2 / 2)
     for a in SIGMA:
-        assert abs(mean_value_correction(a, u, pi)) < 1e-12
+        assert abs(trace_pi_w(a, u, pi)) < 1e-12
 
 
-def test_mean_value_correction_single_angle():
+def test_w_operators_single_angle():
     gamma, c = 1.1, 0.45
     u = int_ham_unitary(IntHamParams(gamma=(0.0, 0.0, gamma)))
-    pi = 0.25 * (np.eye(4) + c * kron(SIGMA[0], SIGMA[2]))
+    pi = 0.25 * (np.eye(4) + c * np.kron(SIGMA[0], SIGMA[2]))
     np.testing.assert_allclose(
-        mean_value_correction(SIGMA[1], u, pi), c * np.sin(gamma), atol=1e-13
+        trace_pi_w(SIGMA[1], u, pi), c * np.sin(gamma), atol=1e-13
     )
 
 
 @settings(max_examples=40)
 @given(dims=st.sampled_from(DIMS), seed=st.integers(0, 2**32 - 1))
-def test_mean_value_correction_consistent_with_k(dims, seed):
+def test_w_operators_consistent_with_k(dims, seed):
     n, m = dims
     rng = np.random.default_rng(seed)
     u, pi = random_unitary(n * m, rng), random_density(n * m, rng)
     k = extract_K(u, pi, product_basis(n, m))
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     a = g + dagger(g)
-    assert abs(mean_value_correction(a, u, pi) - np.trace(a @ k).real) < 1e-12
+    assert abs(trace_pi_w(a, u, pi) - np.trace(a @ k).real) < 1e-12
 
 
 # ---------------------------------------------------------------------------
-# transfer-matrix consistency and serialization
+# the Heisenberg rows t[alpha 0, beta gamma] and serialization
 # ---------------------------------------------------------------------------
 def test_homogeneous_action_matches_transfer_block(pb22, rng):
     u = random_unitary(4, rng)
     amap = AffineMap(
         n=2, m=2, g_ops=extract_G(u, pb22.basis_r), k_mat=np.zeros((2, 2), dtype=complex)
     )
-    t = transfer_matrix(u, pb22)
+    t = heisenberg_rows(u, pb22)
     basis = build_basis(2)
     for mu in range(1, 4):
         for alpha in range(1, 4):
             coeff = np.trace(basis.mats[mu] @ apply_L(amap, basis.mats[alpha])).real / 2
-            assert abs(coeff - t.t[t.index(mu, 0), t.index(alpha, 0)]) < 1e-12
+            assert abs(coeff - t[mu, alpha, 0]) < 1e-12
+
+
+@settings(max_examples=80)
+@given(dims=st.sampled_from(DIMS), seed=st.integers(0, 2**32 - 1))
+def test_map_from_heisenberg_rows(dims, seed):
+    # with T = t[alpha 0, beta 0]: a' = T a + kappa, kappa_alpha = sum_{beta >= 0, gamma >= 1} t[alpha 0, beta gamma] c_{beta gamma}
+    n, m = dims
+    pb = product_basis(n, m)
+    rng = np.random.default_rng(seed)
+    u, pi = random_unitary(n * m, rng), random_density(n * m, rng)
+    t = heisenberg_rows(u, pb)[1:]
+    c = expand_state(pi, pb).coeff
+    f = pb.basis_s.mats[1:]
+    amap = extract_map(u, pi, pb)
+    rho_out = apply_affine(amap, partial_trace(pi, n, m))
+    kappa = np.einsum("abg,bg->a", t[:, :, 1:], c[:, 1:])
+    a_out = np.einsum("aij,ji->a", f, rho_out).real
+    np.testing.assert_allclose(a_out, t[:, 1:, 0] @ c[1:, 0] + kappa, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.einsum("aij,ji->a", f, amap.k_mat).real, kappa, rtol=0, atol=1e-12)
+    rows = np.einsum("abg,bgij->aij", t[:, :, 1:], pb.mats[:, 1:])
+    np.testing.assert_allclose(w_operators(u, f, m), rows, rtol=0, atol=1e-12)
 
 
 def test_map_json_round_trip(rng):

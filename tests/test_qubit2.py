@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinemaps.basis import JointStateCoeffs, expand_state, reconstruct_state, transfer_matrix
-from affinemaps.linalg import dagger, from_pairs, kron, partial_trace, random_density, random_unitary
+from conftest import heisenberg_rows
+
+from affinemaps.basis import JointStateCoeffs, expand_state, reconstruct_state
+from affinemaps.linalg import dagger, from_pairs, partial_trace, random_density, random_unitary
 from affinemaps.maps import apply_L, b_matrix, choi_and_cp, extract_K, extract_map, w_operators
 from affinemaps import qubit2
 from affinemaps.qubit2 import (
@@ -49,13 +51,13 @@ def test_int_ham_unitary_zero_angles():
 
 def test_int_ham_unitary_pi_angle():
     u = int_ham_unitary(IntHamParams(gamma=(0.0, 0.0, np.pi)))
-    np.testing.assert_allclose(u, -1j * kron(SIGMA[2], SIGMA[2]), atol=1e-14)
+    np.testing.assert_allclose(u, -1j * np.kron(SIGMA[2], SIGMA[2]), atol=1e-14)
 
 
 def test_int_ham_unitary_matches_eigendecomposition(rng):
     for _ in range(10):
         gamma = rng.uniform(0, 2 * np.pi, 3)
-        h = sum(gamma[j] * kron(SIGMA[j], SIGMA[j]) for j in range(3))
+        h = sum(gamma[j] * np.kron(SIGMA[j], SIGMA[j]) for j in range(3))
         w, v = np.linalg.eigh(h)  # exp(-i h / 2) = V exp(-i w / 2) V^dag
         np.testing.assert_allclose(
             int_ham_unitary(IntHamParams(gamma=tuple(gamma))),
@@ -80,12 +82,12 @@ def heisenberg_terms(gamma):
 @pytest.mark.parametrize("gamma", [(0.3, 0.7, 1.1), (2.0, 0.1, 5.5)])
 def test_int_ham_heisenberg_expansion(gamma, pb22):
     gamma = np.array(gamma)
-    t = transfer_matrix(int_ham_unitary(IntHamParams(gamma=tuple(gamma))), pb22)
+    t = heisenberg_rows(int_ham_unitary(IntHamParams(gamma=tuple(gamma))), pb22)
     for j, terms in enumerate(heisenberg_terms(gamma), start=1):
-        row = t.t[t.index(j, 0)].copy()
+        row = t[j].copy()
         for (mu, nu), val in terms.items():
-            assert abs(row[t.index(mu, nu)] - val) < 1e-12, (j, mu, nu)
-            row[t.index(mu, nu)] = 0.0
+            assert abs(row[mu, nu] - val) < 1e-12, (j, mu, nu)
+            row[mu, nu] = 0.0
         np.testing.assert_allclose(row, 0.0, atol=1e-12)
 
 
@@ -270,7 +272,7 @@ def test_bloch_action_matches_apply(rng, pb22):
 # kappa bounds and search
 # ---------------------------------------------------------------------------
 def test_kappa_bounds_product_state(pb22, rng):
-    coeffs = expand_state(kron(random_density(2, rng), I2 / 2), pb22)
+    coeffs = expand_state(np.kron(random_density(2, rng), I2 / 2), pb22)
     res = kappa_bounds_check(random_unitary(4, rng), coeffs)
     assert res.kappa_norm < 1e-12
     assert res.ok
@@ -498,7 +500,7 @@ def test_kappa_search_pinned(pb22, family, seed, best, sweep, fields):
     u = witness_unitary(family, w)
     pi = reconstruct_state(JointStateCoeffs(2, 2, np.array(w["coeff"]), np.zeros((4, 4), bool)), pb22)
     rho = partial_trace(pi, 2, 2)
-    k = partial_trace(u @ (pi - kron(rho, I2 / 2)) @ dagger(u), 2, 2)
+    k = partial_trace(u @ (pi - np.kron(rho, I2 / 2)) @ dagger(u), 2, 2)
     assert abs(np.linalg.norm(kappa_vector(k)) - result.best_kappa_norm) < 1e-9
 
 
@@ -584,6 +586,6 @@ def test_int_ham_closed_form_witness_reaches_two_over_root_three():
     assert abs(np.trace(pi) - 1) < 1e-12 and np.linalg.eigvalsh(pi)[0] > -1e-12
     # the state reproduces the norm: kappa of Tr_R[U (Pi - rho (x) 1/2) U^dag]
     rho = partial_trace(pi, 2, 2)
-    k = partial_trace(u @ (pi - kron(rho, I2 / 2)) @ dagger(u), 2, 2)
+    k = partial_trace(u @ (pi - np.kron(rho, I2 / 2)) @ dagger(u), 2, 2)
     np.testing.assert_allclose(kappa_vector(k), kappa, rtol=0, atol=1e-12)
     assert abs(np.linalg.norm(kappa_vector(k)) - 2 / np.sqrt(3)) < 1e-12

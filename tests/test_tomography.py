@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import pairs_json
+
 from affinemaps.basis import JointStateCoeffs, expand_state, product_basis
 from affinemaps.domains import InfeasibleError, compatibility
 from affinemaps.linalg import random_density, random_unitary
@@ -14,7 +16,6 @@ from affinemaps.tomography import (
     evaluate_probes,
     map_oracle,
     pairs_from_json,
-    pairs_to_json,
     reconstruct_map,
     validate_reconstruction,
 )
@@ -254,7 +255,7 @@ def test_pairs_json_round_trip(rng):
     truth = random_map(rng)
     probes = design_probes(JointStateCoeffs.blank(2, 2), np.zeros(3), eps=0.05)
     evaluate_probes(probes, map_oracle(truth))
-    back = pairs_from_json(pairs_to_json(probes))
+    back = pairs_from_json(pairs_json(probes))
     np.testing.assert_array_equal(back.probes, probes.probes)
     np.testing.assert_array_equal(back.outputs, probes.outputs)
     np.testing.assert_array_equal(back.deltas, 0.0)
