@@ -121,10 +121,8 @@ def cmd_apply(args) -> int:
     amap = _load_map(args.map)
     if args.probe is not None:
         rho = dom.probe_state(_parse_vector(args.probe, amap.n**2 - 1, "--probe"), amap.n)
-    elif args.state:
-        rho = _matrix(_load_json(args.state))
     else:
-        raise ValueError("apply requires --probe or --state")
+        rho = _matrix(_load_json(args.state))
     out = mp.apply_affine(amap, rho, args.tol)
     payload = {"rho_out": to_pairs(out)}
     if amap.n == 2:
@@ -135,11 +133,11 @@ def cmd_apply(args) -> int:
 
 def cmd_check_cp(args) -> int:
     amap = _load_map(args.map)
-    choi, is_cp = mp.choi_and_cp(amap, args.tol)
+    eigenvalues, is_cp = mp.choi_and_cp(amap, args.tol)
     ops, signs = mp.pm_decomposition(amap, tol=max(args.tol, 1e-10))
     payload = {
         "is_cp": is_cp,
-        "choi_eigenvalues": [float(x) for x in choi.eigenvalues],
+        "choi_eigenvalues": [float(x) for x in eigenvalues],
         "num_ops": len(ops),
         "negative_ops": int(sum(1 for s in signs if s < 0)),
     }
@@ -199,19 +197,25 @@ def cmd_image(args) -> int:
     return 0
 
 
+def _reject(args, names: tuple, context: str) -> None:
+    """ValueError naming every option of ``names`` that was given although ``context`` does not read it."""
+    given = [f"--{name}" for name in names if getattr(args, name) is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)} cannot be used with {context}")
+
+
 def cmd_tomography(args) -> int:
-    spec = _load_spec(args.spec) if args.spec else JointStateCoeffs.blank(2, 2)
     truth = None
     if args.pairs:
+        _reject(args, ("spec", "base", "eps"), "--pairs")
         with open(args.pairs) as fh:
             probes = tom.pairs_from_json(fh.read())
-    elif args.map:
-        truth = _load_map(args.map)
-        base = _parse_vector(args.base, truth.n**2 - 1, "--base")
-        probes = tom.design_probes(spec, base, eps=args.eps, tol=args.tol)
-        tom.evaluate_probes(probes, tom.map_oracle(truth))
     else:
-        raise ValueError("tomography requires --map or --pairs")
+        spec = _load_spec(args.spec) if args.spec else JointStateCoeffs.blank(2, 2)
+        truth = _load_map(args.map)
+        base = _parse_vector("0,0,0" if args.base is None else args.base, truth.n**2 - 1, "--base")
+        probes = tom.design_probes(spec, base, eps=args.eps or 0.05, tol=args.tol)
+        tom.evaluate_probes(probes, tom.map_oracle(truth))
     recon = tom.reconstruct_map(probes)
     payload = {
         "n": recon.n,
@@ -252,9 +256,11 @@ def cmd_kappa(args) -> int:
 def cmd_example(args) -> int:
     spec = _load_spec(args.spec) if args.spec else JointStateCoeffs.blank(2, 2)
     if args.family == "int-ham":
-        gamma = _parse_vector(args.gamma, 3, "--gamma")
+        _reject(args, ("r1", "r2"), "int-ham")
+        gamma = _parse_vector("0,0,0" if args.gamma is None else args.gamma, 3, "--gamma")
         amap = q2.int_ham_map(q2.IntHamParams(gamma=tuple(gamma)), spec)
     else:
+        _reject(args, ("gamma",), "lorentz")
         if not (args.r1 and args.r2):
             raise ValueError("lorentz example requires --r1 and --r2")
         params = q2.LorentzParams(r1=_parse_rotation(args.r1), r2=_parse_rotation(args.r2))
@@ -330,7 +336,7 @@ def cmd_preset(args) -> int:
         sample = _emit_section(
             fig1_spec(False), amap, "p1p2", res, args.seed, args.tol, out_dir, "fig1a_full", meta["files"]
         )
-        t_mat, kappa = q2.bloch_action(amap)
+        t_mat, kappa = mp.bloch_action(amap)
         mapped = sample.probes @ t_mat.T + kappa
         mapped_path = os.path.join(out_dir, "fig1a_mapped_p1p2.csv")
         _write_pairs_csv(mapped_path, sample.probes, mapped, {"compat": sample.compat, "pos": sample.pos})
@@ -383,8 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("apply", help="apply a map to a subsystem state")
     p.add_argument("--map", required=True)
-    p.add_argument("--probe", default=None, help="Bloch-type coefficients a1,a2,...")
-    p.add_argument("--state", default=None, help="JSON matrix file")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--probe", default=None, help="Bloch-type coefficients a1,a2,...")
+    given.add_argument("--state", default=None, help="JSON matrix file")
     common(p)
     p.set_defaults(func=cmd_apply)
 
@@ -418,11 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_image, out="image_section")
 
     p = sub.add_parser("tomography", help="reconstruct a map from probe pairs")
-    p.add_argument("--map", default=None, help="ground-truth map used as the oracle")
-    p.add_argument("--pairs", default=None, help="externally produced pair file")
-    p.add_argument("--spec", default=None)
-    p.add_argument("--base", default="0,0,0")
-    p.add_argument("--eps", type=_positive, default=0.05)
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--map", default=None, help="ground-truth map used as the oracle")
+    given.add_argument("--pairs", default=None, help="externally produced pair file")
+    p.add_argument("--spec", default=None, help="with --map only")
+    p.add_argument("--base", default=None, help="with --map only (default 0,0,0)")
+    p.add_argument("--eps", type=_positive, default=None, help="with --map only (default 0.05)")
     common(p)
     p.set_defaults(func=cmd_tomography)
 
@@ -434,9 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example", help="closed-form example families")
     p.add_argument("family", choices=["int-ham", "lorentz"])
-    p.add_argument("--gamma", default="0,0,0", help="three angles in radians: a,b,c")
-    p.add_argument("--r1", default=None, help='rotation JSON {"axis":[x,y,z],"angle":t}')
-    p.add_argument("--r2", default=None)
+    p.add_argument("--gamma", default=None, help="int-ham only: three angles in radians a,b,c (default 0,0,0)")
+    p.add_argument("--r1", default=None, help='lorentz only: rotation JSON {"axis":[x,y,z],"angle":t}')
+    p.add_argument("--r2", default=None, help="lorentz only")
     p.add_argument("--spec", default=None, help="correlation coefficients JSON file")
     common(p)
     p.set_defaults(func=cmd_example)

@@ -13,9 +13,10 @@ Convex Optimization, ch. 11) brackets t* between the lambda_min of the
 completion and a dual bound, so every label is certified.  The margin of
 an inside probe is that lambda_min, a lower bound on t*.  The positivity
 domain is the set of subsystem states whose image under the affine map is
-positive; ``positivity(amap, probes, tol)`` labels a batch of probes, for
-qubits by the closed-form 2x2 spectrum of ``linalg.lambda_min``.  The CSV
-encoder formats each distinct value of a column once and gathers the rows.
+positive; ``positivity(amap, probes, tol)`` labels a batch of qubit
+probes a on the Bloch action a -> T a + kappa, whose image is a state
+exactly when |T a + kappa| <= 1.  The CSV encoder formats each distinct
+value of a column once and gathers the rows.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import JointStateCoeffs, build_basis, product_basis
-from .linalg import DEFAULT_TOL, dagger, lambda_min
-from .maps import AffineMap, apply_L
+from .linalg import DEFAULT_TOL, dagger
+from .maps import AffineMap, bloch_action
 
 
 class InfeasibleError(Exception):
@@ -75,7 +76,7 @@ def compatibility(
     x0 = (fixed @ pb.mats.reshape(-1, d * d)).reshape(batch, d, d) / d
     free_ops = pb.mats[free] / d
     k = len(free_ops)
-    margin = lambda_min(x0)
+    margin = np.linalg.eigvalsh(x0)[..., 0]
     completion = x0  # its rows are replaced as the search decides them
 
     eye = np.eye(d)
@@ -114,7 +115,7 @@ def compatibility(
             if dec.max(initial=0.0) < 0.25:
                 break
     if idx.size:
-        margin[idx] = lambda_min(x)
+        margin[idx] = np.linalg.eigvalsh(x)[..., 0]
         completion[idx] = x
     return (margin >= -tol).reshape(lead), margin.reshape(lead), completion.reshape(lead + (d, d))
 
@@ -131,16 +132,21 @@ def probe_state(probe: np.ndarray, n: int) -> np.ndarray:
 
 
 def positivity(amap: AffineMap, probes: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Positivity-domain label per probe of shape (..., n^2 - 1).
+    """Positivity-domain label per qubit probe a of shape (..., 3).
 
-    True where the map sends the probe's state to a matrix with
-    lambda_min >= -tol; boundary cases within tol count as inside (domains
-    are closed).  Raises ValueError when a probe is not itself a state.
+    The image of (1 + a.sigma)/2 has smallest eigenvalue (1 - |T a + kappa|)/2
+    by ``bloch_action``; it is inside where that is >= -tol (domains are
+    closed).  Raises ValueError for n != 2 and for probes with (1 - |a|)/2 < -tol.
     """
-    rho = probe_state(probes, amap.n)
-    if (lambda_min(rho) < -tol).any():
+    if amap.n != 2:
+        raise ValueError("positivity is implemented for qubit maps")
+    probes = np.asarray(probes, dtype=float)
+    if probes.shape[-1:] != (3,):
+        raise ValueError("probe must have length 3")
+    if ((1 - np.linalg.norm(probes, axis=-1)) / 2 < -tol).any():
         raise ValueError("probe does not define a positive state")
-    return lambda_min(apply_L(amap, rho) + amap.k_mat) >= -tol
+    t_mat, kappa = bloch_action(amap)
+    return (1 - np.linalg.norm(probes @ t_mat.T + kappa, axis=-1)) / 2 >= -tol
 
 
 SECTION_AXES = {"p1p2": (0, 1), "p1p3": (0, 2), "p2p3": (1, 2)}
@@ -251,6 +257,8 @@ def sample_domain(
     if resolution < 1:
         raise ValueError(f"resolution must be positive, got {resolution}")
     if region == "grid":
+        if count is not None:
+            raise ValueError("a count applies to random regions only")
         probes = _section_grid(section, resolution) if section else _fibonacci_shells(resolution)
     elif region == "random":
         if section:

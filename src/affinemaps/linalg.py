@@ -12,24 +12,15 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-def hermitian_deviation(a: np.ndarray) -> float:
-    """Max-abs entry of a - a^dagger."""
-    return float(np.abs(a - dagger(a)).max())
-
-
 def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL, name: str = "matrix") -> None:
-    dev = hermitian_deviation(a)
+    dev = float(np.abs(a - dagger(a)).max())
     if dev > tol:
         raise ValueError(f"{name} is not Hermitian (deviation {dev:.3e} > tol {tol:.3e})")
 
 
-def is_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    d = u.shape[-1]
-    return u.shape[-2] == d and float(np.abs(dagger(u) @ u - np.eye(d)).max()) <= tol
-
-
 def require_unitary(u: np.ndarray, tol: float = DEFAULT_TOL, name: str = "matrix") -> None:
-    if not is_unitary(u, tol):
+    d = u.shape[-1]
+    if u.shape[-2] != d or float(np.abs(dagger(u) @ u - np.eye(d)).max()) > tol:
         raise ValueError(f"{name} is not unitary to tolerance {tol:.3e}")
 
 
@@ -41,18 +32,10 @@ def partial_trace(m: np.ndarray, dim_s: int, dim_r: int) -> np.ndarray:
     return np.trace(m.reshape(m.shape[:-2] + (dim_s, dim_r, dim_s, dim_r)), axis1=-3, axis2=-1)
 
 
-def lambda_min(h: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue per matrix of a Hermitian stack (..., n, n): closed form for n = 2, else eigvalsh."""
-    if h.shape[-1] != 2:
-        return np.linalg.eigvalsh(h)[..., 0]
-    a, d = h[..., 0, 0].real, h[..., 1, 1].real  # h = [[a, b], [b*, d]]
-    return (a + d) / 2 - np.hypot((a - d) / 2, np.abs(h[..., 0, 1]))
-
-
 def is_psd(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Per matrix of a Hermitian stack (..., n, n): lambda_min >= -tol."""
+    """Per matrix of a Hermitian stack (..., n, n): smallest eigenvalue >= -tol."""
     require_hermitian(h, tol)
-    return lambda_min(h) >= -tol
+    return np.linalg.eigvalsh(h)[..., 0] >= -tol
 
 
 def require_density(rho: np.ndarray, tol: float = DEFAULT_TOL, name: str = "state") -> None:

@@ -11,8 +11,9 @@ Heisenberg picture: K's coefficients are Tr[Pi W_mu] with the joint
 operators W_mu of ``w_operators``, so only environment and correlation
 mean values of the joint state enter.  The linear extension
 Q -> L(Q) + K Tr Q agrees with the affine map on density matrices; it is
-``BMatrix.apply``, the Choi matrix is the reindexed B matrix, and the
-signed operator sum comes from the Choi spectrum.
+``BMatrix.apply``, the Choi matrix is the reindexed B matrix, and the CP
+test and signed operator sum come from its spectrum.  ``bloch_action`` is
+the qubit form a -> T a + kappa on Bloch vectors.
 """
 
 from __future__ import annotations
@@ -73,10 +74,6 @@ class AffineMap:
             raise ValueError("G operators violate the completeness sums")
 
     @cached_property
-    def basis_s(self) -> HermitianBasis:
-        return build_basis(self.n)
-
-    @cached_property
     def one_prime(self) -> np.ndarray:
         """Image of the identity under the linear extension: 1 + N K."""
         return np.eye(self.n, dtype=complex) + self.n * self.k_mat
@@ -89,7 +86,7 @@ class AffineMap:
     @cached_property
     def f_primes(self) -> np.ndarray:
         """L(F_alpha) for the traceless basis matrices, alpha = 1..n^2-1."""
-        return apply_L(self, self.basis_s.mats[1:])
+        return apply_L(self, build_basis(self.n).mats[1:])
 
 
 def extract_G(u: np.ndarray, basis_r: HermitianBasis, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -129,6 +126,14 @@ def apply_affine(amap: AffineMap, rho: np.ndarray, tol: float = DEFAULT_TOL) -> 
         raise ValueError(f"state must be {amap.n}x{amap.n}, got {rho.shape}")
     require_density(rho, tol, "state")
     return apply_L(amap, rho) + amap.k_mat
+
+
+def bloch_action(amap: AffineMap) -> tuple[np.ndarray, np.ndarray]:
+    """Qubit affine action a -> T a + kappa: T_jk = Re Tr[F_j L(F_k)]/2 from ``f_primes``, kappa_j = Re Tr[F_j K]."""
+    if amap.n != 2:
+        raise ValueError("Bloch action requires a qubit map")
+    f = build_basis(2).mats[1:]
+    return 0.5 * np.einsum("jab,kba->jk", f, amap.f_primes).real, np.einsum("jab,ba->j", f, amap.k_mat).real
 
 
 def w_operators(u: np.ndarray, obs: np.ndarray, m: int) -> np.ndarray:
@@ -216,37 +221,26 @@ def b_matrix(amap: AffineMap) -> BMatrix:
     return BMatrix(n=n, b=b4.reshape(n**2, n**2))
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """Block matrix sum_{jk} E_{jk} (x) f(E_{jk}) of the linear extension f.
+def choi_matrix(amap: AffineMap) -> np.ndarray:
+    """Hermitian block matrix sum_{jk} E_{jk} (x) f(E_{jk}) of the linear extension f.
 
     Input index first, output index second: C[(j,r),(k,s)] = B[(r,j),(s,k)].
-    Hermitian, and its partial trace over the output factor is the
-    identity (trace preservation).
+    Its partial trace over the output factor is the identity (trace
+    preservation).
     """
-
-    n: int
-    c: np.ndarray
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.c)
-
-
-def choi_matrix(amap: AffineMap) -> ChoiMatrix:
     n = amap.n
     c = b_matrix(amap).b.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n**2, n**2)
-    return ChoiMatrix(n=n, c=0.5 * (c + dagger(c)))
+    return 0.5 * (c + dagger(c))
 
 
-def choi_and_cp(amap: AffineMap, tol: float = DEFAULT_TOL) -> tuple[ChoiMatrix, bool]:
-    """Choi matrix of the linear extension and its complete positivity.
+def choi_and_cp(amap: AffineMap, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, bool]:
+    """Ascending Choi spectrum of the linear extension and its complete positivity.
 
     The map is completely positive iff the Choi matrix is PSD; K = 0 always
     yields a CP map since L alone is an operator sum.
     """
-    choi = choi_matrix(amap)
-    return choi, bool(choi.eigenvalues[0] >= -tol)
+    eigenvalues = np.linalg.eigvalsh(choi_matrix(amap))
+    return eigenvalues, bool(eigenvalues[0] >= -tol)
 
 
 def pm_decomposition(amap: AffineMap, tol: float = 1e-10) -> tuple[list[np.ndarray], list[int]]:
@@ -258,7 +252,7 @@ def pm_decomposition(amap: AffineMap, tol: float = 1e-10) -> tuple[list[np.ndarr
     block layout.
     """
     n = amap.n
-    w, v = np.linalg.eigh(choi_matrix(amap).c)
+    w, v = np.linalg.eigh(choi_matrix(amap))
     ops: list[np.ndarray] = []
     signs: list[int] = []
     order = np.argsort(-w)  # descending: positives first, then negatives by magnitude

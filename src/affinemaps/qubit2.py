@@ -19,7 +19,7 @@ import numpy as np
 from .basis import JointStateCoeffs, expand_state, product_basis, reconstruct_state
 from .domains import section_axes
 from .linalg import DEFAULT_TOL, finite_array, random_density, random_unitary, require_density, require_unitary, to_pairs
-from .maps import AffineMap, BMatrix, apply_L, w_operators
+from .maps import AffineMap, BMatrix, bloch_action, w_operators
 
 I2 = np.eye(2, dtype=complex)
 SIGMA = np.array(
@@ -78,14 +78,6 @@ class LorentzParams:
 def kappa_vector(k_mat: np.ndarray) -> np.ndarray:
     """Bloch components kappa_j = Tr[s_j K] of a qubit inhomogeneous part."""
     return np.einsum("jab,ba->j", SIGMA, k_mat).real
-
-
-def bloch_action(amap: AffineMap) -> tuple[np.ndarray, np.ndarray]:
-    """Affine action on Bloch vectors, a -> T a + kappa, for a qubit map."""
-    if amap.n != 2:
-        raise ValueError("Bloch action requires a qubit map")
-    t_mat = 0.5 * np.einsum("jab,kba->jk", SIGMA, apply_L(amap, SIGMA)).real
-    return t_mat, kappa_vector(amap.k_mat)
 
 
 def image_of_ball(amap: AffineMap, section: str, resolution: int = 256) -> tuple[np.ndarray, np.ndarray]:

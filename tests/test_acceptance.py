@@ -337,8 +337,7 @@ def test_criterion_9_figure_presets(tmp_path):
     assert len(circle) == 361
     import json
 
-    from affinemaps.maps import map_from_json_dict
-    from affinemaps.qubit2 import bloch_action
+    from affinemaps.maps import bloch_action, map_from_json_dict
 
     amap = map_from_json_dict(json.loads((fig1a / "fig1a_map.json").read_text()))
     t_mat, kappa = bloch_action(amap)

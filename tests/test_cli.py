@@ -12,9 +12,10 @@ from conftest import pairs_json
 
 import affinemaps
 from affinemaps import domains
-from affinemaps.basis import JointStateCoeffs
+from affinemaps.basis import JointStateCoeffs, product_basis
 from affinemaps.cli import fig1_spec, fig1a_map, fig2_spec, main
-from affinemaps.maps import map_from_json_dict, map_to_json, map_to_json_dict
+from affinemaps.linalg import random_density, random_unitary
+from affinemaps.maps import choi_matrix, extract_map, map_from_json_dict, map_to_json, map_to_json_dict
 from affinemaps.qubit2 import SIGMA, IntHamParams, int_ham_b_matrix, int_ham_unitary, kappa_vector
 from affinemaps.tomography import ProbeSet, evaluate_probes, map_oracle
 
@@ -115,6 +116,19 @@ def test_check_cp_flags_inhomogeneous_identity(tmp_path):
         sorted([-0.25, 1 - np.sqrt(1.0625), 0.25, 1 + np.sqrt(1.0625)]),
         atol=1e-12,
     )
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_check_cp_prints_the_choi_spectrum(tmp_path, dims):
+    # the printed spectrum is eigvalsh of the Choi array itself, computed once
+    rng = np.random.default_rng(sum(dims))
+    n, m = dims
+    amap = extract_map(random_unitary(n * m, rng), random_density(n * m, rng), product_basis(n, m))
+    map_path, out = tmp_path / "map.json", tmp_path / "cp.json"
+    map_path.write_text(map_to_json(amap))
+    assert main(["check-cp", "--map", str(map_path), "--out", str(out)]) == 0
+    loaded = map_from_json_dict(read_json(map_path))
+    assert read_json(out)["choi_eigenvalues"] == np.linalg.eigvalsh(choi_matrix(loaded)).tolist()
 
 
 def test_purity_command(tmp_path):
@@ -360,6 +374,7 @@ def malformed_files(tmp_path) -> dict:
         "pairs_no_coeffs": [{"rho_in_coeffs": [], "rho_out": [[[1.0, 0.0]]]}] * 4,
         "pairs_non_hermitian": identity_pairs([[0.0, 0.3], [0.0, 0.0]]),
         "pairs_trace_2": identity_pairs(np.eye(2) / 2),
+        "full_rank_pairs": full_rank_pairs(),
         # four probes on the a1 axis with their identity-map outputs: rank 2, not 4
         "pairs_collinear": [
             {"rho_in_coeffs": [a, 0.0, 0.0], "rho_out": [[[0.5, 0.0], [a / 2, 0.0]], [[a / 2, 0.0], [0.5, 0.0]]]}
@@ -370,6 +385,7 @@ def malformed_files(tmp_path) -> dict:
     for name, value in contents.items():
         paths[name] = str(tmp_path / f"{name}.json")
         (tmp_path / f"{name}.json").write_text(json.dumps(value))
+    paths["missing"] = str(tmp_path / "missing.json")  # never written
     return paths
 
 
@@ -408,6 +424,13 @@ def malformed_files(tmp_path) -> dict:
         # probe (3, 0, 0) is no state: its eigenvalues are -1 and 2
         ["apply", "--map", "{map}", "--probe", "3,0,0"],
         ["purity", "--map", "{map}", "--probe", "3,0,0"],
+        # options the run would not read: exclusive inputs, and options of another mode or family
+        ["apply", "--map", "{map}", "--probe", "0,0,0", "--state", "{missing}"],
+        ["tomography", "--pairs", "{full_rank_pairs}", "--map", "{missing}"],
+        ["tomography", "--pairs", "{full_rank_pairs}", "--base", "9,9,9"],
+        ["example", "lorentz", "--gamma", "9,9,9", "--r1", ROT, "--r2", ROT],
+        ["example", "int-ham", "--r1", "not json"],
+        ["domains", "--spec", "{spec}", "--section", "p1p2", "--count", "5"],
     ],
 )
 def test_malformed_input_exits_2(tmp_path, argv):

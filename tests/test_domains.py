@@ -291,13 +291,36 @@ def test_positivity_rejects_invalid_probe():
 
 @pytest.mark.parametrize("section", sorted(SECTION_AXES))
 def test_positivity_matches_eigvalsh_on_fig2_sections(section):
-    # the closed-form qubit spectrum labels every probe as LAPACK does; each section holds both labels
+    # the Bloch-norm label agrees with LAPACK's spectrum of every image; each section holds both labels
     amap = int_ham_map(IntHamParams(gamma=(2.28, 3.02, 2.87)), fig2_spec())
     probes = _section_grid(section, 201)
     images = apply_L(amap, probe_state(probes, 2)) + amap.k_mat
     expected = np.linalg.eigvalsh(images)[:, 0] >= -1e-9
     assert expected.any() and not expected.all()
     np.testing.assert_array_equal(positivity(amap, probes), expected)
+
+
+@settings(max_examples=50, deadline=None)
+@given(m=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 4.0))
+def test_positivity_matches_matrix_oracle(m, seed, scale):
+    # oracle: the smallest eigenvalue of every 2x2 image; K is scaled so both labels occur,
+    # and probes whose oracle margin lies within 1e-12 of -tol may round either way
+    rng = np.random.default_rng(seed)
+    pb = product_basis(2, m)
+    base = extract_map(random_unitary(2 * m, rng), random_density(2 * m, rng), pb)
+    amap = AffineMap(2, m, base.g_ops, scale * base.k_mat)
+    probes = rng.uniform(-1, 1, size=(200, 3))
+    probes = probes[(probes**2).sum(axis=1) <= 1]
+    tol = 1e-9
+    oracle = np.linalg.eigvalsh(apply_L(amap, probe_state(probes, 2)) + amap.k_mat)[..., 0]
+    clear = np.abs(oracle + tol) > 1e-12
+    np.testing.assert_array_equal(positivity(amap, probes, tol)[clear], (oracle >= -tol)[clear])
+
+
+def test_positivity_is_qubit_only(rng):
+    amap = extract_map(random_unitary(6, rng), random_density(6, rng), product_basis(3, 2))
+    with pytest.raises(ValueError, match="qubit"):
+        positivity(amap, np.zeros(8))
 
 
 def test_positivity_contains_true_evolution_images(pb22, rng):

@@ -2,14 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from affinemaps.linalg import (
     dagger,
     from_pairs,
     is_psd,
-    lambda_min,
     partial_trace,
     random_density,
     random_unitary,
@@ -73,40 +70,6 @@ def test_is_psd_is_batched():
     stack = np.array([[np.eye(4) / 4, overweight]] * 3)
     np.testing.assert_array_equal(is_psd(stack), [[True, False]] * 3)
     assert is_psd(np.eye(2)).shape == ()
-
-
-@st.composite
-def hermitian_2x2_stacks(draw):
-    """2x2 Hermitian stacks [[a, b], [b*, d]] of leading shape (), (3,) or (2, 4), scaled by 1e-150 to 1e150."""
-    shape = draw(st.sampled_from([(), (3,), (2, 4)]))
-    kind = draw(st.sampled_from(["general", "diagonal", "degenerate", "rank1"]))
-    scale = 10.0 ** draw(st.integers(-150, 150))
-    size = int(np.prod(shape))
-    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
-    a, d, re, im = np.array(draw(st.lists(unit, min_size=4 * size, max_size=4 * size))).reshape(4, size)
-    b = re + 1j * im
-    if kind == "rank1":  # v v^dagger with v = (b, d)
-        a, b, d = np.abs(b) ** 2, b * d, d * d
-    elif kind != "general":
-        b = 0 * b
-        d = a if kind == "degenerate" else d
-    h = np.empty((size, 2, 2), dtype=complex)
-    h[:, 0, 0], h[:, 0, 1], h[:, 1, 0], h[:, 1, 1] = a, b, np.conj(b), d
-    return scale * h.reshape(shape + (2, 2))
-
-
-@given(h=hermitian_2x2_stacks())
-def test_lambda_min_closed_form_matches_eigvalsh(h):
-    got = lambda_min(h)
-    assert got.shape == h.shape[:-2]
-    bound = 4 * np.finfo(float).eps * np.abs(h).max(axis=(-2, -1))
-    assert (np.abs(got - np.linalg.eigvalsh(h)[..., 0]) <= bound).all()
-
-
-def test_lambda_min_larger_matrices_use_eigvalsh(rng):
-    g = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
-    h = g + dagger(g)
-    np.testing.assert_array_equal(lambda_min(h), np.linalg.eigvalsh(h)[:, 0])
 
 
 def test_random_unitary_is_unitary(rng):

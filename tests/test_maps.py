@@ -350,7 +350,7 @@ def test_b_matrix_choi_reshuffle(rng):
     # Choi[(j,a),(k,b)] = B[(a,j),(b,k)]
     amap = random_map(rng)
     b = b_matrix(amap).b
-    choi = choi_matrix(amap).c
+    choi = choi_matrix(amap)
     reshuffled = choi.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
     np.testing.assert_allclose(reshuffled, b, atol=1e-12)
 
@@ -367,7 +367,7 @@ def test_choi_is_reindexed_b_matrix(rng, dims):
         for amap in (exact, skewed):
             ext = apply_L(amap, units) + amap.k_mat * np.trace(units, axis1=-2, axis2=-1)[..., None, None]
             c = ext.transpose(0, 2, 1, 3).reshape(n**2, n**2)
-            assert np.array_equal(choi_matrix(amap).c, 0.5 * (c + dagger(c)))
+            assert np.array_equal(choi_matrix(amap), 0.5 * (c + dagger(c)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +381,7 @@ def test_choi_k_zero_is_cp(rng):
 
 def test_choi_trace_preservation(rng):
     amap = random_map(rng)
-    choi = choi_matrix(amap).c
+    choi = choi_matrix(amap)
     out_traced = partial_trace(choi, 2, 2)
     np.testing.assert_allclose(out_traced, np.eye(2), atol=1e-12)
 
@@ -390,10 +390,10 @@ def test_choi_identity_with_kappa_not_cp():
     # eigenvalues computed by direct eigensolve of the 4x4 Choi matrix:
     # 1 +- sqrt(1 + |kappa|^2/16) on the maximally-entangled block, +-kappa/4 on the rest
     amap = identity_with_kappa([0.0, 0.0, 0.5])
-    choi, is_cp = choi_and_cp(amap)
+    eigenvalues, is_cp = choi_and_cp(amap)
     assert not is_cp
     expected = [-0.25, 1 - np.sqrt(1.0625), 0.25, 1 + np.sqrt(1.0625)]
-    np.testing.assert_allclose(choi.eigenvalues, sorted(expected), atol=1e-12)
+    np.testing.assert_allclose(eigenvalues, sorted(expected), atol=1e-12)
 
 
 def test_choi_equal_rotations_cp(pb22):

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from conftest import heisenberg_rows
 
-from affinemaps.basis import JointStateCoeffs, expand_state, reconstruct_state
+from affinemaps.basis import JointStateCoeffs, expand_state, product_basis, reconstruct_state
 from affinemaps.linalg import dagger, from_pairs, partial_trace, random_density, random_unitary
-from affinemaps.maps import apply_L, b_matrix, choi_and_cp, extract_K, extract_map, w_operators
+from affinemaps.maps import apply_L, b_matrix, bloch_action, choi_and_cp, extract_K, extract_map, w_operators
 from affinemaps import qubit2
 from affinemaps.qubit2 import (
     FAMILIES,
@@ -17,7 +17,6 @@ from affinemaps.qubit2 import (
     IntHamParams,
     LorentzParams,
     Rotation,
-    bloch_action,
     bounds_sweep,
     int_ham_b_matrix,
     int_ham_kappa,
@@ -266,6 +265,18 @@ def test_bloch_action_matches_apply(rng, pb22):
     out = apply_L(amap, rho) + amap.k_mat
     out_bloch = np.array([np.trace(SIGMA[j] @ out).real for j in range(3)])
     np.testing.assert_allclose(t_mat @ a + kappa, out_bloch, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_bloch_action_bits_match_pauli_contraction(rng, m):
+    # reference: T from L applied to the Pauli matrices, kappa from kappa_vector; the
+    # Bloch action reads T off the cached f_primes, so the two must agree bit for bit
+    pb = product_basis(2, m)
+    for _ in range(20):
+        amap = extract_map(random_unitary(2 * m, rng), random_density(2 * m, rng), pb)
+        t_mat, kappa = bloch_action(amap)
+        assert np.array_equal(t_mat, 0.5 * np.einsum("jab,kba->jk", SIGMA, apply_L(amap, SIGMA)).real)
+        assert np.array_equal(kappa, kappa_vector(amap.k_mat))
 
 
 # ---------------------------------------------------------------------------
