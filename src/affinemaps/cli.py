@@ -165,6 +165,8 @@ def _csv_paths(out: str) -> tuple[str, str]:
 
 
 def cmd_domains(args) -> int:
+    if args.region == "random" and args.count is not None:
+        _reject(args, ("resolution",), "--count")
     spec = _load_spec(args.spec)
     amap = _load_map(args.map) if args.map else None
     sample = dom.sample_domain(
@@ -172,7 +174,7 @@ def cmd_domains(args) -> int:
         amap=amap,
         region=args.region,
         section=args.section,
-        resolution=args.resolution,
+        resolution=101 if args.resolution is None else args.resolution,
         count=args.count,
         seed=args.seed,
         tol=args.tol,
@@ -299,11 +301,9 @@ def fig1a_map() -> mp.AffineMap:
     return q2.int_ham_map(q2.IntHamParams(gamma=FIG1A_GAMMA), fig1_spec(diagonals_free=False))
 
 
-def _emit_section(spec, amap, section, resolution, seed, tol, out_dir, stem, files) -> dom.DomainSample:
+def _emit_section(spec, amap, section, resolution, tol, out_dir, stem, files) -> dom.DomainSample:
     """Sample one grid section, write it as <stem>_<section>.csv and list the file in ``files``."""
-    sample = dom.sample_domain(
-        spec, amap=amap, region="grid", section=section, resolution=resolution, seed=seed, tol=tol
-    )
+    sample = dom.sample_domain(spec, amap=amap, region="grid", section=section, resolution=resolution, tol=tol)
     name = f"{stem}_{section}.csv"
     sample.write_csv(os.path.join(out_dir, name))
     files.append(name)
@@ -314,14 +314,12 @@ def cmd_preset(args) -> int:
     out_dir = args.out or f"preset_{args.name}"
     os.makedirs(out_dir, exist_ok=True)
     res = args.resolution
-    meta: dict = {"preset": args.name, "resolution": res, "seed": args.seed, "files": []}
+    meta: dict = {"preset": args.name, "resolution": res, "files": []}
 
     if args.name == "fig1":
         for section in ("p1p2", "p1p3", "p2p3"):
             for label, spec in (("partial", fig1_spec(True)), ("full", fig1_spec(False))):
-                _emit_section(
-                    spec, None, section, res, args.seed, args.tol, out_dir, f"fig1_{label}", meta["files"]
-                )
+                _emit_section(spec, None, section, res, args.tol, out_dir, f"fig1_{label}", meta["files"])
         meta["spec_partial"] = fig1_spec(True).to_json_dict()
         meta["spec_full"] = fig1_spec(False).to_json_dict()
 
@@ -330,12 +328,8 @@ def cmd_preset(args) -> int:
         _write_payload(_map_payload(amap, args.tol), os.path.join(out_dir, "fig1a_map.json"))
         meta["files"].append("fig1a_map.json")
         meta["gamma"] = list(FIG1A_GAMMA)
-        _emit_section(
-            fig1_spec(True), amap, "p1p2", res, args.seed, args.tol, out_dir, "fig1a_partial", meta["files"]
-        )
-        sample = _emit_section(
-            fig1_spec(False), amap, "p1p2", res, args.seed, args.tol, out_dir, "fig1a_full", meta["files"]
-        )
+        _emit_section(fig1_spec(True), amap, "p1p2", res, args.tol, out_dir, "fig1a_partial", meta["files"])
+        sample = _emit_section(fig1_spec(False), amap, "p1p2", res, args.tol, out_dir, "fig1a_full", meta["files"])
         t_mat, kappa = mp.bloch_action(amap)
         mapped = sample.probes @ t_mat.T + kappa
         mapped_path = os.path.join(out_dir, "fig1a_mapped_p1p2.csv")
@@ -348,7 +342,7 @@ def cmd_preset(args) -> int:
     elif args.name == "fig2":
         spec = fig2_spec()
         for section in ("p1p2", "p1p3", "p2p3"):
-            _emit_section(spec, None, section, res, args.seed, args.tol, out_dir, "fig2", meta["files"])
+            _emit_section(spec, None, section, res, args.tol, out_dir, "fig2", meta["files"])
         meta["spec"] = spec.to_json_dict()
 
     else:
@@ -411,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", default=None)
     p.add_argument("--section", choices=sorted(dom.SECTION_AXES), default=None)
     p.add_argument("--region", choices=["grid", "random"], default="grid")
-    p.add_argument("--resolution", type=int, default=101)
+    p.add_argument("--resolution", type=int, default=None, help="not with --region random --count (default 101)")
     p.add_argument("--count", type=int, default=None)
     common(p, seed=True)
     p.set_defaults(func=cmd_domains)
@@ -452,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preset", help="emit the bundled figure data sets")
     p.add_argument("name", choices=["fig1", "fig1a", "fig2"])
     p.add_argument("--resolution", type=int, default=101)
-    common(p, seed=True)
+    common(p)
     p.set_defaults(func=cmd_preset)
 
     return parser

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import JointStateCoeffs, build_basis, product_basis
-from .linalg import DEFAULT_TOL, dagger
+from .linalg import DEFAULT_TOL
 from .maps import AffineMap, bloch_action
 
 
@@ -47,9 +47,13 @@ def compatibility(
     With no free coefficient margin = t* = lambda_min(X0).  Otherwise
     S = X(c) - t 1 is kept positive definite by a log-det barrier,
     centred by damped Newton steps for mu = 1e-2, 1e-4, ..., 1e-14.
-    lambda_min(X(c)) bounds t* from below.  While the Newton decrement is
-    below 1, Z = mu (S^-1 - S^-1 dS S^-1), dS the Newton step, is PSD with
-    trace 1 and no free components, so Tr[Z X0] bounds t* from above.
+    lambda_min(X(c)) bounds t* from below.  A step takes that lambda_min
+    from one eigvalsh of X(c) (the first reuses lambda_min(X0)), S^-1 from
+    one matrix inverse, and every S^-1 A_j, A_j = dS/dc_j or dS/dt, from
+    one product of S^-1 with the operators stacked as columns.  While the
+    Newton decrement is below 1, Z = mu (S^-1 - S^-1 dS S^-1), dS the
+    Newton step, is PSD with trace 1 and no free components, so Tr[Z X0]
+    bounds t* from above.
     A probe stops once decided: inside (margin = lower bound) when
     lambda_min(X(c)) >= -tol, outside (margin = upper bound) when the
     upper bound is below -tol, otherwise by the midpoint of the bounds once
@@ -81,20 +85,21 @@ def compatibility(
 
     eye = np.eye(d)
     ops = np.concatenate([free_ops, -eye[None]])  # dS/dc and dS/dt
+    ops_cols = ops.transpose(1, 0, 2).reshape(d, (k + 1) * d)  # S^-1 @ ops_cols holds every S^-1 A_j
     e_t = np.eye(k + 1)[k]
     ridge = 1e-12 * np.eye(k + 1)  # the Hessian is singular where t* = 0 on a face
     idx = np.arange(batch if k else 0)  # a fully fixed spec needs no search
     x = x0
     t = margin - 0.1
+    lower = margin.copy()  # lambda_min of the first iterate, X0
     for mu in np.logspace(-2, -14, 7):
         if not idx.size:
             break
         for _ in range(50):  # centring takes a few steps; the cap only bounds the loop
-            w, v = np.linalg.eigh(x - t[:, None, None] * eye)
-            lower = w[:, 0] + t
-            p = ((v / w[:, None, :]) @ dagger(v))[:, None] @ ops
-            g0 = np.einsum("bkii->bk", p).real
-            hess = np.einsum("bjxy,blyx->bjl", p, p).real
+            s_inv = np.linalg.inv(x - t[:, None, None] * eye)
+            p = (s_inv.reshape(-1, d) @ ops_cols).reshape(len(x), d, k + 1, d)  # p[b, :, j, :] = S^-1 A_j
+            g0 = np.einsum("bxjx->bj", p).real
+            hess = np.einsum("bxjz,bzlx->bjl", p, p).real
             del p  # the largest array; freed before the next one is built
             hess += np.einsum("bii->b", hess)[:, None, None] * ridge
             grad = g0 + e_t / mu
@@ -112,10 +117,11 @@ def compatibility(
             step *= np.where(dec > 0.25, 1.0 / (1.0 + dec), 1.0)[:, None]
             x = x + np.einsum("bk,kij->bij", step[:, :k], free_ops)
             t = t + step[:, k]
+            lower = np.linalg.eigvalsh(x)[:, 0]
             if dec.max(initial=0.0) < 0.25:
                 break
     if idx.size:
-        margin[idx] = np.linalg.eigvalsh(x)[..., 0]
+        margin[idx] = lower
         completion[idx] = x
     return (margin >= -tol).reshape(lead), margin.reshape(lead), completion.reshape(lead + (d, d))
 
@@ -207,15 +213,19 @@ def _write_csv(path, header: str, values: np.ndarray, labels=()) -> None:
 
 @dataclass
 class DomainSample:
-    """Labeled probe cloud: compat in {1, 0} (in/out), pos in {1, 0}."""
+    """Labeled probe cloud: compat in {1, 0} (in/out), pos in {1, 0}.
+
+    ``seed`` is None on a grid, which draws no random numbers, and
+    ``resolution`` is None on a random cloud sized by a count.
+    """
 
     probes: np.ndarray
     compat: np.ndarray
     pos: np.ndarray
     section: str | None
     region: str
-    resolution: int
-    seed: int
+    resolution: int | None
+    seed: int | None
     meta: dict = field(default_factory=dict)
 
     def write_csv(self, path) -> None:
@@ -281,6 +291,6 @@ def sample_domain(
         pos=pos,
         section=section,
         region=region,
-        resolution=resolution,
-        seed=seed,
+        resolution=None if count is not None else resolution,
+        seed=seed if region == "random" else None,
     )

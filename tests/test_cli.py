@@ -159,6 +159,20 @@ def test_domains_command_writes_csv_and_sidecar(tmp_path):
     assert meta["spec"]["coeff"][0][1] == pytest.approx(SQ3)
 
 
+def test_domains_sidecar_records_only_inputs_that_shaped_the_csv(tmp_path):
+    s_path = write_spec(tmp_path / "spec.json", fig2_spec())
+    grid = ["domains", "--spec", s_path, "--section", "p1p2", "--resolution", "9"]
+    assert main(grid + ["--seed", "5", "--out", str(tmp_path / "seeded")]) == 0
+    assert main(grid + ["--out", str(tmp_path / "plain")]) == 0
+    assert (tmp_path / "seeded.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    meta = read_json(tmp_path / "seeded.json")
+    assert meta["seed"] is None and meta["resolution"] == 9
+    cloud = ["domains", "--spec", s_path, "--region", "random", "--count", "20", "--seed", "5"]
+    assert main(cloud + ["--out", str(tmp_path / "cloud")]) == 0
+    meta = read_json(tmp_path / "cloud.json")
+    assert meta["seed"] == 5 and meta["resolution"] is None
+
+
 def test_image_command(tmp_path):
     map_path = tmp_path / "map.json"
     assert main(["example", "int-ham", "--gamma", "0,0,0", "--out", str(map_path)]) == 0
@@ -431,6 +445,8 @@ def malformed_files(tmp_path) -> dict:
         ["example", "lorentz", "--gamma", "9,9,9", "--r1", ROT, "--r2", ROT],
         ["example", "int-ham", "--r1", "not json"],
         ["domains", "--spec", "{spec}", "--section", "p1p2", "--count", "5"],
+        ["domains", "--spec", "{spec}", "--region", "random", "--count", "5", "--resolution", "7"],
+        ["preset", "fig2", "--seed", "9"],
     ],
 )
 def test_malformed_input_exits_2(tmp_path, argv):

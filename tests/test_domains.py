@@ -243,6 +243,24 @@ def test_probe_outside_unit_ball_is_infeasible(seed, mask, direction, radius):
     assert not compatibility(random_spec(seed, mask), probe)[0]
 
 
+ball_points = st.tuples(*[st.floats(-1, 1)] * 3).map(lambda v: np.array(v) / max(1.0, np.linalg.norm(v)))
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), mask=free_masks, probes=st.lists(ball_points, min_size=1, max_size=8))
+def test_batch_certificates_hold_for_every_probe(pb22, seed, mask, probes):
+    spec, probes, tol = random_spec(seed, mask), np.array(probes), 1e-9
+    inside, margin, completion = compatibility(spec, probes, tol)
+    np.testing.assert_array_equal(inside, margin >= -tol)
+    assert (margin[~inside] < -tol).all()
+    fixed = ~spec.free
+    fixed[1:, 0] = True  # the probe column is always fixed
+    for probe, m, x in zip(probes[inside], margin[inside], completion[inside]):
+        assert abs(m - np.linalg.eigvalsh(x)[0]) <= 1e-12
+        expected = at_probe(spec, probe).coeff[fixed]
+        np.testing.assert_allclose(expand_state(x, pb22).coeff[fixed], expected, atol=1e-8)
+
+
 @settings(max_examples=25)
 @given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 2.0))
 def test_fixed_spec_labels_are_lambda_min_sign(pb22, seed, scale):
