@@ -1,10 +1,14 @@
 """Orthogonal Hermitian operator bases and coefficient expansions.
 
-A basis for an N-dimensional subsystem consists of N^2 Hermitian matrices
-F_mu with F_0 = identity, Tr[F_mu F_nu] = N delta_{mu nu}, and F_mu
-traceless for mu >= 1 (scaled generalized Gell-Mann generators).  Product
-bases F_{mu nu} = F_mu (x) F_nu span the bipartite operator space, and any
-joint density matrix is encoded by the real mean values <F_{mu nu}>.
+A basis for an N-dimensional subsystem is one read-only array of N^2
+Hermitian matrices F_mu with F_0 = identity, Tr[F_mu F_nu] = N delta_{mu nu},
+and F_mu traceless for mu >= 1 (scaled generalized Gell-Mann generators;
+the Pauli matrices for N = 2).  One codec maps a traceless operator Q to its
+coefficients Re Tr[F_alpha Q], alpha >= 1, and back to sum c_alpha F_alpha / N;
+``probe_state`` is the subsystem state (1/N)(1 + sum c_alpha F_alpha).
+Product bases F_{mu nu} = F_mu (x) F_nu span the bipartite operator space,
+and any joint density matrix is encoded by the real mean values
+<F_{mu nu}>.
 """
 
 from __future__ import annotations
@@ -25,56 +29,60 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 # build_basis and product_basis stay plain functions in front of private
 # caches, so that introspection (perfbench's layer tracer) still sees functions.
-def build_basis(n: int) -> "HermitianBasis":
-    """Orthogonal Hermitian basis for dimension n.
+def build_basis(n: int) -> np.ndarray:
+    """Orthogonal Hermitian basis for dimension n, shape (n^2, n, n).
 
     Ordering: identity, then symmetric off-diagonal pairs (row-major over
     j < k), then antisymmetric pairs, then diagonal generators.  All
     matrices are scaled so Tr[F_mu F_nu] = n delta_{mu nu}; for n = 2 this
     reproduces the Pauli matrices {I, s1, s2, s3}.  The basis is built once
-    per n and shared by every caller, so its array is read-only: copy it
+    per n and shared by every caller, so the array is read-only: copy it
     before modifying.
     """
     return _build_basis(n)
 
 
 @functools.cache
-def _build_basis(n: int) -> "HermitianBasis":
+def _build_basis(n: int) -> np.ndarray:
     if n < 2:
         raise ValueError(f"basis dimension must be >= 2, got {n}")
     scale = np.sqrt(n / 2.0)
     mats = [np.eye(n, dtype=complex)]
-    sym = []
-    antisym = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            s = np.zeros((n, n), dtype=complex)
-            s[j, k] = s[k, j] = 1.0
-            sym.append(scale * s)
-            a = np.zeros((n, n), dtype=complex)
-            a[j, k] = -1j
-            a[k, j] = 1j
-            antisym.append(scale * a)
-    mats.extend(sym)
-    mats.extend(antisym)
+    # -(scale * 1j) has real part -0.0, as the literal -1j has: n = 2 gives the Paulis bit for bit
+    for upper, lower in ((scale, scale), (-(scale * 1j), scale * 1j)):
+        for j in range(n):
+            for k in range(j + 1, n):
+                f = np.zeros((n, n), dtype=complex)
+                f[j, k], f[k, j] = upper, lower
+                mats.append(f)
     for l in range(1, n):
         d = np.zeros(n, dtype=complex)
         d[:l] = 1.0
         d[l] = -l
         mats.append(scale * np.sqrt(2.0 / (l * (l + 1))) * np.diag(d))
-    return HermitianBasis(dim=n, mats=_read_only(np.array(mats)))
+    return _read_only(np.array(mats))
 
 
-@dataclass(frozen=True)
-class HermitianBasis:
-    """The n^2 orthogonal Hermitian basis matrices for one subsystem."""
+def coefficients(q: np.ndarray, n: int) -> np.ndarray:
+    """Coefficients Re Tr[F_alpha Q], alpha >= 1, of operators ``q`` (..., n, n): shape (..., n^2 - 1)."""
+    return np.einsum("aij,...ji->...a", build_basis(n)[1:], q).real
 
-    dim: int
-    mats: np.ndarray  # shape (dim^2, dim, dim), index 0 is the identity
 
-    def __post_init__(self):
-        if self.mats.shape != (self.dim**2, self.dim, self.dim):
-            raise ValueError(f"expected {self.dim**2} matrices of size {self.dim}")
+def traceless_operator(c: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of ``coefficients`` on traceless operators: sum_alpha c_alpha F_alpha / n, batched."""
+    return np.einsum("...a,aij->...ij", c, build_basis(n)[1:]) / n
+
+
+def probe_state(probe: np.ndarray, n: int) -> np.ndarray:
+    """Subsystem state (1/N)(1 + sum probe_alpha F_alpha) for probe vectors.
+
+    ``probe`` has shape (..., N^2 - 1); leading dimensions are batched.  It is
+    1/N + traceless_operator(probe, N) up to rounding: the sum is taken before the division.
+    """
+    probe = np.asarray(probe, dtype=float)
+    if probe.shape[-1:] != (n**2 - 1,):
+        raise ValueError(f"probe must have length {n**2 - 1}")
+    return (np.eye(n, dtype=complex) + np.einsum("...a,aij->...ij", probe, build_basis(n)[1:])) / n
 
 
 def product_basis(n: int, m: int) -> "ProductBasis":
@@ -93,21 +101,21 @@ def _product_basis(n: int, m: int) -> "ProductBasis":
 
 @dataclass(frozen=True)
 class ProductBasis:
-    basis_s: HermitianBasis
-    basis_r: HermitianBasis
+    basis_s: np.ndarray  # build_basis(n)
+    basis_r: np.ndarray  # build_basis(m)
     mats: np.ndarray = field(init=False)  # (n^2, m^2, n*m, n*m)
 
     def __post_init__(self):
-        prod = np.kron(self.basis_s.mats[:, None], self.basis_r.mats[None])
+        prod = np.kron(self.basis_s[:, None], self.basis_r[None])
         object.__setattr__(self, "mats", _read_only(prod))
 
     @property
     def n(self) -> int:
-        return self.basis_s.dim
+        return self.basis_s.shape[-1]
 
     @property
     def m(self) -> int:
-        return self.basis_r.dim
+        return self.basis_r.shape[-1]
 
     @property
     def dim(self) -> int:

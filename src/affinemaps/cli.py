@@ -19,7 +19,7 @@ from . import domains as dom
 from . import maps as mp
 from . import qubit2 as q2
 from . import tomography as tom
-from .basis import JointStateCoeffs, product_basis, reconstruct_state
+from .basis import JointStateCoeffs, coefficients, probe_state, product_basis, reconstruct_state
 from .domains import InfeasibleError
 from .linalg import DEFAULT_TOL, from_pairs, to_pairs
 
@@ -38,20 +38,6 @@ def _matrix(data: dict) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix must be square, got shape {mat.shape}")
     return mat
-
-
-def _load_state(path: str, dims: tuple[int, int]):
-    """Load a joint state file: coefficient JSON or raw matrix JSON."""
-    data = _load_json(path)
-    if "coeff" in data:
-        coeffs = JointStateCoeffs.from_json_dict(data)
-        pb = product_basis(coeffs.n, coeffs.m)
-        return reconstruct_state(coeffs, pb), pb
-    pi = _matrix(data)
-    d = dims[0] * dims[1]
-    if pi.shape != (d, d):  # checked before the product basis is built for these dims
-        raise ValueError(f"state matrix has shape {pi.shape}, --dims {dims} needs {(d, d)}")
-    return pi, product_basis(*dims)
 
 
 def _load_map(path: str) -> mp.AffineMap:
@@ -107,11 +93,21 @@ def _map_payload(amap: mp.AffineMap, tol: float) -> dict:
 
 
 def cmd_extract(args) -> int:
-    dims = tuple(int(x) for x in args.dims.split(","))
-    if len(dims) != 2:
-        raise ValueError("--dims must be N,M")
     u = _matrix(_load_json(args.unitary))
-    pi, pb = _load_state(args.state, dims)
+    data = _load_json(args.state)  # a coefficient file carries its dims, a raw matrix takes --dims
+    if "coeff" in data:
+        _reject(args, ("dims",), "a coefficient state file")
+        coeffs = JointStateCoeffs.from_json_dict(data)
+        pb = product_basis(coeffs.n, coeffs.m)
+        pi = reconstruct_state(coeffs, pb)
+    else:
+        dims = tuple(int(x) for x in (args.dims or "2,2").split(","))
+        if len(dims) != 2:
+            raise ValueError("--dims must be N,M")
+        pi, d = _matrix(data), dims[0] * dims[1]
+        if pi.shape != (d, d):  # checked before the product basis is built for these dims
+            raise ValueError(f"state matrix has shape {pi.shape}, --dims {dims} needs {(d, d)}")
+        pb = product_basis(*dims)
     amap = mp.extract_map(u, pi, pb, args.tol)
     _write_payload(_map_payload(amap, args.tol), args.out)
     return 0
@@ -120,13 +116,13 @@ def cmd_extract(args) -> int:
 def cmd_apply(args) -> int:
     amap = _load_map(args.map)
     if args.probe is not None:
-        rho = dom.probe_state(_parse_vector(args.probe, amap.n**2 - 1, "--probe"), amap.n)
+        rho = probe_state(_parse_vector(args.probe, amap.n**2 - 1, "--probe"), amap.n)
     else:
         rho = _matrix(_load_json(args.state))
     out = mp.apply_affine(amap, rho, args.tol)
     payload = {"rho_out": to_pairs(out)}
     if amap.n == 2:
-        payload["bloch_out"] = [float(np.trace(q2.SIGMA[j] @ out).real) for j in range(3)]
+        payload["bloch_out"] = coefficients(out, 2).tolist()
     _write_payload(payload, args.out)
     return 0
 
@@ -148,7 +144,7 @@ def cmd_check_cp(args) -> int:
 def cmd_purity(args) -> int:
     amap = _load_map(args.map)
     if args.probe is not None:
-        rho = dom.probe_state(_parse_vector(args.probe, amap.n**2 - 1, "--probe"), amap.n)
+        rho = probe_state(_parse_vector(args.probe, amap.n**2 - 1, "--probe"), amap.n)
     else:
         rho = np.eye(amap.n, dtype=complex) / amap.n
     payload = {
@@ -193,7 +189,7 @@ def _write_pairs_csv(path: str, inputs: np.ndarray, outputs: np.ndarray, labels:
 
 def cmd_image(args) -> int:
     amap = _load_map(args.map)
-    inputs, outputs = q2.image_of_ball(amap, args.section, args.resolution)
+    inputs, outputs = dom.image_of_ball(amap, args.section, args.resolution)
     csv_path, _ = _csv_paths(args.out)
     _write_pairs_csv(csv_path, inputs, outputs)
     return 0
@@ -213,9 +209,11 @@ def cmd_tomography(args) -> int:
         with open(args.pairs) as fh:
             probes = tom.pairs_from_json(fh.read())
     else:
-        spec = _load_spec(args.spec) if args.spec else JointStateCoeffs.blank(2, 2)
         truth = _load_map(args.map)
-        base = _parse_vector("0,0,0" if args.base is None else args.base, truth.n**2 - 1, "--base")
+        spec = _load_spec(args.spec) if args.spec else JointStateCoeffs.blank(truth.n, truth.m)
+        if (spec.n, spec.m) != (truth.n, truth.m):
+            raise ValueError(f"--spec has dims ({spec.n},{spec.m}), the map ({truth.n},{truth.m})")
+        base = np.zeros(truth.n**2 - 1) if args.base is None else _parse_vector(args.base, truth.n**2 - 1, "--base")
         probes = tom.design_probes(spec, base, eps=args.eps or 0.05, tol=args.tol)
         tom.evaluate_probes(probes, tom.map_oracle(truth))
     recon = tom.reconstruct_map(probes)
@@ -335,7 +333,7 @@ def cmd_preset(args) -> int:
         mapped_path = os.path.join(out_dir, "fig1a_mapped_p1p2.csv")
         _write_pairs_csv(mapped_path, sample.probes, mapped, {"compat": sample.compat, "pos": sample.pos})
         meta["files"].append("fig1a_mapped_p1p2.csv")
-        circle_in, circle_out = q2.image_of_ball(amap, "p1p2", resolution=360)
+        circle_in, circle_out = dom.image_of_ball(amap, "p1p2", resolution=360)
         _write_pairs_csv(os.path.join(out_dir, "fig1a_circle_p1p2.csv"), circle_in, circle_out)
         meta["files"].append("fig1a_circle_p1p2.csv")
 
@@ -377,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="extract (L, K) from a unitary and a joint state")
     p.add_argument("--unitary", required=True)
     p.add_argument("--state", required=True)
-    p.add_argument("--dims", default="2,2", help="subsystem dims N,M for raw matrix states")
+    p.add_argument("--dims", default=None, help="raw matrix states only: subsystem dims N,M (default 2,2)")
     common(p)
     p.set_defaults(func=cmd_extract)
 
@@ -422,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     given = p.add_mutually_exclusive_group(required=True)
     given.add_argument("--map", default=None, help="ground-truth map used as the oracle")
     given.add_argument("--pairs", default=None, help="externally produced pair file")
-    p.add_argument("--spec", default=None, help="with --map only")
-    p.add_argument("--base", default=None, help="with --map only (default 0,0,0)")
+    p.add_argument("--spec", default=None, help="with --map only (default: the map's dims, all coefficients 0)")
+    p.add_argument("--base", default=None, help="with --map only (default: n^2 - 1 zeros)")
     p.add_argument("--eps", type=_positive, default=None, help="with --map only (default 0.05)")
     common(p)
     p.set_defaults(func=cmd_tomography)

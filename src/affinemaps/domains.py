@@ -15,8 +15,9 @@ an inside probe is that lambda_min, a lower bound on t*.  The positivity
 domain is the set of subsystem states whose image under the affine map is
 positive; ``positivity(amap, probes, tol)`` labels a batch of qubit
 probes a on the Bloch action a -> T a + kappa, whose image is a state
-exactly when |T a + kappa| <= 1.  The CSV encoder formats each distinct
-value of a column once and gathers the rows.
+exactly when |T a + kappa| <= 1, and ``image_of_ball`` maps the unit
+circle of a section plane through that action.  The CSV encoder formats
+each distinct value of a column once and gathers the rows.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import JointStateCoeffs, build_basis, product_basis
+from .basis import JointStateCoeffs, product_basis
 from .linalg import DEFAULT_TOL
 from .maps import AffineMap, bloch_action
 
@@ -126,17 +127,6 @@ def compatibility(
     return (margin >= -tol).reshape(lead), margin.reshape(lead), completion.reshape(lead + (d, d))
 
 
-def probe_state(probe: np.ndarray, n: int) -> np.ndarray:
-    """Subsystem state (1/N)(1 + sum probe_alpha F_alpha) for probe vectors.
-
-    ``probe`` has shape (..., N^2 - 1); leading dimensions are batched.
-    """
-    probe = np.asarray(probe, dtype=float)
-    if probe.shape[-1:] != (n**2 - 1,):
-        raise ValueError(f"probe must have length {n**2 - 1}")
-    return (np.eye(n, dtype=complex) + np.einsum("...a,aij->...ij", probe, build_basis(n).mats[1:])) / n
-
-
 def positivity(amap: AffineMap, probes: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Positivity-domain label per qubit probe a of shape (..., 3).
 
@@ -158,7 +148,7 @@ def positivity(amap: AffineMap, probes: np.ndarray, tol: float = DEFAULT_TOL) ->
 SECTION_AXES = {"p1p2": (0, 1), "p1p3": (0, 2), "p2p3": (1, 2)}
 
 
-def section_axes(section: str) -> tuple[int, int]:
+def _section_axes(section: str) -> tuple[int, int]:
     """Coordinate indices of a section plane such as "p1p2"."""
     axes = SECTION_AXES.get(section)
     if axes is None:
@@ -167,13 +157,29 @@ def section_axes(section: str) -> tuple[int, int]:
 
 
 def _section_grid(section: str, resolution: int) -> np.ndarray:
-    axes = section_axes(section)
+    axes = _section_axes(section)
     line = np.linspace(-1.0, 1.0, resolution)
     x, y = np.meshgrid(line, line, indexing="ij")
     disc = x * x + y * y <= 1.0 + 1e-12
     probes = np.zeros((int(disc.sum()), 3))
     probes[:, axes[0]], probes[:, axes[1]] = x[disc], y[disc]
     return probes
+
+
+def image_of_ball(amap: AffineMap, section: str, resolution: int = 256) -> tuple[np.ndarray, np.ndarray]:
+    """Image of the unit circle of a section plane under the Bloch action.
+
+    Returns (inputs, outputs), each (resolution, 3); qubit maps only.
+    """
+    if amap.n != 2:
+        raise ValueError("image_of_ball requires a qubit map")
+    if resolution < 1:
+        raise ValueError(f"resolution must be positive, got {resolution}")
+    t_mat, kappa = bloch_action(amap)
+    theta = 2 * np.pi * np.arange(resolution) / resolution
+    inputs = np.zeros((resolution, 3))
+    inputs[:, _section_axes(section)] = np.column_stack([np.cos(theta), np.sin(theta)])
+    return inputs, inputs @ t_mat.T + kappa
 
 
 def _fibonacci_shells(resolution: int) -> np.ndarray:

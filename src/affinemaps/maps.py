@@ -9,11 +9,13 @@ built once per map, as one contraction over the flattened (j, k) index.
 The inhomogeneous part K is a traceless Hermitian matrix read off the
 Heisenberg picture: K's coefficients are Tr[Pi W_mu] with the joint
 operators W_mu of ``w_operators``, so only environment and correlation
-mean values of the joint state enter.  The linear extension
+mean values of the joint state enter, and ``basis.traceless_operator``
+turns them into K.  The linear extension
 Q -> L(Q) + K Tr Q agrees with the affine map on density matrices; it is
 ``BMatrix.apply``, the Choi matrix is the reindexed B matrix, and the CP
 test and signed operator sum come from its spectrum.  ``bloch_action`` is
-the qubit form a -> T a + kappa on Bloch vectors.
+the qubit form a -> T a + kappa on Bloch vectors, both read off through
+``basis.coefficients``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import HermitianBasis, ProductBasis, build_basis, read_dim
+from .basis import ProductBasis, build_basis, coefficients, read_dim, traceless_operator
 from .linalg import (
     DEFAULT_TOL,
     dagger,
@@ -86,23 +88,23 @@ class AffineMap:
     @cached_property
     def f_primes(self) -> np.ndarray:
         """L(F_alpha) for the traceless basis matrices, alpha = 1..n^2-1."""
-        return apply_L(self, build_basis(self.n).mats[1:])
+        return apply_L(self, build_basis(self.n)[1:])
 
 
-def extract_G(u: np.ndarray, basis_r: HermitianBasis, tol: float = DEFAULT_TOL) -> np.ndarray:
+def extract_G(u: np.ndarray, basis_r: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Multiplication operators G(nu) = (1/M) Tr_R[U (1 (x) F_nu)].
 
     Inverts the expansion U = sum_nu G(nu) (x) F_nu over the environment
-    basis; the returned array has shape (m^2, n, n).
+    basis ``build_basis(m)``; the returned array has shape (m^2, n, n).
     """
     require_unitary(u, tol)
-    m = basis_r.dim
+    m = basis_r.shape[-1]
     d = u.shape[0]
     if d % m:
         raise ValueError(f"unitary dimension {d} not divisible by environment dimension {m}")
     n = d // m
     u4 = u.reshape(n, m, n, m)
-    return np.einsum("iajc,xca->xij", u4, basis_r.mats) / m
+    return np.einsum("iajc,xca->xij", u4, basis_r) / m
 
 
 def _contract_b4(b4: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -132,8 +134,7 @@ def bloch_action(amap: AffineMap) -> tuple[np.ndarray, np.ndarray]:
     """Qubit affine action a -> T a + kappa: T_jk = Re Tr[F_j L(F_k)]/2 from ``f_primes``, kappa_j = Re Tr[F_j K]."""
     if amap.n != 2:
         raise ValueError("Bloch action requires a qubit map")
-    f = build_basis(2).mats[1:]
-    return 0.5 * np.einsum("jab,kba->jk", f, amap.f_primes).real, np.einsum("jab,ba->j", f, amap.k_mat).real
+    return 0.5 * coefficients(amap.f_primes, 2).T, coefficients(amap.k_mat, 2)
 
 
 def w_operators(u: np.ndarray, obs: np.ndarray, m: int) -> np.ndarray:
@@ -177,9 +178,8 @@ def extract_K(
     n, m = pb.n, pb.m
     if pi.shape != (n * m, n * m):
         raise ValueError(f"joint state has shape {pi.shape}, basis expects {(n * m, n * m)}")
-    f = pb.basis_s.mats[1:]
-    coeff = np.einsum("aij,ji->a", w_operators(u, f, m), pi)
-    k = np.einsum("a,aij->ij", coeff, f) / n
+    coeff = np.einsum("aij,ji->a", w_operators(u, pb.basis_s[1:], m), pi)
+    k = traceless_operator(coeff, n)
     imag = float(np.abs(k - dagger(k)).max())
     if imag > 10 * tol:
         raise ValueError(f"extracted K is not Hermitian (deviation {imag:.3e})")

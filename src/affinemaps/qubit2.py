@@ -6,7 +6,8 @@ contraction with factors (cos g2 cos g3, cos g3 cos g1, cos g1 cos g2) and
 an inhomogeneous vector built from environment and cross-correlation mean
 values.  The two-momentum rotation family conditions one of two spin
 rotations on the x_1 eigenvalue of the second qubit, with
-G(0) = (D1 + D2)/2 and G(1) = (D1 - D2)/2.
+G(0) = (D1 + D2)/2 and G(1) = (D1 - D2)/2.  The Pauli matrices are the
+n = 2 basis ``build_basis(2)``, and K = ``traceless_operator(kappa, 2)``.
 """
 
 from __future__ import annotations
@@ -16,21 +17,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import JointStateCoeffs, expand_state, product_basis, reconstruct_state
-from .domains import section_axes
+from .basis import JointStateCoeffs, build_basis, expand_state, product_basis, reconstruct_state, traceless_operator
 from .linalg import DEFAULT_TOL, finite_array, random_density, random_unitary, require_density, require_unitary, to_pairs
-from .maps import AffineMap, BMatrix, bloch_action, w_operators
+from .maps import AffineMap, BMatrix, w_operators
 
-I2 = np.eye(2, dtype=complex)
-SIGMA = np.array(
-    [
-        [[0, 1], [1, 0]],
-        [[0, -1j], [1j, 0]],
-        [[1, 0], [0, -1]],
-    ],
-    dtype=complex,
-)
-PAULIS = np.concatenate([I2[None], SIGMA])
+I2, SIGMA = build_basis(2)[0], build_basis(2)[1:]  # the identity and the Pauli matrices
 SIGMA_PAIRS = np.array([np.kron(s, s) for s in SIGMA])  # s_j (x) s_j, the interaction generators
 
 GOLDEN_KAPPA_BOUND = (1 + np.sqrt(5)) / 2
@@ -73,32 +64,6 @@ class Rotation:
 class LorentzParams:
     r1: Rotation
     r2: Rotation
-
-
-def kappa_vector(k_mat: np.ndarray) -> np.ndarray:
-    """Bloch components kappa_j = Tr[s_j K] of a qubit inhomogeneous part."""
-    return np.einsum("jab,ba->j", SIGMA, k_mat).real
-
-
-def image_of_ball(amap: AffineMap, section: str, resolution: int = 256) -> tuple[np.ndarray, np.ndarray]:
-    """Image of the unit circle of a section plane under the Bloch action.
-
-    Returns (inputs, outputs), each (resolution, 3); qubit maps only.
-    """
-    if amap.n != 2:
-        raise ValueError("image_of_ball requires a qubit map")
-    if resolution < 1:
-        raise ValueError(f"resolution must be positive, got {resolution}")
-    t_mat, kappa = bloch_action(amap)
-    theta = 2 * np.pi * np.arange(resolution) / resolution
-    inputs = np.zeros((resolution, 3))
-    inputs[:, section_axes(section)] = np.column_stack([np.cos(theta), np.sin(theta)])
-    return inputs, inputs @ t_mat.T + kappa
-
-
-def k_from_kappa(kappa) -> np.ndarray:
-    """K = (1/2) sum_j kappa_j s_j."""
-    return 0.5 * np.einsum("j,jab->ab", np.asarray(kappa, dtype=float), SIGMA)
 
 
 def int_ham_unitary(p: IntHamParams) -> np.ndarray:
@@ -166,7 +131,7 @@ def int_ham_map(p: IntHamParams, corr: JointStateCoeffs) -> AffineMap:
     ignored.
     """
     return AffineMap(
-        n=2, m=2, g_ops=int_ham_g_ops(p), k_mat=k_from_kappa(int_ham_kappa(p, corr))
+        n=2, m=2, g_ops=int_ham_g_ops(p), k_mat=traceless_operator(int_ham_kappa(p, corr), 2)
     )
 
 
@@ -232,7 +197,7 @@ def lorentz_map(p: LorentzParams, corr: JointStateCoeffs) -> AffineMap:
     g_ops = np.array([0.5 * (d1 + d2), 0.5 * (d1 - d2), zero, zero])
     v = _two_qubit_coeff(corr)[1:, 1]
     kappa = 0.5 * (p.r1.matrix @ v - p.r2.matrix @ v)
-    return AffineMap(n=2, m=2, g_ops=g_ops, k_mat=k_from_kappa(kappa))
+    return AffineMap(n=2, m=2, g_ops=g_ops, k_mat=traceless_operator(kappa, 2))
 
 
 class KappaBounds(NamedTuple):

@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import JointStateCoeffs
-from .domains import InfeasibleError, compatibility, probe_state
+from .basis import JointStateCoeffs, probe_state
+from .domains import InfeasibleError, compatibility
 from .linalg import DEFAULT_TOL, finite_array, from_pairs, require_hermitian
 from .maps import AffineMap, apply_L
 

@@ -13,6 +13,13 @@ settings.register_profile("reproducible", derandomize=True, deadline=None)
 settings.load_profile("reproducible")
 
 
+# the identity and the Pauli matrices, written out as the reference for build_basis(2)
+PAULIS = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    dtype=complex,
+)
+
+
 @pytest.fixture(scope="session")
 def pb22():
     return product_basis(2, 2)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from affinemaps.basis import JointStateCoeffs, expand_state, product_basis, reconstruct_state
+from affinemaps.basis import JointStateCoeffs, coefficients, expand_state, product_basis, reconstruct_state, traceless_operator
 from affinemaps.cli import fig2_spec, main
 from affinemaps.domains import compatibility, sample_domain
 from affinemaps.linalg import dagger, partial_trace, random_density, random_unitary
@@ -31,9 +31,7 @@ from affinemaps.qubit2 import (
     int_ham_b_matrix,
     int_ham_map,
     int_ham_unitary,
-    k_from_kappa,
     kappa_search,
-    kappa_vector,
     lorentz_map,
     lorentz_unitary,
 )
@@ -70,7 +68,7 @@ def test_criterion_1_int_ham_closed_forms():
             float(np.abs(closed.k_mat - numeric.k_mat).max()),
             float(np.abs(closed.g_ops - numeric.g_ops).max()),
         )
-        b_closed = int_ham_b_matrix(params, kappa_vector(numeric.k_mat)).b
+        b_closed = int_ham_b_matrix(params, coefficients(numeric.k_mat, 2)).b
         max_b = max(max_b, float(np.abs(b_matrix(numeric).b - b_closed).max()))
     elapsed = time.perf_counter() - t0
     assert max_lk <= 1e-10
@@ -111,7 +109,7 @@ def test_criterion_3_purity_theorem_both_directions():
     # K = 0: purity never increases; L acts on each unitary's states as one
     # 4x4 matrix S[il, jk] = sum_n G_n[ij] conj(G_n[lk]) on the flattened rho
     unitaries = random_unitary(4, rng, shape=(1000,))
-    fr = PB22.basis_r.mats
+    fr = PB22.basis_r
     g = np.einsum("uiajc,xca->uxij", unitaries.reshape(-1, 2, 2, 2, 2), fr) / 2
     superops = np.einsum("unij,unlk->uiljk", g, g.conj()).reshape(-1, 4, 4)
     worst = -np.inf
@@ -161,7 +159,7 @@ def test_criterion_4_g_operator_completeness():
     for n, m in [(2, 2), (2, 3), (3, 2)]:
         pb = product_basis(n, m)
         u = random_unitary(n * m, rng, shape=(1000,))
-        g = np.einsum("biajc,xca->bxij", u.reshape(-1, n, m, n, m), pb.basis_r.mats) / m
+        g = np.einsum("biajc,xca->bxij", u.reshape(-1, n, m, n, m), pb.basis_r) / m
         left = np.einsum("bxji,bxjk->bik", g.conj(), g)
         right = np.einsum("bxij,bxkj->bik", g, g.conj())
         eye = np.eye(n)
@@ -215,7 +213,7 @@ def test_criterion_6_kappa_bounds_and_search():
     from affinemaps.maps import extract_K
 
     for b in range(5):
-        k_lib = kappa_vector(extract_K(us[b], pis[b], PB22))
+        k_lib = coefficients(extract_K(us[b], pis[b], PB22), 2)
         np.testing.assert_allclose(kappa[b], k_lib, atol=1e-12)
     kappa_norm = np.linalg.norm(kappa, axis=1)
     a_norm = np.linalg.norm(np.einsum("jst,bts->bj", SIGMA, rhos).real, axis=1)
@@ -255,7 +253,7 @@ def test_criterion_7_cp_detection():
         _, is_cp = choi_and_cp(amap, tol=1e-9)
         assert is_cp
     flagged = AffineMap(
-        n=2, m=1, g_ops=np.array([I2]), k_mat=k_from_kappa([0.0, 0.0, 0.5])
+        n=2, m=1, g_ops=np.array([I2]), k_mat=traceless_operator([0.0, 0.0, 0.5], 2)
     )
     _, is_cp = choi_and_cp(flagged, tol=1e-9)
     assert not is_cp

@@ -2,21 +2,30 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import PAULIS
 
 from affinemaps.basis import (
     JointStateCoeffs,
     build_basis,
+    coefficients,
     expand_state,
+    probe_state,
     product_basis,
     reconstruct_state,
+    traceless_operator,
 )
 from affinemaps.linalg import random_density
-from affinemaps.qubit2 import PAULIS, SIGMA
+from affinemaps.qubit2 import SIGMA
 
 
 def test_build_basis_qubit_is_pauli():
     basis = build_basis(2)
-    np.testing.assert_allclose(basis.mats, PAULIS, atol=1e-15)
+    np.testing.assert_allclose(basis, PAULIS, atol=1e-15)
+    # bit for bit, signed zeros included: the real part of -i is -0.0 in both
+    assert np.array_equal(basis.view(np.uint64), PAULIS.view(np.uint64))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -24,7 +33,7 @@ def test_basis_orthogonality(n):
     basis = build_basis(n)
     for mu in range(n**2):
         for nu in range(n**2):
-            tr = np.trace(basis.mats[mu] @ basis.mats[nu])
+            tr = np.trace(basis[mu] @ basis[nu])
             expected = n if mu == nu else 0.0
             assert abs(tr - expected) < 1e-12, (mu, nu)
 
@@ -33,7 +42,7 @@ def test_basis_orthogonality(n):
 def test_basis_traceless(n):
     basis = build_basis(n)
     for mu in range(1, n**2):
-        assert abs(np.trace(basis.mats[mu])) < 1e-14
+        assert abs(np.trace(basis[mu])) < 1e-14
 
 
 def test_build_basis_rejects_small_n():
@@ -55,7 +64,7 @@ def test_bases_are_cached():
     assert pb.basis_s is build_basis(2) and pb.basis_r is build_basis(3)
 
 
-@pytest.mark.parametrize("mats", [lambda: build_basis(2).mats, lambda: product_basis(2, 2).mats])
+@pytest.mark.parametrize("mats", [lambda: build_basis(2), lambda: product_basis(2, 2).mats])
 def test_cached_basis_is_read_only(mats):
     arr = mats()
     with pytest.raises(ValueError):
@@ -66,10 +75,18 @@ def test_cached_basis_is_read_only(mats):
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
 def test_product_basis_matches_kron_loop(dims):
     pb = product_basis(*dims)
-    s, r = pb.basis_s.mats, pb.basis_r.mats
+    s, r = pb.basis_s, pb.basis_r
     loop = np.array([[np.kron(s[mu], r[nu]) for nu in range(len(r))] for mu in range(len(s))])
     # bit for bit, signed zeros included
     assert np.array_equal(pb.mats.view(np.uint64), loop.view(np.uint64))
+
+
+@given(data=st.data(), n=st.sampled_from([2, 3, 4]))
+def test_coefficient_codec_round_trip(data, n):
+    c = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=n * n - 1, max_size=n * n - 1)))
+    op = traceless_operator(c, n)
+    np.testing.assert_allclose(coefficients(op, n), c, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(probe_state(c, n) - np.eye(n) / n, op, rtol=0, atol=1e-15)
 
 
 def test_expand_maximally_mixed(pb22):

@@ -12,11 +12,11 @@ from conftest import pairs_json
 
 import affinemaps
 from affinemaps import domains
-from affinemaps.basis import JointStateCoeffs, product_basis
+from affinemaps.basis import JointStateCoeffs, coefficients, probe_state, product_basis, traceless_operator
 from affinemaps.cli import fig1_spec, fig1a_map, fig2_spec, main
-from affinemaps.linalg import random_density, random_unitary
-from affinemaps.maps import choi_matrix, extract_map, map_from_json_dict, map_to_json, map_to_json_dict
-from affinemaps.qubit2 import SIGMA, IntHamParams, int_ham_b_matrix, int_ham_unitary, kappa_vector
+from affinemaps.linalg import random_density, random_unitary, to_pairs
+from affinemaps.maps import AffineMap, choi_matrix, extract_map, map_from_json_dict, map_to_json, map_to_json_dict
+from affinemaps.qubit2 import SIGMA, IntHamParams, int_ham_b_matrix, int_ham_unitary
 from affinemaps.tomography import ProbeSet, evaluate_probes, map_oracle
 
 SQ3 = 1.0 / np.sqrt(3.0)
@@ -64,7 +64,7 @@ def test_extract_interaction_parameters_match_closed_form_b(tmp_path):
     assert main(["extract", "--unitary", u_path, "--state", s_path, "--out", str(out)]) == 0
     data = read_json(out)
     amap = map_from_json_dict(data)
-    closed = int_ham_b_matrix(IntHamParams(gamma=gamma), kappa_vector(amap.k_mat))
+    closed = int_ham_b_matrix(IntHamParams(gamma=gamma), coefficients(amap.k_mat, 2))
     b_arr = np.asarray(data["b_matrix"], dtype=float)
     np.testing.assert_allclose(b_arr[..., 0] + 1j * b_arr[..., 1], closed.b, atol=1e-12)
 
@@ -101,9 +101,8 @@ def test_example_int_ham_and_apply(tmp_path):
 def test_check_cp_flags_inhomogeneous_identity(tmp_path):
     # L = identity with kappa = (0, 0, 0.5) is not completely positive
     from affinemaps.maps import AffineMap, map_to_json_dict
-    from affinemaps.qubit2 import k_from_kappa
 
-    amap = AffineMap(n=2, m=1, g_ops=np.eye(2, dtype=complex)[None], k_mat=k_from_kappa([0, 0, 0.5]))
+    amap = AffineMap(n=2, m=1, g_ops=np.eye(2, dtype=complex)[None], k_mat=traceless_operator([0, 0, 0.5], 2))
     map_path = tmp_path / "map.json"
     map_path.write_text(json.dumps(map_to_json_dict(amap)))
     out = tmp_path / "cp.json"
@@ -227,6 +226,18 @@ def test_tomography_base_inside_partial_domain(tmp_path):
     )
     assert code == 0
     assert read_json(out)["validation"]["passed"] is True
+
+
+@pytest.mark.parametrize("dims", [(3, 2), (3, 3)])
+def test_tomography_defaults_follow_the_map_dims(tmp_path, dims):
+    # without --spec and --base the design starts at the maximally mixed state of the map's own dims
+    n, m = dims
+    rng = np.random.default_rng(n * m)
+    map_path, out = tmp_path / "map.json", tmp_path / "recon.json"
+    map_path.write_text(map_to_json(extract_map(random_unitary(n * m, rng), random_density(n * m, rng), product_basis(n, m))))
+    assert main(["tomography", "--map", str(map_path), "--out", str(out)]) == 0
+    data = read_json(out)
+    assert data["n"] == n and data["validation"]["passed"] is True
 
 
 def test_tomography_external_pairs(tmp_path, rng):
@@ -361,7 +372,7 @@ def full_rank_pairs() -> list:
 def identity_pairs(offset) -> list:
     """The origin and one 0.1 step per axis, with their identity-map outputs plus ``offset``."""
     probes = ProbeSet(np.vstack([np.zeros(3), 0.1 * np.eye(3)]), np.zeros(3))
-    evaluate_probes(probes, lambda p: domains.probe_state(p, 2) + np.asarray(offset))
+    evaluate_probes(probes, lambda p: probe_state(p, 2) + np.asarray(offset))
     return json.loads(pairs_json(probes))
 
 
@@ -373,6 +384,9 @@ def malformed_files(tmp_path) -> dict:
     contents = {
         "spec": JointStateCoeffs.blank(2, 2).to_json_dict(),
         "map": good_map,
+        "unitary": {"matrix": to_pairs(np.eye(4))},
+        "map_32": map_to_json_dict(AffineMap(n=3, m=2, g_ops=np.concatenate([np.eye(3)[None], np.zeros((3, 3, 3))]), k_mat=np.zeros((3, 3)))),
+        "spec_33": JointStateCoeffs.blank(3, 3).to_json_dict(),
         "empty_list": [],
         "list_of_one": [1],
         "matrix_object": {"matrix": {"re": 1}},
@@ -413,6 +427,8 @@ def malformed_files(tmp_path) -> dict:
         ["domains", "--spec", "{spec}", "--resolution", "0"],
         ["apply", "--map", "{map}", "--state", "{matrix_object}"],
         ["extract", "--unitary", "{matrix_scalar}", "--state", "{spec}"],
+        # --dims is read for raw matrix states only; a coefficient file carries its dims
+        ["extract", "--unitary", "{unitary}", "--state", "{spec}", "--dims", "3,3"],
         ["check-cp", "--map", "{map_g_ops_5}"],
         ["tomography", "--pairs", "{pairs_out_object}"],
         ["check-cp", "--map", "{map_k_nan}"],
@@ -423,6 +439,8 @@ def malformed_files(tmp_path) -> dict:
         ["check-cp", "--map", "{map_n_list}"],
         ["domains", "--spec", "{spec_nan}"],
         ["tomography", "--map", "{map}", "--eps", "nan"],
+        # a spec must have the map's (n, m)
+        ["tomography", "--map", "{map_32}", "--spec", "{spec_33}", "--base", "0,0,0,0,0,0,0,0"],
         ["domains", "--spec", "{spec}", "--tol", "nan"],
         ["domains", "--spec", "{spec}", "--tol", "-1"],
         ["image", "--map", "{map}", "--section", "p1p2", "--resolution", "0"],

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinemaps.basis import JointStateCoeffs, expand_state, product_basis, reconstruct_state
+from affinemaps.basis import JointStateCoeffs, expand_state, probe_state, product_basis, reconstruct_state, traceless_operator
 from affinemaps.cli import _write_pairs_csv, fig1_spec, fig2_spec
 from affinemaps.linalg import is_psd, random_density, random_unitary
 from affinemaps.maps import AffineMap, apply_L, extract_G, extract_map
@@ -12,8 +12,8 @@ from affinemaps.domains import (
     DomainSample,
     _section_grid,
     compatibility,
+    image_of_ball,
     positivity,
-    probe_state,
     sample_domain,
 )
 from affinemaps.qubit2 import (
@@ -22,9 +22,7 @@ from affinemaps.qubit2 import (
     IntHamParams,
     LorentzParams,
     Rotation,
-    image_of_ball,
     int_ham_map,
-    k_from_kappa,
     lorentz_map,
 )
 
@@ -491,7 +489,7 @@ def test_image_of_ball_contraction_ellipse():
 
 
 def test_image_of_ball_shifted_by_kappa():
-    amap = AffineMap(n=2, m=1, g_ops=np.array([I2]), k_mat=k_from_kappa([0.0, 0.0, 0.2]))
+    amap = AffineMap(n=2, m=1, g_ops=np.array([I2]), k_mat=traceless_operator([0.0, 0.0, 0.2], 2))
     _, outputs = image_of_ball(amap, "p1p2", resolution=16)
     np.testing.assert_allclose(outputs[:, 2], 0.2, atol=1e-14)
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import heisenberg_rows
 
-from affinemaps.basis import build_basis, expand_state, product_basis, reconstruct_state
+from affinemaps.basis import build_basis, coefficients, expand_state, product_basis, reconstruct_state, traceless_operator
 from affinemaps.linalg import dagger, is_psd, partial_trace, random_density, random_unitary
 from affinemaps.maps import (
     AffineMap,
@@ -31,8 +31,6 @@ from affinemaps.qubit2 import (
     LorentzParams,
     Rotation,
     int_ham_unitary,
-    k_from_kappa,
-    kappa_vector,
     lorentz_unitary,
     su2_from_rotation,
 )
@@ -54,7 +52,7 @@ def l_by_partial_trace(u, q, n, m):
 
 def identity_with_kappa(kappa):
     """Qubit map with L = id and the given inhomogeneous Bloch vector."""
-    return AffineMap(n=2, m=1, g_ops=np.array([I2]), k_mat=k_from_kappa(kappa))
+    return AffineMap(n=2, m=1, g_ops=np.array([I2]), k_mat=traceless_operator(kappa, 2))
 
 
 def random_k_zero_map(rng, n=2, m=2):
@@ -105,7 +103,7 @@ def test_extract_G_reconstructs_unitary(dims, rng):
     pb = product_basis(*dims)
     u = random_unitary(pb.dim, rng)
     g = extract_G(u, pb.basis_r)
-    rebuilt = sum(np.kron(g[nu], pb.basis_r.mats[nu]) for nu in range(pb.m**2))
+    rebuilt = sum(np.kron(g[nu], pb.basis_r[nu]) for nu in range(pb.m**2))
     np.testing.assert_allclose(rebuilt, u, atol=1e-10)
 
 
@@ -219,7 +217,7 @@ def test_extract_K_single_angle_coefficient(pb22):
     u = int_ham_unitary(IntHamParams(gamma=(0.0, 0.0, gamma)))
     pi = 0.25 * (np.eye(4) + c * np.kron(SIGMA[0], SIGMA[2]))
     k = extract_K(u, pi, pb22)
-    np.testing.assert_allclose(kappa_vector(k), [0.0, c * np.sin(gamma), 0.0], atol=1e-13)
+    np.testing.assert_allclose(coefficients(k, 2), [0.0, c * np.sin(gamma), 0.0], atol=1e-13)
 
 
 def test_extract_K_two_momentum_example(pb22):
@@ -230,7 +228,7 @@ def test_extract_K_two_momentum_example(pb22):
     u = lorentz_unitary(params)
     pi = 0.25 * (np.eye(4) + 0.8 * np.kron(SIGMA[0], SIGMA[0]))
     k = extract_K(u, pi, pb22)
-    np.testing.assert_allclose(kappa_vector(k), [0.8, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(coefficients(k, 2), [0.8, 0.0, 0.0], atol=1e-12)
 
 
 @settings(max_examples=40)
@@ -522,7 +520,7 @@ def test_homogeneous_action_matches_transfer_block(pb22, rng):
     basis = build_basis(2)
     for mu in range(1, 4):
         for alpha in range(1, 4):
-            coeff = np.trace(basis.mats[mu] @ apply_L(amap, basis.mats[alpha])).real / 2
+            coeff = np.trace(basis[mu] @ apply_L(amap, basis[alpha])).real / 2
             assert abs(coeff - t[mu, alpha, 0]) < 1e-12
 
 
@@ -536,7 +534,7 @@ def test_map_from_heisenberg_rows(dims, seed):
     u, pi = random_unitary(n * m, rng), random_density(n * m, rng)
     t = heisenberg_rows(u, pb)[1:]
     c = expand_state(pi, pb).coeff
-    f = pb.basis_s.mats[1:]
+    f = pb.basis_s[1:]
     amap = extract_map(u, pi, pb)
     rho_out = apply_affine(amap, partial_trace(pi, n, m))
     kappa = np.einsum("abg,bg->a", t[:, :, 1:], c[:, 1:])

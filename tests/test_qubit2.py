@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import heisenberg_rows
+from conftest import PAULIS, heisenberg_rows
 
-from affinemaps.basis import JointStateCoeffs, expand_state, product_basis, reconstruct_state
+from affinemaps.basis import JointStateCoeffs, coefficients, expand_state, product_basis, reconstruct_state
 from affinemaps.linalg import dagger, from_pairs, partial_trace, random_density, random_unitary
 from affinemaps.maps import apply_L, b_matrix, bloch_action, choi_and_cp, extract_K, extract_map, w_operators
 from affinemaps import qubit2
@@ -24,7 +24,6 @@ from affinemaps.qubit2 import (
     int_ham_unitary,
     kappa_bounds_check,
     kappa_search,
-    kappa_vector,
     lorentz_map,
     lorentz_unitary,
     su2_from_rotation,
@@ -140,7 +139,7 @@ def test_int_ham_b_matrix_matches_map(pb22, rng):
         gamma = tuple(rng.uniform(0, 2 * np.pi, 3))
         corr = random_corr(rng, pb22)
         amap = int_ham_map(IntHamParams(gamma=gamma), corr)
-        closed = int_ham_b_matrix(IntHamParams(gamma=gamma), kappa_vector(amap.k_mat))
+        closed = int_ham_b_matrix(IntHamParams(gamma=gamma), coefficients(amap.k_mat, 2))
         np.testing.assert_allclose(closed.b, b_matrix(amap).b, atol=1e-12)
 
 
@@ -148,7 +147,7 @@ def test_int_ham_b_matrix_recovers_basis_images(pb22, rng):
     gamma = (1.9, 0.3, 0.8)
     corr = random_corr(rng, pb22)
     amap = int_ham_map(IntHamParams(gamma=gamma), corr)
-    b = int_ham_b_matrix(IntHamParams(gamma=gamma), kappa_vector(amap.k_mat))
+    b = int_ham_b_matrix(IntHamParams(gamma=gamma), coefficients(amap.k_mat, 2))
     np.testing.assert_allclose(b.apply(np.eye(2, dtype=complex)), np.eye(2) + 2 * amap.k_mat, atol=1e-13)
     for j in range(3):
         np.testing.assert_allclose(b.apply(SIGMA[j]), apply_L(amap, SIGMA[j]), atol=1e-13)
@@ -210,7 +209,7 @@ def test_lorentz_kappa_example():
     corr = JointStateCoeffs.blank(2, 2)
     corr.coeff[1, 1] = 0.8
     amap = lorentz_map(LorentzParams(r1=IDENTITY_ROT, r2=Rotation(axis=AXIS_Z, angle=np.pi)), corr)
-    np.testing.assert_allclose(kappa_vector(amap.k_mat), [0.8, 0.0, 0.0], atol=1e-13)
+    np.testing.assert_allclose(coefficients(amap.k_mat, 2), [0.8, 0.0, 0.0], atol=1e-13)
 
 
 def test_lorentz_map_matches_numeric_extraction(pb22, rng):
@@ -269,14 +268,16 @@ def test_bloch_action_matches_apply(rng, pb22):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_bloch_action_bits_match_pauli_contraction(rng, m):
-    # reference: T from L applied to the Pauli matrices, kappa from kappa_vector; the
-    # Bloch action reads T off the cached f_primes, so the two must agree bit for bit
+    # reference: T and kappa contracted with the hand-written Pauli matrices; the Bloch
+    # action reads both off build_basis(2) through basis.coefficients, so the two must
+    # agree bit for bit
     pb = product_basis(2, m)
     for _ in range(20):
         amap = extract_map(random_unitary(2 * m, rng), random_density(2 * m, rng), pb)
         t_mat, kappa = bloch_action(amap)
-        assert np.array_equal(t_mat, 0.5 * np.einsum("jab,kba->jk", SIGMA, apply_L(amap, SIGMA)).real)
-        assert np.array_equal(kappa, kappa_vector(amap.k_mat))
+        sigma = PAULIS[1:]
+        assert np.array_equal(t_mat, 0.5 * np.einsum("jab,kba->jk", sigma, apply_L(amap, sigma)).real)
+        assert np.array_equal(kappa, np.einsum("jab,ba->j", sigma, amap.k_mat).real)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +315,7 @@ def test_kappa_bounds_norm_equals_extracted_K(pb22, seed, rank):
     u = random_unitary(4, rng)
     coeffs = expand_state(random_density(4, rng, rank), pb22)
     k = extract_K(u, reconstruct_state(coeffs, pb22), pb22)
-    assert kappa_bounds_check(u, coeffs).kappa_norm == np.linalg.norm(kappa_vector(k))
+    assert kappa_bounds_check(u, coeffs).kappa_norm == np.linalg.norm(coefficients(k, 2))
 
 
 def test_kappa_bounds_meet_at_golden_ratio():
@@ -479,7 +480,7 @@ def test_w_operators_match_lorentz_kappa(pb22, angle1, angle2, seed):
         r1=Rotation(axis=tuple(axes[0]), angle=angle1), r2=Rotation(axis=tuple(axes[1]), angle=angle2)
     )
     pi = random_density(4, rng)
-    expected = kappa_vector(lorentz_map(p, expand_state(pi, pb22)).k_mat)
+    expected = coefficients(lorentz_map(p, expand_state(pi, pb22)).k_mat, 2)
     np.testing.assert_allclose(kernel_kappa(lorentz_unitary(p), pi), expected, atol=1e-12)
 
 
@@ -512,7 +513,7 @@ def test_kappa_search_pinned(pb22, family, seed, best, sweep, fields):
     pi = reconstruct_state(JointStateCoeffs(2, 2, np.array(w["coeff"]), np.zeros((4, 4), bool)), pb22)
     rho = partial_trace(pi, 2, 2)
     k = partial_trace(u @ (pi - np.kron(rho, I2 / 2)) @ dagger(u), 2, 2)
-    assert abs(np.linalg.norm(kappa_vector(k)) - result.best_kappa_norm) < 1e-9
+    assert abs(np.linalg.norm(coefficients(k, 2)) - result.best_kappa_norm) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -598,5 +599,5 @@ def test_int_ham_closed_form_witness_reaches_two_over_root_three():
     # the state reproduces the norm: kappa of Tr_R[U (Pi - rho (x) 1/2) U^dag]
     rho = partial_trace(pi, 2, 2)
     k = partial_trace(u @ (pi - np.kron(rho, I2 / 2)) @ dagger(u), 2, 2)
-    np.testing.assert_allclose(kappa_vector(k), kappa, rtol=0, atol=1e-12)
-    assert abs(np.linalg.norm(kappa_vector(k)) - 2 / np.sqrt(3)) < 1e-12
+    np.testing.assert_allclose(coefficients(k, 2), kappa, rtol=0, atol=1e-12)
+    assert abs(np.linalg.norm(coefficients(k, 2)) - 2 / np.sqrt(3)) < 1e-12

@@ -3,12 +3,11 @@ import pytest
 
 from conftest import pairs_json
 
-from affinemaps.basis import JointStateCoeffs, expand_state, product_basis
+from affinemaps.basis import JointStateCoeffs, expand_state, probe_state, product_basis, traceless_operator
 from affinemaps.domains import InfeasibleError, compatibility
 from affinemaps.linalg import random_density, random_unitary
-from affinemaps.domains import probe_state
 from affinemaps.maps import AffineMap, apply_affine, extract_map
-from affinemaps.qubit2 import I2, SIGMA, IntHamParams, int_ham_map, k_from_kappa
+from affinemaps.qubit2 import I2, SIGMA, IntHamParams, int_ham_map
 from affinemaps.tomography import (
     MAX_HALVINGS,
     ProbeSet,
@@ -159,7 +158,7 @@ def test_reconstruct_closed_form_family():
 
 
 def test_reconstruct_base_at_origin_reads_one_prime():
-    amap = AffineMap(n=2, m=1, g_ops=np.array([I2]), k_mat=k_from_kappa([0.0, 0.0, 0.3]))
+    amap = AffineMap(n=2, m=1, g_ops=np.array([I2]), k_mat=traceless_operator([0.0, 0.0, 0.3], 2))
     probes = design_probes(JointStateCoeffs.blank(2, 2), np.zeros(3), eps=0.1)
     evaluate_probes(probes, map_oracle(amap))
     recon = reconstruct_map(probes)
