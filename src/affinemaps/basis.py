@@ -35,17 +35,17 @@ def build_basis(n: int) -> np.ndarray:
     Ordering: identity, then symmetric off-diagonal pairs (row-major over
     j < k), then antisymmetric pairs, then diagonal generators.  All
     matrices are scaled so Tr[F_mu F_nu] = n delta_{mu nu}; for n = 2 this
-    reproduces the Pauli matrices {I, s1, s2, s3}.  The basis is built once
-    per n and shared by every caller, so the array is read-only: copy it
-    before modifying.
+    reproduces the Pauli matrices {I, s1, s2, s3}, and n = 1 gives [[1]]
+    (a closed system's trivial environment).  The basis is built once
+    per n and shared by every caller, so the array is read-only.
     """
     return _build_basis(n)
 
 
 @functools.cache
 def _build_basis(n: int) -> np.ndarray:
-    if n < 2:
-        raise ValueError(f"basis dimension must be >= 2, got {n}")
+    if n < 1:
+        raise ValueError(f"basis dimension must be >= 1, got {n}")
     scale = np.sqrt(n / 2.0)
     mats = [np.eye(n, dtype=complex)]
     # -(scale * 1j) has real part -0.0, as the literal -1j has: n = 2 gives the Paulis bit for bit

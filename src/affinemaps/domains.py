@@ -7,11 +7,12 @@ decides it for a batch of probes by the margin t* = max over the free
 coefficients c of lambda_min(X(c)), X(c) the joint matrix with every fixed
 coefficient and the probe in place, and returns (inside, margin,
 completion): inside is margin >= -tol and completion is the witness X(c).
-A fully fixed spec gives t* = lambda_min(X0) directly; otherwise a batched
-log-det barrier method with damped Newton steps (Boyd & Vandenberghe,
-Convex Optimization, ch. 11) brackets t* between the lambda_min of the
-completion and a dual bound, so every label is certified.  The margin of
-an inside probe is that lambda_min, a lower bound on t*.  The positivity
+A probe a moves only the subsystem column: X0(a) = X_fix + sum_alpha
+a_alpha (F_alpha x 1)/NM.  A fully fixed spec gives t* = lambda_min(X0);
+otherwise a batched log-det barrier method with damped Newton steps (Boyd
+& Vandenberghe, Convex Optimization, ch. 11) brackets t* between the
+lambda_min of the completion and a dual bound, so every label is
+certified; an inside probe's margin is that lower bound on t*.  The positivity
 domain is the set of subsystem states whose image under the affine map is
 positive; ``positivity(amap, probes, tol)`` labels a batch of qubit
 probes a on the Bloch action a -> T a + kappa, whose image is a state
@@ -45,7 +46,9 @@ def compatibility(
     dimensions are batched.  Returns (inside, margin, completion): margin
     is t* = max over the free coefficients c of lambda_min(X(c)), inside is
     margin >= -tol and completion (..., d, d) is the last iterate X(c).
-    With no free coefficient margin = t* = lambda_min(X0).  Otherwise
+    X0 = X(0) is one fixed matrix plus the product of the probes with the
+    (F_alpha x 1)/d, built in place as the completion; with no free
+    coefficient margin = t* = lambda_min(X0).  Otherwise
     S = X(c) - t 1 is kept positive definite by a log-det barrier,
     centred by damped Newton steps for mu = 1e-2, 1e-4, ..., 1e-14.
     lambda_min(X(c)) bounds t* from below.  A step takes that lambda_min
@@ -69,16 +72,17 @@ def compatibility(
         raise ValueError(f"probe must have length {n_axes}, got shape {probes.shape}")
     lead = probes.shape[:-1]
     flat = probes.reshape(-1, n_axes)
-    coeff = np.broadcast_to(spec.coeff, (len(flat),) + spec.coeff.shape).copy()
-    coeff[:, 1:, 0] = flat
     free = spec.free.copy()
     free[1:, 0] = False
+    base = np.where(free, 0.0, spec.coeff)
+    base[1:, 0] = 0.0  # the probes fill this column
 
     pb = product_basis(spec.n, spec.m)
     d = pb.dim
-    batch = len(coeff)
-    fixed = np.where(free, 0.0, coeff).reshape(batch, -1)
-    x0 = (fixed @ pb.mats.reshape(-1, d * d)).reshape(batch, d, d) / d
+    # X0 = (X_fix + sum_alpha a_alpha F_alpha (x) 1) / d, built in the array that becomes the completion
+    x0 = (flat @ pb.mats[1:, 0].reshape(n_axes, d * d)).reshape(-1, d, d)
+    x0 += (base.reshape(-1) @ pb.mats.reshape(-1, d * d)).reshape(d, d)
+    x0 /= d
     free_ops = pb.mats[free] / d
     k = len(free_ops)
     margin = np.linalg.eigvalsh(x0)[..., 0]
@@ -89,7 +93,7 @@ def compatibility(
     ops_cols = ops.transpose(1, 0, 2).reshape(d, (k + 1) * d)  # S^-1 @ ops_cols holds every S^-1 A_j
     e_t = np.eye(k + 1)[k]
     ridge = 1e-12 * np.eye(k + 1)  # the Hessian is singular where t* = 0 on a face
-    idx = np.arange(batch if k else 0)  # a fully fixed spec needs no search
+    idx = np.arange(len(x0) if k else 0)  # a fully fixed spec needs no search
     x = x0
     t = margin - 0.1
     lower = margin.copy()  # lambda_min of the first iterate, X0

@@ -39,12 +39,12 @@ def is_psd(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def require_density(rho: np.ndarray, tol: float = DEFAULT_TOL, name: str = "state") -> None:
-    """Check Hermitian, unit trace, PSD."""
+    """Check Hermitian, unit trace, PSD; Hermiticity is checked once, before the eigvalsh."""
     require_hermitian(rho, tol, name)
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > max(tol, 1e-9) * 10:
         raise ValueError(f"{name} has trace {tr:.6g}, expected 1")
-    if not is_psd(rho, tol).all():
+    if not (np.linalg.eigvalsh(rho)[..., 0] >= -tol).all():
         raise ValueError(f"{name} is not positive semidefinite to tolerance {tol:.3e}")
 
 

@@ -60,9 +60,7 @@ class AffineMap:
         self.g_ops = np.asarray(self.g_ops, dtype=complex)
         self.k_mat = np.asarray(self.k_mat, dtype=complex)
         if self.g_ops.shape != (self.m**2, self.n, self.n):
-            raise ValueError(
-                f"expected {self.m**2} operators of size {self.n}, got {self.g_ops.shape}"
-            )
+            raise ValueError(f"expected {self.m**2} operators of size {self.n}, got {self.g_ops.shape}")
         if self.k_mat.shape != (self.n, self.n):
             raise ValueError(f"K must be {self.n}x{self.n}, got {self.k_mat.shape}")
         tol = VALIDATE_TOL
@@ -190,12 +188,7 @@ def extract_map(
     u: np.ndarray, pi: np.ndarray, pb: ProductBasis, tol: float = DEFAULT_TOL
 ) -> AffineMap:
     """Build the full affine map (G operators and K) from (U, Pi)."""
-    return AffineMap(
-        n=pb.n,
-        m=pb.m,
-        g_ops=extract_G(u, pb.basis_r, tol),
-        k_mat=extract_K(u, pi, pb, tol),
-    )
+    return AffineMap(n=pb.n, m=pb.m, g_ops=extract_G(u, pb.basis_r, tol), k_mat=extract_K(u, pi, pb, tol))
 
 
 @dataclass(frozen=True)

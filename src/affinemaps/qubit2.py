@@ -189,7 +189,9 @@ def lorentz_map(p: LorentzParams, corr: JointStateCoeffs) -> AffineMap:
     """Closed-form map of the two-momentum rotation family.
 
     L(Q) = (D1 Q D1^dag + D2 Q D2^dag)/2 and kappa = (R1 v - R2 v)/2 with
-    v = <sigma x1>; only the three <s_j x1> mean values enter K.
+    v = <sigma x1>; only the three <s_j x1> mean values enter K.  So
+    |kappa| <= (|R1 v| + |R2 v|)/2 = |v| <= 1 for every state: |v| is the
+    largest <n.sigma x1> over unit n, and n.sigma x1 has eigenvalues +-1.
     """
     d1 = su2_from_rotation(p.r1.axis, p.r1.angle)
     d2 = su2_from_rotation(p.r2.axis, p.r2.angle)

@@ -47,7 +47,9 @@ def test_basis_traceless(n):
 
 def test_build_basis_rejects_small_n():
     with pytest.raises(ValueError):
-        build_basis(1)
+        build_basis(0)
+    # n = 1 is a closed system's environment: the single matrix [[1]]
+    assert np.array_equal(build_basis(1), [[[1]]]) and build_basis(1).shape == (1, 1, 1)
 
 
 def test_product_basis_orthogonality():

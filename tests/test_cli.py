@@ -240,6 +240,30 @@ def test_tomography_defaults_follow_the_map_dims(tmp_path, dims):
     assert data["n"] == n and data["validation"]["passed"] is True
 
 
+def test_extract_closed_system_with_dims_2_1(tmp_path, rng):
+    # m = 1: the environment basis is [[1]], so G(0) = U and K = 0
+    u = random_unitary(2, rng)
+    u_path = write_matrix(tmp_path / "u.json", u)
+    s_path = write_matrix(tmp_path / "rho.json", np.diag([0.7, 0.3]))
+    out = tmp_path / "map.json"
+    assert main(["extract", "--unitary", u_path, "--state", s_path, "--dims", "2,1", "--out", str(out)]) == 0
+    amap = map_from_json_dict(read_json(out))
+    assert (amap.n, amap.m) == (2, 1)
+    np.testing.assert_allclose(amap.g_ops, u[None], rtol=0, atol=1e-15)
+    assert np.abs(amap.k_mat).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tomography_runs_a_closed_system_map(tmp_path, rng, n):
+    # the default blank spec of an (n, 1) map is built on the n = 1 environment basis
+    amap = AffineMap(n=n, m=1, g_ops=random_unitary(n, rng)[None], k_mat=np.zeros((n, n), dtype=complex))
+    map_path, out = tmp_path / "map.json", tmp_path / "recon.json"
+    map_path.write_text(map_to_json(amap))
+    assert main(["tomography", "--map", str(map_path), "--out", str(out)]) == 0
+    data = read_json(out)
+    assert data["n"] == n and data["validation"]["passed"] is True
+
+
 def test_tomography_external_pairs(tmp_path, rng):
     from affinemaps.maps import extract_map
     from affinemaps.basis import product_basis

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +269,58 @@ def test_fixed_spec_labels_are_lambda_min_sign(pb22, seed, scale):
     s = sample_domain(spec, region="random", count=50, seed=seed % 1000)
     lam = [np.linalg.eigvalsh(reconstruct_state(at_probe(spec, p), pb22))[0] for p in s.probes]
     np.testing.assert_array_equal(s.compat, (np.array(lam) >= -1e-9).astype(int))
+
+
+@settings(max_examples=40)
+@given(
+    dims=st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.0, 2.0),
+    count=st.integers(1, 6),
+)
+def test_fixed_path_completion_is_the_spec_with_the_probe_written_in(dims, seed, scale, count):
+    # X0(a) = X_fix + sum_alpha a_alpha (F_alpha x 1)/NM at any (n, m); a free flag on the
+    # subsystem column is overridden by the probe, so the spec still takes the fixed path
+    n, m = dims
+    rng = np.random.default_rng(seed)
+    pb = product_basis(n, m)
+    spec = expand_state(random_density(n * m, rng), pb)
+    spec.coeff[1:, 1:] *= scale
+    spec.free[1:, 0] = rng.random(n**2 - 1) < 0.5
+    probes = spec.coeff[1:, 0] + rng.normal(scale=0.2, size=(count, n**2 - 1))
+    tol = 1e-9
+    inside, margin, completion = compatibility(spec, probes, tol)
+    written = JointStateCoeffs.blank(n, m)
+    expected = []
+    for probe in probes:
+        written.coeff[:] = spec.coeff
+        written.coeff[1:, 0] = probe
+        expected.append(reconstruct_state(written, pb))
+    expected = np.array(expected)
+    np.testing.assert_allclose(completion, expected, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(inside, np.linalg.eigvalsh(expected)[:, 0] >= -tol)
+    np.testing.assert_array_equal(margin, np.linalg.eigvalsh(completion)[:, 0])
+
+
+@pytest.mark.parametrize("lead", [(0,), (2, 0)])
+def test_empty_probe_batch_gives_empty_labels(lead):
+    inside, margin, completion = compatibility(JointStateCoeffs.blank(2, 2), np.zeros(lead + (3,)))
+    assert inside.shape == margin.shape == lead and completion.shape == lead + (4, 4)
+
+
+def test_fixed_path_peak_memory_is_near_the_completion():
+    # X0 is assembled in the returned completion itself: no per-probe copy of the
+    # (n^2, m^2) coefficient table, which took the peak to about 3x the completion
+    spec, probes = fig2_spec(), _section_grid("p1p2", 201)
+    assert spec.fully_fixed and len(probes) == 31417
+    compatibility(spec, probes[:1])  # the cached product basis is built outside the trace
+    tracemalloc.start()
+    try:
+        nbytes = compatibility(spec, probes)[2].nbytes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * nbytes
 
 
 # ---------------------------------------------------------------------------

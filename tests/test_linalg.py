@@ -10,6 +10,7 @@ from affinemaps.linalg import (
     partial_trace,
     random_density,
     random_unitary,
+    require_density,
     to_pairs,
 )
 from affinemaps.qubit2 import I2, SIGMA
@@ -70,6 +71,26 @@ def test_is_psd_is_batched():
     stack = np.array([[np.eye(4) / 4, overweight]] * 3)
     np.testing.assert_array_equal(is_psd(stack), [[True, False]] * 3)
     assert is_psd(np.eye(2)).shape == ()
+
+
+@pytest.mark.parametrize(
+    "rho, message",
+    [
+        (np.array([[0.5, 0.1], [0.0, 0.5]]), "rho is not Hermitian (deviation 1.000e-01 > tol 1.000e-09)"),
+        (np.eye(2), "rho has trace 2+0j, expected 1"),
+        (np.diag([1.2, -0.2]), "rho is not positive semidefinite to tolerance 1.000e-09"),
+    ],
+    ids=["hermitian", "trace", "psd"],
+)
+def test_require_density_messages(rho, message):
+    with pytest.raises(ValueError) as exc:
+        require_density(rho, name="rho")
+    assert str(exc.value) == message
+
+
+def test_require_density_accepts_boundary_states():
+    require_density(np.diag([1.0, -1e-10]) + 0j)
+    require_density(np.eye(4) / 4)
 
 
 def test_random_unitary_is_unitary(rng):

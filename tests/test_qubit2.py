@@ -236,6 +236,19 @@ def test_lorentz_aligned_rotations_give_zero_kappa():
     np.testing.assert_allclose(amap.k_mat, 0.0, atol=1e-13)
 
 
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+def test_lorentz_kappa_is_at_most_one(pb22, seed, rank):
+    # |kappa| = |R1 v - R2 v|/2 <= |v| <= 1, v = <sigma x1>: see lorentz_map
+    rng = np.random.default_rng(seed)
+    axes = rng.normal(size=(2, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    r1, r2 = (Rotation(axis=tuple(a), angle=float(t)) for a, t in zip(axes, rng.uniform(0, 2 * np.pi, 2)))
+    corr = expand_state(random_density(4, rng, rank=rank), pb22)
+    kappa = coefficients(lorentz_map(LorentzParams(r1=r1, r2=r2), corr).k_mat, 2)
+    assert np.linalg.norm(kappa) <= 1 + 1e-9
+
+
 def test_lorentz_axis_component_drops_out(rng):
     # with the 3 axis along the axis of R1^-1 R2, varying <s3 x1> leaves kappa fixed
     base_axis = rng.normal(size=3)
