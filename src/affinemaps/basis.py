@@ -200,7 +200,7 @@ def expand_state(pi: np.ndarray, pb: ProductBasis, tol: float = DEFAULT_TOL) -> 
     require_hermitian(pi, tol, "state")
     tr = complex(np.trace(pi))
     if abs(tr - 1.0) > 10 * tol:
-        raise ValueError(f"state trace is {tr:.6g}, expected 1")
+        raise ValueError(f"state trace is {tr.real:.6g}, expected 1")
     raw = np.einsum("abij,ji->ab", pb.mats, pi)
     imag = float(np.abs(raw.imag).max())
     if imag > tol:

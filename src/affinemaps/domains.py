@@ -10,9 +10,12 @@ completion): inside is margin >= -tol and completion is the witness X(c).
 A probe a moves only the subsystem column: X0(a) = X_fix + sum_alpha
 a_alpha (F_alpha x 1)/NM.  A fully fixed spec gives t* = lambda_min(X0);
 otherwise a batched log-det barrier method with damped Newton steps (Boyd
-& Vandenberghe, Convex Optimization, ch. 11) brackets t* between the
-lambda_min of the completion and a dual bound, so every label is
-certified; an inside probe's margin is that lower bound on t*.  The positivity
+& Vandenberghe, Convex Optimization, ch. 11) brackets t* between a lower
+bound and a dual upper bound, so every label is certified.  A Newton step
+is one matrix inverse and a few real GEMMs with no eigendecomposition: the
+lower bound t + 1/||S^-1||_F on lambda_min(X), S = X - t 1 > 0, decides
+"inside", and lambda_min is computed only for the probes so decided, whose
+margin is the lambda_min of their completion.  The positivity
 domain is the set of subsystem states whose image under the affine map is
 positive; ``positivity(amap, probes, tol)`` labels a batch of qubit
 probes a on the Bloch action a -> T a + kappa, whose image is a state
@@ -23,6 +26,7 @@ each distinct value of a column once and gathers the rows.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,23 +52,24 @@ def compatibility(
     margin >= -tol and completion (..., d, d) is the last iterate X(c).
     X0 = X(0) is one fixed matrix plus the product of the probes with the
     (F_alpha x 1)/d, built in place as the completion; with no free
-    coefficient margin = t* = lambda_min(X0).  Otherwise
-    S = X(c) - t 1 is kept positive definite by a log-det barrier,
-    centred by damped Newton steps for mu = 1e-2, 1e-4, ..., 1e-14.
-    lambda_min(X(c)) bounds t* from below.  A step takes that lambda_min
-    from one eigvalsh of X(c) (the first reuses lambda_min(X0)), S^-1 from
-    one matrix inverse, and every S^-1 A_j, A_j = dS/dc_j or dS/dt, from
-    one product of S^-1 with the operators stacked as columns.  While the
-    Newton decrement is below 1, Z = mu (S^-1 - S^-1 dS S^-1), dS the
-    Newton step, is PSD with trace 1 and no free components, so Tr[Z X0]
-    bounds t* from above.
-    A probe stops once decided: inside (margin = lower bound) when
-    lambda_min(X(c)) >= -tol, outside (margin = upper bound) when the
-    upper bound is below -tol, otherwise by the midpoint of the bounds once
-    they are within tol/10.  One still open after the last mu is labelled
-    by lambda_min(X(c)).  The centring loop stops on a test over the whole
-    batch, so the margin of an inside probe can move by about 5e-6 with
-    the batch it is solved in.
+    coefficient, or where lambda_min(X0) >= -tol, margin = lambda_min(X0).
+    Otherwise S = X(c) - t 1 is kept positive definite by a log-det barrier,
+    centred by damped Newton steps for mu = 1e-2, 1e-4, ..., 1e-14.  A step
+    takes S^-1 from one matrix inverse, its real coordinates q in an
+    orthonormal basis from one GEMM, and the gradient and Hessian of the
+    barrier in c and t from small real GEMMs of q against constant forms
+    built once per call (``_newton_terms``).  It needs no eigvalsh: since
+    S > 0, lambda_min(X(c)) >= t + 1/||S^-1||_F, and ||S^-1||_F^2 = |q|^2 is
+    the t-t entry of the Hessian.  While the Newton decrement is below 1,
+    Z = mu (S^-1 - S^-1 dS S^-1), dS the Newton step, is PSD with trace 1
+    and no free components, so Tr[Z X0] bounds t* from above.
+    A probe stops once decided: inside when t + 1/||S^-1||_F >= -tol, with
+    margin = lambda_min(X(c)) from an eigvalsh of the probes so decided;
+    outside (margin = upper bound) when the upper bound is below -tol;
+    otherwise by the midpoint of the bounds once they are within tol/10.
+    One still open after the last mu is labelled by lambda_min(X(c)).  The
+    centring loop stops on a test over the whole batch, so the margin of an
+    inside probe can move by about 5e-6 with the batch it is solved in.
     """
     probes = np.asarray(probes, dtype=float)
     n_axes = spec.n**2 - 1
@@ -84,29 +89,34 @@ def compatibility(
     x0 += (base.reshape(-1) @ pb.mats.reshape(-1, d * d)).reshape(d, d)
     x0 /= d
     free_ops = pb.mats[free] / d
-    k = len(free_ops)
     margin = np.linalg.eigvalsh(x0)[..., 0]
-    completion = x0  # its rows are replaced as the search decides them
+    idx = np.flatnonzero(margin < -tol) if len(free_ops) else np.arange(0)  # X0 >= -tol is inside already
+    if idx.size:
+        _barrier_search(x0, margin, idx, free_ops, pb.mats.reshape(d * d, d, d) / np.sqrt(d), tol)
+    return (margin >= -tol).reshape(lead), margin.reshape(lead), x0.reshape(lead + (d, d))
 
+
+def _barrier_search(completion, margin, idx, free_ops, basis, tol) -> None:
+    """Barrier search of ``compatibility`` on the rows ``idx`` of X0 = ``completion``.
+
+    ``basis`` is orthonormal (Tr[E_a E_b] = delta_ab).  Each decided row's
+    margin and last iterate are written into ``margin`` and ``completion``.
+    """
+    k, d = len(free_ops), basis.shape[-1]
     eye = np.eye(d)
-    ops = np.concatenate([free_ops, -eye[None]])  # dS/dc and dS/dt
-    ops_cols = ops.transpose(1, 0, 2).reshape(d, (k + 1) * d)  # S^-1 @ ops_cols holds every S^-1 A_j
+    terms = _newton_terms(basis, np.concatenate([free_ops, -eye[None]]))  # A_j = dS/dc_j, then dS/dt
+    free_floats = free_ops.view(float).reshape(k, -1)
+    diag = np.arange(k + 1)
     e_t = np.eye(k + 1)[k]
-    ridge = 1e-12 * np.eye(k + 1)  # the Hessian is singular where t* = 0 on a face
-    idx = np.arange(len(x0) if k else 0)  # a fully fixed spec needs no search
-    x = x0
-    t = margin - 0.1
-    lower = margin.copy()  # lambda_min of the first iterate, X0
+    x, t = completion[idx], margin[idx] - 0.1
     for mu in np.logspace(-2, -14, 7):
         if not idx.size:
             break
         for _ in range(50):  # centring takes a few steps; the cap only bounds the loop
-            s_inv = np.linalg.inv(x - t[:, None, None] * eye)
-            p = (s_inv.reshape(-1, d) @ ops_cols).reshape(len(x), d, k + 1, d)  # p[b, :, j, :] = S^-1 A_j
-            g0 = np.einsum("bxjx->bj", p).real
-            hess = np.einsum("bxjz,bzlx->bjl", p, p).real
-            del p  # the largest array; freed before the next one is built
-            hess += np.einsum("bii->b", hess)[:, None, None] * ridge
+            g0, hess = terms(np.linalg.inv(x - t[:, None, None] * eye))
+            lower = t + 1.0 / np.sqrt(hess[:, k, k])  # lambda_min(S) >= 1 / ||S^-1||_F, and H_tt = ||S^-1||_F^2
+            # a ridge: the Hessian is singular where t* = 0 on a face
+            hess[:, diag, diag] += 1e-12 * np.trace(hess, axis1=1, axis2=2)[:, None]
             grad = g0 + e_t / mu
             step = np.linalg.solve(hess, grad[..., None])[..., 0]
             dec = np.sqrt(np.maximum((grad * step).sum(axis=1), 0.0))
@@ -115,20 +125,57 @@ def compatibility(
             inside = lower >= -tol
             close = upper - lower < tol / 10
             done = inside | close | (upper < -tol)
+            if inside.any():  # the margin of an inside probe is lambda_min of its completion
+                lower[inside] = np.linalg.eigvalsh(x[inside])[:, 0]
             margin[idx[done]] = np.where(inside, lower, np.where(close, (lower + upper) / 2, upper))[done]
             completion[idx[done]] = x[done]
             keep = ~done
             idx, x, t, step, dec = idx[keep], x[keep], t[keep], step[keep], dec[keep]
             step *= np.where(dec > 0.25, 1.0 / (1.0 + dec), 1.0)[:, None]
-            x = x + np.einsum("bk,kij->bij", step[:, :k], free_ops)
+            x = x + (step[:, :k] @ free_floats).view(complex).reshape(-1, d, d)
             t = t + step[:, k]
-            lower = np.linalg.eigvalsh(x)[:, 0]
             if dec.max(initial=0.0) < 0.25:
                 break
     if idx.size:
-        margin[idx] = lower
+        margin[idx] = np.linalg.eigvalsh(x)[:, 0]
         completion[idx] = x
-    return (margin >= -tol).reshape(lead), margin.reshape(lead), completion.reshape(lead + (d, d))
+
+
+def _newton_terms(basis: np.ndarray, ops: np.ndarray) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """terms(s_inv) -> (g0, H) with g0_j = Tr[S^-1 A_j], H_jl = Tr[S^-1 A_j S^-1 A_l], batched.
+
+    ``basis`` E_a is orthonormal (Tr[E_a E_b] = delta_ab) and Hermitian, so
+    S^-1 = sum_a q_a E_a with real q_a = Re Tr[E_a S^-1], one GEMM on the
+    floats of S^-1.  Then g0 = sum_a q_a Tr[E_a A_j], and H is the constant
+    quadratic form Re Tr[E_a A_j E_b A_l] of q, built here from one real GEMM
+    of the products E_a A_j.  Its part symmetric in (a, b) is symmetric in
+    (j, l), so it keeps the columns j <= l and the pairs a <= b on which it
+    is nonzero, contracted 2 d^2 pairs at a time: no (B, d^4) array.
+    """
+    n_basis, n_ops, d = len(basis), len(ops), ops.shape[-1]
+    coords = basis.view(float).reshape(n_basis, -1)  # coords @ (floats of S^-1) = Re Tr[E_a S^-1]
+    trace_form = np.einsum("aij,kji->ka", basis, ops).real  # Tr[E_a A_j]
+    prod = (basis[:, None] @ ops[None]).reshape(-1, d, d)  # E_a A_j, rows (a, j)
+    swapped = np.ascontiguousarray(prod.transpose(0, 2, 1).conj())  # Re Tr[P P'] = <P, conj(P'^T)> over floats
+    gram = prod.view(float).reshape(len(prod), -1) @ swapped.view(float).reshape(len(prod), -1).T
+    form = gram.reshape(n_basis, n_ops, n_basis, n_ops).transpose(0, 2, 1, 3)  # [a, b, j, l]
+    cols_j, cols_l = np.triu_indices(n_ops)
+    form = form[:, :, cols_j, cols_l] + form[:, :, cols_l, cols_j]  # = form + form^T in (a, b)
+    pair_a, pair_b = np.nonzero(np.triu(np.abs(form).max(axis=2) > 1e-12 * np.abs(form).max()))
+    weights = form[pair_a, pair_b]
+    weights[pair_a == pair_b] /= 2
+    unpack = np.empty((n_ops, n_ops), dtype=int)
+    unpack[cols_j, cols_l] = unpack[cols_l, cols_j] = np.arange(len(cols_j))
+    chunk = 2 * n_basis  # the (pairs, B) product of q is at most the size of the batch S^-1
+
+    def terms(s_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q = coords @ s_inv.view(float).reshape(len(s_inv), -1).T  # (d^2, B)
+        packed = np.zeros((len(s_inv), len(cols_j)))
+        for lo in range(0, len(weights), chunk):
+            packed += (q[pair_a[lo : lo + chunk]] * q[pair_b[lo : lo + chunk]]).T @ weights[lo : lo + chunk]
+        return (trace_form @ q).T, packed[:, unpack]
+
+    return terms
 
 
 def positivity(amap: AffineMap, probes: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:

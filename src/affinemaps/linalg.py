@@ -43,7 +43,7 @@ def require_density(rho: np.ndarray, tol: float = DEFAULT_TOL, name: str = "stat
     require_hermitian(rho, tol, name)
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > max(tol, 1e-9) * 10:
-        raise ValueError(f"{name} has trace {tr:.6g}, expected 1")
+        raise ValueError(f"{name} has trace {tr.real:.6g}, expected 1")
     if not (np.linalg.eigvalsh(rho)[..., 0] >= -tol).all():
         raise ValueError(f"{name} is not positive semidefinite to tolerance {tol:.3e}")
 

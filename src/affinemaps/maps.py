@@ -67,7 +67,7 @@ class AffineMap:
         require_hermitian(self.k_mat, tol, "K")
         tr = complex(np.trace(self.k_mat))
         if abs(tr) > tol:
-            raise ValueError(f"K must be traceless, got trace {tr:.3e}")
+            raise ValueError(f"K must be traceless, got trace {tr.real:.3e}")
         eye = np.eye(self.n)  # sum G^dag G and sum G G^dag are traces of the B array
         left, right = np.einsum("rjrk->jk", self.b4), np.einsum("rjsj->rs", self.b4)
         if np.abs(left - eye).max() > tol or np.abs(right - eye).max() > tol:

@@ -211,8 +211,9 @@ def pairs_from_json(text: str) -> ProbeSet:
         if out.shape != (n, n):
             raise ValueError(f"rho_out of pair {i} has shape {out.shape}, expected {(n, n)}")
         require_hermitian(out, name=f"rho_out of pair {i}")  # not positivity: noisy outputs must load
-        if abs(np.trace(out) - 1.0) > 10 * DEFAULT_TOL:
-            raise ValueError(f"rho_out of pair {i} has trace {complex(np.trace(out)):.6g}, expected 1")
+        tr = complex(np.trace(out))
+        if abs(tr - 1.0) > 10 * DEFAULT_TOL:
+            raise ValueError(f"rho_out of pair {i} has trace {tr.real:.6g}, expected 1")
         probes.append(coeffs)
         outputs.append(out)
     return ProbeSet(probes=np.array(probes), deltas=np.zeros(n * n - 1), outputs=np.array(outputs))

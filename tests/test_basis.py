@@ -99,6 +99,12 @@ def test_expand_maximally_mixed(pb22):
     assert coeffs.fully_fixed
 
 
+def test_expand_state_prints_a_real_trace(pb22):
+    with pytest.raises(ValueError) as exc:
+        expand_state(np.eye(4) / 2 + 0j, pb22)
+    assert str(exc.value) == "state trace is 2, expected 1"
+
+
 def test_expand_bell_correlation(pb22):
     pi = 0.25 * (np.eye(4) + np.kron(SIGMA[0], SIGMA[0]))
     coeffs = expand_state(pi, pb22)

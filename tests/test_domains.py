@@ -12,6 +12,8 @@ from affinemaps.maps import AffineMap, apply_L, extract_G, extract_map
 from affinemaps.domains import (
     SECTION_AXES,
     DomainSample,
+    _fibonacci_shells,
+    _newton_terms,
     _section_grid,
     compatibility,
     image_of_ball,
@@ -321,6 +323,91 @@ def test_fixed_path_peak_memory_is_near_the_completion():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * nbytes
+
+
+def test_partial_path_peak_memory_is_a_few_completions():
+    # a Newton step holds S^-1 and its real coordinates, not the (B, d, k+1, d) array of every
+    # S^-1 A_j, which took the peak to about 10x the completion
+    spec, probes = fig1_spec(True), _section_grid("p1p2", 41)
+    compatibility(spec, probes[:1])  # the cached product basis is built outside the trace
+    tracemalloc.start()
+    try:
+        nbytes = compatibility(spec, probes)[2].nbytes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * nbytes
+
+
+def test_partial_path_takes_eigvalsh_only_at_decisions(monkeypatch):
+    # one eigvalsh of X0 per probe, then one per probe the search decides inside; no Newton
+    # step takes one, and no probe of this section is left open after the last mu
+    spec, probes = fig1_spec(True), _section_grid("p1p2", 41)
+    counted = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: counted.append(len(a)) or eigvalsh(a))
+    inside = compatibility(spec, probes)[0]
+    assert sum(counted) == len(probes) + inside.sum() <= 1.5 * len(probes)
+
+
+@pytest.mark.parametrize("resolution, section_count, volume_count", [(41, 208, 61), (101, 1289, 340)])
+def test_fig1_partial_inside_counts(resolution, section_count, volume_count):
+    # numerical facts of the fig1 partial spec, the same on all three sections by its symmetry
+    spec = fig1_spec(True)
+    for section in sorted(SECTION_AXES):
+        assert compatibility(spec, _section_grid(section, resolution))[0].sum() == section_count
+    assert compatibility(spec, _fibonacci_shells(resolution))[0].sum() == volume_count
+
+
+@settings(max_examples=60)
+@given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]), seed=st.integers(0, 2**32 - 1), gap=st.floats(1e-9, 10.0))
+def test_inverse_frobenius_norm_bounds_lambda_min(dims, seed, gap):
+    # lambda_min(S) = 1 / ||S^-1||_2 >= 1 / ||S^-1||_F for S > 0; the search reads
+    # ||S^-1||_F^2 off the t-t entry of its Hessian
+    n, m = dims
+    d = n * m
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    x = (g + g.conj().T) * rng.uniform(0.01, 10.0)
+    lam = np.linalg.eigvalsh(x)[0]
+    t = lam - gap
+    s_inv = np.linalg.inv(x - t * np.eye(d))
+    frob = np.linalg.norm(s_inv)
+    assert t + 1 / frob <= lam + 1e-12
+    basis = product_basis(n, m).mats.reshape(d * d, d, d) / np.sqrt(d)
+    _, hess = _newton_terms(basis, -np.eye(d)[None])(s_inv[None])
+    assert t + 1 / np.sqrt(hess[0, 0, 0]) <= lam + 1e-12
+    assert abs(hess[0, 0, 0] - frob**2) <= 1e-10 * frob**2  # S^-1 rounds off Hermitian at condition 1e10
+
+
+def einsum_newton_terms(s_inv, ops):
+    """Oracle: g0 and H from every S^-1 A_j formed as a (B, d, k+1, d) array."""
+    b, d = s_inv.shape[:2]
+    p = (s_inv.reshape(-1, d) @ ops.transpose(1, 0, 2).reshape(d, -1)).reshape(b, d, len(ops), d)
+    return np.einsum("bxjx->bj", p).real, np.einsum("bxjz,bzlx->bjl", p, p).real
+
+
+@settings(max_examples=40)
+@given(
+    dims=st.sampled_from([(2, 2), (3, 2), (2, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+    free_share=st.floats(0.0, 1.0),
+)
+def test_newton_terms_match_einsum_oracle(dims, seed, free_share):
+    n, m = dims
+    rng = np.random.default_rng(seed)
+    pb = product_basis(n, m)
+    d = pb.dim
+    free = rng.random((n * n, m * m)) < free_share
+    free[0, 0] = False
+    free[1:, 0] = False  # the probe column is never free
+    ops = np.concatenate([pb.mats[free] / d, -np.eye(d)[None]])
+    s = random_density(d, rng, shape=(5,)) + rng.uniform(1e-6, 1.0, size=(5, 1, 1)) * np.eye(d)
+    s_inv = np.linalg.inv(s)
+    g0, hess = _newton_terms(pb.mats.reshape(d * d, d, d) / np.sqrt(d), ops)(s_inv)
+    g0_ref, hess_ref = einsum_newton_terms(s_inv, ops)
+    np.testing.assert_allclose(g0, g0_ref, rtol=0, atol=1e-12 * np.abs(g0_ref).max())
+    np.testing.assert_allclose(hess, hess_ref, rtol=0, atol=1e-12 * np.abs(hess_ref).max())
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def test_is_psd_is_batched():
     "rho, message",
     [
         (np.array([[0.5, 0.1], [0.0, 0.5]]), "rho is not Hermitian (deviation 1.000e-01 > tol 1.000e-09)"),
-        (np.eye(2), "rho has trace 2+0j, expected 1"),
+        (np.eye(2), "rho has trace 2, expected 1"),
         (np.diag([1.2, -0.2]), "rho is not positive semidefinite to tolerance 1.000e-09"),
     ],
     ids=["hermitian", "trace", "psd"],

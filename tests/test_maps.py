@@ -562,3 +562,9 @@ def test_affine_map_validates_k():
         AffineMap(n=2, m=1, g_ops=np.array([I2]), k_mat=0.2 * np.eye(2))  # not traceless
     with pytest.raises(ValueError):
         AffineMap(n=2, m=1, g_ops=np.array([2 * I2]), k_mat=np.zeros((2, 2)))  # not complete
+
+
+def test_affine_map_prints_a_real_k_trace():
+    with pytest.raises(ValueError) as exc:
+        AffineMap(n=2, m=1, g_ops=np.array([I2]), k_mat=0.2 * np.eye(2))
+    assert str(exc.value) == "K must be traceless, got trace 4.000e-01"

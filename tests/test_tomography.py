@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,13 @@ def test_pairs_json_round_trip(rng):
     np.testing.assert_array_equal(back.deltas, 0.0)
     recon = reconstruct_map(back)
     assert validate_reconstruction(recon, truth, tol=1e-9).passed
+
+
+def test_pairs_from_json_prints_a_real_trace():
+    pairs = SimpleNamespace(probes=np.zeros((1, 3)), outputs=np.eye(2)[None] + 0j)
+    with pytest.raises(ValueError) as exc:
+        pairs_from_json(pairs_json(pairs))
+    assert str(exc.value) == "rho_out of pair 0 has trace 2, expected 1"
 
 
 def test_validate_self_comparison(rng):
