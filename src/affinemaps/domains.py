@@ -12,7 +12,7 @@ a_alpha (F_alpha x 1)/NM.  A fully fixed spec gives t* = lambda_min(X0);
 otherwise a batched log-det barrier method with damped Newton steps (Boyd
 & Vandenberghe, Convex Optimization, ch. 11) brackets t* between a lower
 bound and a dual upper bound, so every label is certified.  A Newton step
-is one matrix inverse and a few real GEMMs with no eigendecomposition: the
+is one matrix inverse and a few GEMMs with no eigendecomposition: the
 lower bound t + 1/||S^-1||_F on lambda_min(X), S = X - t 1 > 0, decides
 "inside", and lambda_min is computed only for the probes so decided, whose
 margin is the lambda_min of their completion.  The positivity
@@ -26,7 +26,6 @@ each distinct value of a column once and gathers the rows.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,12 +54,12 @@ def compatibility(
     coefficient, or where lambda_min(X0) >= -tol, margin = lambda_min(X0).
     Otherwise S = X(c) - t 1 is kept positive definite by a log-det barrier,
     centred by damped Newton steps for mu = 1e-2, 1e-4, ..., 1e-14.  A step
-    takes S^-1 from one matrix inverse, its real coordinates q in an
-    orthonormal basis from one GEMM, and the gradient and Hessian of the
-    barrier in c and t from small real GEMMs of q against constant forms
-    built once per call (``_newton_terms``).  It needs no eigvalsh: since
-    S > 0, lambda_min(X(c)) >= t + 1/||S^-1||_F, and ||S^-1||_F^2 = |q|^2 is
-    the t-t entry of the Hessian.  While the Newton decrement is below 1,
+    takes S^-1 from one matrix inverse, every A_j S^-1 (A_j = dS/dc_j or
+    dS/dt) from one product with the stacked A_j, and the gradient and
+    Hessian of the barrier in c and t from real GEMMs of float views
+    (``_newton_terms``).  It needs no eigvalsh: since S > 0,
+    lambda_min(X(c)) >= t + 1/||S^-1||_F, and ||S^-1||_F^2 is the t-t entry
+    of the Hessian.  While the Newton decrement is below 1,
     Z = mu (S^-1 - S^-1 dS S^-1), dS the Newton step, is PSD with trace 1
     and no free components, so Tr[Z X0] bounds t* from above.
     A probe stops once decided: inside when t + 1/||S^-1||_F >= -tol, with
@@ -92,19 +91,19 @@ def compatibility(
     margin = np.linalg.eigvalsh(x0)[..., 0]
     idx = np.flatnonzero(margin < -tol) if len(free_ops) else np.arange(0)  # X0 >= -tol is inside already
     if idx.size:
-        _barrier_search(x0, margin, idx, free_ops, pb.mats.reshape(d * d, d, d) / np.sqrt(d), tol)
+        _barrier_search(x0, margin, idx, free_ops, tol)
     return (margin >= -tol).reshape(lead), margin.reshape(lead), x0.reshape(lead + (d, d))
 
 
-def _barrier_search(completion, margin, idx, free_ops, basis, tol) -> None:
+def _barrier_search(completion, margin, idx, free_ops, tol) -> None:
     """Barrier search of ``compatibility`` on the rows ``idx`` of X0 = ``completion``.
 
-    ``basis`` is orthonormal (Tr[E_a E_b] = delta_ab).  Each decided row's
-    margin and last iterate are written into ``margin`` and ``completion``.
+    Each decided row's margin and last iterate are written into ``margin``
+    and ``completion``.
     """
-    k, d = len(free_ops), basis.shape[-1]
+    k, d = len(free_ops), free_ops.shape[-1]
     eye = np.eye(d)
-    terms = _newton_terms(basis, np.concatenate([free_ops, -eye[None]]))  # A_j = dS/dc_j, then dS/dt
+    ops = np.concatenate([free_ops, -eye[None]])  # A_j = dS/dc_j, then dS/dt
     free_floats = free_ops.view(float).reshape(k, -1)
     diag = np.arange(k + 1)
     e_t = np.eye(k + 1)[k]
@@ -113,7 +112,7 @@ def _barrier_search(completion, margin, idx, free_ops, basis, tol) -> None:
         if not idx.size:
             break
         for _ in range(50):  # centring takes a few steps; the cap only bounds the loop
-            g0, hess = terms(np.linalg.inv(x - t[:, None, None] * eye))
+            g0, hess = _newton_terms(np.linalg.inv(x - t[:, None, None] * eye), ops)
             lower = t + 1.0 / np.sqrt(hess[:, k, k])  # lambda_min(S) >= 1 / ||S^-1||_F, and H_tt = ||S^-1||_F^2
             # a ridge: the Hessian is singular where t* = 0 on a face
             hess[:, diag, diag] += 1e-12 * np.trace(hess, axis1=1, axis2=2)[:, None]
@@ -141,41 +140,26 @@ def _barrier_search(completion, margin, idx, free_ops, basis, tol) -> None:
         completion[idx] = x
 
 
-def _newton_terms(basis: np.ndarray, ops: np.ndarray) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """terms(s_inv) -> (g0, H) with g0_j = Tr[S^-1 A_j], H_jl = Tr[S^-1 A_j S^-1 A_l], batched.
+def _newton_terms(s_inv: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g0, H) with g0_j = Tr[S^-1 A_j] and H_jl = Tr[S^-1 A_j S^-1 A_l], batched over S^-1.
 
-    ``basis`` E_a is orthonormal (Tr[E_a E_b] = delta_ab) and Hermitian, so
-    S^-1 = sum_a q_a E_a with real q_a = Re Tr[E_a S^-1], one GEMM on the
-    floats of S^-1.  Then g0 = sum_a q_a Tr[E_a A_j], and H is the constant
-    quadratic form Re Tr[E_a A_j E_b A_l] of q, built here from one real GEMM
-    of the products E_a A_j.  Its part symmetric in (a, b) is symmetric in
-    (j, l), so it keeps the columns j <= l and the pairs a <= b on which it
-    is nonzero, contracted 2 d^2 pairs at a time: no (B, d^4) array.
+    Both are real since S^-1 and the A_j are Hermitian, so each is a real
+    GEMM of float views: g0_j = <A_j, S^-1>, and with Q_j = A_j S^-1 from
+    one product of the stacked A_j with S^-1, H_jl = Tr[Q_j Q_l] =
+    <Q_j, Q_l^H>.  The batch goes through in chunks of b / (2 (k+1)) rows,
+    so that Q and Q^H together hold no more than S^-1 does.
     """
-    n_basis, n_ops, d = len(basis), len(ops), ops.shape[-1]
-    coords = basis.view(float).reshape(n_basis, -1)  # coords @ (floats of S^-1) = Re Tr[E_a S^-1]
-    trace_form = np.einsum("aij,kji->ka", basis, ops).real  # Tr[E_a A_j]
-    prod = (basis[:, None] @ ops[None]).reshape(-1, d, d)  # E_a A_j, rows (a, j)
-    swapped = np.ascontiguousarray(prod.transpose(0, 2, 1).conj())  # Re Tr[P P'] = <P, conj(P'^T)> over floats
-    gram = prod.view(float).reshape(len(prod), -1) @ swapped.view(float).reshape(len(prod), -1).T
-    form = gram.reshape(n_basis, n_ops, n_basis, n_ops).transpose(0, 2, 1, 3)  # [a, b, j, l]
-    cols_j, cols_l = np.triu_indices(n_ops)
-    form = form[:, :, cols_j, cols_l] + form[:, :, cols_l, cols_j]  # = form + form^T in (a, b)
-    pair_a, pair_b = np.nonzero(np.triu(np.abs(form).max(axis=2) > 1e-12 * np.abs(form).max()))
-    weights = form[pair_a, pair_b]
-    weights[pair_a == pair_b] /= 2
-    unpack = np.empty((n_ops, n_ops), dtype=int)
-    unpack[cols_j, cols_l] = unpack[cols_l, cols_j] = np.arange(len(cols_j))
-    chunk = 2 * n_basis  # the (pairs, B) product of q is at most the size of the batch S^-1
-
-    def terms(s_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        q = coords @ s_inv.view(float).reshape(len(s_inv), -1).T  # (d^2, B)
-        packed = np.zeros((len(s_inv), len(cols_j)))
-        for lo in range(0, len(weights), chunk):
-            packed += (q[pair_a[lo : lo + chunk]] * q[pair_b[lo : lo + chunk]]).T @ weights[lo : lo + chunk]
-        return (trace_form @ q).T, packed[:, unpack]
-
-    return terms
+    b, d = s_inv.shape[:2]
+    n_ops = len(ops)
+    g0 = s_inv.view(float).reshape(b, -1) @ ops.view(float).reshape(n_ops, -1).T
+    hess = np.empty((b, n_ops, n_ops))
+    chunk = max(1, b // (2 * n_ops))
+    for lo in range(0, b, chunk):
+        q = (ops.reshape(-1, d) @ s_inv[lo : lo + chunk]).reshape(-1, n_ops, d, d)
+        q_h = np.conjugate(q.swapaxes(2, 3), out=np.empty_like(q))
+        rows = (len(q), n_ops, -1)
+        hess[lo : lo + chunk] = q.view(float).reshape(rows) @ q_h.view(float).reshape(rows).transpose(0, 2, 1)
+    return g0, hess
 
 
 def positivity(amap: AffineMap, probes: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
