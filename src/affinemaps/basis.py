@@ -179,10 +179,6 @@ class JointStateCoeffs:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())
 
-    @classmethod
-    def from_json(cls, text: str) -> "JointStateCoeffs":
-        return cls.from_json_dict(json.loads(text))
-
 
 def read_dim(data: dict, key: str) -> int:
     """A dimension field of a JSON object: a positive integer."""

@@ -258,14 +258,13 @@ def cmd_example(args) -> int:
     if args.family == "int-ham":
         _reject(args, ("r1", "r2"), "int-ham")
         gamma = _parse_vector("0,0,0" if args.gamma is None else args.gamma, 3, "--gamma")
-        amap = q2.int_ham_map(q2.IntHamParams(gamma=tuple(gamma)), spec)
+        u = q2.int_ham_unitary(q2.IntHamParams(gamma=tuple(gamma)))
     else:
         _reject(args, ("gamma",), "lorentz")
         if not (args.r1 and args.r2):
             raise ValueError("lorentz example requires --r1 and --r2")
-        params = q2.LorentzParams(r1=_parse_rotation(args.r1), r2=_parse_rotation(args.r2))
-        amap = q2.lorentz_map(params, spec)
-    _write_payload(_map_payload(amap, args.tol), args.out)
+        u = q2.lorentz_unitary(q2.LorentzParams(r1=_parse_rotation(args.r1), r2=_parse_rotation(args.r2)))
+    _write_payload(_map_payload(mp.map_from_unitary(u, spec, args.tol), args.tol), args.out)
     return 0
 
 
@@ -432,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed=True)
     p.set_defaults(func=cmd_kappa)
 
-    p = sub.add_parser("example", help="closed-form example families")
+    p = sub.add_parser("example", help="maps of the two-qubit example families")
     p.add_argument("family", choices=["int-ham", "lorentz"])
     p.add_argument("--gamma", default=None, help="int-ham only: three angles in radians a,b,c (default 0,0,0)")
     p.add_argument("--r1", default=None, help='lorentz only: rotation JSON {"axis":[x,y,z],"angle":t}')

@@ -8,9 +8,11 @@ homogeneous B array b4[r, j, s, k] = sum_nu G(nu)_{rj} conj(G(nu)_{sk}),
 built once per map, as one contraction over the flattened (j, k) index.
 The inhomogeneous part K is a traceless Hermitian matrix read off the
 Heisenberg picture: K's coefficients are Tr[Pi W_mu] with the joint
-operators W_mu of ``w_operators``, so only environment and correlation
-mean values of the joint state enter, and ``basis.traceless_operator``
-turns them into K.  The linear extension
+operators W_mu of ``w_operators``, which depend on U alone, so only the
+environment and correlation mean values of the joint state enter.  Every
+map is built by one constructor, ``map_from_unitary``, from U and a table
+of mean values that need not be a state; ``extract_map`` is that
+constructor on the mean values of a joint density matrix.  The linear extension
 Q -> L(Q) + K Tr Q agrees with the affine map on density matrices; it is
 ``BMatrix.apply``, the Choi matrix is the reindexed B matrix, and the CP
 test and signed operator sum come from its spectrum.  ``bloch_action`` is
@@ -26,7 +28,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import ProductBasis, build_basis, coefficients, read_dim, traceless_operator
+from .basis import (
+    JointStateCoeffs,
+    ProductBasis,
+    build_basis,
+    coefficients,
+    expand_state,
+    product_basis,
+    read_dim,
+    reconstruct_state,
+    traceless_operator,
+)
 from .linalg import (
     DEFAULT_TOL,
     dagger,
@@ -162,33 +174,38 @@ def w_operators(u: np.ndarray, obs: np.ndarray, m: int) -> np.ndarray:
     return y - lift(partial_trace(y, n, m) / m)
 
 
-def extract_K(
-    u: np.ndarray, pi: np.ndarray, pb: ProductBasis, tol: float = DEFAULT_TOL
-) -> np.ndarray:
-    """Inhomogeneous part K from the joint unitary and joint state.
+def map_from_unitary(u: np.ndarray, spec: JointStateCoeffs, tol: float = DEFAULT_TOL) -> AffineMap:
+    """The affine map of the joint unitary ``u`` and the mean values ``spec``.
 
-    K = (1/N) sum_{mu>=1} Tr[Pi W_mu] F_mu with W_mu the w_operators of the
-    traceless subsystem basis.  Only environment and correlation mean
-    values enter; the subsystem coefficients of Pi drop out.
+    G comes from ``extract_G``.  K has the coefficients
+    kappa_mu = sum_{beta gamma} c_{beta gamma} Tr[F_{beta gamma} W_mu] / (NM),
+    which is Tr[Pi W_mu] for the operator Pi that ``reconstruct_state``
+    builds from the table, with W_mu the w_operators of the traceless
+    subsystem basis.  K is linear in the mean values, so the table need not
+    be a state.  A free entry whose weight max_mu |Tr[F_{beta gamma} W_mu]| / (NM)
+    is at most ``tol`` does not enter K and is ignored (the subsystem column
+    has weight 0); a free entry of larger weight raises ValueError.
     """
-    require_unitary(u, tol)
-    require_density(pi, tol, "joint state")
-    n, m = pb.n, pb.m
-    if pi.shape != (n * m, n * m):
-        raise ValueError(f"joint state has shape {pi.shape}, basis expects {(n * m, n * m)}")
-    coeff = np.einsum("aij,ji->a", w_operators(u, pb.basis_s[1:], m), pi)
-    k = traceless_operator(coeff, n)
-    imag = float(np.abs(k - dagger(k)).max())
-    if imag > 10 * tol:
-        raise ValueError(f"extracted K is not Hermitian (deviation {imag:.3e})")
-    return 0.5 * (k + dagger(k))
+    n, m = spec.n, spec.m
+    pb = product_basis(n, m)
+    w = w_operators(u, pb.basis_s[1:], m)  # raises unless u is (nm) x (nm)
+    g_ops = extract_G(u, pb.basis_r, tol)
+    if not spec.fully_fixed:
+        weights = np.abs(np.einsum("fij,aji->fa", pb.mats[spec.free], w)).max(axis=1, initial=0.0) / pb.dim
+        for (beta, gamma), weight in zip(np.argwhere(spec.free), weights):
+            if weight > tol:
+                raise ValueError(f"mean value coeff[{beta}, {gamma}] is free but enters K (weight {weight:.3e} > {tol:.3e})")
+        spec = JointStateCoeffs(n, m, np.where(spec.free, 0.0, spec.coeff), np.zeros_like(spec.free))
+    kappa = np.einsum("aij,ji->a", w, reconstruct_state(spec, pb)).real
+    return AffineMap(n=n, m=m, g_ops=g_ops, k_mat=traceless_operator(kappa, n))
 
 
 def extract_map(
     u: np.ndarray, pi: np.ndarray, pb: ProductBasis, tol: float = DEFAULT_TOL
 ) -> AffineMap:
-    """Build the full affine map (G operators and K) from (U, Pi)."""
-    return AffineMap(n=pb.n, m=pb.m, g_ops=extract_G(u, pb.basis_r, tol), k_mat=extract_K(u, pi, pb, tol))
+    """The affine map of (U, Pi) for a joint density matrix Pi: ``map_from_unitary`` on its mean values."""
+    require_density(pi, tol, "joint state")
+    return map_from_unitary(u, expand_state(pi, pb, tol), tol)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
-"""Closed-form two-qubit map families, kappa bounds, and kappa maximization.
+"""Two-qubit map families, kappa bounds, and kappa maximization.
 
-Two families are provided.  The interaction family uses the commuting
-generator (1/2) sum_j gamma_j s_j (x) x_j, giving a diagonal Bloch
-contraction with factors (cos g2 cos g3, cos g3 cos g1, cos g1 cos g2) and
-an inhomogeneous vector built from environment and cross-correlation mean
-values.  The two-momentum rotation family conditions one of two spin
-rotations on the x_1 eigenvalue of the second qubit, with
-G(0) = (D1 + D2)/2 and G(1) = (D1 - D2)/2.  The Pauli matrices are the
-n = 2 basis ``build_basis(2)``, and K = ``traceless_operator(kappa, 2)``.
+Each family is a joint unitary; its maps come from ``maps.map_from_unitary``
+like every other map, and the paper's closed forms (G operators, kappa, B
+matrix) are kept as test oracles.  The interaction family uses the
+commuting generator (1/2) sum_j gamma_j s_j (x) x_j, giving a diagonal
+Bloch contraction with factors (cos g2 cos g3, cos g3 cos g1, cos g1 cos g2)
+and a kappa built from environment and cross-correlation mean values.  The
+two-momentum rotation family conditions one of two spin rotations on the
+x_1 eigenvalue of the second qubit, with G(0) = (D1 + D2)/2 and
+G(1) = (D1 - D2)/2.  The Pauli matrices are the n = 2 basis
+``build_basis(2)``.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import JointStateCoeffs, build_basis, expand_state, product_basis, reconstruct_state, traceless_operator
+from .basis import JointStateCoeffs, build_basis, expand_state, product_basis, reconstruct_state
 from .linalg import DEFAULT_TOL, finite_array, random_density, random_unitary, require_density, require_unitary, to_pairs
-from .maps import AffineMap, BMatrix, w_operators
+from .maps import AffineMap, map_from_unitary, w_operators
 
 I2, SIGMA = build_basis(2)[0], build_basis(2)[1:]  # the identity and the Pauli matrices
 SIGMA_PAIRS = np.array([np.kron(s, s) for s in SIGMA])  # s_j (x) s_j, the interaction generators
@@ -49,16 +51,6 @@ class Rotation:
         if abs(norm - 1.0) > 1e-12 and not (norm == 0.0 and self.angle == 0.0):
             raise ValueError(f"rotation axis must be unit length, got |axis| = {norm}")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """3x3 rotation matrix (Rodrigues form)."""
-        n = np.asarray(self.axis, dtype=float)
-        if np.linalg.norm(n) == 0.0:
-            return np.eye(3)
-        c, s = np.cos(self.angle), np.sin(self.angle)
-        cross = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]])
-        return c * np.eye(3) + s * cross + (1 - c) * np.outer(n, n)
-
 
 @dataclass(frozen=True)
 class LorentzParams:
@@ -85,74 +77,9 @@ def _int_ham_unitaries(gamma: np.ndarray) -> np.ndarray:
     return u
 
 
-def _two_qubit_coeff(corr: JointStateCoeffs) -> np.ndarray:
-    if (corr.n, corr.m) != (2, 2):
-        raise ValueError(f"two-qubit mean values expected, got dimensions ({corr.n}, {corr.m})")
-    return corr.coeff
-
-
-def int_ham_kappa(p: IntHamParams, corr: JointStateCoeffs) -> np.ndarray:
-    """Inhomogeneous Bloch vector from the interaction angles and mean values.
-
-    kappa_1 = <x1> sin g2 sin g3 - <s2 x3> cos g2 sin g3 + <s3 x2> sin g2 cos g3
-    and cyclic; only <x_k> and the off-diagonal <s_j x_k> enter.
-    """
-    c = _two_qubit_coeff(corr)
-    s = np.sin(p.gamma)
-    co = np.cos(p.gamma)
-    return np.array(
-        [
-            c[0, 1] * s[1] * s[2] - c[2, 3] * co[1] * s[2] + c[3, 2] * s[1] * co[2],
-            c[0, 2] * s[2] * s[0] - c[3, 1] * co[2] * s[0] + c[1, 3] * s[2] * co[0],
-            c[0, 3] * s[0] * s[1] - c[1, 2] * co[0] * s[1] + c[2, 1] * s[0] * co[1],
-        ]
-    )
-
-
-def int_ham_g_ops(p: IntHamParams) -> np.ndarray:
-    """Multiplication operators of the interaction unitary over the Pauli basis."""
-    c = np.cos(np.asarray(p.gamma) / 2)
-    s = np.sin(np.asarray(p.gamma) / 2)
-    return np.array(
-        [
-            (c[0] * c[1] * c[2] - 1j * s[0] * s[1] * s[2]) * I2,
-            (c[0] * s[1] * s[2] - 1j * s[0] * c[1] * c[2]) * SIGMA[0],
-            (s[0] * c[1] * s[2] - 1j * c[0] * s[1] * c[2]) * SIGMA[1],
-            (s[0] * s[1] * c[2] - 1j * c[0] * c[1] * s[2]) * SIGMA[2],
-        ]
-    )
-
-
 def int_ham_map(p: IntHamParams, corr: JointStateCoeffs) -> AffineMap:
-    """Closed-form affine map of the interaction family.
-
-    ``corr`` supplies <x_k> and the off-diagonal <s_j x_k>; diagonal
-    correlations and subsystem mean values do not affect the map and are
-    ignored.
-    """
-    return AffineMap(
-        n=2, m=2, g_ops=int_ham_g_ops(p), k_mat=traceless_operator(int_ham_kappa(p, corr), 2)
-    )
-
-
-def int_ham_b_matrix(p: IntHamParams, kappa) -> BMatrix:
-    """Closed-form 4x4 B array of the interaction family.
-
-    Rows and columns are composite (r, j) indices in the order 11, 12, 21,
-    22; C_i is cos gamma_i.
-    """
-    c1, c2, c3 = np.cos(p.gamma)
-    k1, k2, k3 = np.asarray(kappa, dtype=float)
-    b = 0.5 * np.array(
-        [
-            [1 + k3 + c1 * c2, 0, k1 - 1j * k2, c2 * c3 + c3 * c1],
-            [0, 1 + k3 - c1 * c2, c2 * c3 - c3 * c1, k1 - 1j * k2],
-            [k1 + 1j * k2, c2 * c3 - c3 * c1, 1 - k3 - c1 * c2, 0],
-            [c2 * c3 + c3 * c1, k1 + 1j * k2, 0, 1 - k3 + c1 * c2],
-        ],
-        dtype=complex,
-    )
-    return BMatrix(n=2, b=b)
+    """Map of the interaction family for the mean values ``corr``."""
+    return map_from_unitary(int_ham_unitary(p), corr)
 
 
 def su2_from_rotation(axis, angle) -> np.ndarray:
@@ -174,7 +101,13 @@ def su2_from_rotation(axis, angle) -> np.ndarray:
 
 
 def lorentz_unitary(p: LorentzParams) -> np.ndarray:
-    """U = D1 (x) (1 + x1)/2 + D2 (x) (1 - x1)/2."""
+    """U = D1 (x) (1 + x1)/2 + D2 (x) (1 - x1)/2.
+
+    Its map has L(Q) = (D1 Q D1^dag + D2 Q D2^dag)/2 and kappa = (R1 v - R2 v)/2
+    with v = <sigma x1>; only the three <s_j x1> mean values enter K.  So
+    |kappa| <= (|R1 v| + |R2 v|)/2 = |v| <= 1 for every state: |v| is the
+    largest <n.sigma x1> over unit n, and n.sigma x1 has eigenvalues +-1.
+    """
     return _lorentz_unitaries(np.array([*p.r1.axis, p.r1.angle, *p.r2.axis, p.r2.angle], dtype=float))
 
 
@@ -186,20 +119,8 @@ def _lorentz_unitaries(p: np.ndarray) -> np.ndarray:
 
 
 def lorentz_map(p: LorentzParams, corr: JointStateCoeffs) -> AffineMap:
-    """Closed-form map of the two-momentum rotation family.
-
-    L(Q) = (D1 Q D1^dag + D2 Q D2^dag)/2 and kappa = (R1 v - R2 v)/2 with
-    v = <sigma x1>; only the three <s_j x1> mean values enter K.  So
-    |kappa| <= (|R1 v| + |R2 v|)/2 = |v| <= 1 for every state: |v| is the
-    largest <n.sigma x1> over unit n, and n.sigma x1 has eigenvalues +-1.
-    """
-    d1 = su2_from_rotation(p.r1.axis, p.r1.angle)
-    d2 = su2_from_rotation(p.r2.axis, p.r2.angle)
-    zero = np.zeros((2, 2), dtype=complex)
-    g_ops = np.array([0.5 * (d1 + d2), 0.5 * (d1 - d2), zero, zero])
-    v = _two_qubit_coeff(corr)[1:, 1]
-    kappa = 0.5 * (p.r1.matrix @ v - p.r2.matrix @ v)
-    return AffineMap(n=2, m=2, g_ops=g_ops, k_mat=traceless_operator(kappa, 2))
+    """Map of the two-momentum rotation family for the mean values ``corr``."""
+    return map_from_unitary(lorentz_unitary(p), corr)
 
 
 class KappaBounds(NamedTuple):

@@ -9,6 +9,8 @@ import time
 import numpy as np
 import pytest
 
+from conftest import int_ham_b_matrix, int_ham_closed_map, lorentz_closed_map
+
 from affinemaps.basis import JointStateCoeffs, coefficients, expand_state, product_basis, reconstruct_state, traceless_operator
 from affinemaps.cli import fig2_spec, main
 from affinemaps.domains import compatibility, sample_domain
@@ -28,7 +30,6 @@ from affinemaps.qubit2 import (
     IntHamParams,
     LorentzParams,
     Rotation,
-    int_ham_b_matrix,
     int_ham_map,
     int_ham_unitary,
     kappa_search,
@@ -61,13 +62,14 @@ def test_criterion_1_int_ham_closed_forms():
         pi = random_density(4, rng, shape=(1,))[0]
         corr = expand_state(pi, PB22)
         params = IntHamParams(gamma=gamma)
-        closed = int_ham_map(params, corr)
+        closed = int_ham_closed_map(params, corr)
         numeric = extract_map(int_ham_unitary(params), pi, PB22)
-        max_lk = max(
-            max_lk,
-            float(np.abs(closed.k_mat - numeric.k_mat).max()),
-            float(np.abs(closed.g_ops - numeric.g_ops).max()),
-        )
+        for amap in (numeric, int_ham_map(params, corr)):
+            max_lk = max(
+                max_lk,
+                float(np.abs(closed.k_mat - amap.k_mat).max()),
+                float(np.abs(closed.g_ops - amap.g_ops).max()),
+            )
         b_closed = int_ham_b_matrix(params, coefficients(numeric.k_mat, 2)).b
         max_b = max(max_b, float(np.abs(b_matrix(numeric).b - b_closed).max()))
     elapsed = time.perf_counter() - t0
@@ -90,13 +92,13 @@ def test_criterion_2_lorentz_closed_forms():
         )
         pi = random_density(4, rng, shape=(1,))[0]
         corr = expand_state(pi, PB22)
-        closed = lorentz_map(params, corr)
-        numeric = extract_map(lorentz_unitary(params), pi, PB22)
-        max_dev = max(
-            max_dev,
-            float(np.abs(closed.k_mat - numeric.k_mat).max()),
-            float(np.abs(closed.g_ops - numeric.g_ops).max()),
-        )
+        closed = lorentz_closed_map(params, corr)
+        for amap in (extract_map(lorentz_unitary(params), pi, PB22), lorentz_map(params, corr)):
+            max_dev = max(
+                max_dev,
+                float(np.abs(closed.k_mat - amap.k_mat).max()),
+                float(np.abs(closed.g_ops - amap.g_ops).max()),
+            )
     elapsed = time.perf_counter() - t0
     assert max_dev <= 1e-10
     assert elapsed < 10.0
@@ -210,10 +212,8 @@ def test_criterion_6_kappa_bounds_and_search():
     diff = pis - prod
     kappa = np.einsum("bjac,bca->bj", y, diff).real
     # tie the batched extraction to the library path on a few samples
-    from affinemaps.maps import extract_K
-
     for b in range(5):
-        k_lib = coefficients(extract_K(us[b], pis[b], PB22), 2)
+        k_lib = coefficients(extract_map(us[b], pis[b], PB22).k_mat, 2)
         np.testing.assert_allclose(kappa[b], k_lib, atol=1e-12)
     kappa_norm = np.linalg.norm(kappa, axis=1)
     a_norm = np.linalg.norm(np.einsum("jst,bts->bj", SIGMA, rhos).real, axis=1)

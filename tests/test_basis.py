@@ -168,7 +168,7 @@ def test_coeffs_json_round_trip():
     coeffs.free[2, 2] = True
     data = json.loads(coeffs.to_json())
     assert data["n"] == 2 and data["m"] == 2
-    back = JointStateCoeffs.from_json(coeffs.to_json())
+    back = JointStateCoeffs.from_json_dict(data)
     np.testing.assert_allclose(back.coeff, coeffs.coeff)
     assert np.array_equal(back.free, coeffs.free)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pairs_json
+from conftest import int_ham_b_matrix, pairs_json
 
 import affinemaps
 from affinemaps import domains
@@ -16,7 +16,7 @@ from affinemaps.basis import JointStateCoeffs, coefficients, probe_state, produc
 from affinemaps.cli import fig1_spec, fig1a_map, fig2_spec, main
 from affinemaps.linalg import random_density, random_unitary, to_pairs
 from affinemaps.maps import AffineMap, choi_matrix, extract_map, map_from_json_dict, map_to_json, map_to_json_dict
-from affinemaps.qubit2 import SIGMA, IntHamParams, int_ham_b_matrix, int_ham_unitary
+from affinemaps.qubit2 import SIGMA, IntHamParams, int_ham_unitary
 from affinemaps.tomography import ProbeSet, evaluate_probes, map_oracle
 
 SQ3 = 1.0 / np.sqrt(3.0)
@@ -86,6 +86,22 @@ def test_example_lorentz_g_operators(tmp_path):
     np.testing.assert_allclose(amap.g_ops[0], 0.5 * (np.eye(2) + d2), atol=1e-12)
     np.testing.assert_allclose(amap.g_ops[1], 0.5 * (np.eye(2) - d2), atol=1e-12)
     np.testing.assert_allclose(amap.g_ops[2:], 0.0, atol=1e-12)
+
+
+def test_example_rejects_a_free_mean_value_that_enters_K(tmp_path, capsys):
+    # the lorentz map reads <s1 x1>; a spec that leaves it free gives K no value
+    spec = JointStateCoeffs.blank(2, 2)
+    spec.free[1, 1] = True
+    spec.coeff[1, 1] = 0.5
+    s_path = write_spec(tmp_path / "spec.json", spec)
+    rotations = ["--r1", '{"axis":[0,0,1],"angle":0}', "--r2", '{"axis":[0,0,1],"angle":1.0}']
+    out = tmp_path / "map.json"
+    assert main(["example", "lorentz", *rotations, "--spec", s_path, "--out", str(out)]) == 2
+    assert "coeff[1, 1] is free" in capsys.readouterr().err
+    assert not out.exists()
+    # int_ham reads no diagonal correlation, so the fig1 spec may leave those free
+    s_path = write_spec(tmp_path / "partial.json", fig1_spec(diagonals_free=True))
+    assert main(["example", "int-ham", "--gamma", "0.4,0.9,1.7", "--spec", s_path, "--out", str(out)]) == 0
 
 
 def test_example_int_ham_and_apply(tmp_path):

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import heisenberg_rows
+from conftest import heisenberg_rows, rotation_matrix
 
-from affinemaps.basis import build_basis, coefficients, expand_state, product_basis, reconstruct_state, traceless_operator
-from affinemaps.linalg import dagger, is_psd, partial_trace, random_density, random_unitary
+from affinemaps.basis import JointStateCoeffs, build_basis, coefficients, expand_state, product_basis, traceless_operator
+from affinemaps.linalg import dagger, partial_trace, random_density, random_unitary
 from affinemaps.maps import (
     AffineMap,
     apply_L,
@@ -15,8 +15,8 @@ from affinemaps.maps import (
     choi_and_cp,
     choi_matrix,
     extract_G,
-    extract_K,
     extract_map,
+    map_from_unitary,
     map_from_json,
     map_to_json,
     map_to_json_dict,
@@ -196,19 +196,19 @@ def test_apply_L_two_momentum_rotation_average(pb22):
     for j in range(3):
         # rows of the inverse rotations give the conjugated Pauli expansion
         expected = 0.5 * sum(
-            (r1.matrix.T[j, k] + r2.matrix.T[j, k]) * SIGMA[k] for k in range(3)
+            (rotation_matrix(r1).T[j, k] + rotation_matrix(r2).T[j, k]) * SIGMA[k] for k in range(3)
         )
         np.testing.assert_allclose(apply_L(amap, SIGMA[j]), expected, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# extract_K
+# K: map_from_unitary, and extract_map on a joint density matrix
 # ---------------------------------------------------------------------------
 def test_extract_K_mixed_environment_product(pb22, rng):
     # K vanishes exactly when Pi equals rho (x) 1/M
     u = random_unitary(4, rng)
     pi = np.kron(random_density(2, rng), I2 / 2)
-    np.testing.assert_allclose(extract_K(u, pi, pb22), 0.0, atol=1e-12)
+    np.testing.assert_allclose(extract_map(u, pi, pb22).k_mat, 0.0, atol=1e-12)
 
 
 def test_extract_K_single_angle_coefficient(pb22):
@@ -216,7 +216,7 @@ def test_extract_K_single_angle_coefficient(pb22):
     gamma, c = 0.8, 0.35
     u = int_ham_unitary(IntHamParams(gamma=(0.0, 0.0, gamma)))
     pi = 0.25 * (np.eye(4) + c * np.kron(SIGMA[0], SIGMA[2]))
-    k = extract_K(u, pi, pb22)
+    k = extract_map(u, pi, pb22).k_mat
     np.testing.assert_allclose(coefficients(k, 2), [0.0, c * np.sin(gamma), 0.0], atol=1e-13)
 
 
@@ -227,7 +227,7 @@ def test_extract_K_two_momentum_example(pb22):
     )
     u = lorentz_unitary(params)
     pi = 0.25 * (np.eye(4) + 0.8 * np.kron(SIGMA[0], SIGMA[0]))
-    k = extract_K(u, pi, pb22)
+    k = extract_map(u, pi, pb22).k_mat
     np.testing.assert_allclose(coefficients(k, 2), [0.8, 0.0, 0.0], atol=1e-12)
 
 
@@ -240,29 +240,50 @@ def test_extract_K_matches_brute_force(dims, seed):
     u, pi = random_unitary(n * m, rng), random_density(n * m, rng)
     rho = partial_trace(pi, n, m)
     expected = evolve_joint(u, pi, n, m) - l_by_partial_trace(u, rho, n, m)
-    np.testing.assert_allclose(extract_K(u, pi, product_basis(n, m)), expected, atol=1e-12)
+    np.testing.assert_allclose(extract_map(u, pi, product_basis(n, m)).k_mat, expected, atol=1e-12)
 
 
-def test_extract_K_independent_of_subsystem_coefficients(pb22, rng):
-    # perturbing only the <F_{alpha 0}> block leaves K unchanged
-    shifted_states = []
-    for _ in range(10):
-        u = random_unitary(4, rng)
-        pi = random_density(4, rng)
-        coeffs = expand_state(pi, pb22)
-        shifted = coeffs.copy()
-        shifted.coeff[1:, 0] += rng.uniform(-0.01, 0.01, size=3)
-        pi2 = reconstruct_state(shifted, pb22)
-        shifted_states.append(pi2)
-        np.testing.assert_allclose(extract_K(u, pi, pb22), extract_K(u, pi2, pb22), atol=1e-12)
-    psd = is_psd(np.array(shifted_states))
-    assert psd.shape == (10,) and psd.all()
+def test_extract_K_independent_of_subsystem_coefficients(rng):
+    # any subsystem column <F_{alpha 0}>, a state's or not, leaves K unchanged, and so does freeing it
+    for n, m in DIMS * 3:
+        u = random_unitary(n * m, rng)
+        spec = expand_state(random_density(n * m, rng), product_basis(n, m))
+        k = map_from_unitary(u, spec).k_mat
+        spec.coeff[1:, 0] = rng.uniform(-3, 3, size=n**2 - 1)
+        np.testing.assert_allclose(map_from_unitary(u, spec).k_mat, k, rtol=0, atol=1e-14)
+        spec.free[1:, 0] = True
+        np.testing.assert_allclose(map_from_unitary(u, spec).k_mat, k, rtol=0, atol=1e-14)
 
 
 def test_extract_K_rejects_non_state(pb22, rng):
     u = random_unitary(4, rng)
-    with pytest.raises(ValueError):
-        extract_K(u, np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), pb22)
+    with pytest.raises(ValueError, match="joint state is not positive semidefinite"):
+        extract_map(u, np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), pb22)
+
+
+def test_map_from_unitary_rejects_a_free_entry_that_enters_K(pb22, rng):
+    spec = JointStateCoeffs.blank(2, 2)
+    spec.free[2, 3] = True
+    with pytest.raises(ValueError, match=r"coeff\[2, 3\] is free but enters K"):
+        map_from_unitary(random_unitary(4, rng), spec)
+
+
+def test_map_from_unitary_ignores_free_entries_of_zero_weight(pb22):
+    # int_ham reads no diagonal correlation <s_j x_j>, so those may stay free
+    u = int_ham_unitary(IntHamParams(gamma=(0.4, 1.3, 2.2)))
+    spec = JointStateCoeffs.blank(2, 2)
+    spec.coeff[0, 1:] = spec.coeff[1, 2] = 0.25
+    fixed = map_from_unitary(u, spec)
+    spec.coeff[1, 1] = spec.coeff[2, 2] = 0.5  # placeholder values of free entries are not read
+    spec.free[[1, 2, 3], [1, 2, 3]] = True
+    amap = map_from_unitary(u, spec)
+    assert np.array_equal(amap.k_mat, fixed.k_mat) and np.array_equal(amap.g_ops, fixed.g_ops)
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (3, 2), (2, 3)])
+def test_map_from_unitary_rejects_a_unitary_of_other_dims(rng, dims):
+    with pytest.raises(ValueError, match=r"unitary has shape \(4, 4\)"):
+        map_from_unitary(random_unitary(4, rng), JointStateCoeffs.blank(*dims))
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +523,7 @@ def test_w_operators_consistent_with_k(dims, seed):
     n, m = dims
     rng = np.random.default_rng(seed)
     u, pi = random_unitary(n * m, rng), random_density(n * m, rng)
-    k = extract_K(u, pi, product_basis(n, m))
+    k = extract_map(u, pi, product_basis(n, m)).k_mat
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     a = g + dagger(g)
     assert abs(trace_pi_w(a, u, pi) - np.trace(a @ k).real) < 1e-12

@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PAULIS, heisenberg_rows
+from conftest import (
+    PAULIS,
+    heisenberg_rows,
+    int_ham_b_matrix,
+    int_ham_closed_map,
+    int_ham_kappa,
+    lorentz_closed_map,
+    rotation_matrix,
+)
 
 from affinemaps.basis import JointStateCoeffs, coefficients, expand_state, product_basis, reconstruct_state
 from affinemaps.linalg import dagger, from_pairs, partial_trace, random_density, random_unitary
-from affinemaps.maps import apply_L, b_matrix, bloch_action, choi_and_cp, extract_K, extract_map, w_operators
+from affinemaps.maps import apply_L, b_matrix, bloch_action, choi_and_cp, extract_map, map_from_unitary, w_operators
 from affinemaps import qubit2
+from affinemaps.cli import fig1_spec, fig2_spec
 from affinemaps.qubit2 import (
     FAMILIES,
     GOLDEN_KAPPA_BOUND,
@@ -18,8 +27,6 @@ from affinemaps.qubit2 import (
     LorentzParams,
     Rotation,
     bounds_sweep,
-    int_ham_b_matrix,
-    int_ham_kappa,
     int_ham_map,
     int_ham_unitary,
     kappa_bounds_check,
@@ -102,8 +109,9 @@ def test_int_ham_kappa_single_angle_specialization():
     corr = JointStateCoeffs.blank(2, 2)
     corr.coeff[1, 3] = a
     corr.coeff[2, 3] = b
-    kappa = int_ham_kappa(IntHamParams(gamma=(0.0, 0.0, wt)), corr)
-    np.testing.assert_allclose(kappa, [-b * np.sin(wt), a * np.sin(wt), 0.0], atol=1e-14)
+    p = IntHamParams(gamma=(0.0, 0.0, wt))
+    for kappa in (int_ham_kappa(p, corr), coefficients(int_ham_map(p, corr).k_mat, 2)):
+        np.testing.assert_allclose(kappa, [-b * np.sin(wt), a * np.sin(wt), 0.0], atol=1e-14)
 
 
 def test_int_ham_map_matches_numeric_extraction(pb22, rng):
@@ -111,19 +119,20 @@ def test_int_ham_map_matches_numeric_extraction(pb22, rng):
         gamma = tuple(rng.uniform(0, 2 * np.pi, 3))
         pi = random_density(4, rng)
         corr = expand_state(pi, pb22)
-        closed = int_ham_map(IntHamParams(gamma=gamma), corr)
-        numeric = extract_map(int_ham_unitary(IntHamParams(gamma=gamma)), pi, pb22)
-        np.testing.assert_allclose(closed.k_mat, numeric.k_mat, atol=1e-10)
-        np.testing.assert_allclose(closed.g_ops, numeric.g_ops, atol=1e-10)
+        p = IntHamParams(gamma=gamma)
+        closed = int_ham_closed_map(p, corr)
+        for numeric in (extract_map(int_ham_unitary(p), pi, pb22), int_ham_map(p, corr)):
+            np.testing.assert_allclose(closed.k_mat, numeric.k_mat, atol=1e-10)
+            np.testing.assert_allclose(closed.g_ops, numeric.g_ops, atol=1e-10)
 
 
 def test_int_ham_two_coefficient_family_bound(rng):
-    # only <x1> and <s3 x1> nonzero: kappa_3 = 0 and |kappa| <= 1
+    # only <x1> and <s3 x1> nonzero: kappa_3 = 0 and |kappa| <= 1, for tables that need not be states
     for _ in range(100):
         corr = JointStateCoeffs.blank(2, 2)
         corr.coeff[0, 1] = rng.uniform(-1, 1)
         corr.coeff[3, 1] = rng.uniform(-1, 1)
-        kappa = int_ham_kappa(IntHamParams(gamma=tuple(rng.uniform(0, 2 * np.pi, 3))), corr)
+        kappa = coefficients(int_ham_map(IntHamParams(gamma=tuple(rng.uniform(0, 2 * np.pi, 3))), corr).k_mat, 2)
         assert abs(kappa[2]) < 1e-14
         assert np.linalg.norm(kappa) <= 1.0 + 1e-12
 
@@ -173,7 +182,7 @@ def test_su2_conjugation_matches_rotation(rng):
         rot = Rotation(axis=tuple(axis), angle=angle)
         d = su2_from_rotation(axis, angle)
         for j in range(3):
-            expected = sum(rot.matrix[j, k] * SIGMA[k] for k in range(3))
+            expected = sum(rotation_matrix(rot)[j, k] * SIGMA[k] for k in range(3))
             np.testing.assert_allclose(dagger(d) @ SIGMA[j] @ d, expected, atol=1e-12)
 
 
@@ -182,7 +191,7 @@ def test_su2_composition_order(rng):
     r1 = Rotation(axis=(1.0, 0.0, 0.0), angle=0.9)
     r2 = Rotation(axis=(0.0, 1.0, 0.0), angle=1.7)
     d12 = su2_from_rotation(r1.axis, r1.angle) @ su2_from_rotation(r2.axis, r2.angle)
-    combined = r1.matrix @ r2.matrix
+    combined = rotation_matrix(r1) @ rotation_matrix(r2)
     for j in range(3):
         expected = sum(combined[j, k] * SIGMA[k] for k in range(3))
         np.testing.assert_allclose(dagger(d12) @ SIGMA[j] @ d12, expected, atol=1e-12)
@@ -222,10 +231,10 @@ def test_lorentz_map_matches_numeric_extraction(pb22, rng):
         )
         pi = random_density(4, rng)
         corr = expand_state(pi, pb22)
-        closed = lorentz_map(params, corr)
-        numeric = extract_map(lorentz_unitary(params), pi, pb22)
-        np.testing.assert_allclose(closed.k_mat, numeric.k_mat, atol=1e-10)
-        np.testing.assert_allclose(closed.g_ops, numeric.g_ops, atol=1e-10)
+        closed = lorentz_closed_map(params, corr)
+        for numeric in (extract_map(lorentz_unitary(params), pi, pb22), lorentz_map(params, corr)):
+            np.testing.assert_allclose(closed.k_mat, numeric.k_mat, atol=1e-10)
+            np.testing.assert_allclose(closed.g_ops, numeric.g_ops, atol=1e-10)
 
 
 def test_lorentz_aligned_rotations_give_zero_kappa():
@@ -239,7 +248,7 @@ def test_lorentz_aligned_rotations_give_zero_kappa():
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
 def test_lorentz_kappa_is_at_most_one(pb22, seed, rank):
-    # |kappa| = |R1 v - R2 v|/2 <= |v| <= 1, v = <sigma x1>: see lorentz_map
+    # |kappa| = |R1 v - R2 v|/2 <= |v| <= 1, v = <sigma x1>: see lorentz_unitary
     rng = np.random.default_rng(seed)
     axes = rng.normal(size=(2, 3))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
@@ -255,7 +264,7 @@ def test_lorentz_axis_component_drops_out(rng):
     base_axis /= np.linalg.norm(base_axis)
     r1 = Rotation(axis=tuple(base_axis), angle=0.8)
     rel = Rotation(axis=AXIS_Z, angle=1.9)
-    r1_mat_rel = r1.matrix @ rel.matrix
+    r1_mat_rel = rotation_matrix(r1) @ rotation_matrix(rel)
     # compose R2 = R1 * rel via su2 product: rotation matrices multiply directly
     corr = JointStateCoeffs.blank(2, 2)
     corr.coeff[1, 1] = 0.3
@@ -264,7 +273,7 @@ def test_lorentz_axis_component_drops_out(rng):
     for s3x1 in (-0.5, 0.0, 0.5):
         corr.coeff[3, 1] = s3x1
         v = corr.coeff[1:, 1]
-        kappas.append(0.5 * (r1.matrix @ v - r1_mat_rel @ v))
+        kappas.append(0.5 * (rotation_matrix(r1) @ v - r1_mat_rel @ v))
     np.testing.assert_allclose(kappas[0], kappas[1], atol=1e-13)
     np.testing.assert_allclose(kappas[1], kappas[2], atol=1e-13)
 
@@ -323,11 +332,11 @@ def test_kappa_bounds_hold_for_haar_unitaries(pb22, seed, rank):
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
 def test_kappa_bounds_norm_equals_extracted_K(pb22, seed, rank):
-    # the check reads kappa off w_operators; the norm is bit for bit the one read off extract_K
+    # the check reads kappa off w_operators; the norm is bit for bit the one of map_from_unitary's K
     rng = np.random.default_rng(seed)
     u = random_unitary(4, rng)
     coeffs = expand_state(random_density(4, rng, rank), pb22)
-    k = extract_K(u, reconstruct_state(coeffs, pb22), pb22)
+    k = map_from_unitary(u, coeffs).k_mat
     assert kappa_bounds_check(u, coeffs).kappa_norm == np.linalg.norm(coefficients(k, 2))
 
 
@@ -493,8 +502,39 @@ def test_w_operators_match_lorentz_kappa(pb22, angle1, angle2, seed):
         r1=Rotation(axis=tuple(axes[0]), angle=angle1), r2=Rotation(axis=tuple(axes[1]), angle=angle2)
     )
     pi = random_density(4, rng)
-    expected = coefficients(lorentz_map(p, expand_state(pi, pb22)).k_mat, 2)
+    expected = coefficients(lorentz_closed_map(p, expand_state(pi, pb22)).k_mat, 2)
     np.testing.assert_allclose(kernel_kappa(lorentz_unitary(p), pi), expected, atol=1e-12)
+
+
+def fixed_table(seed):
+    """A fully fixed two-qubit coefficient table with entries in [-1, 1]; it is rarely a state."""
+    coeff = np.random.default_rng(seed).uniform(-1, 1, (4, 4))
+    coeff[0, 0] = 1.0
+    return JointStateCoeffs(2, 2, coeff, np.zeros((4, 4), dtype=bool))
+
+
+@settings(max_examples=60)
+@given(
+    family=st.sampled_from(["int_ham", "lorentz"]),
+    seed=st.integers(0, 2**32 - 1),
+    table=st.integers(0, 2**32 - 1).map(fixed_table),
+)
+@example(family="int_ham", seed=0, table=fig1_spec(False))
+@example(family="int_ham", seed=0, table=fig2_spec())
+@example(family="lorentz", seed=0, table=fig1_spec(False))
+@example(family="lorentz", seed=0, table=fig2_spec())
+def test_map_from_unitary_matches_closed_forms(family, seed, table):
+    # K is linear in the mean values, so the constructor meets the closed forms on any table
+    x = FAMILIES[family].draw(np.random.default_rng(seed))
+    if family == "int_ham":
+        p = IntHamParams(gamma=tuple(x))
+        u, closed = int_ham_unitary(p), int_ham_closed_map(p, table)
+    else:
+        p = LorentzParams(r1=Rotation(tuple(x[:3]), x[3]), r2=Rotation(tuple(x[4:7]), x[7]))
+        u, closed = lorentz_unitary(p), lorentz_closed_map(p, table)
+    amap = map_from_unitary(u, table)
+    np.testing.assert_allclose(amap.g_ops, closed.g_ops, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(amap.k_mat, closed.k_mat, rtol=0, atol=1e-14)
 
 
 def witness_unitary(family, w):
