@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, finite_array, require_hermitian
+from .linalg import DEFAULT_TOL, finite_array, require_hermitian, trace_pairing
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -65,7 +65,7 @@ def _build_basis(n: int) -> np.ndarray:
 
 def coefficients(q: np.ndarray, n: int) -> np.ndarray:
     """Coefficients Re Tr[F_alpha Q], alpha >= 1, of operators ``q`` (..., n, n): shape (..., n^2 - 1)."""
-    return np.einsum("aij,...ji->...a", build_basis(n)[1:], q).real
+    return trace_pairing(build_basis(n)[1:], q)
 
 
 def traceless_operator(c: np.ndarray, n: int) -> np.ndarray:
@@ -156,9 +156,6 @@ class JointStateCoeffs:
     def fully_fixed(self) -> bool:
         return not self.free.any()
 
-    def copy(self) -> "JointStateCoeffs":
-        return JointStateCoeffs(self.n, self.m, self.coeff.copy(), self.free.copy())
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -206,10 +203,9 @@ def expand_state(pi: np.ndarray, pb: ProductBasis, tol: float = DEFAULT_TOL) -> 
     )
 
 
-def reconstruct_state(c: JointStateCoeffs, pb: ProductBasis) -> np.ndarray:
-    """Pi = (1/NM) sum coeff[mu, nu] F_{mu nu}; positivity is not guaranteed."""
+def reconstruct_state(c: JointStateCoeffs) -> np.ndarray:
+    """Pi = (1/NM) sum coeff[mu, nu] F_{mu nu} over ``product_basis(c.n, c.m)``; positivity is not guaranteed."""
     if not c.fully_fixed:
         raise ValueError("cannot reconstruct a state with free coefficients")
-    if (c.n, c.m) != (pb.n, pb.m):
-        raise ValueError(f"coefficients are ({c.n},{c.m}), basis is ({pb.n},{pb.m})")
+    pb = product_basis(c.n, c.m)
     return np.einsum("ab,abij->ij", c.coeff, pb.mats) / pb.dim

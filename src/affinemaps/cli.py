@@ -99,7 +99,7 @@ def cmd_extract(args) -> int:
         _reject(args, ("dims",), "a coefficient state file")
         coeffs = JointStateCoeffs.from_json_dict(data)
         pb = product_basis(coeffs.n, coeffs.m)
-        pi = reconstruct_state(coeffs, pb)
+        pi = reconstruct_state(coeffs)
     else:
         dims = tuple(int(x) for x in (args.dims or "2,2").split(","))
         if len(dims) != 2:
@@ -207,7 +207,7 @@ def cmd_tomography(args) -> int:
     if args.pairs:
         _reject(args, ("spec", "base", "eps"), "--pairs")
         with open(args.pairs) as fh:
-            probes = tom.pairs_from_json(fh.read())
+            probes = tom.pairs_from_json(fh.read(), args.tol)
     else:
         truth = _load_map(args.map)
         spec = _load_spec(args.spec) if args.spec else JointStateCoeffs.blank(truth.n, truth.m)

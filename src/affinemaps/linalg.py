@@ -32,18 +32,26 @@ def partial_trace(m: np.ndarray, dim_s: int, dim_r: int) -> np.ndarray:
     return np.trace(m.reshape(m.shape[:-2] + (dim_s, dim_r, dim_s, dim_r)), axis1=-3, axis2=-1)
 
 
-def is_psd(h: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Per matrix of a Hermitian stack (..., n, n): smallest eigenvalue >= -tol."""
-    require_hermitian(h, tol)
-    return np.linalg.eigvalsh(h)[..., 0] >= -tol
+def trace_pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr[A_k B] of a stack ``a`` (..., k, n, n) and ``b`` (..., n, n), shape (..., k); batch-invariant.
+
+    Real arithmetic summed over columns, then rows, so one slice's value does not depend on its batch.
+    """
+    bt = np.swapaxes(b, -1, -2)[..., None, :, :]
+    return (a.real * bt.real - a.imag * bt.imag).sum(-1).sum(-1)
+
+
+def require_unit_trace(a: np.ndarray, tol: float = DEFAULT_TOL, name: str = "matrix") -> None:
+    """Check Hermitian to ``tol`` and trace 1 to 10 max(tol, 1e-9)."""
+    require_hermitian(a, tol, name)
+    tr = complex(np.trace(a))
+    if abs(tr - 1.0) > max(tol, 1e-9) * 10:
+        raise ValueError(f"{name} has trace {tr.real:.6g}, expected 1")
 
 
 def require_density(rho: np.ndarray, tol: float = DEFAULT_TOL, name: str = "state") -> None:
     """Check Hermitian, unit trace, PSD; Hermiticity is checked once, before the eigvalsh."""
-    require_hermitian(rho, tol, name)
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > max(tol, 1e-9) * 10:
-        raise ValueError(f"{name} has trace {tr.real:.6g}, expected 1")
+    require_unit_trace(rho, tol, name)
     if not (np.linalg.eigvalsh(rho)[..., 0] >= -tol).all():
         raise ValueError(f"{name} is not positive semidefinite to tolerance {tol:.3e}")
 

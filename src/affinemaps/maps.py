@@ -11,8 +11,9 @@ Heisenberg picture: K's coefficients are Tr[Pi W_mu] with the joint
 operators W_mu of ``w_operators``, which depend on U alone, so only the
 environment and correlation mean values of the joint state enter.  Every
 map is built by one constructor, ``map_from_unitary``, from U and a table
-of mean values that need not be a state; ``extract_map`` is that
-constructor on the mean values of a joint density matrix.  The linear extension
+of mean values that need not be a state; ``extract_map`` shares its G and K
+steps and reads kappa off a joint density matrix directly.  Every such
+coefficient is one ``linalg.trace_pairing``.  The linear extension
 Q -> L(Q) + K Tr Q agrees with the affine map on density matrices; it is
 ``BMatrix.apply``, the Choi matrix is the reindexed B matrix, and the CP
 test and signed operator sum come from its spectrum.  ``bloch_action`` is
@@ -33,7 +34,6 @@ from .basis import (
     ProductBasis,
     build_basis,
     coefficients,
-    expand_state,
     product_basis,
     read_dim,
     reconstruct_state,
@@ -48,6 +48,7 @@ from .linalg import (
     require_hermitian,
     require_unitary,
     to_pairs,
+    trace_pairing,
 )
 
 VALIDATE_TOL = 1e-8  # tolerance of the Hermiticity, trace and completeness checks on a new map
@@ -174,38 +175,40 @@ def w_operators(u: np.ndarray, obs: np.ndarray, m: int) -> np.ndarray:
     return y - lift(partial_trace(y, n, m) / m)
 
 
+def _map_of_operator(u: np.ndarray, pi: np.ndarray, pb: ProductBasis, free: np.ndarray, tol: float) -> AffineMap:
+    """The map of U and a joint operator Pi: G from ``extract_G``, kappa_mu = Re Tr[Pi W_mu] over the traceless basis.
+
+    Each True entry of the (n^2, m^2) mask ``free`` is a mean value that Pi does not carry; one of weight > tol raises.
+    """
+    w = w_operators(u, pb.basis_s[1:], pb.m)  # raises unless u is (nm) x (nm)
+    g_ops = extract_G(u, pb.basis_r, tol)
+    if free.any():  # a fully fixed table, such as every extracted one, has no weights to check
+        weights = np.abs(trace_pairing(w, pb.mats[free])).max(axis=1, initial=0.0) / pb.dim
+        for (beta, gamma), weight in zip(np.argwhere(free), weights):
+            if weight > tol:
+                raise ValueError(f"mean value coeff[{beta}, {gamma}] is free but enters K (weight {weight:.3e} > {tol:.3e})")
+    return AffineMap(n=pb.n, m=pb.m, g_ops=g_ops, k_mat=traceless_operator(trace_pairing(w, pi), pb.n))
+
+
 def map_from_unitary(u: np.ndarray, spec: JointStateCoeffs, tol: float = DEFAULT_TOL) -> AffineMap:
     """The affine map of the joint unitary ``u`` and the mean values ``spec``.
 
-    G comes from ``extract_G``.  K has the coefficients
-    kappa_mu = sum_{beta gamma} c_{beta gamma} Tr[F_{beta gamma} W_mu] / (NM),
-    which is Tr[Pi W_mu] for the operator Pi that ``reconstruct_state``
-    builds from the table, with W_mu the w_operators of the traceless
-    subsystem basis.  K is linear in the mean values, so the table need not
-    be a state.  A free entry whose weight max_mu |Tr[F_{beta gamma} W_mu]| / (NM)
-    is at most ``tol`` does not enter K and is ignored (the subsystem column
-    has weight 0); a free entry of larger weight raises ValueError.
+    Pi is ``reconstruct_state`` of the table with its free entries set to 0;
+    K is linear in the mean values, so the table need not be a state.  A free
+    entry whose weight max_mu |Tr[F_{beta gamma} W_mu]| / (NM) is at most ``tol``
+    does not enter K (the subsystem column has weight 0); a larger one raises ValueError.
     """
-    n, m = spec.n, spec.m
-    pb = product_basis(n, m)
-    w = w_operators(u, pb.basis_s[1:], m)  # raises unless u is (nm) x (nm)
-    g_ops = extract_G(u, pb.basis_r, tol)
-    if not spec.fully_fixed:
-        weights = np.abs(np.einsum("fij,aji->fa", pb.mats[spec.free], w)).max(axis=1, initial=0.0) / pb.dim
-        for (beta, gamma), weight in zip(np.argwhere(spec.free), weights):
-            if weight > tol:
-                raise ValueError(f"mean value coeff[{beta}, {gamma}] is free but enters K (weight {weight:.3e} > {tol:.3e})")
-        spec = JointStateCoeffs(n, m, np.where(spec.free, 0.0, spec.coeff), np.zeros_like(spec.free))
-    kappa = np.einsum("aij,ji->a", w, reconstruct_state(spec, pb)).real
-    return AffineMap(n=n, m=m, g_ops=g_ops, k_mat=traceless_operator(kappa, n))
+    fixed = JointStateCoeffs(spec.n, spec.m, np.where(spec.free, 0.0, spec.coeff), np.zeros_like(spec.free))
+    return _map_of_operator(u, reconstruct_state(fixed), product_basis(spec.n, spec.m), spec.free, tol)
 
 
-def extract_map(
-    u: np.ndarray, pi: np.ndarray, pb: ProductBasis, tol: float = DEFAULT_TOL
-) -> AffineMap:
-    """The affine map of (U, Pi) for a joint density matrix Pi: ``map_from_unitary`` on its mean values."""
+def extract_map(u: np.ndarray, pi: np.ndarray, pb: ProductBasis, tol: float = DEFAULT_TOL) -> AffineMap:
+    """The affine map of (U, Pi) for a joint density matrix Pi, with kappa read off Pi itself."""
     require_density(pi, tol, "joint state")
-    return map_from_unitary(u, expand_state(pi, pb, tol), tol)
+    d = pb.dim
+    if pi.shape != (d, d):
+        raise ValueError(f"state has shape {pi.shape}, basis expects ({d},{d})")
+    return _map_of_operator(u, pi, pb, np.zeros(pb.mats.shape[:2], dtype=bool), tol)
 
 
 @dataclass(frozen=True)

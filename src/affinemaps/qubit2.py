@@ -20,7 +20,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .basis import JointStateCoeffs, build_basis, expand_state, product_basis, reconstruct_state
-from .linalg import DEFAULT_TOL, finite_array, random_density, random_unitary, require_density, require_unitary, to_pairs
+from .linalg import DEFAULT_TOL, finite_array, random_density, random_unitary, require_density, require_unitary
+from .linalg import to_pairs, trace_pairing
 from .maps import AffineMap, map_from_unitary, w_operators
 
 I2, SIGMA = build_basis(2)[0], build_basis(2)[1:]  # the identity and the Pauli matrices
@@ -118,11 +119,6 @@ def _lorentz_unitaries(p: np.ndarray) -> np.ndarray:
     return np.kron(d1, 0.5 * (I2 + SIGMA[0])) + np.kron(d2, 0.5 * (I2 - SIGMA[0]))
 
 
-def lorentz_map(p: LorentzParams, corr: JointStateCoeffs) -> AffineMap:
-    """Map of the two-momentum rotation family for the mean values ``corr``."""
-    return map_from_unitary(lorentz_unitary(p), corr)
-
-
 class KappaBounds(NamedTuple):
     kappa_norm: float
     bound_a: float
@@ -141,9 +137,9 @@ def kappa_bounds_check(
     the search maximizes; ``u`` must be unitary and ``coeffs`` a state.
     """
     require_unitary(u, tol)
-    pi = reconstruct_state(coeffs, product_basis(2, 2))
+    pi = reconstruct_state(coeffs)
     require_density(pi, tol, "joint state")
-    kappa = np.einsum("aij,ji->a", w_operators(u, SIGMA, 2), pi).real
+    kappa = trace_pairing(w_operators(u, SIGMA, 2), pi)
     kappa_norm = float(np.linalg.norm(kappa))
     a_norm = float(np.linalg.norm(coeffs.coeff[1:, 0]))
     bound_a = float(np.sqrt(max(3.0 - a_norm**2, 0.0)))
@@ -184,14 +180,10 @@ def _best_state_kappa(w_ops: np.ndarray, iters: int = 8) -> tuple[np.ndarray, np
     for _ in range(iters):
         if live.size == 0:
             break
-        w_live = w_ops[live]
-        _, vecs = np.linalg.eigh(np.einsum("zj,zjab->zab", u_dir, w_live))
+        _, vecs = np.linalg.eigh(np.einsum("zj,zjab->zab", u_dir, w_ops[live]))
         psi = vecs[..., -1]
         pi = psi[:, :, None] * psi[:, None, :].conj()
-        # kappa_j = Re Tr[W_j pi], summed over b within a, then over a, so that
-        # a slice's value does not depend on the batch it is evaluated in
-        pi_t = pi[:, None].swapaxes(-1, -2)
-        kappa = (w_live.real * pi_t.real - w_live.imag * pi_t.imag).sum(-1).sum(-1)
+        kappa = trace_pairing(w_ops[live], pi)
         norm = _norms(kappa)
         better = norm > norms[live]
         idx = live[better]

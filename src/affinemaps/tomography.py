@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import JointStateCoeffs, probe_state
 from .domains import InfeasibleError, compatibility
-from .linalg import DEFAULT_TOL, finite_array, from_pairs, require_hermitian
+from .linalg import DEFAULT_TOL, finite_array, from_pairs, require_unit_trace
 from .maps import AffineMap, apply_L
 
 
@@ -29,12 +29,10 @@ class ProbeSet:
     """Probe vectors (k, n^2 - 1) and, once evaluated, their outputs (k, n, n).
 
     A designed set holds the base vector first, then one singly perturbed
-    vector per axis; ``deltas`` records the signed step used along each
-    axis, and is zero for pairs read from a file.
+    vector per axis, so ``probes[1:] - probes[0]`` holds the signed steps (to rounding).
     """
 
     probes: np.ndarray
-    deltas: np.ndarray
     outputs: np.ndarray | None = None
 
     @property
@@ -95,7 +93,7 @@ def design_probes(
         )
     probes = np.tile(base, (n_axes + 1, 1))
     probes[np.arange(1, n_axes + 1), np.arange(n_axes)] += deltas
-    return ProbeSet(probes=probes, deltas=deltas)
+    return ProbeSet(probes=probes)
 
 
 def evaluate_probes(probes: ProbeSet, evolve: Callable[[np.ndarray], np.ndarray]) -> ProbeSet:
@@ -191,8 +189,12 @@ def validate_reconstruction(
     )
 
 
-def pairs_from_json(text: str) -> ProbeSet:
-    """Evaluated set with zero deltas from a JSON list [{"rho_in_coeffs": [...], "rho_out": [[[re, im], ...]]}]; n from pair 0."""
+def pairs_from_json(text: str, tol: float = DEFAULT_TOL) -> ProbeSet:
+    """Evaluated set from a JSON list [{"rho_in_coeffs": [...], "rho_out": [[[re, im], ...]]}]; n from pair 0.
+
+    Each output must be Hermitian to ``tol`` with unit trace (the rule of
+    ``require_density``), but need not be positive: noisy outputs must load.
+    """
     items = json.loads(text)
     if not isinstance(items, list) or not items:
         raise ValueError("pairs must be a non-empty JSON list")
@@ -210,10 +212,7 @@ def pairs_from_json(text: str) -> ProbeSet:
             raise ValueError(f"rho_in_coeffs of pair {i} has shape {coeffs.shape}, expected n^2 - 1 = {n * n - 1} entries")
         if out.shape != (n, n):
             raise ValueError(f"rho_out of pair {i} has shape {out.shape}, expected {(n, n)}")
-        require_hermitian(out, name=f"rho_out of pair {i}")  # not positivity: noisy outputs must load
-        tr = complex(np.trace(out))
-        if abs(tr - 1.0) > 10 * DEFAULT_TOL:
-            raise ValueError(f"rho_out of pair {i} has trace {tr.real:.6g}, expected 1")
+        require_unit_trace(out, tol, f"rho_out of pair {i}")
         probes.append(coeffs)
         outputs.append(out)
-    return ProbeSet(probes=np.array(probes), deltas=np.zeros(n * n - 1), outputs=np.array(outputs))
+    return ProbeSet(probes=np.array(probes), outputs=np.array(outputs))

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass line per
 criterion.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -21,6 +22,7 @@ from affinemaps.maps import (
     choi_and_cp,
     extract_G,
     extract_map,
+    map_from_unitary,
     pm_decomposition,
 )
 from affinemaps.qubit2 import (
@@ -33,7 +35,6 @@ from affinemaps.qubit2 import (
     int_ham_map,
     int_ham_unitary,
     kappa_search,
-    lorentz_map,
     lorentz_unitary,
 )
 from affinemaps.tomography import (
@@ -93,7 +94,7 @@ def test_criterion_2_lorentz_closed_forms():
         pi = random_density(4, rng, shape=(1,))[0]
         corr = expand_state(pi, PB22)
         closed = lorentz_closed_map(params, corr)
-        for amap in (extract_map(lorentz_unitary(params), pi, PB22), lorentz_map(params, corr)):
+        for amap in (extract_map(lorentz_unitary(params), pi, PB22), map_from_unitary(lorentz_unitary(params), corr)):
             max_dev = max(
                 max_dev,
                 float(np.abs(closed.k_mat - amap.k_mat).max()),
@@ -282,9 +283,9 @@ def test_criterion_8_tomography_round_trip():
     spec = fig2_spec()
     from affinemaps.domains import InfeasibleError
 
-    joint = spec.copy()
+    joint = dataclasses.replace(spec)
     joint.coeff[1:, 0] = [0.0, 0.0, SQ3]
-    truth = extract_map(random_unitary(4, rng), reconstruct_state(joint, PB22), PB22)
+    truth = extract_map(random_unitary(4, rng), reconstruct_state(joint), PB22)
     with pytest.raises(InfeasibleError):
         design_probes(spec, np.zeros(3), eps=0.05)
     probes = design_probes(spec, np.array([0.0, 0.0, SQ3]), eps=0.05)

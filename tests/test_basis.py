@@ -116,7 +116,7 @@ def test_expand_bell_correlation(pb22):
 
 def test_reconstruct_blank_is_maximally_mixed(pb22):
     np.testing.assert_allclose(
-        reconstruct_state(JointStateCoeffs.blank(2, 2), pb22), np.eye(4) / 4, atol=1e-15
+        reconstruct_state(JointStateCoeffs.blank(2, 2)), np.eye(4) / 4, atol=1e-15
     )
 
 
@@ -124,7 +124,7 @@ def test_round_trip_random(pb22, rng):
     for _ in range(20):
         pi = random_density(4, rng)
         coeffs = expand_state(pi, pb22)
-        np.testing.assert_allclose(reconstruct_state(coeffs, pb22), pi, atol=1e-12)
+        np.testing.assert_allclose(reconstruct_state(coeffs), pi, atol=1e-12)
 
 
 def test_coefficients_of_states_are_bounded(pb22, rng):
@@ -138,7 +138,7 @@ def test_coefficients_of_states_are_bounded(pb22, rng):
 def test_round_trip_quarter_correlations(pb22):
     coeffs = JointStateCoeffs.blank(2, 2)
     coeffs.coeff[1:, 1:] = 0.25
-    pi = reconstruct_state(coeffs, pb22)
+    pi = reconstruct_state(coeffs)
     back = expand_state(pi, pb22)
     np.testing.assert_allclose(back.coeff, coeffs.coeff, atol=1e-13)
 
@@ -159,7 +159,7 @@ def test_reconstruct_rejects_free_entries(pb22):
     coeffs = JointStateCoeffs.blank(2, 2)
     coeffs.free[1, 1] = True
     with pytest.raises(ValueError):
-        reconstruct_state(coeffs, pb22)
+        reconstruct_state(coeffs)
 
 
 def test_coeffs_json_round_trip():

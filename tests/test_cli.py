@@ -405,13 +405,13 @@ THIRD = [[[1 / 3 if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
 
 def full_rank_pairs() -> list:
     """The origin and one 0.1 step per axis, with their images under the fig1a map."""
-    probes = ProbeSet(np.vstack([np.zeros(3), 0.1 * np.eye(3)]), np.zeros(3))
+    probes = ProbeSet(np.vstack([np.zeros(3), 0.1 * np.eye(3)]))
     return json.loads(pairs_json(evaluate_probes(probes, map_oracle(fig1a_map()))))
 
 
 def identity_pairs(offset) -> list:
     """The origin and one 0.1 step per axis, with their identity-map outputs plus ``offset``."""
-    probes = ProbeSet(np.vstack([np.zeros(3), 0.1 * np.eye(3)]), np.zeros(3))
+    probes = ProbeSet(np.vstack([np.zeros(3), 0.1 * np.eye(3)]))
     evaluate_probes(probes, lambda p: probe_state(p, 2) + np.asarray(offset))
     return json.loads(pairs_json(probes))
 
@@ -547,6 +547,17 @@ def test_options_a_subcommand_does_not_read_exit_2(tmp_path, capsys, argv):
 def test_tomography_pair_shape_error_names_the_field(tmp_path, capsys, name, field):
     assert main(["tomography", "--pairs", malformed_files(tmp_path)[name], "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field} of pair 0 ")
+
+
+def test_tomography_pairs_read_tol(tmp_path, capsys):
+    # the second output is off-Hermitian by 1e-7: rejected at the default --tol, loaded at --tol 1e-6
+    pairs = identity_pairs(np.zeros((2, 2)))
+    pairs[1]["rho_out"][0][1][0] += 1e-7
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(pairs))
+    assert main(["tomography", "--pairs", str(path), "--out", str(tmp_path / "a.json")]) == 2
+    assert "rho_out of pair 1 is not Hermitian (deviation 1.000e-07 > tol 1.000e-09)" in capsys.readouterr().err
+    assert main(["tomography", "--pairs", str(path), "--tol", "1e-6", "--out", str(tmp_path / "b.json")]) == 0
 
 
 JSON_KEYS = ["n", "m", "coeff", "free_mask", "g_ops", "k", "matrix", "axis", "angle", "rho_in_coeffs", "rho_out"]

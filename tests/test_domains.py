@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from affinemaps.basis import JointStateCoeffs, expand_state, probe_state, product_basis, reconstruct_state, traceless_operator
 from affinemaps.cli import _write_pairs_csv, fig1_spec, fig2_spec
-from affinemaps.linalg import is_psd, random_density, random_unitary
-from affinemaps.maps import AffineMap, apply_L, extract_G, extract_map
+from affinemaps.linalg import random_density, random_unitary
+from affinemaps.maps import AffineMap, apply_L, extract_G, extract_map, map_from_unitary
 from affinemaps.domains import (
     SECTION_AXES,
     DomainSample,
@@ -27,7 +28,7 @@ from affinemaps.qubit2 import (
     LorentzParams,
     Rotation,
     int_ham_map,
-    lorentz_map,
+    lorentz_unitary,
 )
 
 SQ3 = 1.0 / np.sqrt(3.0)
@@ -45,7 +46,7 @@ def two_coefficient_spec(x=SQ3):
 
 def at_probe(spec, probe):
     """A copy of a spec whose probe column <F_{alpha 0}> is fixed already, set to ``probe``."""
-    out = spec.copy()
+    out = dataclasses.replace(spec)
     out.coeff[1:, 0] = probe
     return out
 
@@ -124,7 +125,7 @@ def test_partial_feasible_with_witness():
     spec.free[1, 1] = False
     inside, _, witness = compatibility(spec, np.zeros(3))
     assert inside
-    assert is_psd(witness)
+    assert np.linalg.eigvalsh(witness)[..., 0] >= -1e-9
     assert abs(np.trace(np.kron(SIGMA[0], SIGMA[0]) @ witness).real - 1.0) < 1e-8
     assert abs(np.trace(witness).real - 1.0) < 1e-8
 
@@ -142,11 +143,11 @@ def test_partial_degenerates_to_full(rng, pb22):
     # free bits on the probe column are overridden by the probe: no search
     # is left, and the label is the sign of lambda_min of the fixed state
     spec = two_coefficient_spec()
-    masked = spec.copy()
+    masked = dataclasses.replace(spec)
     masked.free[1:, 0] = True
     probes = rng.uniform(-1, 1, size=(20, 3))
     probes = probes[(probes**2).sum(axis=1) <= 1]
-    expected = [np.linalg.eigvalsh(reconstruct_state(at_probe(spec, p), pb22))[0] >= -1e-9 for p in probes]
+    expected = [np.linalg.eigvalsh(reconstruct_state(at_probe(spec, p)))[0] >= -1e-9 for p in probes]
     np.testing.assert_array_equal(compatibility(spec, probes)[0], expected)
     np.testing.assert_array_equal(compatibility(masked, probes)[0], expected)
 
@@ -173,7 +174,7 @@ def test_partial_monotone_relaxation(rng):
         full_spec = expand_state(random_density(4, rng), pb)
         probe = full_spec.coeff[1:, 0]
         assert compatibility(full_spec, probe)[0]
-        relaxed = full_spec.copy()
+        relaxed = dataclasses.replace(full_spec)
         relaxed.free[1, 1] = relaxed.free[2, 2] = relaxed.free[3, 3] = True
         assert compatibility(relaxed, probe)[0]
 
@@ -225,7 +226,7 @@ def test_partial_freeing_keeps_state_feasible(pb22, seed, mask):
     spec = random_spec(seed, mask)
     inside, _, witness = compatibility(spec, spec.coeff[1:, 0])
     assert inside
-    assert is_psd(witness)
+    assert np.linalg.eigvalsh(witness)[..., 0] >= -1e-9
     fixed = ~spec.free
     fixed[1:, 0] = True  # the probe column is always fixed
     np.testing.assert_allclose(expand_state(witness, pb22).coeff[fixed], spec.coeff[fixed], atol=1e-8)
@@ -269,7 +270,7 @@ def test_fixed_spec_labels_are_lambda_min_sign(pb22, seed, scale):
     spec = random_spec(seed, 0)
     spec.coeff[1:, 1:] *= scale  # scaled correlations cut the ball at various radii
     s = sample_domain(spec, region="random", count=50, seed=seed % 1000)
-    lam = [np.linalg.eigvalsh(reconstruct_state(at_probe(spec, p), pb22))[0] for p in s.probes]
+    lam = [np.linalg.eigvalsh(reconstruct_state(at_probe(spec, p)))[0] for p in s.probes]
     np.testing.assert_array_equal(s.compat, (np.array(lam) >= -1e-9).astype(int))
 
 
@@ -297,7 +298,7 @@ def test_fixed_path_completion_is_the_spec_with_the_probe_written_in(dims, seed,
     for probe in probes:
         written.coeff[:] = spec.coeff
         written.coeff[1:, 0] = probe
-        expected.append(reconstruct_state(written, pb))
+        expected.append(reconstruct_state(written))
     expected = np.array(expected)
     np.testing.assert_allclose(completion, expected, rtol=0, atol=1e-14)
     np.testing.assert_array_equal(inside, np.linalg.eigvalsh(expected)[:, 0] >= -tol)
@@ -449,9 +450,8 @@ def test_positivity_cp_map_whole_ball(rng, pb22):
 def kappa_one_map():
     corr = JointStateCoeffs.blank(2, 2)
     corr.coeff[1, 1] = 1.0
-    return lorentz_map(
-        LorentzParams(r1=IDENTITY_ROT, r2=Rotation(axis=AXIS_Z, angle=np.pi)), corr
-    )
+    params = LorentzParams(r1=IDENTITY_ROT, r2=Rotation(axis=AXIS_Z, angle=np.pi))
+    return map_from_unitary(lorentz_unitary(params), corr)
 
 
 def test_positivity_boundary_point_included():
@@ -510,7 +510,7 @@ def test_positivity_contains_true_evolution_images(pb22, rng):
     # probes in the compatibility domain evolve to positive states
     spec = two_coefficient_spec(0.4)
     u = random_unitary(4, rng)
-    amap = extract_map(u, reconstruct_state(at_probe(spec, np.zeros(3)), pb22), pb22)
+    amap = extract_map(u, reconstruct_state(at_probe(spec, np.zeros(3))), pb22)
     probes = rng.uniform(-1, 1, size=(50, 3))
     probes = probes[(probes**2).sum(axis=1) <= 1]
     assert positivity(amap, probes[compatibility(spec, probes)[0]]).all()
@@ -566,7 +566,7 @@ def test_sample_domain_volume_grid():
 
 def test_sample_domain_positivity_column(rng, pb22):
     spec = two_coefficient_spec(0.3)
-    pi = reconstruct_state(at_probe(spec, np.zeros(3)), pb22)
+    pi = reconstruct_state(at_probe(spec, np.zeros(3)))
     amap = extract_map(random_unitary(4, rng), pi, pb22)
     s = sample_domain(spec, amap=amap, section="p1p3", resolution=21)
     inside = s.compat == 1

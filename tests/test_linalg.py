@@ -2,16 +2,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinemaps.linalg import (
     dagger,
     from_pairs,
-    is_psd,
     partial_trace,
     random_density,
     random_unitary,
     require_density,
     to_pairs,
+    trace_pairing,
 )
 from affinemaps.qubit2 import I2, SIGMA
 
@@ -44,35 +46,6 @@ def test_partial_trace_dimension_mismatch():
         partial_trace(np.eye(4), 2, 3)
 
 
-def test_is_psd_maximally_mixed():
-    assert is_psd(np.eye(4) / 4)
-
-
-def test_is_psd_rejects_overweight_correlations():
-    # fixed <x1> = <s3 x1> = 0.9 with zero probe: min eigenvalue is negative
-    pi = 0.25 * (np.eye(4) + 0.9 * np.kron(SIGMA[2], SIGMA[0]) + 0.9 * np.kron(I2, SIGMA[0]))
-    assert not is_psd(pi)
-
-
-def test_is_psd_boundary_state():
-    pi = 0.25 * (np.eye(4) + np.kron(SIGMA[0], SIGMA[0]))
-    assert is_psd(pi)
-    w = np.linalg.eigvalsh(pi)
-    np.testing.assert_allclose(w, [0.0, 0.0, 0.5, 0.5], atol=1e-14)
-
-
-def test_is_psd_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_is_psd_is_batched():
-    overweight = 0.25 * (np.eye(4) + 0.9 * np.kron(SIGMA[2], SIGMA[0]) + 0.9 * np.kron(I2, SIGMA[0]))
-    stack = np.array([[np.eye(4) / 4, overweight]] * 3)
-    np.testing.assert_array_equal(is_psd(stack), [[True, False]] * 3)
-    assert is_psd(np.eye(2)).shape == ()
-
-
 @pytest.mark.parametrize(
     "rho, message",
     [
@@ -93,6 +66,36 @@ def test_require_density_accepts_boundary_states():
     require_density(np.eye(4) / 4)
 
 
+@settings(max_examples=80)
+@given(
+    k=st.integers(1, 8),
+    d=st.sampled_from([2, 3, 4, 6, 9]),
+    batch=st.integers(1, 5),
+    zeros=st.sampled_from([0.0, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trace_pairing_is_batch_invariant(k, d, batch, zeros, seed):
+    # half the parts set to +-0.0 in some draws, so signed zeros are compared too
+    rng = np.random.default_rng(seed)
+
+    def draw(shape):
+        parts = rng.normal(size=(2,) + shape) * (rng.uniform(size=(2,) + shape) >= zeros)
+        return parts[0] + 1j * parts[1]
+
+    a, b = draw((batch, k, d, d)), draw((batch, d, d))
+    got = trace_pairing(a, b)
+    assert got.shape == (batch, k)
+    for i in range(batch):
+        assert got[i].tobytes() == trace_pairing(a[i], b[i]).tobytes()
+        assert got[i].tobytes() == trace_pairing(a[i : i + 1], b[i : i + 1])[0].tobytes()
+        for j in range(k):
+            assert got[i, j].tobytes() == trace_pairing(a[i, j : j + 1], b[i]).tobytes()
+    # within 1e-15 of the complex einsum, relative to |Re Tr[A B]| <= ||A||_F ||B||_F
+    expected = np.einsum("...kij,...ji->...k", a, b).real
+    scale = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(b, axis=(-2, -1))[:, None]
+    assert (np.abs(got - expected) <= 1e-15 * scale).all()
+
+
 def test_random_unitary_is_unitary(rng):
     u = random_unitary(6, rng)
     np.testing.assert_allclose(dagger(u) @ u, np.eye(6), atol=1e-12)
@@ -100,7 +103,7 @@ def test_random_unitary_is_unitary(rng):
 
 def test_random_density_is_state(rng):
     rho = random_density(4, rng)
-    assert is_psd(rho)
+    assert np.linalg.eigvalsh(rho)[..., 0] >= -1e-9
     assert abs(np.trace(rho).real - 1.0) < 1e-12
 
 
@@ -108,7 +111,7 @@ def test_random_batches_are_states_and_unitaries():
     us = random_unitary(3, np.random.default_rng(7), shape=(2, 4))
     np.testing.assert_allclose(dagger(us) @ us, np.broadcast_to(np.eye(3), (2, 4, 3, 3)), atol=1e-12)
     rhos = random_density(3, np.random.default_rng(7), shape=(2, 4))
-    assert rhos.shape == (2, 4, 3, 3) and is_psd(rhos).all()
+    assert rhos.shape == (2, 4, 3, 3) and (np.linalg.eigvalsh(rhos)[..., 0] >= -1e-9).all()
     np.testing.assert_allclose(np.trace(rhos, axis1=-2, axis2=-1), 1.0, atol=1e-12)
 
 

@@ -280,6 +280,23 @@ def test_map_from_unitary_ignores_free_entries_of_zero_weight(pb22):
     assert np.array_equal(amap.k_mat, fixed.k_mat) and np.array_equal(amap.g_ops, fixed.g_ops)
 
 
+@settings(max_examples=30)
+@given(dims=st.sampled_from([(2, 2), (3, 2), (3, 3)]), seed=st.integers(0, 2**32 - 1))
+def test_extract_map_reads_pi_as_the_constructor_reads_its_mean_values(dims, seed):
+    n, m = dims
+    rng = np.random.default_rng(seed)
+    pb = product_basis(n, m)
+    u, pi = random_unitary(n * m, rng), random_density(n * m, rng)
+    direct, via = extract_map(u, pi, pb), map_from_unitary(u, expand_state(pi, pb))
+    assert np.array_equal(direct.g_ops, via.g_ops)
+    np.testing.assert_allclose(direct.k_mat, via.k_mat, rtol=0, atol=1e-15)
+
+
+def test_extract_map_rejects_a_state_of_other_dims(pb22):
+    with pytest.raises(ValueError, match=r"state has shape \(6, 6\), basis expects \(4,4\)"):
+        extract_map(np.eye(4), np.eye(6) / 6, pb22)
+
+
 @pytest.mark.parametrize("dims", [(2, 1), (3, 2), (2, 3)])
 def test_map_from_unitary_rejects_a_unitary_of_other_dims(rng, dims):
     with pytest.raises(ValueError, match=r"unitary has shape \(4, 4\)"):

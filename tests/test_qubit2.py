@@ -31,7 +31,6 @@ from affinemaps.qubit2 import (
     int_ham_unitary,
     kappa_bounds_check,
     kappa_search,
-    lorentz_map,
     lorentz_unitary,
     su2_from_rotation,
     _best_state_kappa,
@@ -208,7 +207,7 @@ def test_su2_rejects_non_unit_axis():
 def test_lorentz_equal_rotations_cp(pb22, rng):
     rot = Rotation(axis=(0.0, 1.0, 0.0), angle=1.1)
     corr = random_corr(rng, pb22)
-    amap = lorentz_map(LorentzParams(r1=rot, r2=rot), corr)
+    amap = map_from_unitary(lorentz_unitary(LorentzParams(r1=rot, r2=rot)), corr)
     np.testing.assert_allclose(amap.k_mat, 0.0, atol=1e-13)
     _, is_cp = choi_and_cp(amap)
     assert is_cp
@@ -217,7 +216,8 @@ def test_lorentz_equal_rotations_cp(pb22, rng):
 def test_lorentz_kappa_example():
     corr = JointStateCoeffs.blank(2, 2)
     corr.coeff[1, 1] = 0.8
-    amap = lorentz_map(LorentzParams(r1=IDENTITY_ROT, r2=Rotation(axis=AXIS_Z, angle=np.pi)), corr)
+    params = LorentzParams(r1=IDENTITY_ROT, r2=Rotation(axis=AXIS_Z, angle=np.pi))
+    amap = map_from_unitary(lorentz_unitary(params), corr)
     np.testing.assert_allclose(coefficients(amap.k_mat, 2), [0.8, 0.0, 0.0], atol=1e-13)
 
 
@@ -232,7 +232,7 @@ def test_lorentz_map_matches_numeric_extraction(pb22, rng):
         pi = random_density(4, rng)
         corr = expand_state(pi, pb22)
         closed = lorentz_closed_map(params, corr)
-        for numeric in (extract_map(lorentz_unitary(params), pi, pb22), lorentz_map(params, corr)):
+        for numeric in (extract_map(lorentz_unitary(params), pi, pb22), map_from_unitary(lorentz_unitary(params), corr)):
             np.testing.assert_allclose(closed.k_mat, numeric.k_mat, atol=1e-10)
             np.testing.assert_allclose(closed.g_ops, numeric.g_ops, atol=1e-10)
 
@@ -241,7 +241,8 @@ def test_lorentz_aligned_rotations_give_zero_kappa():
     # v along the axis of R1^-1 R2 is fixed by both rotations
     corr = JointStateCoeffs.blank(2, 2)
     corr.coeff[3, 1] = 0.7
-    amap = lorentz_map(LorentzParams(r1=IDENTITY_ROT, r2=Rotation(axis=AXIS_Z, angle=1.3)), corr)
+    params = LorentzParams(r1=IDENTITY_ROT, r2=Rotation(axis=AXIS_Z, angle=1.3))
+    amap = map_from_unitary(lorentz_unitary(params), corr)
     np.testing.assert_allclose(amap.k_mat, 0.0, atol=1e-13)
 
 
@@ -254,7 +255,7 @@ def test_lorentz_kappa_is_at_most_one(pb22, seed, rank):
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
     r1, r2 = (Rotation(axis=tuple(a), angle=float(t)) for a, t in zip(axes, rng.uniform(0, 2 * np.pi, 2)))
     corr = expand_state(random_density(4, rng, rank=rank), pb22)
-    kappa = coefficients(lorentz_map(LorentzParams(r1=r1, r2=r2), corr).k_mat, 2)
+    kappa = coefficients(map_from_unitary(lorentz_unitary(LorentzParams(r1=r1, r2=r2)), corr).k_mat, 2)
     assert np.linalg.norm(kappa) <= 1 + 1e-9
 
 
@@ -465,10 +466,7 @@ def test_kappa_search_witness_state_is_valid(pb22):
     result = kappa_search("int_ham", trials=40, seed=6)
     coeff = np.array(result.witness["coeff"])
     coeffs = JointStateCoeffs(n=2, m=2, coeff=coeff, free=np.zeros((4, 4), dtype=bool))
-    from affinemaps.basis import reconstruct_state
-    from affinemaps.linalg import is_psd
-
-    assert is_psd(reconstruct_state(coeffs, pb22))
+    assert np.linalg.eigvalsh(reconstruct_state(coeffs))[..., 0] >= -1e-9
     kappa = int_ham_kappa(IntHamParams(gamma=tuple(result.witness["gamma"])), coeffs)
     np.testing.assert_allclose(np.linalg.norm(kappa), result.best_kappa_norm, atol=1e-10)
 
@@ -563,7 +561,7 @@ def test_kappa_search_pinned(pb22, family, seed, best, sweep, fields):
     assert list(w) == fields + ["kappa", "coeff"]
     # the witness reproduces the norm: kappa of Tr_R[U Pi U^dag] - Tr_R[U (rho (x) 1/2) U^dag]
     u = witness_unitary(family, w)
-    pi = reconstruct_state(JointStateCoeffs(2, 2, np.array(w["coeff"]), np.zeros((4, 4), bool)), pb22)
+    pi = reconstruct_state(JointStateCoeffs(2, 2, np.array(w["coeff"]), np.zeros((4, 4), bool)))
     rho = partial_trace(pi, 2, 2)
     k = partial_trace(u @ (pi - np.kron(rho, I2 / 2)) @ dagger(u), 2, 2)
     assert abs(np.linalg.norm(coefficients(k, 2)) - result.best_kappa_norm) < 1e-9

@@ -41,7 +41,7 @@ def test_design_probes_unconstrained_axes():
     probes = design_probes(spec, np.zeros(3), eps=0.1)
     assert probes.probes.shape == (4, 3)
     np.testing.assert_allclose(probes.probes[0], 0.0)
-    np.testing.assert_allclose(probes.deltas, [0.1, 0.1, 0.1])
+    np.testing.assert_allclose(probes.probes[1:] - probes.probes[0], 0.1 * np.eye(3))
     for alpha in range(3):
         expected = np.zeros(3)
         expected[alpha] = 0.1
@@ -63,7 +63,7 @@ def test_design_probes_halves_step():
     # eps = 0.5 oversteps the small sphere along every axis; one halving fixes it
     spec = two_coefficient_spec()
     probes = design_probes(spec, np.array([0.0, 0.0, SQ3]), eps=0.5)
-    np.testing.assert_allclose(np.abs(probes.deltas), 0.25)
+    np.testing.assert_allclose(np.abs(probes.probes[1:] - probes.probes[0]), 0.25 * np.eye(3))
 
 
 def test_design_probes_validates_arguments():
@@ -123,8 +123,9 @@ def test_design_probes_matches_sequential_search(dims, mixing):
             continue
         got = design_probes(spec, base, eps=0.05)
         np.testing.assert_array_equal(got.probes, expected[0])
-        np.testing.assert_array_equal(got.deltas, expected[1])
-        halved += bool((np.abs(got.deltas) < 0.05).any())
+        steps = np.diagonal(got.probes[1:] - got.probes[0])  # base + delta - base: delta to rounding
+        np.testing.assert_allclose(steps, expected[1], rtol=0, atol=1e-15)
+        halved += bool((np.abs(expected[1]) < 0.05).any())
     if mixing < 1:
         assert halved > 0 and raised > 0
 
@@ -212,7 +213,7 @@ def test_reconstruct_requires_pairs():
 def test_reconstruct_overdetermined_consistent(rng):
     truth = random_map(rng)
     coeffs = rng.uniform(-0.4, 0.4, size=(12, 3))
-    recon = reconstruct_map(evaluate_probes(ProbeSet(coeffs, np.zeros(3)), map_oracle(truth)))
+    recon = reconstruct_map(evaluate_probes(ProbeSet(coeffs), map_oracle(truth)))
     assert validate_reconstruction(recon, truth, tol=1e-9).passed
     assert recon.residual < 1e-10
 
@@ -223,7 +224,7 @@ def test_reconstruct_inconsistent_pairs_raise(rng):
     coeffs = rng.uniform(-0.4, 0.4, size=(12, 3))
     outputs = np.concatenate([map_oracle(truth_a)(coeffs[:6]), map_oracle(truth_b)(coeffs[6:])])
     with pytest.raises(ValueError, match="inconsistent"):
-        reconstruct_map(ProbeSet(coeffs, np.zeros(3), outputs))
+        reconstruct_map(ProbeSet(coeffs, outputs))
 
 
 @pytest.mark.parametrize(
@@ -236,7 +237,7 @@ def test_reconstruct_inconsistent_pairs_raise(rng):
 )
 def test_reconstruct_rank_deficient_design_raises(rng, coeffs, rank):
     # lstsq would return a minimum-norm fit with some F'_alpha set to zero
-    probes = evaluate_probes(ProbeSet(np.array(coeffs, dtype=float), np.zeros(3)), map_oracle(random_map(rng)))
+    probes = evaluate_probes(ProbeSet(np.array(coeffs, dtype=float)), map_oracle(random_map(rng)))
     with pytest.raises(ValueError, match=f"rank {rank};"):
         reconstruct_map(probes)
 
@@ -259,7 +260,6 @@ def test_pairs_json_round_trip(rng):
     back = pairs_from_json(pairs_json(probes))
     np.testing.assert_array_equal(back.probes, probes.probes)
     np.testing.assert_array_equal(back.outputs, probes.outputs)
-    np.testing.assert_array_equal(back.deltas, 0.0)
     recon = reconstruct_map(back)
     assert validate_reconstruction(recon, truth, tol=1e-9).passed
 
@@ -289,7 +289,7 @@ def test_probe_pairs_match_joint_evolution(pb22, rng):
 
     spec = expand_state(random_density(4, rng), pb22)
     u = random_unitary(4, rng)
-    pi = reconstruct_state(spec, pb22)
+    pi = reconstruct_state(spec)
     amap = extract_map(u, pi, pb22)
     probe = spec.coeff[1:, 0]
     out_map = map_oracle(amap)(probe)
