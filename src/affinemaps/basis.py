@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, finite_array, require_hermitian, trace_pairing
+from .linalg import DEFAULT_TOL, finite_array, require_unit_trace, trace_pairing
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -190,10 +190,7 @@ def expand_state(pi: np.ndarray, pb: ProductBasis, tol: float = DEFAULT_TOL) -> 
     d = pb.dim
     if pi.shape != (d, d):
         raise ValueError(f"state has shape {pi.shape}, basis expects ({d},{d})")
-    require_hermitian(pi, tol, "state")
-    tr = complex(np.trace(pi))
-    if abs(tr - 1.0) > 10 * tol:
-        raise ValueError(f"state trace is {tr.real:.6g}, expected 1")
+    require_unit_trace(pi, tol, "state")
     raw = np.einsum("abij,ji->ab", pb.mats, pi)
     imag = float(np.abs(raw.imag).max())
     if imag > tol:

@@ -9,6 +9,7 @@ seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -357,7 +358,9 @@ def _positive(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built at the first call and shared by later ones; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="affinemaps",
         description="Affine maps of open-system dynamics: extraction, domains, tomography.",

@@ -8,10 +8,19 @@ coefficients c of lambda_min(X(c)), X(c) the joint matrix with every fixed
 coefficient and the probe in place, and returns (inside, margin,
 completion): inside is margin >= -tol and completion is the witness X(c).
 A probe a moves only the subsystem column: X0(a) = X_fix + sum_alpha
-a_alpha (F_alpha x 1)/NM.  A fully fixed spec gives t* = lambda_min(X0);
-otherwise a batched log-det barrier method with damped Newton steps (Boyd
-& Vandenberghe, Convex Optimization, ch. 11) brackets t* between a lower
-bound and a dual upper bound, so every label is certified.  A Newton step
+a_alpha (F_alpha x 1)/NM.  A fully fixed spec gives t* = lambda_min(X0).
+Inside, the margin is lambda_min(X0) from eigvalsh; outside, it may be a
+certified upper bound on lambda_min(X0) below -tol.  A batch of at least
+SCREEN_MIN_ROWS probes is first screened in chunks of SCREEN_CHUNK rows by
+an LDL^H of X0 + tol 1 (Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 10): a row whose first non-positive pivot is D_jj has the
+witness v = L^-H e_j, and v^H X0 v / |v|^2 plus a rounding slack, when
+below -tol, labels it outside; every other row, and every smaller batch,
+takes an eigvalsh, so the labels are eigvalsh's.  With free coefficients
+a batched log-det barrier method with damped Newton steps (Boyd &
+Vandenberghe, Convex Optimization, ch. 11) brackets t* between a lower
+bound and a dual upper bound, so every label is certified, and an outside
+margin is likewise an upper bound below -tol.  A Newton step
 is one matrix inverse and a few GEMMs with no eigendecomposition: the
 lower bound t + 1/||S^-1||_F on lambda_min(X), S = X - t 1 > 0, decides
 "inside", and lambda_min is computed only for the probes so decided, whose
@@ -35,6 +44,10 @@ from .linalg import DEFAULT_TOL
 from .maps import AffineMap, bloch_action
 
 
+SCREEN_MIN_ROWS = 128  # measured break-even of the pivot screen against one eigvalsh of the batch
+SCREEN_CHUNK = 1024  # rows per chunk of the screen, so its copies have a fixed size (about 1 MB at d = 4)
+
+
 class InfeasibleError(Exception):
     """A required domain membership could not be satisfied."""
 
@@ -50,9 +63,15 @@ def compatibility(
     is t* = max over the free coefficients c of lambda_min(X(c)), inside is
     margin >= -tol and completion (..., d, d) is the last iterate X(c).
     X0 = X(0) is one fixed matrix plus the product of the probes with the
-    (F_alpha x 1)/d, built in place as the completion; with no free
-    coefficient, or where lambda_min(X0) >= -tol, margin = lambda_min(X0).
-    Otherwise S = X(c) - t 1 is kept positive definite by a log-det barrier,
+    (F_alpha x 1)/d, built in place as the completion; where
+    lambda_min(X0) >= -tol, margin = lambda_min(X0) from eigvalsh.  With no
+    free coefficient an outside margin is an upper bound on lambda_min(X0)
+    below -tol: from the LDL^H screen of ``_pivot_bound``, run on batches of
+    SCREEN_MIN_ROWS probes or more (a smaller one goes to one eigvalsh, which
+    is faster there), or lambda_min(X0) itself where the screen leaves the
+    row open.  The labels are those of eigvalsh in every case.  With free
+    coefficients, where lambda_min(X0) < -tol,
+    S = X(c) - t 1 is kept positive definite by a log-det barrier,
     centred by damped Newton steps for mu = 1e-2, 1e-4, ..., 1e-14.  A step
     takes S^-1 from one matrix inverse, every A_j S^-1 (A_j = dS/dc_j or
     dS/dt) from one product with the stacked A_j, and the gradient and
@@ -88,11 +107,71 @@ def compatibility(
     x0 += (base.reshape(-1) @ pb.mats.reshape(-1, d * d)).reshape(d, d)
     x0 /= d
     free_ops = pb.mats[free] / d
-    margin = np.linalg.eigvalsh(x0)[..., 0]
-    idx = np.flatnonzero(margin < -tol) if len(free_ops) else np.arange(0)  # X0 >= -tol is inside already
-    if idx.size:
-        _barrier_search(x0, margin, idx, free_ops, tol)
+    if len(free_ops):
+        margin = np.linalg.eigvalsh(x0)[..., 0]
+        idx = np.flatnonzero(margin < -tol)  # X0 >= -tol is inside already
+        if idx.size:
+            _barrier_search(x0, margin, idx, free_ops, tol)
+    else:
+        margin = _fixed_margin(x0, tol)
     return (margin >= -tol).reshape(lead), margin.reshape(lead), x0.reshape(lead + (d, d))
+
+
+def _fixed_margin(x0: np.ndarray, tol: float) -> np.ndarray:
+    """Margin of fully fixed probes: lambda_min(X0), or a certified upper bound on it below -tol.
+
+    A batch of fewer than SCREEN_MIN_ROWS goes to one eigvalsh.  A larger one
+    goes through ``_pivot_bound`` in chunks of SCREEN_CHUNK rows, and only the
+    rows whose bound is not below -tol take an eigvalsh.
+    """
+    if len(x0) < SCREEN_MIN_ROWS:
+        return np.linalg.eigvalsh(x0)[:, 0]
+    margin = np.empty(len(x0))
+    for lo in range(0, len(x0), SCREEN_CHUNK):
+        x, m = x0[lo : lo + SCREEN_CHUNK], margin[lo : lo + SCREEN_CHUNK]
+        m[:] = _pivot_bound(x, tol)
+        undecided = ~(m < -tol)  # NaN included
+        m[undecided] = np.linalg.eigvalsh(x[undecided])[:, 0]
+    return margin
+
+
+def _pivot_bound(x: np.ndarray, tol: float) -> np.ndarray:
+    """Upper bound on lambda_min of each matrix of ``x`` (b, d, d), from an LDL^H of X + tol 1.
+
+    The factorization runs batch-last on a copy (``x`` is the completion).  A
+    row stops at its first pivot D_jj not above the rounding slack: no later
+    step divides by it or updates the row.  Then v = L^-H e_j (j = d - 1 if no
+    pivot stops it) gives v^H (X + tol 1) v = D_jj, so v^H X v / |v|^2 is below
+    -tol when D_jj < 0.  The quotient is computed from X itself and raised by a
+    slack of 16 d eps ||X||_F, which covers its own rounding and that of
+    eigvalsh: a bound below -tol certifies lambda_min(X) < -tol, and eigvalsh
+    would label the row outside too.
+    """
+    b, d = x.shape[:2]
+    xt = x.transpose(1, 2, 0).copy()
+    squares = (xt.view(float) ** 2).reshape(d * d, 2 * b).sum(axis=0)
+    slack = 16 * d * np.finfo(float).eps * np.sqrt(squares[0::2] + squares[1::2])
+    a = xt.copy()
+    diag = np.arange(d)
+    a[diag, diag] += tol
+    first = np.full(b, d - 1)
+    live = np.ones(b, dtype=bool)
+    for j in range(d - 1):
+        pivot = a[j, j].real
+        stop = live & ~(pivot > slack)  # NaN stops too
+        first[stop] = j
+        live &= ~stop
+        col = a[j + 1 :, j]
+        col_l = col * np.divide(1.0, pivot, out=np.zeros(b), where=live)  # 0 on stopped rows: they stay put
+        a[j + 1 :, j + 1 :] -= col_l[:, None] * col.conj()
+        a[j + 1 :, j] = col_l
+    v = np.zeros((d, b), dtype=complex)
+    v[first, np.arange(b)] = 1.0
+    for i in range(d - 2, -1, -1):  # solve L^H v = e_j; columns from j on are 0 below the diagonal
+        v[i] -= (a[i + 1 :, i].conj() * v[i + 1 :]).sum(axis=0)
+    xv = (xt * v).sum(axis=1)
+    num = (v.real * xv.real + v.imag * xv.imag).sum(axis=0)
+    return num / (v.real**2 + v.imag**2).sum(axis=0) + slack
 
 
 def _barrier_search(completion, margin, idx, free_ops, tol) -> None:

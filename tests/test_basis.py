@@ -17,7 +17,7 @@ from affinemaps.basis import (
     reconstruct_state,
     traceless_operator,
 )
-from affinemaps.linalg import random_density
+from affinemaps.linalg import random_density, require_density
 from affinemaps.qubit2 import SIGMA
 
 
@@ -102,7 +102,15 @@ def test_expand_maximally_mixed(pb22):
 def test_expand_state_prints_a_real_trace(pb22):
     with pytest.raises(ValueError) as exc:
         expand_state(np.eye(4) / 2 + 0j, pb22)
-    assert str(exc.value) == "state trace is 2, expected 1"
+    assert str(exc.value) == "state has trace 2, expected 1"
+    # the trace rule is require_density's, 10 max(tol, 1e-9): a trace of 1 + 1e-10 passes it at
+    # tol = 1e-12, and only the table's own rule, coeff[0, 0] = 1 to 1e-12, rejects the state
+    pi = np.eye(4) / 4 * (1 + 1e-10)
+    require_density(pi, 1e-12)
+    with pytest.raises(ValueError, match=r"^coeff\[0, 0\] must equal 1"):
+        expand_state(pi, pb22, 1e-12)
+    pi = np.eye(4) / 4 * (1 + 5e-13)
+    assert expand_state(pi, pb22, 1e-14).coeff[0, 0] == pytest.approx(1 + 5e-13, rel=0, abs=1e-15)
 
 
 def test_expand_bell_correlation(pb22):

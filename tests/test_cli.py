@@ -13,7 +13,7 @@ from conftest import int_ham_b_matrix, pairs_json
 import affinemaps
 from affinemaps import domains
 from affinemaps.basis import JointStateCoeffs, coefficients, probe_state, product_basis, traceless_operator
-from affinemaps.cli import fig1_spec, fig1a_map, fig2_spec, main
+from affinemaps.cli import build_parser, fig1_spec, fig1a_map, fig2_spec, main
 from affinemaps.linalg import random_density, random_unitary, to_pairs
 from affinemaps.maps import AffineMap, choi_matrix, extract_map, map_from_json_dict, map_to_json, map_to_json_dict
 from affinemaps.qubit2 import SIGMA, IntHamParams, int_ham_unitary
@@ -606,6 +606,25 @@ def test_fuzzed_json_inputs_keep_exit_contract(tmp_path_factory, value, key):
 
 def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == 2
+
+
+def test_consecutive_main_calls_share_no_state(tmp_path):
+    # the parser is built at the first main() of a process and reused: one call's subcommand and
+    # options must not leak into the defaults of the next
+    s_path = write_spec(tmp_path / "spec.json", fig2_spec())
+    cloud = ["domains", "--spec", s_path, "--region", "random", "--count", "40"]
+    build_parser.cache_clear()
+    assert main(cloud + ["--out", str(tmp_path / "first")]) == 0
+    assert build_parser.cache_info().currsize == 1
+    tuned = ["domains", "--spec", s_path, "--region", "random", "--resolution", "5", "--seed", "7", "--tol", "0.2"]
+    assert main(tuned + ["--out", str(tmp_path / "tuned")]) == 0
+    assert main(["kappa", "--family", "lorentz", "--trials", "2", "--seed", "3", "--out", str(tmp_path / "k.json")]) == 0
+    assert main(["frobnicate"]) == 2
+    assert main(cloud + ["--out", str(tmp_path / "again")]) == 0
+    assert build_parser.cache_info().misses == 1
+    assert (tmp_path / "tuned.csv").read_bytes() != (tmp_path / "first.csv").read_bytes()
+    for ext in (".csv", ".json"):
+        assert (tmp_path / f"again{ext}").read_bytes() == (tmp_path / f"first{ext}").read_bytes()
 
 
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):

@@ -11,10 +11,13 @@ from affinemaps.cli import _write_pairs_csv, fig1_spec, fig2_spec
 from affinemaps.linalg import random_density, random_unitary
 from affinemaps.maps import AffineMap, apply_L, extract_G, extract_map, map_from_unitary
 from affinemaps.domains import (
+    SCREEN_CHUNK,
+    SCREEN_MIN_ROWS,
     SECTION_AXES,
     DomainSample,
     _fibonacci_shells,
     _newton_terms,
+    _pivot_bound,
     _section_grid,
     compatibility,
     image_of_ball,
@@ -324,6 +327,79 @@ def test_fixed_path_peak_memory_is_near_the_completion():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * nbytes
+
+
+@settings(max_examples=40)
+@given(
+    dims=st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.03, 0.3, 30.0]),
+    count=st.sampled_from([SCREEN_MIN_ROWS, 300, SCREEN_CHUNK + 1]),
+)
+def test_pivot_screen_keeps_the_eigvalsh_labels(dims, seed, scale, count):
+    # batches large enough for the LDL^H screen: labels and inside margins are eigvalsh's own, and an
+    # outside margin is a certified upper bound on lambda_min below -tol
+    n, m = dims
+    rng = np.random.default_rng(seed)
+    spec = expand_state(random_density(n * m, rng), product_basis(n, m))
+    probes = spec.coeff[1:, 0] + rng.normal(scale=scale, size=(count, n**2 - 1))
+    tol = 1e-9
+    inside, margin, completion = compatibility(spec, probes, tol)
+    lam = np.linalg.eigvalsh(completion)[:, 0]
+    np.testing.assert_array_equal(inside, lam >= -tol)
+    assert np.array_equal(margin[inside], lam[inside])
+    assert (lam[~inside] <= margin[~inside]).all() and (margin[~inside] < -tol).all()
+
+
+@pytest.mark.parametrize("extra", [1, SCREEN_CHUNK + 1])
+def test_pivot_screen_leaves_the_completion_unchanged(extra):
+    # the screen factorizes a copy of every chunk, the last one of a single row included
+    spec = two_coefficient_spec()
+    probes = np.random.default_rng(extra).uniform(-1, 1, size=(SCREEN_CHUNK + extra, 3))
+    probes[-1] = 0.0  # X0 at the origin is outside, so the last chunk's one row is factorized
+    inside, margin, completion = compatibility(spec, probes)
+    expected = np.array([reconstruct_state(at_probe(spec, p)) for p in probes])
+    np.testing.assert_allclose(completion, expected, rtol=0, atol=1e-15)
+    assert not inside[-1] and np.linalg.eigvalsh(completion[-1])[0] <= margin[-1] < -1e-9
+
+
+def test_pivot_screen_stops_a_row_at_its_first_failed_pivot():
+    # a row whose first pivot is 0, tiny or negative takes no further step: dividing by it would
+    # warn (an error under -W error::RuntimeWarning) or overflow the rest of the row
+    x = np.zeros((5, 4, 4), dtype=complex)
+    x[:] = np.diag([0.5, 0.3, 0.2, 0.1])
+    x[:, 1, 0] = x[:, 0, 1] = 1e3
+    x[:4, 0, 0] = 0.0, -1e-300, 1e-300, -1.0
+    bound = _pivot_bound(x, 0.0)  # with tol = 0 the pivots are the entries themselves
+    lam = np.linalg.eigvalsh(x)[:, 0]
+    assert np.isfinite(bound).all() and (lam <= bound).all()
+    assert (bound[:3] > 0).all()  # v = e_0 and a quotient of about 0: left to eigvalsh
+    assert bound[3] == pytest.approx(-1.0, rel=0, abs=1e-10)  # plus a slack of 64 eps ||X||_F
+    assert bound[4] < 0  # the block [[0.5, 1e3], [1e3, 0.3]] fails at the second pivot
+
+
+def test_pivot_screen_passes_nan_rows_to_eigvalsh():
+    # a NaN row is never decided by the screen, so eigvalsh raises as it did for the whole batch
+    probes = np.zeros((SCREEN_MIN_ROWS, 3))
+    probes[5, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        compatibility(JointStateCoeffs.blank(2, 2), probes)
+
+
+def test_fixed_path_takes_eigvalsh_only_for_undecided_rows(monkeypatch):
+    # on the fig2 sections at 201 the screen decides every outside probe, so only the inside probes
+    # (0 / 5609 / 5609 / 870) reach eigvalsh; a batch below SCREEN_MIN_ROWS goes to it whole
+    spec = fig2_spec()
+    counted = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: counted.append(len(a)) or eigvalsh(a))
+    grids = [_section_grid(section, 201) for section in ("p1p2", "p1p3", "p2p3")] + [_fibonacci_shells(201)]
+    for probes, count in zip(grids, (0, 5609, 5609, 870)):
+        counted.clear()
+        assert compatibility(spec, probes)[0].sum() == count == sum(counted)
+    counted.clear()
+    compatibility(spec, grids[0][: SCREEN_MIN_ROWS - 1])
+    assert counted == [SCREEN_MIN_ROWS - 1]
 
 
 def test_partial_path_peak_memory_is_a_few_completions():
