@@ -8,7 +8,8 @@ coefficients Re Tr[F_alpha Q], alpha >= 1, and back to sum c_alpha F_alpha / N;
 ``probe_state`` is the subsystem state (1/N)(1 + sum c_alpha F_alpha).
 Product bases F_{mu nu} = F_mu (x) F_nu span the bipartite operator space,
 and any joint density matrix is encoded by the real mean values
-<F_{mu nu}>.
+<F_{mu nu}>.  Both codecs read through ``linalg.trace_pairing`` and write
+through ``linalg.combine``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, finite_array, require_unit_trace, trace_pairing
+from .linalg import DEFAULT_TOL, combine, finite_array, require_unit_trace, trace_pairing
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -70,7 +71,7 @@ def coefficients(q: np.ndarray, n: int) -> np.ndarray:
 
 def traceless_operator(c: np.ndarray, n: int) -> np.ndarray:
     """Inverse of ``coefficients`` on traceless operators: sum_alpha c_alpha F_alpha / n, batched."""
-    return np.einsum("...a,aij->...ij", c, build_basis(n)[1:]) / n
+    return combine(c, build_basis(n)[1:]) / n
 
 
 def probe_state(probe: np.ndarray, n: int) -> np.ndarray:
@@ -82,7 +83,7 @@ def probe_state(probe: np.ndarray, n: int) -> np.ndarray:
     probe = np.asarray(probe, dtype=float)
     if probe.shape[-1:] != (n**2 - 1,):
         raise ValueError(f"probe must have length {n**2 - 1}")
-    return (np.eye(n, dtype=complex) + np.einsum("...a,aij->...ij", probe, build_basis(n)[1:])) / n
+    return (np.eye(n, dtype=complex) + combine(probe, build_basis(n)[1:])) / n
 
 
 def product_basis(n: int, m: int) -> "ProductBasis":
@@ -191,13 +192,11 @@ def expand_state(pi: np.ndarray, pb: ProductBasis, tol: float = DEFAULT_TOL) -> 
     if pi.shape != (d, d):
         raise ValueError(f"state has shape {pi.shape}, basis expects ({d},{d})")
     require_unit_trace(pi, tol, "state")
-    raw = np.einsum("abij,ji->ab", pb.mats, pi)
-    imag = float(np.abs(raw.imag).max())
-    if imag > tol:
-        raise ValueError(f"complex expansion coefficients (residue {imag:.3e}); non-Hermitian input")
-    return JointStateCoeffs(
-        n=pb.n, m=pb.m, coeff=raw.real, free=np.zeros(raw.shape, dtype=bool)
-    )
+    coeff, imag = trace_pairing(pb.mats, np.array([pi, -1j * pi])[:, None])  # Re and Im Tr[F_{mu nu} Pi]
+    residue = float(np.abs(imag).max())
+    if residue > tol:
+        raise ValueError(f"complex expansion coefficients (residue {residue:.3e}); non-Hermitian input")
+    return JointStateCoeffs(n=pb.n, m=pb.m, coeff=coeff, free=np.zeros(coeff.shape, dtype=bool))
 
 
 def reconstruct_state(c: JointStateCoeffs) -> np.ndarray:
@@ -205,4 +204,4 @@ def reconstruct_state(c: JointStateCoeffs) -> np.ndarray:
     if not c.fully_fixed:
         raise ValueError("cannot reconstruct a state with free coefficients")
     pb = product_basis(c.n, c.m)
-    return np.einsum("ab,abij->ij", c.coeff, pb.mats) / pb.dim
+    return combine(c.coeff.reshape(-1), pb.mats.reshape(-1, pb.dim, pb.dim)) / pb.dim

@@ -1,36 +1,11 @@
 """Compatibility and positivity domain membership and sampling.
 
-The compatibility domain of a map is the set of subsystem Bloch-type
-vectors that extend to a positive joint state with the map's fixed
-environment/correlation coefficients.  ``compatibility(spec, probes, tol)``
-decides it for a batch of probes by the margin t* = max over the free
-coefficients c of lambda_min(X(c)), X(c) the joint matrix with every fixed
-coefficient and the probe in place, and returns (inside, margin,
-completion): inside is margin >= -tol and completion is the witness X(c).
-A probe a moves only the subsystem column: X0(a) = X_fix + sum_alpha
-a_alpha (F_alpha x 1)/NM.  A fully fixed spec gives t* = lambda_min(X0).
-Inside, the margin is lambda_min(X0) from eigvalsh; outside, it may be a
-certified upper bound on lambda_min(X0) below -tol.  A batch of at least
-SCREEN_MIN_ROWS probes is first screened in chunks of SCREEN_CHUNK rows by
-an LDL^H of X0 + tol 1 (Higham, Accuracy and Stability of Numerical
-Algorithms, ch. 10): a row whose first non-positive pivot is D_jj has the
-witness v = L^-H e_j, and v^H X0 v / |v|^2 plus a rounding slack, when
-below -tol, labels it outside; every other row, and every smaller batch,
-takes an eigvalsh, so the labels are eigvalsh's.  With free coefficients
-a batched log-det barrier method with damped Newton steps (Boyd &
-Vandenberghe, Convex Optimization, ch. 11) brackets t* between a lower
-bound and a dual upper bound, so every label is certified, and an outside
-margin is likewise an upper bound below -tol.  A Newton step
-is one matrix inverse and a few GEMMs with no eigendecomposition: the
-lower bound t + 1/||S^-1||_F on lambda_min(X), S = X - t 1 > 0, decides
-"inside", and lambda_min is computed only for the probes so decided, whose
-margin is the lambda_min of their completion.  The positivity
-domain is the set of subsystem states whose image under the affine map is
-positive; ``positivity(amap, probes, tol)`` labels a batch of qubit
-probes a on the Bloch action a -> T a + kappa, whose image is a state
-exactly when |T a + kappa| <= 1, and ``image_of_ball`` maps the unit
-circle of a section plane through that action.  The CSV encoder formats
-each distinct value of a column once and gathers the rows.
+``compatibility`` decides which subsystem Bloch-type vectors extend to a
+positive joint state with a spec's fixed coefficients, each label with a
+certificate; its docstring gives the algorithm.  ``positivity`` labels the
+qubit probes whose image under an affine map is a state, ``image_of_ball``
+maps a section's unit circle, and ``sample_domain`` labels a probe grid or
+random cloud with both and writes it as CSV.
 """
 
 from __future__ import annotations
@@ -40,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import JointStateCoeffs, product_basis
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, combine
 from .maps import AffineMap, bloch_action
 
 
@@ -62,21 +37,24 @@ def compatibility(
     dimensions are batched.  Returns (inside, margin, completion): margin
     is t* = max over the free coefficients c of lambda_min(X(c)), inside is
     margin >= -tol and completion (..., d, d) is the last iterate X(c).
-    X0 = X(0) is one fixed matrix plus the product of the probes with the
-    (F_alpha x 1)/d, built in place as the completion; where
+    X0 = X(0) = (X_fix + sum_alpha a_alpha F_alpha (x) 1)/d is two
+    ``linalg.combine`` calls, built in place as the completion; where
     lambda_min(X0) >= -tol, margin = lambda_min(X0) from eigvalsh.  With no
     free coefficient an outside margin is an upper bound on lambda_min(X0)
-    below -tol: from the LDL^H screen of ``_pivot_bound``, run on batches of
+    below -tol: from the LDL^H screen of ``_pivot_bound`` (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 10), run on batches of
     SCREEN_MIN_ROWS probes or more (a smaller one goes to one eigvalsh, which
     is faster there), or lambda_min(X0) itself where the screen leaves the
     row open.  The labels are those of eigvalsh in every case.  With free
     coefficients, where lambda_min(X0) < -tol,
-    S = X(c) - t 1 is kept positive definite by a log-det barrier,
-    centred by damped Newton steps for mu = 1e-2, 1e-4, ..., 1e-14.  A step
+    S = X(c) - t 1 is kept positive definite by a log-det barrier (Boyd &
+    Vandenberghe, Convex Optimization, ch. 11), centred by damped Newton
+    steps for mu = 1e-2, 1e-4, ..., 1e-14.  A step
     takes S^-1 from one matrix inverse, every A_j S^-1 (A_j = dS/dc_j or
     dS/dt) from one product with the stacked A_j, and the gradient and
     Hessian of the barrier in c and t from real GEMMs of float views
-    (``_newton_terms``).  It needs no eigvalsh: since S > 0,
+    (``_newton_terms``); X(c) moves by the ``combine`` of the step with the
+    free operators.  It needs no eigvalsh: since S > 0,
     lambda_min(X(c)) >= t + 1/||S^-1||_F, and ||S^-1||_F^2 is the t-t entry
     of the Hessian.  While the Newton decrement is below 1,
     Z = mu (S^-1 - S^-1 dS S^-1), dS the Newton step, is PSD with trace 1
@@ -103,8 +81,8 @@ def compatibility(
     pb = product_basis(spec.n, spec.m)
     d = pb.dim
     # X0 = (X_fix + sum_alpha a_alpha F_alpha (x) 1) / d, built in the array that becomes the completion
-    x0 = (flat @ pb.mats[1:, 0].reshape(n_axes, d * d)).reshape(-1, d, d)
-    x0 += (base.reshape(-1) @ pb.mats.reshape(-1, d * d)).reshape(d, d)
+    x0 = combine(flat, pb.mats[1:, 0])
+    x0 += combine(base.reshape(-1), pb.mats.reshape(-1, d, d))
     x0 /= d
     free_ops = pb.mats[free] / d
     if len(free_ops):
@@ -183,7 +161,6 @@ def _barrier_search(completion, margin, idx, free_ops, tol) -> None:
     k, d = len(free_ops), free_ops.shape[-1]
     eye = np.eye(d)
     ops = np.concatenate([free_ops, -eye[None]])  # A_j = dS/dc_j, then dS/dt
-    free_floats = free_ops.view(float).reshape(k, -1)
     diag = np.arange(k + 1)
     e_t = np.eye(k + 1)[k]
     x, t = completion[idx], margin[idx] - 0.1
@@ -210,7 +187,7 @@ def _barrier_search(completion, margin, idx, free_ops, tol) -> None:
             keep = ~done
             idx, x, t, step, dec = idx[keep], x[keep], t[keep], step[keep], dec[keep]
             step *= np.where(dec > 0.25, 1.0 / (1.0 + dec), 1.0)[:, None]
-            x = x + (step[:, :k] @ free_floats).view(complex).reshape(-1, d, d)
+            x = x + combine(step[:, :k], free_ops)
             t = t + step[:, k]
             if dec.max(initial=0.0) < 0.25:
                 break

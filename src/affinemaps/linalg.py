@@ -41,6 +41,15 @@ def trace_pairing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.real * bt.real - a.imag * bt.imag).sum(-1).sum(-1)
 
 
+def combine(c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_k c_k A_k of real ``c`` (..., k) and a complex stack ``a`` (..., k, n, n), shape (..., n, n); batch-invariant.
+
+    The inverse direction of ``trace_pairing``: one real einsum over the float view (..., k, n, 2n)
+    of ``a``, so one slice's value does not depend on its batch.
+    """
+    return np.einsum("...k,...kij->...ij", c, a.view(float)).view(complex)
+
+
 def require_unit_trace(a: np.ndarray, tol: float = DEFAULT_TOL, name: str = "matrix") -> None:
     """Check Hermitian to ``tol`` and trace 1 to 10 max(tol, 1e-9)."""
     require_hermitian(a, tol, name)
@@ -83,7 +92,16 @@ def from_pairs(data, name: str = "matrix") -> np.ndarray:
 
 def random_unitary(dim: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
     """Haar-random unitaries of shape ``shape + (dim, dim)`` via QR of complex Gaussian matrices."""
-    z = rng.normal(size=shape + (dim, dim)) + 1j * rng.normal(size=shape + (dim, dim))
+    return haar_unitary(complex_gaussian(dim, rng, shape))
+
+
+def complex_gaussian(dim: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    """Complex Gaussian matrices of shape ``shape + (dim, dim)``: all real parts are drawn, then all imaginary parts."""
+    return rng.normal(size=shape + (dim, dim)) + 1j * rng.normal(size=shape + (dim, dim))
+
+
+def haar_unitary(z: np.ndarray) -> np.ndarray:
+    """Unitary Q of z = QR with R's diagonal made positive, batched: Haar-distributed for ``complex_gaussian`` z."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]

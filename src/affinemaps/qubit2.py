@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .basis import JointStateCoeffs, build_basis, expand_state, product_basis, reconstruct_state
-from .linalg import DEFAULT_TOL, finite_array, random_density, random_unitary, require_density, require_unitary
-from .linalg import to_pairs, trace_pairing
+from .linalg import DEFAULT_TOL, combine, complex_gaussian, finite_array, haar_unitary, random_density
+from .linalg import require_density, require_unitary, to_pairs, trace_pairing
 from .maps import AffineMap, map_from_unitary, w_operators
 
 I2, SIGMA = build_basis(2)[0], build_basis(2)[1:]  # the identity and the Pauli matrices
@@ -48,9 +48,7 @@ class Rotation:
         a = finite_array(self.axis, "rotation axis")
         if a.shape != (3,) or finite_array(self.angle, "rotation angle").shape != ():
             raise ValueError("a rotation needs three axis values and one angle")
-        norm = np.linalg.norm(a)
-        if abs(norm - 1.0) > 1e-12 and not (norm == 0.0 and self.angle == 0.0):
-            raise ValueError(f"rotation axis must be unit length, got |axis| = {norm}")
+        su2_from_rotation(a, self.angle)  # the unit-axis rule
 
 
 @dataclass(frozen=True)
@@ -98,7 +96,7 @@ def su2_from_rotation(axis, angle) -> np.ndarray:
     if bad.any():
         raise ValueError(f"rotation axis must be unit length, got |axis| = {norm[bad].flat[0]}")
     a = angle[..., None, None]
-    return np.cos(a / 2) * I2 - 1j * np.sin(a / 2) * np.einsum("...j,jab->...ab", n, SIGMA)
+    return np.cos(a / 2) * I2 - 1j * np.sin(a / 2) * combine(n, SIGMA)
 
 
 def lorentz_unitary(p: LorentzParams) -> np.ndarray:
@@ -180,7 +178,7 @@ def _best_state_kappa(w_ops: np.ndarray, iters: int = 8) -> tuple[np.ndarray, np
     for _ in range(iters):
         if live.size == 0:
             break
-        _, vecs = np.linalg.eigh(np.einsum("zj,zjab->zab", u_dir, w_ops[live]))
+        _, vecs = np.linalg.eigh(combine(u_dir, w_ops[live]))
         psi = vecs[..., -1]
         pi = psi[:, :, None] * psi[:, None, :].conj()
         kappa = trace_pairing(w_ops[live], pi)
@@ -238,10 +236,10 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
 
 
 class _Family(NamedTuple):
-    """A two-qubit unitary family as a flat parameter vector.
+    """A two-qubit unitary family as a parameter array: a flat vector, or a Gaussian matrix.
 
-    ``draw`` samples one parameter vector, ``unitary`` maps a stack of them
-    to a stack of U, ``fields`` gives one vector's witness entries, and
+    ``draw`` samples one parameter array, ``unitary`` maps a stack of them
+    to a stack of U, ``fields`` gives one array's witness entries, and
     ``refine`` lists the coordinates the search refines, each with its
     golden-section interval around a value.
     """
@@ -269,9 +267,9 @@ FAMILIES = {
         refine=((7, lambda x: (0.0, 2 * np.pi)),),
     ),
     "random_unitary": _Family(
-        draw=lambda rng: random_unitary(4, rng),
-        unitary=lambda p: p,
-        fields=lambda p: {"unitary": to_pairs(p)},
+        draw=lambda rng: complex_gaussian(4, rng),
+        unitary=haar_unitary,
+        fields=lambda p: {"unitary": to_pairs(haar_unitary(p))},
         refine=(),
     ),
 }

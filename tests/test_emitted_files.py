@@ -1,15 +1,24 @@
-"""Byte gate on the figure presets: every CSV keeps its sha256.
+"""Gates on what the CLI emits: the preset CSVs' bytes and the seeded kappa report.
 
-The digests were taken before the W-operator form of K was routed through
+The CSV digests were taken before the W-operator form of K was routed through
 ``linalg.trace_pairing``, at ``--resolution 21``.  A change that is meant to
 leave the emitted files alone must keep them; one that moves them on purpose
-updates the table and says why.  Only CSVs are pinned: their columns are
-``%.9g`` values and integer labels, while the JSON files print full-precision
-floats.
+updates the table and says why.  Only CSVs are pinned by digest: their columns
+are ``%.9g`` values and integer labels, while the JSON files print
+full-precision floats.
+
+``kappa --trials 200 --seed 0`` is pinned per family by value, with the values
+printed before ``linalg.combine`` formed the search's sums: the sweep's counts
+exactly, |kappa| and the margin to rel 1e-9, and the witness parameters to rel
+1e-6.  The tolerances let a BLAS that differs in the last bit, or a
+golden-section comparison that flips near the flat optimum, pass, as ``%.9g``
+does for the CSVs; a change to the seeded draws or to the search does not.
 """
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from affinemaps.cli import main
@@ -42,3 +51,51 @@ def test_preset_csvs_keep_their_bytes(tmp_path, name):
     assert main(["preset", name, "--resolution", "21", "--out", str(tmp_path)]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
     assert written == CSV_SHA256[name]
+
+
+# family: (best_kappa_norm, bounds.max_kappa_norm, bounds.min_margin, witness parameters)
+KAPPA_PINS = {
+    "int_ham": (1.1535466443706208, 0.6457719776860558, 0.5695347092181857, [3.1415927982566823, 1.5707963331570698, 0.9561356345730376]),
+    "lorentz": (
+        1.0000000000000007,
+        0.6996437891720518,
+        0.5483425037442174,
+        [0.16838223254089604, -0.5361697626448609, -0.827145337525333, 3.560544680616493]
+        + [-0.851026067670252, 0.11907544034088904, -0.5114446907079309, 1.5553841263589292],
+    ),
+    "random_unitary": (  # the witness U row by row, each entry as (re, im)
+        1.1546847156500686,
+        0.7606505254916256,
+        0.5500441728387856,
+        [-0.2408538687256434, -0.05605055320405213, 0.2253566128791849, -0.036079609115608674]
+        + [0.28741139134576915, -0.2519389161377571, 0.7682158448474303, -0.38797718828362315]
+        + [-0.7523836060641665, -0.2200066333472402, 0.3852421634488674, 0.12575793127780063]
+        + [-0.35767937036538117, -0.15425875121641, -0.17713123233455097, 0.1954063485429259]
+        + [0.19228284478176322, -0.3362880864751196, 0.06288780364571428, 0.026404493155322985]
+        + [-0.6398866155587924, 0.5264459515961526, 0.2958941372484473, -0.2667058233524263]
+        + [-0.3855424749413402, -0.16018230404181702, -0.8454380590246702, -0.25351231194179985]
+        + [-0.11549084625424443, -0.04746392373596198, 0.1639232176326405, 0.06482935007008434],
+    ),
+}
+
+
+def _witness_params(witness: dict) -> list:
+    if "gamma" in witness:
+        return witness["gamma"]
+    if "r1" in witness:
+        return [x for r in (witness["r1"], witness["r2"]) for x in (*r["axis"], r["angle"])]
+    return np.ravel(witness["unitary"]).tolist()
+
+
+@pytest.mark.parametrize("family", sorted(KAPPA_PINS))
+def test_seeded_kappa_report_keeps_its_values(tmp_path, family):
+    out = tmp_path / "kappa.json"
+    assert main(["kappa", "--family", family, "--trials", "200", "--seed", "0", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    best, max_norm, min_margin, params = KAPPA_PINS[family]
+    bounds = report["bounds"]
+    assert (bounds["checked"], bounds["ok"], bounds["violations"]) == (200, 200, 0)
+    assert report["best_kappa_norm"] == pytest.approx(best, rel=1e-9)
+    assert bounds["max_kappa_norm"] == pytest.approx(max_norm, rel=1e-9)
+    assert bounds["min_margin"] == pytest.approx(min_margin, rel=1e-9)
+    assert _witness_params(report["witness"]) == pytest.approx(params, rel=1e-6)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinemaps.basis import build_basis
 from affinemaps.linalg import (
+    combine,
     dagger,
     from_pairs,
     partial_trace,
@@ -94,6 +96,41 @@ def test_trace_pairing_is_batch_invariant(k, d, batch, zeros, seed):
     expected = np.einsum("...kij,...ji->...k", a, b).real
     scale = np.linalg.norm(a, axis=(-2, -1)) * np.linalg.norm(b, axis=(-2, -1))[:, None]
     assert (np.abs(got - expected) <= 1e-15 * scale).all()
+
+
+@settings(max_examples=80)
+@given(
+    k=st.integers(1, 16),
+    n=st.integers(1, 9),
+    lead=st.sampled_from([(), (5,), (2, 3)]),
+    shared=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_combine_is_batch_invariant(k, n, lead, shared, seed):
+    # shared: one stack (k, n, n) for every coefficient row, as the basis sites pass it
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=lead + (k,))
+    shape = (k, n, n) if shared else lead + (k, n, n)
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    c_before, a_before = c.copy(), a.copy()
+    c.setflags(write=False)
+    a.setflags(write=False)
+    got = combine(c, a)
+    assert got.shape == lead + (n, n)
+    for idx in np.ndindex(*lead):
+        assert got[idx].tobytes() == combine(c[idx], a if shared else a[idx]).tobytes()
+    # within 4 eps sum_k |c_k| max_k |A_k| of the complex einsum, per slice
+    expected = np.einsum("...k,...kij->...ij", c, a)
+    scale = 4 * np.finfo(float).eps * np.abs(c).sum(-1) * np.abs(a).max(axis=(-3, -2, -1))
+    assert (np.abs(got - expected).max(axis=(-2, -1)) <= scale).all()
+    assert c.tobytes() == c_before.tobytes() and a.tobytes() == a_before.tobytes()
+    # the shared read-only basis arrays go in as they are, and come out unchanged
+    basis = build_basis(n)[1:]
+    basis_before = basis.copy()
+    coeff = rng.normal(size=lead + (n * n - 1,))
+    err = np.abs(combine(coeff, basis) - np.einsum("...k,kij->...ij", coeff, basis)).max(axis=(-2, -1), initial=0.0)
+    assert (err <= 4 * np.finfo(float).eps * np.abs(coeff).sum(-1) * np.abs(basis).max(initial=0.0)).all()
+    assert basis.tobytes() == basis_before.tobytes()
 
 
 def test_random_unitary_is_unitary(rng):

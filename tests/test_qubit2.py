@@ -197,8 +197,10 @@ def test_su2_composition_order(rng):
 
 
 def test_su2_rejects_non_unit_axis():
-    with pytest.raises(ValueError):
-        su2_from_rotation((1.0, 1.0, 0.0), 0.5)
+    # one rule: su2_from_rotation holds it, and Rotation applies it on construction
+    for make in (su2_from_rotation, lambda axis, angle: Rotation(axis=axis, angle=angle)):
+        with pytest.raises(ValueError, match="rotation axis must be unit length"):
+            make((1.0, 1.0, 0.0), 0.5)
 
 
 # ---------------------------------------------------------------------------
