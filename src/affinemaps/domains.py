@@ -15,12 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import JointStateCoeffs, product_basis
-from .linalg import DEFAULT_TOL, combine
+from .linalg import DEFAULT_TOL, combine, dagger, trace_pairing
 from .maps import AffineMap, bloch_action
 
 
 SCREEN_MIN_ROWS = 128  # measured break-even of the pivot screen against one eigvalsh of the batch
-SCREEN_CHUNK = 1024  # rows per chunk of the screen, so its copies have a fixed size (about 1 MB at d = 4)
+SCREEN_CHUNK = 1024  # rows per chunk of either screen, so its copies have a fixed size (about 1 MB at d = 4)
+DUAL_ROWS = 64  # seed rows of the partial path's dual screen; below 8 DUAL_ROWS (the measured break-even) a batch is all seed
 
 
 class InfeasibleError(Exception):
@@ -66,6 +67,13 @@ def compatibility(
     One still open after the last mu is labelled by lambda_min(X(c)).  The
     centring loop stops on a test over the whole batch, so the margin of an
     inside probe can move by about 5e-6 with the batch it is solved in.
+    A batch of b >= 8 DUAL_ROWS probes is solved in two phases.  The seed,
+    every (b // DUAL_ROWS)-th row, is solved as above, and the Z of its
+    outside rows bound t* of every other probe by an affine function of a
+    (``_dual_screen``, one GEMM per SCREEN_CHUNK rows).  A row whose bound is
+    below -tol by more than tol/10 is outside with that bound as margin and
+    X0 (c = 0) as completion; only the others take the eigvalsh and the
+    search.  A smaller batch is all seed.
     """
     probes = np.asarray(probes, dtype=float)
     n_axes = spec.n**2 - 1
@@ -82,14 +90,13 @@ def compatibility(
     d = pb.dim
     # X0 = (X_fix + sum_alpha a_alpha F_alpha (x) 1) / d, built in the array that becomes the completion
     x0 = combine(flat, pb.mats[1:, 0])
-    x0 += combine(base.reshape(-1), pb.mats.reshape(-1, d, d))
+    x_fix = combine(base.reshape(-1), pb.mats.reshape(-1, d, d))
+    x0 += x_fix
     x0 /= d
     free_ops = pb.mats[free] / d
     if len(free_ops):
-        margin = np.linalg.eigvalsh(x0)[..., 0]
-        idx = np.flatnonzero(margin < -tol)  # X0 >= -tol is inside already
-        if idx.size:
-            _barrier_search(x0, margin, idx, free_ops, tol)
+        probe_ops = np.concatenate([x_fix[None], pb.mats[1:, 0]]) / d  # X0(a) = probe_ops[0] + a . probe_ops[1:]
+        margin = _partial_margin(flat, x0, probe_ops, free_ops, tol)
     else:
         margin = _fixed_margin(x0, tol)
     return (margin >= -tol).reshape(lead), margin.reshape(lead), x0.reshape(lead + (d, d))
@@ -152,11 +159,33 @@ def _pivot_bound(x: np.ndarray, tol: float) -> np.ndarray:
     return num / (v.real**2 + v.imag**2).sum(axis=0) + slack
 
 
-def _barrier_search(completion, margin, idx, free_ops, tol) -> None:
+def _partial_margin(flat, x0, probe_ops, free_ops, tol) -> np.ndarray:
+    """Margin of probes with free coefficients: the seed's search, the dual screen, then the search on the rows it leaves."""
+    margin = np.empty(len(flat))
+    rows = np.arange(len(flat))
+    stride = len(flat) // DUAL_ROWS if len(flat) >= 8 * DUAL_ROWS else 1
+    duals = _solve_rows(x0, margin, rows[::stride], free_ops, tol)
+    rest = rows[rows % stride > 0]
+    if rest.size and duals:
+        rest = rest[_dual_screen(flat, rest, margin, duals, probe_ops, free_ops, tol)]
+    if rest.size:
+        _solve_rows(x0, margin, rest, free_ops, tol)
+    return margin
+
+
+def _solve_rows(x0, margin, rows, free_ops, tol) -> list:
+    """margin = lambda_min(X0) on ``rows``, then ``_barrier_search`` on those below -tol; returns its duals."""
+    margin[rows] = np.linalg.eigvalsh(x0[rows])[:, 0]
+    return _barrier_search(x0, margin, rows[margin[rows] < -tol], free_ops, tol)
+
+
+def _barrier_search(completion, margin, idx, free_ops, tol) -> list:
     """Barrier search of ``compatibility`` on the rows ``idx`` of X0 = ``completion``.
 
     Each decided row's margin and last iterate are written into ``margin``
-    and ``completion``.
+    and ``completion``.  Returns the duals Z = mu (S^-1 - S^-1 dS S^-1) of
+    the rows decided outside (upper < -tol) as (mu, S^-1, Newton step)
+    parts, one tuple per step; ``_dual_screen`` forms them.
     """
     k, d = len(free_ops), free_ops.shape[-1]
     eye = np.eye(d)
@@ -164,11 +193,13 @@ def _barrier_search(completion, margin, idx, free_ops, tol) -> None:
     diag = np.arange(k + 1)
     e_t = np.eye(k + 1)[k]
     x, t = completion[idx], margin[idx] - 0.1
+    duals = []
     for mu in np.logspace(-2, -14, 7):
         if not idx.size:
             break
         for _ in range(50):  # centring takes a few steps; the cap only bounds the loop
-            g0, hess = _newton_terms(np.linalg.inv(x - t[:, None, None] * eye), ops)
+            s_inv = np.linalg.inv(x - t[:, None, None] * eye)
+            g0, hess = _newton_terms(s_inv, ops)
             lower = t + 1.0 / np.sqrt(hess[:, k, k])  # lambda_min(S) >= 1 / ||S^-1||_F, and H_tt = ||S^-1||_F^2
             # a ridge: the Hessian is singular where t* = 0 on a face
             hess[:, diag, diag] += 1e-12 * np.trace(hess, axis1=1, axis2=2)[:, None]
@@ -179,7 +210,10 @@ def _barrier_search(completion, margin, idx, free_ops, tol) -> None:
 
             inside = lower >= -tol
             close = upper - lower < tol / 10
-            done = inside | close | (upper < -tol)
+            out = upper < -tol
+            done = inside | close | out
+            if out.any():  # upper = Tr[Z X(c)]
+                duals.append((mu, s_inv[out], step[out]))
             if inside.any():  # the margin of an inside probe is lambda_min of its completion
                 lower[inside] = np.linalg.eigvalsh(x[inside])[:, 0]
             margin[idx[done]] = np.where(inside, lower, np.where(close, (lower + upper) / 2, upper))[done]
@@ -194,6 +228,50 @@ def _barrier_search(completion, margin, idx, free_ops, tol) -> None:
     if idx.size:
         margin[idx] = np.linalg.eigvalsh(x)[:, 0]
         completion[idx] = x
+    return duals
+
+
+def _dual_screen(flat, rows, margin, duals, probe_ops, free_ops, tol) -> np.ndarray:
+    """Certify ``rows`` of the probes ``flat`` outside by the ``duals`` Z; returns the mask of rows left open.
+
+    Tr[Z X0(a)] is affine in a through ``probe_ops`` (X_fix / d, then the
+    F_alpha0 / d), and ``free_ops`` holds the free F_j / d.  Z is only
+    nearly dual feasible, so the bound is weak duality (Boyd & Vandenberghe,
+    Convex Optimization, ch. 5) made robust.  Take delta >= max(0,
+    -lambda_min(Z)), tau = Tr Z + d delta and E0 = sum_j ||F_j||_op
+    |Tr[Z F_j]| / d.  Pairing Z + delta 1 >= 0 with X(c*) - t* 1 >= 0, and
+    using Tr X = 1, gives t* tau <= Tr[Z X0(a)] + delta + sum_j c*_j
+    Tr[Z F_j] / d.  For t* < 0, X(c*) + |t*| 1 >= 0 has trace 1 + d|t*|, so
+    |c*_j| = |Tr[F_j X(c*)]| <= ||F_j||_op (1 + 2 d |t*|); for t* >= 0 the
+    sum is at most E0, so the numerator below is at least t* tau >= 0.  Hence t* <= (Tr[Z X0(a)] + delta + E0 + rho) /
+    (tau + 2 d E0) whenever the right side is negative, where rho = 16
+    (n^2 + d^2) eps ||Z||_F (||X_fix||_F + max|a| sum_alpha ||F_alpha0||_F)
+    / d covers the rounding of the affine evaluation.  A row is screened
+    when its least bound plus tol/10 is below -tol, and gets it as margin.
+    The search would label it outside too: it labels inside only on a lower
+    bound on t* of at least -tol, and by a midpoint only within tol/20 of t*.
+    """
+    d = free_ops.shape[-1]
+    eps = np.finfo(float).eps
+    ops = np.concatenate([free_ops, -np.eye(d)[None]])
+    z = np.concatenate([mu * (s - s @ combine(step, ops) @ s) for mu, s, step in duals])
+    z = (z + dagger(z)) / 2
+    z_norm = np.linalg.norm(z, axis=(1, 2))
+    delta = np.maximum(0.0, -np.linalg.eigvalsh(z)[:, 0]) + 4 * d * eps * z_norm
+    e0 = d * np.abs(trace_pairing(free_ops, z)) @ np.linalg.norm(free_ops, 2, axis=(1, 2))
+    w = trace_pairing(probe_ops, z)  # Tr[Z X0(a)] = w_0 + sum_alpha a_alpha w_alpha
+    norms = np.linalg.norm(probe_ops, axis=(1, 2))
+    rho = 16 * (len(probe_ops) + d * d) * eps * z_norm * (norms[0] + np.abs(flat).max() * norms[1:].sum())
+    den = np.trace(z, axis1=1, axis2=2).real + d * delta + 2 * d * e0
+    coef, off = w[:, 1:].T / den, (w[:, 0] + delta + e0 + rho) / den
+    left = np.ones(len(rows), dtype=bool)
+    for lo in range(0, len(rows), SCREEN_CHUNK):
+        r = rows[lo : lo + SCREEN_CHUNK]
+        bound = (flat[r] @ coef + off).min(axis=1)
+        hit = bound + tol / 10 < -tol  # NaN is never screened
+        margin[r[hit]] = bound[hit]
+        left[lo : lo + SCREEN_CHUNK] = ~hit
+    return left
 
 
 def _newton_terms(s_inv: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from affinemaps.basis import JointStateCoeffs, expand_state, probe_state, product_basis, reconstruct_state, traceless_operator
 from affinemaps.cli import _write_pairs_csv, fig1_spec, fig2_spec
 from affinemaps.linalg import random_density, random_unitary
+from affinemaps import domains
 from affinemaps.maps import AffineMap, apply_L, extract_G, extract_map, map_from_unitary
 from affinemaps.domains import (
+    DUAL_ROWS,
     SCREEN_CHUNK,
     SCREEN_MIN_ROWS,
     SECTION_AXES,
@@ -417,14 +419,85 @@ def test_partial_path_peak_memory_is_a_few_completions():
 
 
 def test_partial_path_takes_eigvalsh_only_at_decisions(monkeypatch):
-    # one eigvalsh of X0 per probe, then one per probe the search decides inside; no Newton
-    # step takes one, and no probe of this section is left open after the last mu
+    # one eigvalsh of X0 per probe the dual screen leaves open, one per probe the search decides
+    # inside and one per seed dual; no Newton step takes one.  Of the 1257 probes 208 are inside;
+    # the 67 seed rows give 57 duals, which screen 937 of the other 992 outside probes, so the
+    # count is 67 + 10 + 57 + 253 + 198 = 585 where it was 1257 + 208 = 1465 before the screen
     spec, probes = fig1_spec(True), _section_grid("p1p2", 41)
     counted = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: counted.append(len(a)) or eigvalsh(a))
     inside = compatibility(spec, probes)[0]
-    assert sum(counted) == len(probes) + inside.sum() <= 1.5 * len(probes)
+    assert inside.sum() == 208
+    assert sum(counted) == 585 <= len(probes) / 2
+
+
+def spy_on_dual_screen(monkeypatch):
+    """Record (duals Z, rows screened) of every ``_dual_screen`` call in the returned list."""
+    calls = []
+    screen = domains._dual_screen
+
+    def spy(flat, rows, margin, duals, probe_ops, free_ops, tol):
+        left = screen(flat, rows, margin, duals, probe_ops, free_ops, tol)
+        ops = np.concatenate([free_ops, -np.eye(free_ops.shape[-1])[None]])  # dS/dc_j, then dS/dt
+        z = [mu * (s_inv - s_inv @ np.einsum("bj,jxy->bxy", step, ops) @ s_inv) for mu, s_inv, step in duals]
+        calls.append((np.concatenate(z), rows[~left]))
+        return left
+
+    monkeypatch.setattr(domains, "_dual_screen", spy)
+    return calls
+
+
+def test_dual_screen_margins_bound_the_closed_form(monkeypatch):
+    # with only the marginal fixed t* = (1 - |a|)/4 exactly (see
+    # test_partial_margin_decided_at_tolerance); a screened margin is a proven upper bound on t*
+    # below -tol, and the seed's duals are PSD with trace 1 and no free components
+    rng = np.random.default_rng(3)
+    probes = rng.normal(size=(2400, 3))
+    probes *= rng.uniform(0.0, 1.5, size=(len(probes), 1)) / np.linalg.norm(probes, axis=1, keepdims=True)
+    t_star = (1 - np.linalg.norm(probes, axis=1)) / 4
+    calls = spy_on_dual_screen(monkeypatch)
+    inside, margin, completion = compatibility(all_free_spec(), probes)
+    [(z, screened)] = calls
+    assert len(screened) > (t_star < 0).sum() / 2
+    assert (margin[screened] >= t_star[screened]).all() and (margin[screened] < -1e-9).all()
+    band = np.abs(t_star) > 1e-6
+    np.testing.assert_array_equal(inside[band], t_star[band] > 0)
+    x0 = np.kron(probe_state(probes[screened], 2), I2 / 2)  # c = 0: the marginal times 1/2
+    np.testing.assert_allclose(completion[screened], x0, rtol=0, atol=1e-15)
+    assert (np.linalg.eigvalsh(z)[:, 0] >= -1e-12).all()
+    assert np.abs(np.trace(z, axis1=1, axis2=2) - 1).max() <= 1e-9
+    free = all_free_spec().free
+    free[1:, 0] = False
+    assert np.abs(np.einsum("kij,zji->zk", product_basis(2, 2).mats[free], z)).max() <= 1e-8
+
+
+@pytest.mark.parametrize("dims, seed", [((2, 2), 0), ((2, 2), 1), ((2, 2), 2), ((3, 2), 3), ((2, 3), 4), ((3, 3), 5)])
+def test_dual_screen_keeps_the_labels_of_small_batches(monkeypatch, dims, seed):
+    # a random spec with a random free mask: one batch of 8 DUAL_ROWS probes, which the dual
+    # screen runs on, gets the labels of the same probes solved in all-seed chunks
+    n, m = dims
+    rng = np.random.default_rng(seed)
+    spec = expand_state(random_density(n * m, rng), product_basis(n, m))
+    spec.free = rng.random(spec.free.shape) < rng.uniform(0.2, 0.8)
+    spec.free[0, 0] = False
+    probes = spec.coeff[1:, 0] + rng.normal(scale=0.8 / n, size=(8 * DUAL_ROWS, n**2 - 1))
+    calls = spy_on_dual_screen(monkeypatch)
+    inside = compatibility(spec, probes)[0]
+    assert len(calls) == 1 and len(calls[0][1])
+    chunks = [compatibility(spec, part)[0] for part in np.split(probes, 8)]
+    assert len(calls) == 1
+    np.testing.assert_array_equal(inside, np.concatenate(chunks))
+
+
+def test_dual_screen_passes_nan_rows_to_eigvalsh():
+    # every seed row (each 8th) is outside, so the screen runs on row 5; a NaN row is never
+    # screened, so eigvalsh raises as it does for a batch that is all seed
+    probes = np.tile([0.0, 0.0, 1.5], (8 * DUAL_ROWS, 1))
+    assert not compatibility(all_free_spec(), probes)[0].any()
+    probes[5, 1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        compatibility(all_free_spec(), probes)
 
 
 @pytest.mark.parametrize("resolution, section_count, volume_count", [(41, 208, 61), (101, 1289, 340)])
