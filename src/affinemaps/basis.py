@@ -22,6 +22,8 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, combine, finite_array, require_unit_trace, trace_pairing
 
+EXPAND_CHUNK = 32  # states per trace_pairing in expand_states, which bounds its (2, chunk, n^2, m^2, d, d) temporaries
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -187,16 +189,25 @@ def read_dim(data: dict, key: str) -> int:
 
 
 def expand_state(pi: np.ndarray, pb: ProductBasis, tol: float = DEFAULT_TOL) -> JointStateCoeffs:
-    """Coefficients <F_{mu nu}> = Tr[F_{mu nu} Pi] of a joint density matrix."""
-    d = pb.dim
-    if pi.shape != (d, d):
-        raise ValueError(f"state has shape {pi.shape}, basis expects ({d},{d})")
-    require_unit_trace(pi, tol, "state")
-    coeff, imag = trace_pairing(pb.mats, np.array([pi, -1j * pi])[:, None])  # Re and Im Tr[F_{mu nu} Pi]
-    residue = float(np.abs(imag).max())
+    """Coefficients <F_{mu nu}> = Tr[F_{mu nu} Pi] of one joint density matrix, by ``expand_states``."""
+    coeff = expand_states(pi, pb, tol)
+    return JointStateCoeffs(n=pb.n, m=pb.m, coeff=coeff, free=np.zeros(coeff.shape, dtype=bool))
+
+
+def expand_states(pis: np.ndarray, pb: ProductBasis, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``expand_state``'s coefficients of a stack ``pis`` (..., d, d), shape (..., n^2, m^2), checked over the stack."""
+    if pis.shape[-2:] != (pb.dim, pb.dim):
+        raise ValueError(f"state has shape {pis.shape}, basis expects ({pb.dim},{pb.dim})")
+    require_unit_trace(pis, tol, "state")
+    flat = pis.reshape(-1, pb.dim, pb.dim)
+    out = np.empty((2, len(flat)) + pb.mats.shape[:2])  # Re and Im Tr[F_{mu nu} Pi]
+    for lo in range(0, len(flat), EXPAND_CHUNK):
+        p = flat[lo : lo + EXPAND_CHUNK]
+        out[:, lo : lo + EXPAND_CHUNK] = trace_pairing(pb.mats, np.stack([p, -1j * p])[:, :, None])
+    residue = float(np.abs(out[1]).max())
     if residue > tol:
         raise ValueError(f"complex expansion coefficients (residue {residue:.3e}); non-Hermitian input")
-    return JointStateCoeffs(n=pb.n, m=pb.m, coeff=coeff, free=np.zeros(coeff.shape, dtype=bool))
+    return out[0].reshape(pis.shape[:-2] + out.shape[2:])
 
 
 def reconstruct_state(c: JointStateCoeffs) -> np.ndarray:

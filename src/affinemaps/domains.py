@@ -212,14 +212,15 @@ def _barrier_search(completion, margin, idx, free_ops, tol) -> list:
             close = upper - lower < tol / 10
             out = upper < -tol
             done = inside | close | out
-            if out.any():  # upper = Tr[Z X(c)]
-                duals.append((mu, s_inv[out], step[out]))
-            if inside.any():  # the margin of an inside probe is lambda_min of its completion
-                lower[inside] = np.linalg.eigvalsh(x[inside])[:, 0]
-            margin[idx[done]] = np.where(inside, lower, np.where(close, (lower + upper) / 2, upper))[done]
-            completion[idx[done]] = x[done]
-            keep = ~done
-            idx, x, t, step, dec = idx[keep], x[keep], t[keep], step[keep], dec[keep]
+            if done.any():
+                if out.any():  # upper = Tr[Z X(c)]
+                    duals.append((mu, s_inv[out], step[out]))
+                if inside.any():  # the margin of an inside probe is lambda_min of its completion
+                    lower[inside] = np.linalg.eigvalsh(x[inside])[:, 0]
+                margin[idx[done]] = np.where(inside, lower, np.where(close, (lower + upper) / 2, upper))[done]
+                completion[idx[done]] = x[done]
+                keep = ~done
+                idx, x, t, step, dec = idx[keep], x[keep], t[keep], step[keep], dec[keep]
             step *= np.where(dec > 0.25, 1.0 / (1.0 + dec), 1.0)[:, None]
             x = x + combine(step[:, :k], free_ops)
             t = t + step[:, k]
@@ -280,14 +281,14 @@ def _newton_terms(s_inv: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.nd
     Both are real since S^-1 and the A_j are Hermitian, so each is a real
     GEMM of float views: g0_j = <A_j, S^-1>, and with Q_j = A_j S^-1 from
     one product of the stacked A_j with S^-1, H_jl = Tr[Q_j Q_l] =
-    <Q_j, Q_l^H>.  The batch goes through in chunks of b / (2 (k+1)) rows,
-    so that Q and Q^H together hold no more than S^-1 does.
+    <Q_j, Q_l^H>.  The batch goes through in chunks of SCREEN_CHUNK / (k+1)
+    rows, so that Q and Q^H each hold at most SCREEN_CHUNK matrices.
     """
     b, d = s_inv.shape[:2]
     n_ops = len(ops)
     g0 = s_inv.view(float).reshape(b, -1) @ ops.view(float).reshape(n_ops, -1).T
     hess = np.empty((b, n_ops, n_ops))
-    chunk = max(1, b // (2 * n_ops))
+    chunk = max(1, SCREEN_CHUNK // n_ops)
     for lo in range(0, b, chunk):
         q = (ops.reshape(-1, d) @ s_inv[lo : lo + chunk]).reshape(-1, n_ops, d, d)
         q_h = np.conjugate(q.swapaxes(2, 3), out=np.empty_like(q))

@@ -51,11 +51,12 @@ def combine(c: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def require_unit_trace(a: np.ndarray, tol: float = DEFAULT_TOL, name: str = "matrix") -> None:
-    """Check Hermitian to ``tol`` and trace 1 to 10 max(tol, 1e-9)."""
+    """Check Hermitian to ``tol`` and trace 1 to 10 max(tol, 1e-9), batched; the first bad trace is reported."""
     require_hermitian(a, tol, name)
-    tr = complex(np.trace(a))
-    if abs(tr - 1.0) > max(tol, 1e-9) * 10:
-        raise ValueError(f"{name} has trace {tr.real:.6g}, expected 1")
+    tr = a.trace(0, -2, -1)
+    bad = abs(tr - 1.0) > max(tol, 1e-9) * 10
+    if bad.any():
+        raise ValueError(f"{name} has trace {np.asarray(tr)[bad].flat[0].real:.6g}, expected 1")
 
 
 def require_density(rho: np.ndarray, tol: float = DEFAULT_TOL, name: str = "state") -> None:
@@ -111,6 +112,13 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None, 
     """Random density matrices G G^dagger / Tr of shape ``shape + (dim, dim)``, with optional rank restriction."""
     k = dim if rank is None else rank
     g = rng.normal(size=shape + (dim, k)) + 1j * rng.normal(size=shape + (dim, k))
+    if not shape:
+        return gram_density(g)
     m = g @ dagger(g)
-    tr = np.einsum("...ii->...", m).real if shape else np.trace(m).real  # sum orders differ; each keeps its seeded draws
-    return m / tr[..., None, None]
+    return m / np.einsum("...ii->...", m).real[..., None, None]  # differs from gram_density in the last bit; kept for seeded draws
+
+
+def gram_density(g: np.ndarray) -> np.ndarray:
+    """Density matrices G G^dagger / Tr of a stack ``g`` (..., dim, k), batched: a slice's bits are those of one G."""
+    m = g @ dagger(g)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]

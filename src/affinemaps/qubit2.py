@@ -14,13 +14,14 @@ G(1) = (D1 - D2)/2.  The Pauli matrices are the n = 2 basis
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import JointStateCoeffs, build_basis, expand_state, product_basis, reconstruct_state
-from .linalg import DEFAULT_TOL, combine, complex_gaussian, finite_array, haar_unitary, random_density
+from .basis import JointStateCoeffs, build_basis, expand_state, expand_states, product_basis, reconstruct_state
+from .linalg import DEFAULT_TOL, combine, complex_gaussian, finite_array, gram_density, haar_unitary
 from .linalg import require_density, require_unitary, to_pairs, trace_pairing
 from .maps import AffineMap, map_from_unitary, w_operators
 
@@ -138,9 +139,9 @@ def kappa_bounds_check(
     pi = reconstruct_state(coeffs)
     require_density(pi, tol, "joint state")
     kappa = trace_pairing(w_operators(u, SIGMA, 2), pi)
-    kappa_norm = float(np.linalg.norm(kappa))
-    a_norm = float(np.linalg.norm(coeffs.coeff[1:, 0]))
-    bound_a = float(np.sqrt(max(3.0 - a_norm**2, 0.0)))
+    kappa_norm = float(_norms(kappa))
+    a_norm = float(_norms(coeffs.coeff[1:, 0]))
+    bound_a = math.sqrt(max(3.0 - a_norm**2, 0.0))
     bound_b = 1.0 + a_norm
     return KappaBounds(
         kappa_norm=kappa_norm,
@@ -174,20 +175,22 @@ def _best_state_kappa(w_ops: np.ndarray, iters: int = 8) -> tuple[np.ndarray, np
     states = np.broadcast_to(np.eye(d, dtype=complex) / d, (b, d, d)).copy()
     weights = np.linalg.norm(w_ops.reshape(b, 3, -1), axis=-1)
     live = np.flatnonzero(weights.max(axis=1) >= 1e-15)
-    u_dir = weights[live] / _norms(weights[live])[:, None]
+    w, u_dir = w_ops[live], weights[live] / _norms(weights[live])[:, None]
     for _ in range(iters):
         if live.size == 0:
             break
-        _, vecs = np.linalg.eigh(combine(u_dir, w_ops[live]))
+        _, vecs = np.linalg.eigh(combine(u_dir, w))
         psi = vecs[..., -1]
         pi = psi[:, :, None] * psi[:, None, :].conj()
-        kappa = trace_pairing(w_ops[live], pi)
+        kappa = trace_pairing(w, pi)
         norm = _norms(kappa)
         better = norm > norms[live]
+        better = slice(None) if better.all() else better  # usually all: then views, not copies
         idx = live[better]
         norms[idx], kappas[idx], states[idx] = norm[better], kappa[better], pi[better]
         keep = norm >= 1e-14
-        live, u_dir = live[keep], kappa[keep] / norm[keep, None]
+        keep = slice(None) if keep.all() else keep
+        live, w, u_dir = live[keep], w[keep], kappa[keep] / norm[keep, None]
     return norms, kappas, states
 
 
@@ -339,20 +342,19 @@ def bounds_sweep(family: str, trials: int, seed: int = 0, tol: float = DEFAULT_T
     """Check the two kappa bounds over random family draws and random states.
 
     Every trial is drawn first, in the seeded order (one family draw, then
-    one random_density(4)), and all parameters map to unitaries in one
-    batched call; each (U, state) pair is then checked by its own
-    kappa_bounds_check call.
+    the complex_gaussian(4) that random_density(4) draws); the states, their
+    coefficients and the unitaries are then built in blocks, and each
+    (U, state) pair is checked by its own kappa_bounds_check call.
     """
     fam = _family(family)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    pb = product_basis(2, 2)
-    # per trial: one family draw, then one random_density(4)
-    params, states = zip(*[(fam.draw(rng), expand_state(random_density(4, rng), pb)) for _ in range(trials)])
+    params, gs = zip(*[(fam.draw(rng), complex_gaussian(4, rng)) for _ in range(trials)])
+    coeff = expand_states(gram_density(np.array(gs)), product_basis(2, 2), tol)
     ok, max_norm, min_margin = 0, 0.0, np.inf
-    for u, coeffs in zip(fam.unitary(np.array(params)), states):
-        res = kappa_bounds_check(u, coeffs, tol)
+    for u, c in zip(fam.unitary(np.array(params)), coeff):
+        res = kappa_bounds_check(u, JointStateCoeffs(2, 2, c, np.zeros((4, 4), dtype=bool)), tol)
         ok += int(res.ok)
         max_norm = max(max_norm, res.kappa_norm)
         min_margin = min(min_margin, min(res.bound_a, res.bound_b) - res.kappa_norm)

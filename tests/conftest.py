@@ -5,9 +5,9 @@ import pytest
 from hypothesis import settings
 
 from affinemaps.basis import product_basis, traceless_operator
-from affinemaps.linalg import to_pairs
+from affinemaps.linalg import combine, to_pairs, trace_pairing
 from affinemaps.maps import AffineMap, BMatrix
-from affinemaps.qubit2 import I2, SIGMA, su2_from_rotation
+from affinemaps.qubit2 import I2, SIGMA, _norms, su2_from_rotation
 
 # every property test draws the same examples on every run; numerical
 # kernels vary too much in speed for a per-example deadline
@@ -128,3 +128,34 @@ def pairs_json(probes):
     """Pair-file text of an evaluated ProbeSet: [{"rho_in_coeffs": [...], "rho_out": [[[re, im], ...]]}]."""
     outputs = to_pairs(probes.outputs)
     return json.dumps([{"rho_in_coeffs": c, "rho_out": o} for c, o in zip(probes.probes.tolist(), outputs)])
+
+
+# ---------------------------------------------------------------------------
+# the eigen-alternation of the kappa search as one masked loop
+# ---------------------------------------------------------------------------
+def best_state_kappa_masked(w_ops, iters=8):
+    """Oracle for qubit2._best_state_kappa: every step re-indexes W by the live rows and copies every update.
+
+    The search's own loop keeps the live W stack and skips those copies when
+    no slice is left behind; its three outputs must equal these bit for bit.
+    """
+    b, d = w_ops.shape[0], w_ops.shape[-1]
+    norms, kappas = np.zeros(b), np.zeros((b, 3))
+    states = np.broadcast_to(np.eye(d, dtype=complex) / d, (b, d, d)).copy()
+    weights = np.linalg.norm(w_ops.reshape(b, 3, -1), axis=-1)
+    live = np.flatnonzero(weights.max(axis=1) >= 1e-15)
+    u_dir = weights[live] / _norms(weights[live])[:, None]
+    for _ in range(iters):
+        if live.size == 0:
+            break
+        _, vecs = np.linalg.eigh(combine(u_dir, w_ops[live]))
+        psi = vecs[..., -1]
+        pi = psi[:, :, None] * psi[:, None, :].conj()
+        kappa = trace_pairing(w_ops[live], pi)
+        norm = _norms(kappa)
+        better = norm > norms[live]
+        idx = live[better]
+        norms[idx], kappas[idx], states[idx] = norm[better], kappa[better], pi[better]
+        keep = norm >= 1e-14
+        live, u_dir = live[keep], kappa[keep] / norm[keep, None]
+    return norms, kappas, states

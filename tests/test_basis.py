@@ -2,16 +2,18 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import PAULIS
 
 from affinemaps.basis import (
+    EXPAND_CHUNK,
     JointStateCoeffs,
     build_basis,
     coefficients,
     expand_state,
+    expand_states,
     probe_state,
     product_basis,
     reconstruct_state,
@@ -111,6 +113,37 @@ def test_expand_state_prints_a_real_trace(pb22):
         expand_state(pi, pb22, 1e-12)
     pi = np.eye(4) / 4 * (1 + 5e-13)
     assert expand_state(pi, pb22, 1e-14).coeff[0, 0] == pytest.approx(1 + 5e-13, rel=0, abs=1e-15)
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4), count=st.integers(1, 200))
+@example(seed=0, rank=4, count=EXPAND_CHUNK)
+@example(seed=1, rank=1, count=EXPAND_CHUNK + 1)
+def test_expand_states_equals_expand_state_row_by_row(pb22, seed, rank, count):
+    rng = np.random.default_rng(seed)
+    pis = random_density(4, rng, rank, shape=(count,))
+    coeff = expand_states(pis, pb22)
+    assert coeff.shape == (count, 4, 4)
+    for pi, c in zip(pis, coeff):
+        assert np.array_equal(expand_state(pi, pb22).coeff, c)
+    # one bad member fails the block with the message it fails expand_state with alone
+    at = rng.integers(count)
+    skewed = pis[at] + 1e-3 * np.triu(np.ones((4, 4)), 1)
+    for member in (skewed, 2 * pis[at]):
+        block = pis.copy()
+        block[at] = member
+        with pytest.raises(ValueError) as one:
+            expand_state(member, pb22)
+        with pytest.raises(ValueError, match=r"^state (is not Hermitian|has trace 2)") as stack:
+            expand_states(block, pb22)
+        assert str(stack.value) == str(one.value)
+
+
+def test_expand_states_keeps_leading_shape_and_rejects_bad_shapes(pb22, rng):
+    pis = random_density(4, rng, shape=(2, 3))
+    assert np.array_equal(expand_states(pis, pb22), expand_states(pis.reshape(6, 4, 4), pb22).reshape(2, 3, 4, 4))
+    with pytest.raises(ValueError, match=r"state has shape \(5, 6, 6\), basis expects \(4,4\)"):
+        expand_states(np.zeros((5, 6, 6)), pb22)
 
 
 def test_expand_bell_correlation(pb22):

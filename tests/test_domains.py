@@ -577,13 +577,36 @@ def test_newton_terms_match_einsum_oracle(dims, seed, free_share):
     free[0, 0] = False
     free[1:, 0] = False  # the probe column is never free
     ops = np.concatenate([pb.mats[free] / d, -np.eye(d)[None]])
-    # 23 rows go through in several chunks, with a remainder, whenever k is small
+    # 23 rows go through in several chunks, with a remainder, once k + 1 > SCREEN_CHUNK / 23
     s = random_density(d, rng, shape=(23,)) + rng.uniform(1e-6, 1.0, size=(23, 1, 1)) * np.eye(d)
     s_inv = np.linalg.inv(s)
     g0, hess = _newton_terms(s_inv, ops)
     g0_ref, hess_ref = einsum_newton_terms(s_inv, ops)
     np.testing.assert_allclose(g0, g0_ref, rtol=0, atol=1e-12 * np.abs(g0_ref).max())
     np.testing.assert_allclose(hess, hess_ref, rtol=0, atol=1e-12 * np.abs(hess_ref).max())
+
+
+def unchunked_newton_terms(s_inv, ops):
+    """Reference: _newton_terms with the whole batch in one chunk."""
+    b, d = s_inv.shape[:2]
+    g0 = s_inv.view(float).reshape(b, -1) @ ops.view(float).reshape(len(ops), -1).T
+    q = (ops.reshape(-1, d) @ s_inv).reshape(b, len(ops), d, d)
+    q_h = np.conjugate(q.swapaxes(2, 3), out=np.empty_like(q))
+    rows = (b, len(ops), -1)
+    return g0, q.view(float).reshape(rows) @ q_h.view(float).reshape(rows).transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("dims, k", [((2, 2), 3), ((3, 3), 72)])
+def test_newton_terms_chunks_match_one_chunk_bitwise(dims, k):
+    rng = np.random.default_rng(k)
+    pb = product_basis(*dims)
+    d = pb.dim
+    ops = np.concatenate([pb.mats.reshape(-1, d, d)[1 : k + 1] / d, -np.eye(d)[None]])
+    chunk = SCREEN_CHUNK // (k + 1)
+    for b in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        s_inv = np.linalg.inv(random_density(d, rng, shape=(b,)) + 0.1 * np.eye(d))
+        for got, want in zip(_newton_terms(s_inv, ops), unchunked_newton_terms(s_inv, ops)):
+            assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from affinemaps.basis import build_basis
 from affinemaps.linalg import (
     combine,
+    complex_gaussian,
     dagger,
     from_pairs,
+    gram_density,
     partial_trace,
     random_density,
     random_unitary,
@@ -157,6 +159,20 @@ def test_random_batch_of_one_draws_the_single_matrix(draw):
     # shape (1,) and the default () consume the same stream
     single = draw(4, np.random.default_rng(7))
     np.testing.assert_allclose(draw(4, np.random.default_rng(7), shape=(1,))[0], single, atol=1e-15)
+
+
+def test_gram_density_stack_is_the_one_matrix_arithmetic():
+    # np.trace of one matrix, slice by slice; the shape path's einsum trace differs in the last bit
+    # on about a fifth of these draws
+    rng = np.random.default_rng(3)
+    g = np.array([complex_gaussian(4, rng) for _ in range(400)])
+    one = []
+    for x in g:
+        m = x @ dagger(x)
+        one.append(m / np.trace(m).real)
+    assert np.array_equal(gram_density(g), np.array(one))
+    rng = np.random.default_rng(3)  # random_density(4) draws one complex_gaussian(4)
+    assert all(np.array_equal(gram_density(x), random_density(4, rng)) for x in g[:20])
 
 
 def test_pairs_round_trip_is_exact(rng):

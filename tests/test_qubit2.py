@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     PAULIS,
+    best_state_kappa_masked,
     heisenberg_rows,
     int_ham_b_matrix,
     int_ham_closed_map,
@@ -13,7 +14,7 @@ from conftest import (
     rotation_matrix,
 )
 
-from affinemaps.basis import JointStateCoeffs, coefficients, expand_state, product_basis, reconstruct_state
+from affinemaps.basis import JointStateCoeffs, coefficients, expand_state, expand_states, product_basis, reconstruct_state
 from affinemaps.linalg import dagger, from_pairs, partial_trace, random_density, random_unitary
 from affinemaps.maps import apply_L, b_matrix, bloch_action, choi_and_cp, extract_map, map_from_unitary, w_operators
 from affinemaps import qubit2
@@ -422,6 +423,37 @@ def test_bounds_sweep_matches_per_trial_loop(pb22, family):
     assert tuple(bounds_sweep(family, 50, seed=9)) == (50, ok, max_norm, float(min_margin))
 
 
+def record_sweep_expansions(monkeypatch):
+    """Make qubit2's expand_states record the (states, tol) of every call; returns the record."""
+    seen = []
+
+    def record(pis, pb, tol):
+        seen.append((pis.copy(), tol))
+        return expand_states(pis, pb, tol)
+
+    monkeypatch.setattr(qubit2, "expand_states", record)
+    return seen
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_bounds_sweep_block_densities_are_random_density(family, monkeypatch):
+    seen = record_sweep_expansions(monkeypatch)
+    bounds_sweep(family, 70, seed=3)
+    rng = np.random.default_rng(3)
+    [(pis, _)] = seen
+    assert len(pis) == 70
+    for pi in pis:
+        FAMILIES[family].draw(rng)
+        assert np.array_equal(pi, random_density(4, rng))
+
+
+def test_bounds_sweep_expands_states_at_its_tol(monkeypatch):
+    seen = record_sweep_expansions(monkeypatch)
+    sweep = bounds_sweep("lorentz", 20, seed=4, tol=1e-7)
+    assert [tol for _, tol in seen] == [1e-7]
+    assert sweep.ok == 20
+
+
 def golden_refine_loop(f, lo, hi, iters):
     """Reference: golden-section search evaluating one point per step."""
     phi = (np.sqrt(5) - 1) / 2
@@ -625,6 +657,18 @@ def test_best_state_kappa_batched_matches_slices(family):
             np.testing.assert_allclose(states[i], state, rtol=0, atol=1e-12)
     assert norms[15] == 0.0 and np.array_equal(states[15], np.eye(4) / 4)
     assert (norms[np.arange(len(u)) != 15] > 0).all()
+
+
+@pytest.mark.parametrize("family", list(FAMILIES))
+def test_best_state_kappa_equals_the_masked_loop(family):
+    w = w_operators(FAMILIES[family].unitary(family_stack(family, 40, 5)), SIGMA, 2)
+    w[3] = 0.0  # W = 0: never live, keeps the maximally mixed state
+    w[[7, 20]] *= 1e-15  # live, but |kappa| falls below 1e-14 after the first step
+    got = _best_state_kappa(w)
+    for out, oracle in zip(got, best_state_kappa_masked(w)):
+        assert np.array_equal(out, oracle)
+    assert got[0][3] == 0.0 and (0.0 < got[0][[7, 20]]).all() and (got[0][[7, 20]] < 1e-14).all()
+    assert (got[0][got[0] > 1e-14] > 0.1).all()
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))
