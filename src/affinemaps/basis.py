@@ -195,7 +195,11 @@ def expand_state(pi: np.ndarray, pb: ProductBasis, tol: float = DEFAULT_TOL) -> 
 
 
 def expand_states(pis: np.ndarray, pb: ProductBasis, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """``expand_state``'s coefficients of a stack ``pis`` (..., d, d), shape (..., n^2, m^2), checked over the stack."""
+    """``expand_state``'s coefficients of a stack ``pis`` (..., d, d), shape (..., n^2, m^2), checked over the stack.
+
+    The trace is checked by ``linalg.require_unit_trace``'s rule, and coeff[..., 0, 0] = Tr Pi is
+    then written as exactly 1, so every state that rule accepts makes a valid ``JointStateCoeffs``.
+    """
     if pis.shape[-2:] != (pb.dim, pb.dim):
         raise ValueError(f"state has shape {pis.shape}, basis expects ({pb.dim},{pb.dim})")
     require_unit_trace(pis, tol, "state")
@@ -207,6 +211,7 @@ def expand_states(pis: np.ndarray, pb: ProductBasis, tol: float = DEFAULT_TOL) -
     residue = float(np.abs(out[1]).max())
     if residue > tol:
         raise ValueError(f"complex expansion coefficients (residue {residue:.3e}); non-Hermitian input")
+    out[0, :, 0, 0] = 1.0  # <F_00> = Tr Pi passed the trace rule; the table holds it as exactly 1
     return out[0].reshape(pis.shape[:-2] + out.shape[2:])
 
 

@@ -2,7 +2,10 @@
 
 ``compatibility`` decides which subsystem Bloch-type vectors extend to a
 positive joint state with a spec's fixed coefficients, each label with a
-certificate; its docstring gives the algorithm.  ``positivity`` labels the
+certificate; its docstring gives the algorithm.  Specs with and without
+free coefficients share it: a strided seed of rows is solved first, the
+duals of its outside rows screen the other rows, and only the rows left
+open are solved.  ``positivity`` labels the
 qubit probes whose image under an affine map is a state, ``image_of_ball``
 maps a section's unit circle, and ``sample_domain`` labels a probe grid or
 random cloud with both and writes it as CSV.
@@ -19,9 +22,8 @@ from .linalg import DEFAULT_TOL, combine, dagger, trace_pairing
 from .maps import AffineMap, bloch_action
 
 
-SCREEN_MIN_ROWS = 128  # measured break-even of the pivot screen against one eigvalsh of the batch
-SCREEN_CHUNK = 1024  # rows per chunk of either screen, so its copies have a fixed size (about 1 MB at d = 4)
-DUAL_ROWS = 64  # seed rows of the partial path's dual screen; below 8 DUAL_ROWS (the measured break-even) a batch is all seed
+SCREEN_CHUNK = 1024  # rows per chunk of the dual screen and of eigvalsh, so their copies have a fixed size
+DUAL_ROWS = 64  # seed rows of the dual screen; below 8 DUAL_ROWS (the measured break-even) a batch is all seed
 
 
 class InfeasibleError(Exception):
@@ -39,15 +41,10 @@ def compatibility(
     is t* = max over the free coefficients c of lambda_min(X(c)), inside is
     margin >= -tol and completion (..., d, d) is the last iterate X(c).
     X0 = X(0) = (X_fix + sum_alpha a_alpha F_alpha (x) 1)/d is two
-    ``linalg.combine`` calls, built in place as the completion; where
-    lambda_min(X0) >= -tol, margin = lambda_min(X0) from eigvalsh.  With no
-    free coefficient an outside margin is an upper bound on lambda_min(X0)
-    below -tol: from the LDL^H screen of ``_pivot_bound`` (Higham, Accuracy
-    and Stability of Numerical Algorithms, ch. 10), run on batches of
-    SCREEN_MIN_ROWS probes or more (a smaller one goes to one eigvalsh, which
-    is faster there), or lambda_min(X0) itself where the screen leaves the
-    row open.  The labels are those of eigvalsh in every case.  With free
-    coefficients, where lambda_min(X0) < -tol,
+    ``linalg.combine`` calls, built in place as the completion.  A row's
+    margin starts as lambda_min(X0) from eigvalsh, in chunks of SCREEN_CHUNK
+    rows.  With no free coefficient that is t*, and the labels are
+    eigvalsh's.  With free coefficients, where lambda_min(X0) < -tol,
     S = X(c) - t 1 is kept positive definite by a log-det barrier (Boyd &
     Vandenberghe, Convex Optimization, ch. 11), centred by damped Newton
     steps for mu = 1e-2, 1e-4, ..., 1e-14.  A step
@@ -68,12 +65,18 @@ def compatibility(
     centring loop stops on a test over the whole batch, so the margin of an
     inside probe can move by about 5e-6 with the batch it is solved in.
     A batch of b >= 8 DUAL_ROWS probes is solved in two phases.  The seed,
-    every (b // DUAL_ROWS)-th row, is solved as above, and the Z of its
-    outside rows bound t* of every other probe by an affine function of a
-    (``_dual_screen``, one GEMM per SCREEN_CHUNK rows).  A row whose bound is
-    below -tol by more than tol/10 is outside with that bound as margin and
-    X0 (c = 0) as completion; only the others take the eigvalsh and the
-    search.  A smaller batch is all seed.
+    every (b // DUAL_ROWS)-th row, is solved as above, and each seed row
+    decided outside gives a dual Z: the search's, or with no free
+    coefficient Z = v v^H for the unit lowest eigenvector v of its X0 (one
+    eigh of those rows), since lambda_min(X0) <= v^H X0 v.  Each Z bounds t*
+    of every other probe by an affine function of a (``_dual_screen``, GEMMs
+    per SCREEN_CHUNK rows).  A row whose bound is below -tol by more than
+    tol/10 is outside with that bound as margin and X0 (c = 0) as
+    completion; only the others take the eigvalsh (and the search).  Such a
+    bound is at least lambda_min(X0) plus the rounding of eigvalsh, so with
+    no free coefficient the labels are still eigvalsh's.  A smaller batch,
+    such as the 7-17 probes of a ``tomography.design_probes`` step, is all
+    seed: one eigvalsh, and the search where coefficients are free.
     """
     probes = np.asarray(probes, dtype=float)
     n_axes = spec.n**2 - 1
@@ -92,91 +95,40 @@ def compatibility(
     x0 = combine(flat, pb.mats[1:, 0])
     x_fix = combine(base.reshape(-1), pb.mats.reshape(-1, d, d))
     x0 += x_fix
-    x0 /= d
+    x0.view(float)[...] *= 1 / d  # the bits of x0 /= d, which multiplies by the reciprocal, signed zeros apart
     free_ops = pb.mats[free] / d
-    if len(free_ops):
-        probe_ops = np.concatenate([x_fix[None], pb.mats[1:, 0]]) / d  # X0(a) = probe_ops[0] + a . probe_ops[1:]
-        margin = _partial_margin(flat, x0, probe_ops, free_ops, tol)
-    else:
-        margin = _fixed_margin(x0, tol)
+    margin = np.empty(len(flat))
+    stride = len(flat) // DUAL_ROWS if len(flat) >= 8 * DUAL_ROWS else 1
+    duals = _solve_rows(x0, margin, np.arange(0, len(flat), stride), free_ops, tol, stride > 1)
+    if stride > 1:
+        left = np.ones(len(flat), dtype=bool)
+        if len(duals):
+            probe_ops = np.concatenate([x_fix[None], pb.mats[1:, 0]]) / d  # X0(a) = probe_ops[0] + a . probe_ops[1:]
+            left = _dual_screen(flat, stride, margin, duals, probe_ops, free_ops, tol)
+        left[::stride] = False
+        _solve_rows(x0, margin, np.flatnonzero(left), free_ops, tol, False)
     return (margin >= -tol).reshape(lead), margin.reshape(lead), x0.reshape(lead + (d, d))
 
 
-def _fixed_margin(x0: np.ndarray, tol: float) -> np.ndarray:
-    """Margin of fully fixed probes: lambda_min(X0), or a certified upper bound on it below -tol.
+def _solve_rows(x0, margin, rows, free_ops, tol, duals: bool) -> list:
+    """Margins of ``rows``: lambda_min(X0) per SCREEN_CHUNK rows, then ``_barrier_search`` on those below -tol.
 
-    A batch of fewer than SCREEN_MIN_ROWS goes to one eigvalsh.  A larger one
-    goes through ``_pivot_bound`` in chunks of SCREEN_CHUNK rows, and only the
-    rows whose bound is not below -tol take an eigvalsh.
+    With ``duals`` it returns the Z of the rows decided outside, as a list of
+    stacks: with no free coefficient Z = v v^H, v the unit lowest eigenvector
+    of X0 from one eigh, otherwise the search's Z = mu (S^-1 - S^-1 dS S^-1).
     """
-    if len(x0) < SCREEN_MIN_ROWS:
-        return np.linalg.eigvalsh(x0)[:, 0]
-    margin = np.empty(len(x0))
-    for lo in range(0, len(x0), SCREEN_CHUNK):
-        x, m = x0[lo : lo + SCREEN_CHUNK], margin[lo : lo + SCREEN_CHUNK]
-        m[:] = _pivot_bound(x, tol)
-        undecided = ~(m < -tol)  # NaN included
-        m[undecided] = np.linalg.eigvalsh(x[undecided])[:, 0]
-    return margin
-
-
-def _pivot_bound(x: np.ndarray, tol: float) -> np.ndarray:
-    """Upper bound on lambda_min of each matrix of ``x`` (b, d, d), from an LDL^H of X + tol 1.
-
-    The factorization runs batch-last on a copy (``x`` is the completion).  A
-    row stops at its first pivot D_jj not above the rounding slack: no later
-    step divides by it or updates the row.  Then v = L^-H e_j (j = d - 1 if no
-    pivot stops it) gives v^H (X + tol 1) v = D_jj, so v^H X v / |v|^2 is below
-    -tol when D_jj < 0.  The quotient is computed from X itself and raised by a
-    slack of 16 d eps ||X||_F, which covers its own rounding and that of
-    eigvalsh: a bound below -tol certifies lambda_min(X) < -tol, and eigvalsh
-    would label the row outside too.
-    """
-    b, d = x.shape[:2]
-    xt = x.transpose(1, 2, 0).copy()
-    squares = (xt.view(float) ** 2).reshape(d * d, 2 * b).sum(axis=0)
-    slack = 16 * d * np.finfo(float).eps * np.sqrt(squares[0::2] + squares[1::2])
-    a = xt.copy()
-    diag = np.arange(d)
-    a[diag, diag] += tol
-    first = np.full(b, d - 1)
-    live = np.ones(b, dtype=bool)
-    for j in range(d - 1):
-        pivot = a[j, j].real
-        stop = live & ~(pivot > slack)  # NaN stops too
-        first[stop] = j
-        live &= ~stop
-        col = a[j + 1 :, j]
-        col_l = col * np.divide(1.0, pivot, out=np.zeros(b), where=live)  # 0 on stopped rows: they stay put
-        a[j + 1 :, j + 1 :] -= col_l[:, None] * col.conj()
-        a[j + 1 :, j] = col_l
-    v = np.zeros((d, b), dtype=complex)
-    v[first, np.arange(b)] = 1.0
-    for i in range(d - 2, -1, -1):  # solve L^H v = e_j; columns from j on are 0 below the diagonal
-        v[i] -= (a[i + 1 :, i].conj() * v[i + 1 :]).sum(axis=0)
-    xv = (xt * v).sum(axis=1)
-    num = (v.real * xv.real + v.imag * xv.imag).sum(axis=0)
-    return num / (v.real**2 + v.imag**2).sum(axis=0) + slack
-
-
-def _partial_margin(flat, x0, probe_ops, free_ops, tol) -> np.ndarray:
-    """Margin of probes with free coefficients: the seed's search, the dual screen, then the search on the rows it leaves."""
-    margin = np.empty(len(flat))
-    rows = np.arange(len(flat))
-    stride = len(flat) // DUAL_ROWS if len(flat) >= 8 * DUAL_ROWS else 1
-    duals = _solve_rows(x0, margin, rows[::stride], free_ops, tol)
-    rest = rows[rows % stride > 0]
-    if rest.size and duals:
-        rest = rest[_dual_screen(flat, rest, margin, duals, probe_ops, free_ops, tol)]
-    if rest.size:
-        _solve_rows(x0, margin, rest, free_ops, tol)
-    return margin
-
-
-def _solve_rows(x0, margin, rows, free_ops, tol) -> list:
-    """margin = lambda_min(X0) on ``rows``, then ``_barrier_search`` on those below -tol; returns its duals."""
-    margin[rows] = np.linalg.eigvalsh(x0[rows])[:, 0]
-    return _barrier_search(x0, margin, rows[margin[rows] < -tol], free_ops, tol)
+    for lo in range(0, len(rows), SCREEN_CHUNK):
+        r = rows[lo : lo + SCREEN_CHUNK]
+        margin[r] = np.linalg.eigvalsh(x0[r])[:, 0]
+    below = rows[margin[rows] < -tol]
+    if len(free_ops):
+        parts = _barrier_search(x0, margin, below, free_ops, tol)
+        ops = np.concatenate([free_ops, -np.eye(x0.shape[-1])[None]])  # dS/dc_j, then dS/dt
+        return [mu * (s - s @ combine(step, ops) @ s) for mu, s, step in parts] if duals else []
+    if not (duals and below.size):
+        return []
+    v = np.linalg.eigh(x0[below])[1][:, :, 0]
+    return [v[:, :, None] * v[:, None].conj()]
 
 
 def _barrier_search(completion, margin, idx, free_ops, tol) -> list:
@@ -232,8 +184,8 @@ def _barrier_search(completion, margin, idx, free_ops, tol) -> list:
     return duals
 
 
-def _dual_screen(flat, rows, margin, duals, probe_ops, free_ops, tol) -> np.ndarray:
-    """Certify ``rows`` of the probes ``flat`` outside by the ``duals`` Z; returns the mask of rows left open.
+def _dual_screen(flat, stride, margin, duals, probe_ops, free_ops, tol) -> np.ndarray:
+    """Certify rows of the probes ``flat`` outside by the stacks ``duals`` of Z; returns the mask of rows left open.
 
     Tr[Z X0(a)] is affine in a through ``probe_ops`` (X_fix / d, then the
     F_alpha0 / d), and ``free_ops`` holds the free F_j / d.  Z is only
@@ -247,30 +199,48 @@ def _dual_screen(flat, rows, margin, duals, probe_ops, free_ops, tol) -> np.ndar
     sum is at most E0, so the numerator below is at least t* tau >= 0.  Hence t* <= (Tr[Z X0(a)] + delta + E0 + rho) /
     (tau + 2 d E0) whenever the right side is negative, where rho = 16
     (n^2 + d^2) eps ||Z||_F (||X_fix||_F + max|a| sum_alpha ||F_alpha0||_F)
-    / d covers the rounding of the affine evaluation.  A row is screened
-    when its least bound plus tol/10 is below -tol, and gets it as margin.
-    The search would label it outside too: it labels inside only on a lower
-    bound on t* of at least -tol, and by a midpoint only within tol/20 of t*.
+    / d covers the rounding of the affine evaluation.  With no free
+    coefficient E0 = 0, t* = lambda_min(X0), and rho is also well above the
+    rounding of eigvalsh (of order d eps ||X0||).  A row is screened when
+    its least bound plus tol/10 is below -tol, and gets it as margin.  The
+    search would label it outside too: it labels inside only on a lower
+    bound on t* of at least -tol, and by a midpoint only within tol/20 of
+    t*.  The least bound is taken in two stages, so that most rows meet only
+    a few duals: first over a greedy cover, the duals that screen the most
+    seed rows (every ``stride``-th) not yet screened, then over every dual
+    for the rows the cover leaves open.  The seed rows keep their margins.
     """
-    d = free_ops.shape[-1]
+    d = probe_ops.shape[-1]
     eps = np.finfo(float).eps
-    ops = np.concatenate([free_ops, -np.eye(d)[None]])
-    z = np.concatenate([mu * (s - s @ combine(step, ops) @ s) for mu, s, step in duals])
+    z = np.concatenate(duals)
     z = (z + dagger(z)) / 2
     z_norm = np.linalg.norm(z, axis=(1, 2))
     delta = np.maximum(0.0, -np.linalg.eigvalsh(z)[:, 0]) + 4 * d * eps * z_norm
     e0 = d * np.abs(trace_pairing(free_ops, z)) @ np.linalg.norm(free_ops, 2, axis=(1, 2))
     w = trace_pairing(probe_ops, z)  # Tr[Z X0(a)] = w_0 + sum_alpha a_alpha w_alpha
     norms = np.linalg.norm(probe_ops, axis=(1, 2))
-    rho = 16 * (len(probe_ops) + d * d) * eps * z_norm * (norms[0] + np.abs(flat).max() * norms[1:].sum())
+    rho = 16 * (len(probe_ops) + d * d) * eps * z_norm * (norms[0] + np.maximum(flat.max(), -flat.min()) * norms[1:].sum())
     den = np.trace(z, axis1=1, axis2=2).real + d * delta + 2 * d * e0
-    coef, off = w[:, 1:].T / den, (w[:, 0] + delta + e0 + rho) / den
-    left = np.ones(len(rows), dtype=bool)
-    for lo in range(0, len(rows), SCREEN_CHUNK):
-        r = rows[lo : lo + SCREEN_CHUNK]
-        bound = (flat[r] @ coef + off).min(axis=1)
+    coef, off = w[:, 1:] / den[:, None], ((w[:, 0] + delta + e0 + rho) / den)[:, None]  # Z_j bounds t* by coef_j . a + off_j
+    hit = coef @ flat[::stride].T + off + tol / 10 < -tol
+    cover = []
+    while hit.any():
+        cover.append(int(hit.sum(axis=1).argmax()))
+        hit = hit[:, ~hit[cover[-1]]]
+    cover_coef, cover_off = coef[cover], off[cover]
+    left = np.empty(len(flat), dtype=bool)
+    for lo in range(0, len(flat), SCREEN_CHUNK):  # duals by rows: the least bound is a min along the rows, not per short row
+        a, m = flat[lo : lo + SCREEN_CHUNK].T, margin[lo : lo + SCREEN_CHUNK]
+        bounds = cover_coef @ a
+        bounds += cover_off
+        bound = bounds.min(axis=0, initial=np.inf)
+        again = ~(bound + tol / 10 < -tol)
+        bounds = coef @ a[:, again]
+        bounds += off
+        bound[again] = bounds.min(axis=0, initial=np.inf)
         hit = bound + tol / 10 < -tol  # NaN is never screened
-        margin[r[hit]] = bound[hit]
+        hit[-lo % stride :: stride] = False  # the seed rows keep their own margins
+        m[hit] = bound[hit]
         left[lo : lo + SCREEN_CHUNK] = ~hit
     return left
 
@@ -373,16 +343,19 @@ def _random_ball(count: int, seed: int) -> np.ndarray:
     return np.array(pts[:count])
 
 
-def _format_column(column: np.ndarray, fmt: str) -> list:
-    """``fmt % x`` per entry of a float64 or int64 column, once per distinct bit pattern (-0.0 apart from 0.0)."""
+_FLAGS = np.array(["0", "1"], dtype=object)  # the text of a 0/1 label, looked up by its value
+
+
+def _format_column(column: np.ndarray) -> list:
+    """``"%.9g" % x`` per entry of a float64 column, once per distinct bit pattern (-0.0 apart from 0.0)."""
     keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    return np.array([fmt % x for x in keys.view(column.dtype).tolist()], dtype=object)[inverse].tolist()
+    return np.array(["%.9g" % x for x in keys.view(float).tolist()], dtype=object)[inverse].tolist()
 
 
 def _write_csv(path, header: str, values: np.ndarray, labels=()) -> None:
-    """Write ``header``, then per row the ``values`` as %.9g and the ``labels`` columns as %d, in one write."""
-    columns = [_format_column(c, "%.9g") for c in np.asarray(values, dtype=float).T]
-    columns += [_format_column(np.asarray(c).astype(np.int64), "%d") for c in labels]
+    """Write ``header``, then per row the ``values`` as %.9g and the 0/1 ``labels`` columns as digits, in one write."""
+    columns = [_format_column(c) for c in np.asarray(values, dtype=float).T]
+    columns += [_FLAGS[np.asarray(c, dtype=np.intp)].tolist() for c in labels]
     with open(path, "w") as fh:
         fh.write("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
 

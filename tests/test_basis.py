@@ -106,13 +106,16 @@ def test_expand_state_prints_a_real_trace(pb22):
         expand_state(np.eye(4) / 2 + 0j, pb22)
     assert str(exc.value) == "state has trace 2, expected 1"
     # the trace rule is require_density's, 10 max(tol, 1e-9): a trace of 1 + 1e-10 passes it at
-    # tol = 1e-12, and only the table's own rule, coeff[0, 0] = 1 to 1e-12, rejects the state
+    # tol = 1e-12, and the table then holds coeff[0, 0] = Tr Pi as exactly 1, which its own rule
+    # (1 to 1e-12) accepts; before, that rule rejected the state
     pi = np.eye(4) / 4 * (1 + 1e-10)
     require_density(pi, 1e-12)
-    with pytest.raises(ValueError, match=r"^coeff\[0, 0\] must equal 1"):
-        expand_state(pi, pb22, 1e-12)
+    assert expand_state(pi, pb22, 1e-12).coeff[0, 0] == 1.0
     pi = np.eye(4) / 4 * (1 + 5e-13)
-    assert expand_state(pi, pb22, 1e-14).coeff[0, 0] == pytest.approx(1 + 5e-13, rel=0, abs=1e-15)
+    coeff = expand_state(pi, pb22, 1e-14).coeff
+    assert coeff[0, 0] == 1.0 and not coeff.ravel()[1:].any()
+    with pytest.raises(ValueError, match="^state has trace 1.00001, expected 1$"):
+        expand_state(np.eye(4) / 4 * (1 + 1e-5), pb22, 1e-7)
 
 
 @settings(max_examples=30)

@@ -8,24 +8,23 @@ from hypothesis import strategies as st
 
 from affinemaps.basis import JointStateCoeffs, expand_state, probe_state, product_basis, reconstruct_state, traceless_operator
 from affinemaps.cli import _write_pairs_csv, fig1_spec, fig2_spec
-from affinemaps.linalg import random_density, random_unitary
-from affinemaps import domains
+from affinemaps.linalg import combine, random_density, random_unitary
+from affinemaps import domains, tomography
 from affinemaps.maps import AffineMap, apply_L, extract_G, extract_map, map_from_unitary
 from affinemaps.domains import (
     DUAL_ROWS,
     SCREEN_CHUNK,
-    SCREEN_MIN_ROWS,
     SECTION_AXES,
     DomainSample,
     _fibonacci_shells,
     _newton_terms,
-    _pivot_bound,
     _section_grid,
     compatibility,
     image_of_ball,
     positivity,
     sample_domain,
 )
+from affinemaps.tomography import design_probes
 from affinemaps.qubit2 import (
     I2,
     SIGMA,
@@ -336,16 +335,16 @@ def test_fixed_path_peak_memory_is_near_the_completion():
     dims=st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3)]),
     seed=st.integers(0, 2**32 - 1),
     scale=st.sampled_from([0.03, 0.3, 30.0]),
-    count=st.sampled_from([SCREEN_MIN_ROWS, 300, SCREEN_CHUNK + 1]),
+    count=st.sampled_from([8 * DUAL_ROWS, SCREEN_CHUNK + 1, 3000]),
+    tol=st.sampled_from([0.0, 1e-12, 1e-9]),
 )
-def test_pivot_screen_keeps_the_eigvalsh_labels(dims, seed, scale, count):
-    # batches large enough for the LDL^H screen: labels and inside margins are eigvalsh's own, and an
-    # outside margin is a certified upper bound on lambda_min below -tol
+def test_fixed_screen_keeps_the_eigvalsh_labels(dims, seed, scale, count, tol):
+    # batches large enough for the seed's duals to screen the other rows: labels and inside margins
+    # are eigvalsh's own, and an outside margin is a certified upper bound on lambda_min below -tol
     n, m = dims
     rng = np.random.default_rng(seed)
     spec = expand_state(random_density(n * m, rng), product_basis(n, m))
     probes = spec.coeff[1:, 0] + rng.normal(scale=scale, size=(count, n**2 - 1))
-    tol = 1e-9
     inside, margin, completion = compatibility(spec, probes, tol)
     lam = np.linalg.eigvalsh(completion)[:, 0]
     np.testing.assert_array_equal(inside, lam >= -tol)
@@ -353,55 +352,107 @@ def test_pivot_screen_keeps_the_eigvalsh_labels(dims, seed, scale, count):
     assert (lam[~inside] <= margin[~inside]).all() and (margin[~inside] < -tol).all()
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_fixed_screen_keeps_the_eigvalsh_labels_on_the_boundary(seed):
+    # each seed row is 1.5 u for a unit u and its seven followers are u itself, where lambda_min
+    # = (1 - |u|)/4 is 0 up to rounding and the seed's v gives v^H X0(u) v = lambda_min exactly:
+    # at tol = 0 only the rounding allowance of the bound keeps these rows from the screen
+    u = np.random.default_rng(seed).normal(size=(DUAL_ROWS, 3))
+    probes = np.repeat(u / np.linalg.norm(u, axis=1, keepdims=True), 8, axis=0)
+    probes[::8] *= 1.5
+    inside, margin, completion = compatibility(JointStateCoeffs.blank(2, 2), probes, 0.0)
+    lam = np.linalg.eigvalsh(completion)[:, 0]
+    np.testing.assert_array_equal(inside, lam >= 0)
+    assert (lam[~inside] <= margin[~inside]).all() and 0 < inside.sum() < 7 * DUAL_ROWS
+
+
 @pytest.mark.parametrize("extra", [1, SCREEN_CHUNK + 1])
-def test_pivot_screen_leaves_the_completion_unchanged(extra):
-    # the screen factorizes a copy of every chunk, the last one of a single row included
+def test_fixed_screen_leaves_the_completion_unchanged(extra):
+    # the screen reads X0 and the open rows' eigvalsh takes copies of every chunk, the last one of
+    # a single row included
     spec = two_coefficient_spec()
     probes = np.random.default_rng(extra).uniform(-1, 1, size=(SCREEN_CHUNK + extra, 3))
-    probes[-1] = 0.0  # X0 at the origin is outside, so the last chunk's one row is factorized
+    probes[-1] = 0.0  # X0 at the origin is outside, and row -1 is not a seed row
     inside, margin, completion = compatibility(spec, probes)
     expected = np.array([reconstruct_state(at_probe(spec, p)) for p in probes])
     np.testing.assert_allclose(completion, expected, rtol=0, atol=1e-15)
     assert not inside[-1] and np.linalg.eigvalsh(completion[-1])[0] <= margin[-1] < -1e-9
 
 
-def test_pivot_screen_stops_a_row_at_its_first_failed_pivot():
-    # a row whose first pivot is 0, tiny or negative takes no further step: dividing by it would
-    # warn (an error under -W error::RuntimeWarning) or overflow the rest of the row
-    x = np.zeros((5, 4, 4), dtype=complex)
-    x[:] = np.diag([0.5, 0.3, 0.2, 0.1])
-    x[:, 1, 0] = x[:, 0, 1] = 1e3
-    x[:4, 0, 0] = 0.0, -1e-300, 1e-300, -1.0
-    bound = _pivot_bound(x, 0.0)  # with tol = 0 the pivots are the entries themselves
-    lam = np.linalg.eigvalsh(x)[:, 0]
-    assert np.isfinite(bound).all() and (lam <= bound).all()
-    assert (bound[:3] > 0).all()  # v = e_0 and a quotient of about 0: left to eigvalsh
-    assert bound[3] == pytest.approx(-1.0, rel=0, abs=1e-10)  # plus a slack of 64 eps ||X||_F
-    assert bound[4] < 0  # the block [[0.5, 1e3], [1e3, 0.3]] fails at the second pivot
-
-
-def test_pivot_screen_passes_nan_rows_to_eigvalsh():
-    # a NaN row is never decided by the screen, so eigvalsh raises as it did for the whole batch
-    probes = np.zeros((SCREEN_MIN_ROWS, 3))
+def test_fixed_screen_passes_nan_rows_to_eigvalsh(monkeypatch):
+    # every seed row (each 8th) is outside, so the screen runs on row 5; a NaN row is never
+    # screened, so eigvalsh raises as it does for a batch that is all seed
+    spec, probes = JointStateCoeffs.blank(2, 2), np.tile([0.0, 0.0, 1.5], (8 * DUAL_ROWS, 1))
+    calls = spy_on_dual_screen(monkeypatch)
+    assert not compatibility(spec, probes)[0].any()
+    [(z, screened)] = calls
+    assert len(z) == DUAL_ROWS and len(screened) == 7 * DUAL_ROWS
     probes[5, 1] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
-        compatibility(JointStateCoeffs.blank(2, 2), probes)
+        compatibility(spec, probes)
 
 
 def test_fixed_path_takes_eigvalsh_only_for_undecided_rows(monkeypatch):
-    # on the fig2 sections at 201 the screen decides every outside probe, so only the inside probes
-    # (0 / 5609 / 5609 / 870) reach eigvalsh; a batch below SCREEN_MIN_ROWS goes to it whole
+    # the 65 seed rows of a fig2 section at 201 take one eigvalsh, and the outside ones one eigh for
+    # their duals v v^H (65 / 54 / 54 / 60), whose own eigvalsh gives the screen's slack; the rows the
+    # screen leaves open (0 / 5861 / 5861 / 1013, all inside but 0 / 263 / 263 / 148) take the rest
     spec = fig2_spec()
-    counted = []
-    eigvalsh = np.linalg.eigvalsh
+    counted, vectors = [], []
+    eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: counted.append(len(a)) or eigvalsh(a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: vectors.append(len(a)) or eigh(a))
     grids = [_section_grid(section, 201) for section in ("p1p2", "p1p3", "p2p3")] + [_fibonacci_shells(201)]
-    for probes, count in zip(grids, (0, 5609, 5609, 870)):
+    expected = zip((0, 5609, 5609, 870), (130, 5980, 5980, 1138), (65, 54, 54, 60))
+    for probes, (inside, eigvalsh_rows, eigh_rows) in zip(grids, expected):
         counted.clear()
-        assert compatibility(spec, probes)[0].sum() == count == sum(counted)
-    counted.clear()
-    compatibility(spec, grids[0][: SCREEN_MIN_ROWS - 1])
-    assert counted == [SCREEN_MIN_ROWS - 1]
+        vectors.clear()
+        assert compatibility(spec, probes)[0].sum() == inside
+        assert sum(counted) == eigvalsh_rows and vectors == [eigh_rows]
+        assert max(counted) <= SCREEN_CHUNK
+
+
+@pytest.mark.parametrize("dims, base", [((2, 2), (0.0, 0.0, SQ3)), ((3, 2), None)])
+def test_design_probes_batches_take_one_eigvalsh_each(monkeypatch, dims, base):
+    # a batch below 8 DUAL_ROWS probes is all seed: one eigvalsh of X0, no eigh and no screen,
+    # as for the 7-17 probes of every design_probes step on a fully fixed spec
+    n, m = dims
+    if base is None:
+        spec = expand_state(random_density(n * m, np.random.default_rng(1)), product_basis(n, m))
+        base = spec.coeff[1:, 0]
+    else:
+        spec = fig2_spec()
+    counted, steps = [], []
+    eigvalsh, compat = np.linalg.eigvalsh, tomography.compatibility
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: counted.append(len(a)) or eigvalsh(a))
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    monkeypatch.setattr(domains, "_dual_screen", None)
+    monkeypatch.setattr(tomography, "compatibility", lambda spec, probes, tol: steps.append(len(probes)) or compat(spec, probes, tol))
+    design_probes(spec, np.array(base), eps=0.05)
+    assert counted == steps and steps[0] == 2 * (n**2 - 1) + 1
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_completion_scaling_keeps_the_bits_of_the_division(dims):
+    # X0 is scaled by 1/d as a multiply of its float view.  numpy divides a complex by a real
+    # through the reciprocal, (re + im * 0) * (1/d), so the bits are those of X0 / d wherever
+    # an entry is not zero; a zero can differ in its sign only, which no label or margin reads
+    n, m = dims
+    rng = np.random.default_rng(n * m)
+    pb = product_basis(n, m)
+    d = pb.dim
+    spec = expand_state(random_density(d, rng), pb)
+    probes = spec.coeff[1:, 0] + rng.normal(scale=0.3, size=(300, n**2 - 1))
+    base = spec.coeff.copy()
+    base[1:, 0] = 0.0
+    x0 = combine(probes, pb.mats[1:, 0]) + combine(base.reshape(-1), pb.mats.reshape(-1, d, d))
+    completion = compatibility(spec, probes)[2]
+    assert completion.tobytes() == (x0.view(float) * (1 / d)).tobytes()
+    divided = (x0 / d).view(float)
+    same_bits = completion.view(float).view(np.int64) == divided.view(np.int64)
+    assert (same_bits | (divided == 0)).all() and np.array_equal(completion, x0 / d)
+    # the one case that differs: -0.0 + y i gives (-0.0 + y * 0) / d = +0.0, the multiply -0.0
+    zero = np.array([complex(-0.0, 1.0)])
+    assert np.signbit((zero / d).real[0]) != np.signbit((zero.view(float) * (1 / d))[0])
 
 
 def test_partial_path_peak_memory_is_a_few_completions():
@@ -437,11 +488,9 @@ def spy_on_dual_screen(monkeypatch):
     calls = []
     screen = domains._dual_screen
 
-    def spy(flat, rows, margin, duals, probe_ops, free_ops, tol):
-        left = screen(flat, rows, margin, duals, probe_ops, free_ops, tol)
-        ops = np.concatenate([free_ops, -np.eye(free_ops.shape[-1])[None]])  # dS/dc_j, then dS/dt
-        z = [mu * (s_inv - s_inv @ np.einsum("bj,jxy->bxy", step, ops) @ s_inv) for mu, s_inv, step in duals]
-        calls.append((np.concatenate(z), rows[~left]))
+    def spy(flat, stride, margin, duals, probe_ops, free_ops, tol):
+        left = screen(flat, stride, margin, duals, probe_ops, free_ops, tol)
+        calls.append((np.concatenate(duals), np.flatnonzero(~left)))
         return left
 
     monkeypatch.setattr(domains, "_dual_screen", spy)

@@ -7,6 +7,12 @@ updates the table and says why.  Only CSVs are pinned by digest: their columns
 are ``%.9g`` values and integer labels, while the JSON files print
 full-precision floats.
 
+At ``--resolution 21`` no section reaches the 512 probes at which
+``domains.compatibility`` screens a batch by its seed rows' duals, so the
+``fig1`` and ``fig2`` CSVs are pinned at ``--resolution 101`` too (7845
+probes per section), with digests taken before fully fixed probes joined
+that screen.
+
 ``kappa --trials 200 --seed 0`` is pinned per family by value, with the values
 printed before ``linalg.combine`` formed the search's sums: the sweep's counts
 exactly, |kappa| and the margin to rel 1e-9, and the witness parameters to rel
@@ -51,6 +57,30 @@ def test_preset_csvs_keep_their_bytes(tmp_path, name):
     assert main(["preset", name, "--resolution", "21", "--out", str(tmp_path)]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
     assert written == CSV_SHA256[name]
+
+
+CSV_SHA256_101 = {
+    "fig1": {
+        "fig1_full_p1p2.csv": "e2a4d0ba22ea03d768646d3c33d7581c448cb39df3c3a9747452fd0d06048da6",
+        "fig1_full_p1p3.csv": "8462ff012a4a030b4cd07affa419a250d21da46d2d91f146f926a54ef6dd1fc6",
+        "fig1_full_p2p3.csv": "c6e8357b1e99a69bbffd872fd17290a7f2abf3503aee96e8be0aa838ffdf2ab1",
+        "fig1_partial_p1p2.csv": "35e8fdbade37605dbad97cf98e57052a17c7e3dd0953956c530069aaf854e09a",
+        "fig1_partial_p1p3.csv": "46e2567c33e07342cfaccbae3a4e4e9fc2e0eab821ee57951c6819613111c753",
+        "fig1_partial_p2p3.csv": "7cba3003a7ee02908652ab6b715c96da1f9f5b65f3ec39ecbd8ab1e09ef520c3",
+    },
+    "fig2": {
+        "fig2_p1p2.csv": "e2a4d0ba22ea03d768646d3c33d7581c448cb39df3c3a9747452fd0d06048da6",
+        "fig2_p1p3.csv": "5558913a610665c7010986fe38b5ed60dd4f4caf78d4a226b2546a00e331776d",
+        "fig2_p2p3.csv": "1ba763020d53ffdaa6c1969ae2e7d863db510c6e7162005095d79e53d82c49c3",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_SHA256_101))
+def test_preset_csvs_keep_their_bytes_where_the_screens_run(tmp_path, name):
+    assert main(["preset", name, "--resolution", "101", "--out", str(tmp_path)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
+    assert written == CSV_SHA256_101[name]
 
 
 # family: (best_kappa_norm, bounds.max_kappa_norm, bounds.min_margin, witness parameters)
