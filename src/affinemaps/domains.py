@@ -5,7 +5,7 @@ positive joint state with a spec's fixed coefficients, each label with a
 certificate; its docstring gives the algorithm.  Specs with and without
 free coefficients share it: a strided seed of rows is solved first, the
 duals of its outside rows screen the other rows, and only the rows left
-open are solved.  ``positivity`` labels the
+open are solved, from the nearest inside seed.  ``positivity`` labels the
 qubit probes whose image under an affine map is a state, ``image_of_ball``
 maps a section's unit circle, and ``sample_domain`` labels a probe grid or
 random cloud with both and writes it as CSV.
@@ -74,9 +74,13 @@ def compatibility(
     tol/10 is outside with that bound as margin and X0 (c = 0) as
     completion; only the others take the eigvalsh (and the search).  Such a
     bound is at least lambda_min(X0) plus the rounding of eigvalsh, so with
-    no free coefficient the labels are still eigvalsh's.  A smaller batch,
-    such as the 7-17 probes of a ``tomography.design_probes`` step, is all
-    seed: one eigvalsh, and the search where coefficients are free.
+    no free coefficient the labels are still eigvalsh's.  With free
+    coefficients an open row starts at the free part (completion - X0) of
+    its nearest inside seed row (Euclidean in a), a completion whose
+    eigvalsh labels it inside at lambda_min >= -tol; only the others take
+    the search, from there.  A smaller batch, such as the 7-17 probes of a
+    ``tomography.design_probes`` step, is all seed: one eigvalsh, and the
+    search where coefficients are free.
     """
     probes = np.asarray(probes, dtype=float)
     n_axes = spec.n**2 - 1
@@ -99,19 +103,28 @@ def compatibility(
     free_ops = pb.mats[free] / d
     margin = np.empty(len(flat))
     stride = len(flat) // DUAL_ROWS if len(flat) >= 8 * DUAL_ROWS else 1
-    duals = _solve_rows(x0, margin, np.arange(0, len(flat), stride), free_ops, tol, stride > 1)
+    seeds = np.arange(0, len(flat), stride)
+    seed_x0 = x0[seeds] if stride > 1 and len(free_ops) else None
+    duals = _solve_rows(x0, margin, seeds, free_ops, tol, stride > 1)
     if stride > 1:
         left = np.ones(len(flat), dtype=bool)
         if len(duals):
             probe_ops = np.concatenate([x_fix[None], pb.mats[1:, 0]]) / d  # X0(a) = probe_ops[0] + a . probe_ops[1:]
             left = _dual_screen(flat, stride, margin, duals, probe_ops, free_ops, tol)
         left[::stride] = False
-        _solve_rows(x0, margin, np.flatnonzero(left), free_ops, tol, False)
+        rest = np.flatnonzero(left)
+        warm = margin[seeds] >= -tol
+        if seed_x0 is not None and warm.any():  # each open row starts from its nearest inside seed's free part
+            near, free_part = flat[seeds[warm]], x0[seeds[warm]] - seed_x0[warm]
+            for lo in range(0, len(rest), SCREEN_CHUNK):
+                r = rest[lo : lo + SCREEN_CHUNK]
+                x0[r] += free_part[((near * near).sum(axis=1)[:, None] - 2 * near @ flat[r].T).argmin(axis=0)]
+        _solve_rows(x0, margin, rest, free_ops, tol, False)
     return (margin >= -tol).reshape(lead), margin.reshape(lead), x0.reshape(lead + (d, d))
 
 
 def _solve_rows(x0, margin, rows, free_ops, tol, duals: bool) -> list:
-    """Margins of ``rows``: lambda_min(X0) per SCREEN_CHUNK rows, then ``_barrier_search`` on those below -tol.
+    """Margins of ``rows``: lambda_min of their ``x0`` per SCREEN_CHUNK rows, then ``_barrier_search`` on those below -tol.
 
     With ``duals`` it returns the Z of the rows decided outside, as a list of
     stacks: with no free coefficient Z = v v^H, v the unit lowest eigenvector
@@ -343,21 +356,21 @@ def _random_ball(count: int, seed: int) -> np.ndarray:
     return np.array(pts[:count])
 
 
-_FLAGS = np.array(["0", "1"], dtype=object)  # the text of a 0/1 label, looked up by its value
-
-
-def _format_column(column: np.ndarray) -> list:
-    """``"%.9g" % x`` per entry of a float64 column, once per distinct bit pattern (-0.0 apart from 0.0)."""
-    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    return np.array(["%.9g" % x for x in keys.view(float).tolist()], dtype=object)[inverse].tolist()
+def _format_column(column: np.ndarray, end: bytes) -> np.ndarray:
+    """``b"%.9g" % x + end`` per entry of a float64 column as an S array, formatted once per distinct bit pattern."""
+    keys, inverse = np.unique(column.view(np.int64), return_inverse=True)  # -0.0 apart from 0.0
+    return np.array([b"%.9g%s" % (x, end) for x in keys.view(float).tolist()])[inverse]
 
 
 def _write_csv(path, header: str, values: np.ndarray, labels=()) -> None:
-    """Write ``header``, then per row the ``values`` as %.9g and the 0/1 ``labels`` columns as digits, in one write."""
-    columns = [_format_column(c) for c in np.asarray(values, dtype=float).T]
-    columns += [_FLAGS[np.asarray(c, dtype=np.intp)].tolist() for c in labels]
-    with open(path, "w") as fh:
-        fh.write("\n".join([header, *map(",".join, zip(*columns))]) + "\n")
+    """Write ``header``, then per row the ``values`` as %.9g and the 0/1 ``labels`` as digits, in one write."""
+    values = np.asarray(values, dtype=float).T
+    ends = [b","] * (len(values) + len(labels) - 1) + [b"\n"]
+    columns = [_format_column(c, end) for c, end in zip(values, ends)]
+    columns += [np.array([b"0" + end, b"1" + end])[np.asarray(c, dtype=np.intp)] for c, end in zip(labels, ends[len(values) :])]
+    block = np.hstack([c[:, None].view(np.uint8) for c in columns])  # the rows' bytes, with the S arrays' zero padding
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n" + block[block != 0].tobytes())
 
 
 @dataclass

@@ -470,17 +470,60 @@ def test_partial_path_peak_memory_is_a_few_completions():
 
 
 def test_partial_path_takes_eigvalsh_only_at_decisions(monkeypatch):
-    # one eigvalsh of X0 per probe the dual screen leaves open, one per probe the search decides
-    # inside and one per seed dual; no Newton step takes one.  Of the 1257 probes 208 are inside;
-    # the 67 seed rows give 57 duals, which screen 937 of the other 992 outside probes, so the
-    # count is 67 + 10 + 57 + 253 + 198 = 585 where it was 1257 + 208 = 1465 before the screen
+    # one eigvalsh per seed row's X0, one per probe the search decides inside and one per seed
+    # dual; no Newton step takes one.  Of the 1257 probes 208 are inside; the 67 seed rows (10 of
+    # them inside) give 57 duals, which screen 937 of the other 992 outside probes.  The 253 rows
+    # left open take one eigvalsh at their nearest inside seed's free coefficients, which certifies
+    # 160 of their 198 inside rows; the search decides the other 38.  So the count is
+    # 67 + 10 + 57 + 253 + 38 = 425, where it was 585 with each open row started at c = 0, and
+    # 1257 + 208 = 1465 before the screen
     spec, probes = fig1_spec(True), _section_grid("p1p2", 41)
     counted = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: counted.append(len(a)) or eigvalsh(a))
     inside = compatibility(spec, probes)[0]
     assert inside.sum() == 208
-    assert sum(counted) == 585 <= len(probes) / 2
+    assert sum(counted) == 425 <= len(probes) / 2
+
+
+def test_open_rows_start_from_the_nearest_inside_seed(monkeypatch):
+    # of the 253 rows the dual screen leaves open on this section, the warm start certifies most
+    # inside ones with its one eigvalsh, so the second search sees about the boundary alone (93 rows;
+    # 253 when each open row started at c = 0)
+    searched = []
+    search = domains._barrier_search
+    monkeypatch.setattr(domains, "_barrier_search", lambda x, m, idx, f, t: searched.append(len(idx)) or search(x, m, idx, f, t))
+    assert compatibility(fig1_spec(True), _section_grid("p1p2", 41))[0].sum() == 208
+    assert len(searched) == 2 and searched[1] <= 100
+
+
+@settings(max_examples=16)
+@given(
+    dims=st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3)]),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.sampled_from([8 * DUAL_ROWS, SCREEN_CHUNK + 1, 3000]),
+    tol=st.sampled_from([0.0, 1e-12, 1e-9]),
+)
+def test_warm_started_rows_keep_their_labels_and_certificates(dims, seed, count, tol):
+    # a random spec with a random free mask, in batches where open rows start from an inside seed's
+    # free coefficients: the labels are those of the same probes solved in all-seed chunks, an inside
+    # margin is the eigvalsh of its completion, and every completion keeps the spec's fixed coefficients
+    n, m = dims
+    rng = np.random.default_rng(seed)
+    pb = product_basis(n, m)
+    spec = expand_state(random_density(n * m, rng), pb)
+    spec.free = rng.random(spec.free.shape) < rng.uniform(0.2, 0.8)
+    spec.free[0, 0] = False
+    probes = spec.coeff[1:, 0] + rng.normal(scale=0.8 / n, size=(count, n**2 - 1))
+    inside, margin, completion = compatibility(spec, probes, tol)
+    chunks = [compatibility(spec, part, tol)[0] for part in np.array_split(probes, -(-count // (8 * DUAL_ROWS - 1)))]
+    np.testing.assert_array_equal(inside, np.concatenate(chunks))
+    assert np.array_equal(margin[inside], np.linalg.eigvalsh(completion[inside])[:, 0])
+    fixed = ~spec.free
+    fixed[1:, 0] = False  # the probe column, checked against each row's probe
+    coeff = np.einsum("mnij,bji->bmn", pb.mats, completion).real
+    np.testing.assert_allclose(coeff[:, fixed] - spec.coeff[fixed], 0, atol=1e-8)
+    np.testing.assert_allclose(coeff[:, 1:, 0], probes, atol=1e-8)
 
 
 def spy_on_dual_screen(monkeypatch):
