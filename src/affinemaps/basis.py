@@ -169,12 +169,10 @@ class JointStateCoeffs:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "JointStateCoeffs":
-        return cls(
-            n=read_dim(data, "n"),
-            m=read_dim(data, "m"),
-            coeff=data["coeff"],
-            free=np.array(data["free_mask"], dtype=bool),
-        )
+        free = np.asarray(data["free_mask"])
+        if free.dtype.kind not in "biu" or not np.isin(free, (0, 1)).all():
+            raise ValueError("free_mask entries must be 0/1 or false/true")
+        return cls(n=read_dim(data, "n"), m=read_dim(data, "m"), coeff=data["coeff"], free=free)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict())

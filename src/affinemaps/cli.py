@@ -22,7 +22,7 @@ from . import qubit2 as q2
 from . import tomography as tom
 from .basis import JointStateCoeffs, coefficients, probe_state, product_basis, reconstruct_state
 from .domains import InfeasibleError
-from .linalg import DEFAULT_TOL, from_pairs, to_pairs
+from .linalg import DEFAULT_TOL, finite_array, from_pairs, to_pairs
 
 
 def _load_json(path: str) -> dict:
@@ -62,10 +62,7 @@ def _parse_vector(text: str, length: int, name: str) -> np.ndarray:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != length:
         raise ValueError(f"{name} must have {length} comma-separated values, got {len(parts)}")
-    vec = np.array([float(p) for p in parts])
-    if not np.isfinite(vec).all():
-        raise ValueError(f"{name} values must be finite")
-    return vec
+    return finite_array([float(p) for p in parts], name)
 
 
 def _parse_rotation(text: str) -> q2.Rotation:
@@ -343,9 +340,6 @@ def cmd_preset(args) -> int:
             _emit_section(spec, None, section, res, args.tol, out_dir, "fig2", meta["files"])
         meta["spec"] = spec.to_json_dict()
 
-    else:
-        raise ValueError(f"unknown preset {args.name!r}")
-
     _write_payload(meta, os.path.join(out_dir, f"{args.name}_meta.json"))
     return 0
 
@@ -466,7 +460,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,13 +2,10 @@
 
 ``compatibility`` decides which subsystem Bloch-type vectors extend to a
 positive joint state with a spec's fixed coefficients, each label with a
-certificate; its docstring gives the algorithm.  Specs with and without
-free coefficients share it: a strided seed of rows is solved first, the
-duals of its outside rows screen the other rows, and only the rows left
-open are solved, from the nearest inside seed.  ``positivity`` labels the
-qubit probes whose image under an affine map is a state, ``image_of_ball``
-maps a section's unit circle, and ``sample_domain`` labels a probe grid or
-random cloud with both and writes it as CSV.
+certificate, for specs with and without free coefficients.  ``positivity``
+labels the qubit probes whose image under an affine map is a state,
+``image_of_ball`` maps a section's unit circle, and ``sample_domain`` labels
+a probe grid or random cloud with both and writes it as CSV.
 """
 
 from __future__ import annotations
@@ -37,50 +34,19 @@ def compatibility(
 
     Each probe is written into the subsystem column <F_{alpha 0}> of
     ``spec``, which it fixes whatever ``spec.free`` says there; leading
-    dimensions are batched.  Returns (inside, margin, completion): margin
-    is t* = max over the free coefficients c of lambda_min(X(c)), inside is
-    margin >= -tol and completion (..., d, d) is the last iterate X(c).
-    X0 = X(0) = (X_fix + sum_alpha a_alpha F_alpha (x) 1)/d is two
-    ``linalg.combine`` calls, built in place as the completion.  A row's
-    margin starts as lambda_min(X0) from eigvalsh, in chunks of SCREEN_CHUNK
-    rows.  With no free coefficient that is t*, and the labels are
-    eigvalsh's.  With free coefficients, where lambda_min(X0) < -tol,
-    S = X(c) - t 1 is kept positive definite by a log-det barrier (Boyd &
-    Vandenberghe, Convex Optimization, ch. 11), centred by damped Newton
-    steps for mu = 1e-2, 1e-4, ..., 1e-14.  A step
-    takes S^-1 from one matrix inverse, every A_j S^-1 (A_j = dS/dc_j or
-    dS/dt) from one product with the stacked A_j, and the gradient and
-    Hessian of the barrier in c and t from real GEMMs of float views
-    (``_newton_terms``); X(c) moves by the ``combine`` of the step with the
-    free operators.  It needs no eigvalsh: since S > 0,
-    lambda_min(X(c)) >= t + 1/||S^-1||_F, and ||S^-1||_F^2 is the t-t entry
-    of the Hessian.  While the Newton decrement is below 1,
-    Z = mu (S^-1 - S^-1 dS S^-1), dS the Newton step, is PSD with trace 1
-    and no free components, so Tr[Z X0] bounds t* from above.
-    A probe stops once decided: inside when t + 1/||S^-1||_F >= -tol, with
-    margin = lambda_min(X(c)) from an eigvalsh of the probes so decided;
-    outside (margin = upper bound) when the upper bound is below -tol;
-    otherwise by the midpoint of the bounds once they are within tol/10.
-    One still open after the last mu is labelled by lambda_min(X(c)).  The
-    centring loop stops on a test over the whole batch, so the margin of an
-    inside probe can move by about 5e-6 with the batch it is solved in.
-    A batch of b >= 8 DUAL_ROWS probes is solved in two phases.  The seed,
-    every (b // DUAL_ROWS)-th row, is solved as above, and each seed row
-    decided outside gives a dual Z: the search's, or with no free
-    coefficient Z = v v^H for the unit lowest eigenvector v of its X0 (one
-    eigh of those rows), since lambda_min(X0) <= v^H X0 v.  Each Z bounds t*
-    of every other probe by an affine function of a (``_dual_screen``, GEMMs
-    per SCREEN_CHUNK rows).  A row whose bound is below -tol by more than
-    tol/10 is outside with that bound as margin and X0 (c = 0) as
-    completion; only the others take the eigvalsh (and the search).  Such a
-    bound is at least lambda_min(X0) plus the rounding of eigvalsh, so with
-    no free coefficient the labels are still eigvalsh's.  With free
-    coefficients an open row starts at the free part (completion - X0) of
-    its nearest inside seed row (Euclidean in a), a completion whose
-    eigvalsh labels it inside at lambda_min >= -tol; only the others take
-    the search, from there.  A smaller batch, such as the 7-17 probes of a
-    ``tomography.design_probes`` step, is all seed: one eigvalsh, and the
-    search where coefficients are free.
+    dimensions are batched.  Returns (inside, margin, completion) for
+    t* = max over the free coefficients c of lambda_min(X(c)), where
+    X(0) = X0 = (X_fix + sum_alpha a_alpha F_alpha (x) 1)/d.  inside is
+    margin >= -tol, and then margin is the eigvalsh lambda_min of the
+    completion (..., d, d), the last X(c) (X0 on a screened row); outside,
+    it is an upper bound on t* from a dual Z, or the search's estimate where
+    the bounds meet (``_barrier_search``, ``_dual_screen``).  The search
+    stops on a test over its whole batch, so an inside margin can move by
+    about 5e-6 with the batch it is solved in.
+    A batch of b >= 8 DUAL_ROWS probes is solved in order: a seed of every
+    (b // DUAL_ROWS)-th row, a screen of the other rows by the seed's
+    outside duals, and a solve of the rows left open, each starting from the
+    free part of its nearest inside seed row.  A smaller batch is all seed.
     """
     probes = np.asarray(probes, dtype=float)
     n_axes = spec.n**2 - 1
@@ -126,18 +92,16 @@ def compatibility(
 def _solve_rows(x0, margin, rows, free_ops, tol, duals: bool) -> list:
     """Margins of ``rows``: lambda_min of their ``x0`` per SCREEN_CHUNK rows, then ``_barrier_search`` on those below -tol.
 
-    With ``duals`` it returns the Z of the rows decided outside, as a list of
-    stacks: with no free coefficient Z = v v^H, v the unit lowest eigenvector
-    of X0 from one eigh, otherwise the search's Z = mu (S^-1 - S^-1 dS S^-1).
+    Returns the duals Z of the rows decided outside, as a list of stacks: the
+    search's, or with no free coefficient and ``duals``, Z = v v^H for the
+    unit lowest eigenvector v of X0 from one eigh, since lambda_min(X0) <= v^H X0 v.
     """
     for lo in range(0, len(rows), SCREEN_CHUNK):
         r = rows[lo : lo + SCREEN_CHUNK]
         margin[r] = np.linalg.eigvalsh(x0[r])[:, 0]
     below = rows[margin[rows] < -tol]
     if len(free_ops):
-        parts = _barrier_search(x0, margin, below, free_ops, tol)
-        ops = np.concatenate([free_ops, -np.eye(x0.shape[-1])[None]])  # dS/dc_j, then dS/dt
-        return [mu * (s - s @ combine(step, ops) @ s) for mu, s, step in parts] if duals else []
+        return _barrier_search(x0, margin, below, free_ops, tol)
     if not (duals and below.size):
         return []
     v = np.linalg.eigh(x0[below])[1][:, :, 0]
@@ -147,10 +111,21 @@ def _solve_rows(x0, margin, rows, free_ops, tol, duals: bool) -> list:
 def _barrier_search(completion, margin, idx, free_ops, tol) -> list:
     """Barrier search of ``compatibility`` on the rows ``idx`` of X0 = ``completion``.
 
-    Each decided row's margin and last iterate are written into ``margin``
-    and ``completion``.  Returns the duals Z = mu (S^-1 - S^-1 dS S^-1) of
-    the rows decided outside (upper < -tol) as (mu, S^-1, Newton step)
-    parts, one tuple per step; ``_dual_screen`` forms them.
+    S = X(c) - t 1 is kept positive definite by a log-det barrier (Boyd &
+    Vandenberghe, Convex Optimization, ch. 11), centred by damped Newton
+    steps for mu = 1e-2, 1e-4, ..., 1e-14; a step is one inverse and the
+    GEMMs of ``_newton_terms``, with no eigvalsh.  Since S > 0,
+    lambda_min(X(c)) >= t + 1/||S^-1||_F, and ||S^-1||_F^2 is the t-t entry
+    of the Hessian.  While the Newton decrement is below 1,
+    Z = mu (S^-1 - S^-1 dS S^-1), dS the Newton step, is PSD with trace 1
+    and no free components, so Tr[Z X0] bounds t* from above.  A row is
+    decided inside once the lower bound reaches -tol, with margin
+    lambda_min(X(c)) from eigvalsh; outside (margin = upper bound) once the
+    upper bound is below -tol; otherwise by the midpoint of the bounds once
+    they are within tol/10.  A row still open after the last mu takes
+    lambda_min(X(c)).  Margins and last iterates are written into ``margin``
+    and ``completion``; returns the Z of the rows decided outside, one stack
+    per step.
     """
     k, d = len(free_ops), free_ops.shape[-1]
     eye = np.eye(d)
@@ -179,7 +154,8 @@ def _barrier_search(completion, margin, idx, free_ops, tol) -> list:
             done = inside | close | out
             if done.any():
                 if out.any():  # upper = Tr[Z X(c)]
-                    duals.append((mu, s_inv[out], step[out]))
+                    s_out = s_inv[out]
+                    duals.append(mu * (s_out - s_out @ combine(step[out], ops) @ s_out))
                 if inside.any():  # the margin of an inside probe is lambda_min of its completion
                     lower[inside] = np.linalg.eigvalsh(x[inside])[:, 0]
                 margin[idx[done]] = np.where(inside, lower, np.where(close, (lower + upper) / 2, upper))[done]

@@ -76,14 +76,13 @@ class AffineMap:
             raise ValueError(f"expected {self.m**2} operators of size {self.n}, got {self.g_ops.shape}")
         if self.k_mat.shape != (self.n, self.n):
             raise ValueError(f"K must be {self.n}x{self.n}, got {self.k_mat.shape}")
-        tol = VALIDATE_TOL
-        require_hermitian(self.k_mat, tol, "K")
+        require_hermitian(self.k_mat, VALIDATE_TOL, "K")
         tr = complex(np.trace(self.k_mat))
-        if abs(tr) > tol:
+        if abs(tr) > VALIDATE_TOL:
             raise ValueError(f"K must be traceless, got trace {tr.real:.3e}")
         eye = np.eye(self.n)  # sum G^dag G and sum G G^dag are traces of the B array
         left, right = np.einsum("rjrk->jk", self.b4), np.einsum("rjsj->rs", self.b4)
-        if np.abs(left - eye).max() > tol or np.abs(right - eye).max() > tol:
+        if max(np.abs(left - eye).max(), np.abs(right - eye).max()) > VALIDATE_TOL:
             raise ValueError("G operators violate the completeness sums")
 
     @cached_property
@@ -266,17 +265,10 @@ def pm_decomposition(amap: AffineMap, tol: float = 1e-10) -> tuple[list[np.ndarr
     """
     n = amap.n
     w, v = np.linalg.eigh(choi_matrix(amap))
-    ops: list[np.ndarray] = []
-    signs: list[int] = []
     order = np.argsort(-w)  # descending: positives first, then negatives by magnitude
-    for idx in order:
-        lam = w[idx]
-        if abs(lam) <= tol:
-            continue
-        c_op = np.sqrt(abs(lam)) * v[:, idx].reshape(n, n).T
-        ops.append(c_op)
-        signs.append(1 if lam > 0 else -1)
-    return ops, signs
+    keep = order[np.abs(w[order]) > tol]
+    ops = (np.sqrt(np.abs(w[keep])) * v[:, keep]).T.reshape(-1, n, n).transpose(0, 2, 1)
+    return list(ops), [1 if lam > 0 else -1 for lam in w[keep]]
 
 
 def purity_delta(amap: AffineMap, rho: np.ndarray, tol: float = DEFAULT_TOL) -> float:

@@ -278,9 +278,11 @@ FAMILIES = {
 }
 
 
-def _family(name: str) -> _Family:
+def _family(name: str, trials: int) -> _Family:
     if name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     return FAMILIES[name]
 
 
@@ -298,9 +300,7 @@ def kappa_search(family: str, trials: int, seed: int = 0) -> KappaSearchResult:
     one trial at a time, so the random stream does not depend on the
     batching, and evaluated in batches of _BLOCK trials; deterministic per seed.
     """
-    fam = _family(family)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    fam = _family(family, trials)
     rng = np.random.default_rng(seed)
 
     def best_states(params):
@@ -346,9 +346,7 @@ def bounds_sweep(family: str, trials: int, seed: int = 0, tol: float = DEFAULT_T
     coefficients and the unitaries are then built in blocks, and each
     (U, state) pair is checked by its own kappa_bounds_check call.
     """
-    fam = _family(family)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    fam = _family(family, trials)
     rng = np.random.default_rng(seed)
     params, gs = zip(*[(fam.draw(rng), complex_gaussian(4, rng)) for _ in range(trials)])
     coeff = expand_states(gram_density(np.array(gs)), product_basis(2, 2), tol)

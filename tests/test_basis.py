@@ -217,6 +217,13 @@ def test_coeffs_json_round_trip():
     assert np.array_equal(back.free, coeffs.free)
 
 
+def test_coeffs_json_reads_booleans_and_digits_as_free_mask():
+    data = JointStateCoeffs.blank(2, 2).to_json_dict()
+    data["free_mask"][1] = [False, True, 0, 1]
+    back = JointStateCoeffs.from_json_dict(json.loads(json.dumps(data)))
+    assert back.free[1].tolist() == [False, True, False, True]
+
+
 def test_coeffs_requires_unit_leading_entry():
     coeff = np.zeros((4, 4))
     with pytest.raises(ValueError):

@@ -416,13 +416,17 @@ def identity_pairs(offset) -> list:
     return json.loads(pairs_json(probes))
 
 
+FREE_MASK_ENTRIES_NOT_0_OR_1 = ["0", 0.5, "x", None, 2]
+
+
 def malformed_files(tmp_path) -> dict:
     """Name -> path of one valid map and spec, and of files each broken in one field."""
     good_map = map_to_json_dict(fig1a_map())
     nan_spec = JointStateCoeffs.blank(2, 2).to_json_dict()
     nan_spec["coeff"][0][1] = float("nan")
+    blank_spec = JointStateCoeffs.blank(2, 2).to_json_dict()
     contents = {
-        "spec": JointStateCoeffs.blank(2, 2).to_json_dict(),
+        "spec": blank_spec,
         "map": good_map,
         "unitary": {"matrix": to_pairs(np.eye(4))},
         "map_32": map_to_json_dict(AffineMap(n=3, m=2, g_ops=np.concatenate([np.eye(3)[None], np.zeros((3, 3, 3))]), k_mat=np.zeros((3, 3)))),
@@ -437,6 +441,8 @@ def malformed_files(tmp_path) -> dict:
         "pairs_out_object": [{"rho_in_coeffs": [0, 0, 0], "rho_out": {"re": 1}}],
         "spec_nan": nan_spec,
         "spec_21": JointStateCoeffs.blank(2, 1).to_json_dict(),
+        **{f"spec_free_{i}": {**blank_spec, "free_mask": [[0, 0, 0, 0], [0, entry, 0, 0], [0] * 4, [0] * 4]}
+           for i, entry in enumerate(FREE_MASK_ENTRIES_NOT_0_OR_1)},
         "pairs_4_coeffs": [{"rho_in_coeffs": [0.0, 0.0, 0.0, 0.0], "rho_out": HALF}] * 4,
         "pairs_3x3_out": [{"rho_in_coeffs": [0.0, 0.0, 0.0], "rho_out": THIRD}] * 4,
         "pairs_no_coeffs": [{"rho_in_coeffs": [], "rho_out": [[[1.0, 0.0]]]}] * 4,
@@ -505,6 +511,8 @@ def malformed_files(tmp_path) -> dict:
         ["domains", "--spec", "{spec}", "--section", "p1p2", "--count", "5"],
         ["domains", "--spec", "{spec}", "--region", "random", "--count", "5", "--resolution", "7"],
         ["preset", "fig2", "--seed", "9"],
+        # a free_mask entry is 0, 1, false or true
+        *[["domains", "--spec", f"{{spec_free_{i}}}"] for i in range(len(FREE_MASK_ENTRIES_NOT_0_OR_1))],
     ],
 )
 def test_malformed_input_exits_2(tmp_path, argv):
@@ -512,6 +520,20 @@ def test_malformed_input_exits_2(tmp_path, argv):
     out = tmp_path / "out"
     assert main([paths.get(a.strip("{}"), a) for a in argv] + ["--out", str(out)]) == 2
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # arrays of 2 EiB and 711 PiB, beyond any address space: numpy fails at once, touching no memory
+        ["domains", "--spec", "{spec}", "--region", "random", "--count", "100000000000000000"],
+        ["image", "--map", "{map}", "--section", "p1p2", "--resolution", "100000000000000000"],
+    ],
+)
+def test_failed_allocation_exits_2(tmp_path, capsys, argv):
+    paths = malformed_files(tmp_path)
+    assert main([paths.get(a.strip("{}"), a) for a in argv] + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("command", ["apply", "purity"])

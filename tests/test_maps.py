@@ -465,18 +465,21 @@ def test_pm_decomposition_operator_count(rng):
         assert len(ops) <= 4
 
 
-def test_pm_decomposition_reconstructs(rng):
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (3, 3)])
+def test_pm_decomposition_reconstructs(rng, dims):
+    n = dims[0]
     for _ in range(20):
-        amap = random_map(rng)
+        amap = random_map(rng, *dims)
         ops, signs = pm_decomposition(amap)
-        q = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        q = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         rebuilt = sum(s * (c @ q @ dagger(c)) for c, s in zip(ops, signs))
         np.testing.assert_allclose(rebuilt, b_matrix(amap).apply(q), atol=1e-9)
 
 
-def test_cp_flag_matches_sign_census(rng):
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (3, 3)])
+def test_cp_flag_matches_sign_census(rng, dims):
     for _ in range(50):
-        amap = random_map(rng)
+        amap = random_map(rng, *dims)
         _, is_cp = choi_and_cp(amap, tol=1e-9)
         _, signs = pm_decomposition(amap, tol=1e-9)
         assert is_cp == all(s == 1 for s in signs)
