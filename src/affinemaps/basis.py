@@ -207,7 +207,7 @@ def expand_states(pis: np.ndarray, pb: ProductBasis, tol: float = DEFAULT_TOL) -
         p = flat[lo : lo + EXPAND_CHUNK]
         out[:, lo : lo + EXPAND_CHUNK] = trace_pairing(pb.mats, np.stack([p, -1j * p])[:, :, None])
     residue = float(np.abs(out[1]).max())
-    if residue > tol:
+    if not residue <= tol:
         raise ValueError(f"complex expansion coefficients (residue {residue:.3e}); non-Hermitian input")
     out[0, :, 0, 0] = 1.0  # <F_00> = Tr Pi passed the trace rule; the table holds it as exactly 1
     return out[0].reshape(pis.shape[:-2] + out.shape[2:])

@@ -1,7 +1,9 @@
 """Command-line interface: build maps, check properties, sample domains,
 run the example families, reconstruct maps, and emit figure data files.
 
-Exit codes: 0 success, 2 validation error, 3 infeasibility, 4 numerical
+Each JSON subcommand returns its payload and ``main`` writes it to --out
+(stdout without); ``domains``, ``image`` and ``preset`` write their own
+files.  Exit codes: 0 success, 2 validation error, 3 infeasibility, 4 numerical
 failure.  All runs are reproducible byte-for-byte for fixed inputs and
 seed.
 """
@@ -85,12 +87,15 @@ def _map_properties(amap: mp.AffineMap, tol: float) -> dict:
 
 
 def _map_payload(amap: mp.AffineMap, tol: float) -> dict:
-    payload = mp.map_to_json_dict(amap)
-    payload["properties"] = _map_properties(amap, tol)
-    return payload
+    return {**mp.map_to_json_dict(amap), "properties": _map_properties(amap, tol)}
 
 
-def cmd_extract(args) -> int:
+def _probe(args, amap: mp.AffineMap) -> np.ndarray:
+    """The state of the --probe coefficients, which must be a density matrix."""
+    return probe_state(_parse_vector(args.probe, amap.n**2 - 1, "--probe"), amap.n)
+
+
+def cmd_extract(args) -> dict:
     u = _matrix(_load_json(args.unitary))
     data = _load_json(args.state)  # a coefficient file carries its dims, a raw matrix takes --dims
     if "coeff" in data:
@@ -106,51 +111,35 @@ def cmd_extract(args) -> int:
         if pi.shape != (d, d):  # checked before the product basis is built for these dims
             raise ValueError(f"state matrix has shape {pi.shape}, --dims {dims} needs {(d, d)}")
         pb = product_basis(*dims)
-    amap = mp.extract_map(u, pi, pb, args.tol)
-    _write_payload(_map_payload(amap, args.tol), args.out)
-    return 0
+    return _map_payload(mp.extract_map(u, pi, pb, args.tol), args.tol)
 
 
-def cmd_apply(args) -> int:
+def cmd_apply(args) -> dict:
     amap = _load_map(args.map)
-    if args.probe is not None:
-        rho = probe_state(_parse_vector(args.probe, amap.n**2 - 1, "--probe"), amap.n)
-    else:
-        rho = _matrix(_load_json(args.state))
+    rho = _probe(args, amap) if args.state is None else _matrix(_load_json(args.state))
     out = mp.apply_affine(amap, rho, args.tol)
     payload = {"rho_out": to_pairs(out)}
     if amap.n == 2:
         payload["bloch_out"] = coefficients(out, 2).tolist()
-    _write_payload(payload, args.out)
-    return 0
+    return payload
 
 
-def cmd_check_cp(args) -> int:
+def cmd_check_cp(args) -> dict:
     amap = _load_map(args.map)
     eigenvalues, is_cp = mp.choi_and_cp(amap, args.tol)
     ops, signs = mp.pm_decomposition(amap, tol=max(args.tol, 1e-10))
-    payload = {
+    return {
         "is_cp": is_cp,
         "choi_eigenvalues": [float(x) for x in eigenvalues],
         "num_ops": len(ops),
         "negative_ops": int(sum(1 for s in signs if s < 0)),
     }
-    _write_payload(payload, args.out)
-    return 0
 
 
-def cmd_purity(args) -> int:
+def cmd_purity(args) -> dict:
     amap = _load_map(args.map)
-    if args.probe is not None:
-        rho = probe_state(_parse_vector(args.probe, amap.n**2 - 1, "--probe"), amap.n)
-    else:
-        rho = np.eye(amap.n, dtype=complex) / amap.n
-    payload = {
-        "purity_delta": mp.purity_delta(amap, rho, args.tol),
-        **_map_properties(amap, args.tol),
-    }
-    _write_payload(payload, args.out)
-    return 0
+    rho = np.eye(amap.n, dtype=complex) / amap.n if args.probe is None else _probe(args, amap)
+    return {"purity_delta": mp.purity_delta(amap, rho, args.tol), **_map_properties(amap, args.tol)}
 
 
 def _csv_paths(out: str) -> tuple[str, str]:
@@ -158,25 +147,14 @@ def _csv_paths(out: str) -> tuple[str, str]:
     return base + ".csv", base + ".json"
 
 
-def cmd_domains(args) -> int:
-    if args.region == "random" and args.count is not None:
-        _reject(args, ("resolution",), "--count")
+def cmd_domains(args) -> None:
     spec = _load_spec(args.spec)
     amap = _load_map(args.map) if args.map else None
-    sample = dom.sample_domain(
-        spec,
-        amap=amap,
-        region=args.region,
-        section=args.section,
-        resolution=101 if args.resolution is None else args.resolution,
-        count=args.count,
-        seed=args.seed,
-        tol=args.tol,
-    )
+    resolution = 101 if args.resolution is None else args.resolution
+    sample = dom.sample_domain(spec, amap, args.region, args.section, resolution, args.count, args.seed, args.tol)
     csv_path, meta_path = _csv_paths(args.out)
     sample.write_csv(csv_path)
     _write_payload(sample.sidecar_dict(spec, args.map), meta_path)
-    return 0
 
 
 def _write_pairs_csv(path: str, inputs: np.ndarray, outputs: np.ndarray, labels: dict | None = None) -> None:
@@ -185,12 +163,8 @@ def _write_pairs_csv(path: str, inputs: np.ndarray, outputs: np.ndarray, labels:
     dom._write_csv(path, header, np.hstack([inputs, outputs]), list(labels.values()))
 
 
-def cmd_image(args) -> int:
-    amap = _load_map(args.map)
-    inputs, outputs = dom.image_of_ball(amap, args.section, args.resolution)
-    csv_path, _ = _csv_paths(args.out)
-    _write_pairs_csv(csv_path, inputs, outputs)
-    return 0
+def cmd_image(args) -> None:
+    _write_pairs_csv(_csv_paths(args.out)[0], *dom.image_of_ball(_load_map(args.map), args.section, args.resolution))
 
 
 def _reject(args, names: tuple, context: str) -> None:
@@ -200,7 +174,7 @@ def _reject(args, names: tuple, context: str) -> None:
         raise ValueError(f"{', '.join(given)} cannot be used with {context}")
 
 
-def cmd_tomography(args) -> int:
+def cmd_tomography(args) -> dict:
     truth = None
     if args.pairs:
         _reject(args, ("spec", "base", "eps"), "--pairs")
@@ -215,29 +189,24 @@ def cmd_tomography(args) -> int:
         probes = tom.design_probes(spec, base, eps=args.eps or 0.05, tol=args.tol)
         tom.evaluate_probes(probes, tom.map_oracle(truth))
     recon = tom.reconstruct_map(probes)
-    payload = {
+    return {
         "n": recon.n,
         "one_prime": to_pairs(recon.one_prime),
         "f_primes": to_pairs(recon.f_primes),
         "k": to_pairs(recon.k_mat),
         "residual": recon.residual,
-        "validation": tom.validate_reconstruction(recon, truth, args.tol).to_dict()
-        if truth
-        else None,
+        "validation": None if truth is None else tom.validate_reconstruction(recon, truth, args.tol)._asdict(),
     }
-    _write_payload(payload, args.out)
-    return 0
 
 
-def cmd_kappa(args) -> int:
+def cmd_kappa(args) -> dict:
     result = q2.kappa_search(args.family, args.trials, seed=args.seed)
     sweep = q2.bounds_sweep(args.family, args.trials, seed=args.seed + 1, tol=args.tol)
-    payload = {
+    return {
         "family": args.family,
         "trials": args.trials,
         "seed": args.seed,
-        "best_kappa_norm": result.best_kappa_norm,
-        "witness": result.witness,
+        **result._asdict(),
         "bounds": {
             "checked": sweep.checked,
             "ok": sweep.ok,
@@ -247,23 +216,15 @@ def cmd_kappa(args) -> int:
         },
         "global_bound": q2.GOLDEN_KAPPA_BOUND,
     }
-    _write_payload(payload, args.out)
-    return 0
 
 
-def cmd_example(args) -> int:
+def cmd_example(args) -> dict:
     spec = _load_spec(args.spec) if args.spec else JointStateCoeffs.blank(2, 2)
     if args.family == "int-ham":
-        _reject(args, ("r1", "r2"), "int-ham")
-        gamma = _parse_vector("0,0,0" if args.gamma is None else args.gamma, 3, "--gamma")
-        u = q2.int_ham_unitary(q2.IntHamParams(gamma=tuple(gamma)))
+        u = q2.int_ham_unitary(q2.IntHamParams(gamma=tuple(_parse_vector(args.gamma, 3, "--gamma"))))
     else:
-        _reject(args, ("gamma",), "lorentz")
-        if not (args.r1 and args.r2):
-            raise ValueError("lorentz example requires --r1 and --r2")
         u = q2.lorentz_unitary(q2.LorentzParams(r1=_parse_rotation(args.r1), r2=_parse_rotation(args.r2)))
-    _write_payload(_map_payload(mp.map_from_unitary(u, spec, args.tol), args.tol), args.out)
-    return 0
+    return _map_payload(mp.map_from_unitary(u, spec, args.tol), args.tol)
 
 
 def fig1_spec(diagonals_free: bool = True) -> JointStateCoeffs:
@@ -305,7 +266,7 @@ def _emit_section(spec, amap, section, resolution, tol, out_dir, stem, files) ->
     return sample
 
 
-def cmd_preset(args) -> int:
+def cmd_preset(args) -> None:
     out_dir = args.out or f"preset_{args.name}"
     os.makedirs(out_dir, exist_ok=True)
     res = args.resolution
@@ -341,7 +302,6 @@ def cmd_preset(args) -> int:
         meta["spec"] = spec.to_json_dict()
 
     _write_payload(meta, os.path.join(out_dir, f"{args.name}_meta.json"))
-    return 0
 
 
 def _positive(text: str) -> float:
@@ -399,11 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", default=None)
     p.add_argument("--section", choices=sorted(dom.SECTION_AXES), default=None)
     p.add_argument("--region", choices=["grid", "random"], default="grid")
-    p.add_argument("--resolution", type=int, default=None, help="not with --region random --count (default 101)")
-    p.add_argument("--count", type=int, default=None)
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--resolution", type=int, default=None, help="default 101")
+    size.add_argument("--count", type=int, default=None, help="with --region random only")
     common(p, seed=True)
-    p.set_defaults(func=cmd_domains)
-    p.set_defaults(out="domain_section")
+    p.set_defaults(func=cmd_domains, out="domain_section")
 
     p = sub.add_parser("image", help="map image of the unit circle in a section plane")
     p.add_argument("--map", required=True)
@@ -429,13 +389,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kappa)
 
     p = sub.add_parser("example", help="maps of the two-qubit example families")
-    p.add_argument("family", choices=["int-ham", "lorentz"])
-    p.add_argument("--gamma", default=None, help="int-ham only: three angles in radians a,b,c (default 0,0,0)")
-    p.add_argument("--r1", default=None, help='lorentz only: rotation JSON {"axis":[x,y,z],"angle":t}')
-    p.add_argument("--r2", default=None, help="lorentz only")
-    p.add_argument("--spec", default=None, help="correlation coefficients JSON file")
-    common(p)
-    p.set_defaults(func=cmd_example)
+    families = p.add_subparsers(dest="family", required=True)
+    ham = families.add_parser("int-ham", help="U = exp(-i/2 sum_j gamma_j s_j (x) x_j)")
+    ham.add_argument("--gamma", default="0,0,0", help="three angles in radians a,b,c (default 0,0,0)")
+    lorentz = families.add_parser("lorentz", help="U = D1 (x) (1 + x1)/2 + D2 (x) (1 - x1)/2")
+    for name in ("--r1", "--r2"):
+        lorentz.add_argument(name, required=True, help='rotation JSON {"axis":[x,y,z],"angle":t}')
+    for p in (ham, lorentz):
+        p.add_argument("--spec", default=None, help="correlation coefficients JSON file")
+        common(p)
+        p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("preset", help="emit the bundled figure data sets")
     p.add_argument("name", choices=["fig1", "fig1a", "fig2"])
@@ -453,14 +416,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        payload = args.func(args)
+        if payload is not None:
+            _write_payload(payload, args.out)
+        return 0
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError, OSError, MemoryError) as exc:
+    except KeyError as exc:
+        print(f"error: missing key {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

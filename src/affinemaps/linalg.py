@@ -14,13 +14,13 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 def require_hermitian(a: np.ndarray, tol: float = DEFAULT_TOL, name: str = "matrix") -> None:
     dev = float(np.abs(a - dagger(a)).max())
-    if dev > tol:
+    if not dev <= tol:  # a NaN deviation fails: every comparison with NaN is False
         raise ValueError(f"{name} is not Hermitian (deviation {dev:.3e} > tol {tol:.3e})")
 
 
 def require_unitary(u: np.ndarray, tol: float = DEFAULT_TOL, name: str = "matrix") -> None:
     d = u.shape[-1]
-    if u.shape[-2] != d or float(np.abs(dagger(u) @ u - np.eye(d)).max()) > tol:
+    if u.shape[-2] != d or not float(np.abs(dagger(u) @ u - np.eye(d)).max()) <= tol:
         raise ValueError(f"{name} is not unitary to tolerance {tol:.3e}")
 
 
@@ -54,7 +54,7 @@ def require_unit_trace(a: np.ndarray, tol: float = DEFAULT_TOL, name: str = "mat
     """Check Hermitian to ``tol`` and trace 1 to 10 max(tol, 1e-9), batched; the first bad trace is reported."""
     require_hermitian(a, tol, name)
     tr = a.trace(0, -2, -1)
-    bad = abs(tr - 1.0) > max(tol, 1e-9) * 10
+    bad = ~(abs(tr - 1.0) <= max(tol, 1e-9) * 10)
     if bad.any():
         raise ValueError(f"{name} has trace {np.asarray(tr)[bad].flat[0].real:.6g}, expected 1")
 

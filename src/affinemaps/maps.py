@@ -78,11 +78,11 @@ class AffineMap:
             raise ValueError(f"K must be {self.n}x{self.n}, got {self.k_mat.shape}")
         require_hermitian(self.k_mat, VALIDATE_TOL, "K")
         tr = complex(np.trace(self.k_mat))
-        if abs(tr) > VALIDATE_TOL:
+        if not abs(tr) <= VALIDATE_TOL:
             raise ValueError(f"K must be traceless, got trace {tr.real:.3e}")
         eye = np.eye(self.n)  # sum G^dag G and sum G G^dag are traces of the B array
         left, right = np.einsum("rjrk->jk", self.b4), np.einsum("rjsj->rs", self.b4)
-        if max(np.abs(left - eye).max(), np.abs(right - eye).max()) > VALIDATE_TOL:
+        if not (np.abs(left - eye).max() <= VALIDATE_TOL and np.abs(right - eye).max() <= VALIDATE_TOL):
             raise ValueError("G operators violate the completeness sums")
 
     @cached_property

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -149,30 +149,15 @@ def reconstruct_map(probes: ProbeSet) -> MapReconstruction:
     return MapReconstruction(n=n, one_prime=mats[0], f_primes=mats[1:], residual=residual)
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
+    """Deviations per part and overall, the tolerance and the verdict, in the order the CLI writes them."""
+
     max_dev_one_prime: float
     max_dev_f_primes: float
     max_dev_k: float
+    max_dev: float
     tol: float
-
-    @property
-    def max_dev(self) -> float:
-        return max(self.max_dev_one_prime, self.max_dev_f_primes, self.max_dev_k)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_dev <= self.tol
-
-    def to_dict(self) -> dict:
-        return {
-            "max_dev_one_prime": self.max_dev_one_prime,
-            "max_dev_f_primes": self.max_dev_f_primes,
-            "max_dev_k": self.max_dev_k,
-            "max_dev": self.max_dev,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+    passed: bool
 
 
 def validate_reconstruction(
@@ -181,12 +166,13 @@ def validate_reconstruction(
     """Entrywise deviations of a reconstruction from a ground-truth map."""
     if recon.n != truth.n:
         raise ValueError("dimension mismatch between reconstruction and truth")
-    return ValidationReport(
-        max_dev_one_prime=float(np.abs(recon.one_prime - truth.one_prime).max()),
-        max_dev_f_primes=float(np.abs(recon.f_primes - truth.f_primes).max()),
-        max_dev_k=float(np.abs(recon.k_mat - truth.k_mat).max()),
-        tol=tol,
+    devs = (
+        float(np.abs(recon.one_prime - truth.one_prime).max()),
+        float(np.abs(recon.f_primes - truth.f_primes).max()),
+        float(np.abs(recon.k_mat - truth.k_mat).max()),
     )
+    max_dev = max(devs)
+    return ValidationReport(*devs, max_dev, tol, max_dev <= tol)
 
 
 def pairs_from_json(text: str, tol: float = DEFAULT_TOL) -> ProbeSet:

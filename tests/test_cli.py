@@ -441,6 +441,7 @@ def malformed_files(tmp_path) -> dict:
         "pairs_out_object": [{"rho_in_coeffs": [0, 0, 0], "rho_out": {"re": 1}}],
         "spec_nan": nan_spec,
         "spec_21": JointStateCoeffs.blank(2, 1).to_json_dict(),
+        "spec_no_free_mask": {k: v for k, v in blank_spec.items() if k != "free_mask"},
         **{f"spec_free_{i}": {**blank_spec, "free_mask": [[0, 0, 0, 0], [0, entry, 0, 0], [0] * 4, [0] * 4]}
            for i, entry in enumerate(FREE_MASK_ENTRIES_NOT_0_OR_1)},
         "pairs_4_coeffs": [{"rho_in_coeffs": [0.0, 0.0, 0.0, 0.0], "rho_out": HALF}] * 4,
@@ -492,6 +493,7 @@ def malformed_files(tmp_path) -> dict:
         ["image", "--map", "{map}", "--section", "p1p2", "--resolution", "0"],
         ["example", "int-ham", "--spec", "{spec_21}"],
         ["example", "lorentz", "--r1", ROT, "--r2", ROT, "--spec", "{spec_21}"],
+        ["example", "lorentz", "--r1", ROT],
         ["domains", "--spec", "{spec}", "--region", "random", "--count", "5", "--section", "p1p2"],
         ["tomography", "--pairs", "{pairs_4_coeffs}"],
         ["tomography", "--pairs", "{pairs_3x3_out}"],
@@ -548,6 +550,8 @@ def test_pure_probe_on_the_sphere_is_a_state(tmp_path, command):
         ["image", "--map", "{map}", "--section", "p1p2", "--tol", "1"],
         ["extract", "--unitary", "{map}", "--state", "{spec}", "--seed", "1"],
         ["apply", "--map", "{map}", "--probe", "0,0,0", "--seed", "1"],
+        ["example", "int-ham", "--r1", ROT],
+        ["example", "lorentz", "--gamma", "1,2,3", "--r1", ROT, "--r2", ROT],
     ],
 )
 def test_options_a_subcommand_does_not_read_exit_2(tmp_path, capsys, argv):
@@ -569,6 +573,55 @@ def test_options_a_subcommand_does_not_read_exit_2(tmp_path, capsys, argv):
 def test_tomography_pair_shape_error_names_the_field(tmp_path, capsys, name, field):
     assert main(["tomography", "--pairs", malformed_files(tmp_path)[name], "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field} of pair 0 ")
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["domains", "--spec", "{spec_no_free_mask}"], "free_mask"),
+        (["example", "lorentz", "--r1", '{"axis": [0, 0, 1]}', "--r2", ROT], "angle"),
+    ],
+)
+def test_missing_json_key_is_named(tmp_path, capsys, argv, key):
+    paths = malformed_files(tmp_path)
+    assert main([paths.get(a.strip("{}"), a) for a in argv] + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: missing key '{key}'\n"
+
+
+MAP_KEYS = ["n", "m", "g_ops", "k", "one_prime", "f_primes", "b_matrix", "properties"]
+PROPERTY_KEYS = ["trace_k", "is_cp", "purity_theorem_side", "purity_delta_max_mixed"]
+RECON_KEYS = ["n", "one_prime", "f_primes", "k", "residual", "validation"]
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["extract", "--unitary", "{unitary}", "--state", "{spec}"], MAP_KEYS),
+        (["example", "int-ham"], MAP_KEYS),
+        (["apply", "--map", "{map}", "--probe", "0,0,0"], ["rho_out", "bloch_out"]),
+        (["check-cp", "--map", "{map}"], ["is_cp", "choi_eigenvalues", "num_ops", "negative_ops"]),
+        (["purity", "--map", "{map}"], ["purity_delta", *PROPERTY_KEYS]),
+        (["tomography", "--map", "{map}"], RECON_KEYS),
+        (["tomography", "--pairs", "{full_rank_pairs}"], RECON_KEYS),
+        (["kappa", "--family", "lorentz", "--trials", "2"],
+         ["family", "trials", "seed", "best_kappa_norm", "witness", "bounds", "global_bound"]),
+    ],
+)
+def test_json_payload_keys_in_order(tmp_path, argv, keys):
+    # the payloads spread library records (ValidationReport, KappaSearchResult): a renamed field fails here
+    paths = malformed_files(tmp_path)
+    out = tmp_path / "out.json"
+    assert main([paths.get(a.strip("{}"), a) for a in argv] + ["--out", str(out)]) == 0
+    data = read_json(out)
+    assert list(data) == keys
+    if "properties" in data:
+        assert list(data["properties"]) == PROPERTY_KEYS
+    if argv[0] == "kappa":
+        assert list(data["bounds"]) == ["checked", "ok", "violations", "max_kappa_norm", "min_margin"]
+    if argv[:2] == ["tomography", "--map"]:
+        assert list(data["validation"]) == ["max_dev_one_prime", "max_dev_f_primes", "max_dev_k", "max_dev", "tol", "passed"]
+    elif argv[0] == "tomography":
+        assert data["validation"] is None
 
 
 def test_tomography_pairs_read_tol(tmp_path, capsys):

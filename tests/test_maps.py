@@ -31,6 +31,7 @@ from affinemaps.qubit2 import (
     LorentzParams,
     Rotation,
     int_ham_unitary,
+    kappa_bounds_check,
     lorentz_unitary,
     su2_from_rotation,
 )
@@ -301,6 +302,29 @@ def test_extract_map_rejects_a_state_of_other_dims(pb22):
 def test_map_from_unitary_rejects_a_unitary_of_other_dims(rng, dims):
     with pytest.raises(ValueError, match=r"unitary has shape \(4, 4\)"):
         map_from_unitary(random_unitary(4, rng), JointStateCoeffs.blank(*dims))
+
+
+def with_nan(a):
+    """A complex copy of ``a`` with its [0, 1] entry NaN."""
+    a = np.array(a, dtype=complex)
+    a[0, 1] = np.nan
+    return a
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: map_from_unitary(with_nan(np.eye(4)), JointStateCoeffs.blank(2, 2)), "not unitary"),
+        (lambda: kappa_bounds_check(with_nan(np.eye(4)), JointStateCoeffs.blank(2, 2)), "not unitary"),
+        (lambda: AffineMap(n=2, m=1, g_ops=np.eye(2)[None], k_mat=with_nan(np.zeros((2, 2)))), "K is not Hermitian"),
+        (lambda: AffineMap(n=2, m=1, g_ops=with_nan(np.eye(2))[None], k_mat=np.zeros((2, 2))), "completeness"),
+    ],
+    ids=["map_from_unitary", "kappa_bounds_check", "AffineMap-K", "AffineMap-G"],
+)
+def test_nan_fails_every_tolerance_check(build, match):
+    # a deviation of NaN compares False with any tolerance, so each check is written `not dev <= tol`
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 # ---------------------------------------------------------------------------

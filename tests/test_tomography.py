@@ -146,7 +146,7 @@ def test_reconstruct_known_map(rng):
     evaluate_probes(probes, map_oracle(truth))
     recon = reconstruct_map(probes)
     report = validate_reconstruction(recon, truth, tol=1e-10)
-    assert report.passed, report.to_dict()
+    assert report.passed, report._asdict()
 
 
 def test_reconstruct_closed_form_family():
@@ -278,7 +278,7 @@ def test_validate_self_comparison(rng):
     recon = reconstruct_map(probes)
     report = validate_reconstruction(recon, truth)
     assert report.max_dev < 1e-10
-    data = report.to_dict()
+    data = report._asdict()
     assert data["passed"] is True
 
 
