@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,30 +100,17 @@ def product_basis(n: int, m: int) -> "ProductBasis":
 
 @functools.cache
 def _product_basis(n: int, m: int) -> "ProductBasis":
-    return ProductBasis(basis_s=build_basis(n), basis_r=build_basis(m))
+    basis_s, basis_r = build_basis(n), build_basis(m)
+    return ProductBasis(n, m, n * m, basis_s, basis_r, _read_only(np.kron(basis_s[:, None], basis_r[None])))
 
 
-@dataclass(frozen=True)
-class ProductBasis:
+class ProductBasis(NamedTuple):
+    n: int
+    m: int
+    dim: int  # n * m
     basis_s: np.ndarray  # build_basis(n)
     basis_r: np.ndarray  # build_basis(m)
-    mats: np.ndarray = field(init=False)  # (n^2, m^2, n*m, n*m)
-
-    def __post_init__(self):
-        prod = np.kron(self.basis_s[:, None], self.basis_r[None])
-        object.__setattr__(self, "mats", _read_only(prod))
-
-    @property
-    def n(self) -> int:
-        return self.basis_s.shape[-1]
-
-    @property
-    def m(self) -> int:
-        return self.basis_r.shape[-1]
-
-    @property
-    def dim(self) -> int:
-        return self.n * self.m
+    mats: np.ndarray  # (n^2, m^2, n*m, n*m)
 
 
 @dataclass

@@ -154,13 +154,21 @@ def cmd_domains(args) -> None:
     sample = dom.sample_domain(spec, amap, args.region, args.section, resolution, args.count, args.seed, args.tol)
     csv_path, meta_path = _csv_paths(args.out)
     sample.write_csv(csv_path)
-    _write_payload(sample.sidecar_dict(spec, args.map), meta_path)
+    sidecar = {
+        "spec": spec.to_json_dict(),
+        "map": args.map,
+        "seed": args.seed if args.region == "random" else None,  # a grid draws no random numbers
+        "resolution": None if args.count is not None else resolution,
+        "section": args.section,
+        "region": args.region,
+    }
+    _write_payload(sidecar, meta_path)
 
 
 def _write_pairs_csv(path: str, inputs: np.ndarray, outputs: np.ndarray, labels: dict | None = None) -> None:
     labels = labels or {}
     header = ",".join(["in1,in2,in3,out1,out2,out3", *labels])
-    dom._write_csv(path, header, np.hstack([inputs, outputs]), list(labels.values()))
+    dom.write_csv(path, header, np.hstack([inputs, outputs]), list(labels.values()))
 
 
 def cmd_image(args) -> None:
@@ -231,14 +239,9 @@ def fig1_spec(diagonals_free: bool = True) -> JointStateCoeffs:
     """Environment and cross-correlation coefficients all 1/4; diagonal
     correlations either free or pinned to zero."""
     spec = JointStateCoeffs.blank(2, 2)
-    for k in (1, 2, 3):
-        spec.coeff[0, k] = 0.25
-    for j in (1, 2, 3):
-        for k in (1, 2, 3):
-            if j != k:
-                spec.coeff[j, k] = 0.25
-            elif diagonals_free:
-                spec.free[j, j] = True
+    spec.coeff[:, 1:] = 0.25
+    spec.coeff[[1, 2, 3], [1, 2, 3]] = 0.0
+    spec.free[[1, 2, 3], [1, 2, 3]] = diagonals_free
     return spec
 
 
@@ -257,48 +260,44 @@ def fig1a_map() -> mp.AffineMap:
     return q2.int_ham_map(q2.IntHamParams(gamma=FIG1A_GAMMA), fig1_spec(diagonals_free=False))
 
 
-def _emit_section(spec, amap, section, resolution, tol, out_dir, stem, files) -> dom.DomainSample:
-    """Sample one grid section, write it as <stem>_<section>.csv and list the file in ``files``."""
-    sample = dom.sample_domain(spec, amap=amap, region="grid", section=section, resolution=resolution, tol=tol)
-    name = f"{stem}_{section}.csv"
-    sample.write_csv(os.path.join(out_dir, name))
-    files.append(name)
-    return sample
-
-
 def cmd_preset(args) -> None:
     out_dir = args.out or f"preset_{args.name}"
     os.makedirs(out_dir, exist_ok=True)
-    res = args.resolution
-    meta: dict = {"preset": args.name, "resolution": res, "files": []}
+    meta: dict = {"preset": args.name, "resolution": args.resolution, "files": []}
+
+    def path(name: str) -> str:
+        """The path of ``name`` in the output directory, listed in the meta's files."""
+        meta["files"].append(name)
+        return os.path.join(out_dir, name)
+
+    def emit(spec: JointStateCoeffs, stem: str, section: str, amap=None) -> dom.DomainSample:
+        """Sample one grid section and write it as <stem>_<section>.csv."""
+        sample = dom.sample_domain(spec, amap=amap, section=section, resolution=args.resolution, tol=args.tol)
+        sample.write_csv(path(f"{stem}_{section}.csv"))
+        return sample
 
     if args.name == "fig1":
         for section in ("p1p2", "p1p3", "p2p3"):
             for label, spec in (("partial", fig1_spec(True)), ("full", fig1_spec(False))):
-                _emit_section(spec, None, section, res, args.tol, out_dir, f"fig1_{label}", meta["files"])
+                emit(spec, f"fig1_{label}", section)
         meta["spec_partial"] = fig1_spec(True).to_json_dict()
         meta["spec_full"] = fig1_spec(False).to_json_dict()
 
     elif args.name == "fig1a":
         amap = fig1a_map()
-        _write_payload(_map_payload(amap, args.tol), os.path.join(out_dir, "fig1a_map.json"))
-        meta["files"].append("fig1a_map.json")
+        _write_payload(_map_payload(amap, args.tol), path("fig1a_map.json"))
         meta["gamma"] = list(FIG1A_GAMMA)
-        _emit_section(fig1_spec(True), amap, "p1p2", res, args.tol, out_dir, "fig1a_partial", meta["files"])
-        sample = _emit_section(fig1_spec(False), amap, "p1p2", res, args.tol, out_dir, "fig1a_full", meta["files"])
+        emit(fig1_spec(True), "fig1a_partial", "p1p2", amap)
+        sample = emit(fig1_spec(False), "fig1a_full", "p1p2", amap)
         t_mat, kappa = mp.bloch_action(amap)
-        mapped = sample.probes @ t_mat.T + kappa
-        mapped_path = os.path.join(out_dir, "fig1a_mapped_p1p2.csv")
-        _write_pairs_csv(mapped_path, sample.probes, mapped, {"compat": sample.compat, "pos": sample.pos})
-        meta["files"].append("fig1a_mapped_p1p2.csv")
-        circle_in, circle_out = dom.image_of_ball(amap, "p1p2", resolution=360)
-        _write_pairs_csv(os.path.join(out_dir, "fig1a_circle_p1p2.csv"), circle_in, circle_out)
-        meta["files"].append("fig1a_circle_p1p2.csv")
+        labels = {"compat": sample.compat, "pos": sample.pos}
+        _write_pairs_csv(path("fig1a_mapped_p1p2.csv"), sample.probes, sample.probes @ t_mat.T + kappa, labels)
+        _write_pairs_csv(path("fig1a_circle_p1p2.csv"), *dom.image_of_ball(amap, "p1p2", resolution=360))
 
     elif args.name == "fig2":
         spec = fig2_spec()
         for section in ("p1p2", "p1p3", "p2p3"):
-            _emit_section(spec, None, section, res, args.tol, out_dir, "fig2", meta["files"])
+            emit(spec, "fig2", section)
         meta["spec"] = spec.to_json_dict()
 
     _write_payload(meta, os.path.join(out_dir, f"{args.name}_meta.json"))

@@ -10,7 +10,7 @@ a probe grid or random cloud with both and writes it as CSV.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -261,16 +261,15 @@ def positivity(amap: AffineMap, probes: np.ndarray, tol: float = DEFAULT_TOL) ->
 
     The image of (1 + a.sigma)/2 has smallest eigenvalue (1 - |T a + kappa|)/2
     by ``bloch_action``; it is inside where that is >= -tol (domains are
-    closed).  Raises ValueError for n != 2 and for probes with (1 - |a|)/2 < -tol.
+    closed).  Raises ValueError for n != 2 (by ``bloch_action``) and for
+    probes without (1 - |a|)/2 >= -tol, non-finite ones included.
     """
-    if amap.n != 2:
-        raise ValueError("positivity is implemented for qubit maps")
+    t_mat, kappa = bloch_action(amap)
     probes = np.asarray(probes, dtype=float)
     if probes.shape[-1:] != (3,):
         raise ValueError("probe must have length 3")
-    if ((1 - np.linalg.norm(probes, axis=-1)) / 2 < -tol).any():
+    if not ((1 - np.linalg.norm(probes, axis=-1)) / 2 >= -tol).all():
         raise ValueError("probe does not define a positive state")
-    t_mat, kappa = bloch_action(amap)
     return (1 - np.linalg.norm(probes @ t_mat.T + kappa, axis=-1)) / 2 >= -tol
 
 
@@ -300,11 +299,9 @@ def image_of_ball(amap: AffineMap, section: str, resolution: int = 256) -> tuple
 
     Returns (inputs, outputs), each (resolution, 3); qubit maps only.
     """
-    if amap.n != 2:
-        raise ValueError("image_of_ball requires a qubit map")
+    t_mat, kappa = bloch_action(amap)
     if resolution < 1:
         raise ValueError(f"resolution must be positive, got {resolution}")
-    t_mat, kappa = bloch_action(amap)
     theta = 2 * np.pi * np.arange(resolution) / resolution
     inputs = np.zeros((resolution, 3))
     inputs[:, _section_axes(section)] = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -338,7 +335,7 @@ def _format_column(column: np.ndarray, end: bytes) -> np.ndarray:
     return np.array([b"%.9g%s" % (x, end) for x in keys.view(float).tolist()])[inverse]
 
 
-def _write_csv(path, header: str, values: np.ndarray, labels=()) -> None:
+def write_csv(path, header: str, values: np.ndarray, labels=()) -> None:
     """Write ``header``, then per row the ``values`` as %.9g and the 0/1 ``labels`` as digits, in one write."""
     values = np.asarray(values, dtype=float).T
     ends = [b","] * (len(values) + len(labels) - 1) + [b"\n"]
@@ -351,35 +348,15 @@ def _write_csv(path, header: str, values: np.ndarray, labels=()) -> None:
 
 @dataclass
 class DomainSample:
-    """Labeled probe cloud: compat in {1, 0} (in/out), pos in {1, 0}.
-
-    ``seed`` is None on a grid, which draws no random numbers, and
-    ``resolution`` is None on a random cloud sized by a count.
-    """
+    """Labeled probe cloud: compat in {1, 0} (in/out), pos in {1, 0}."""
 
     probes: np.ndarray
     compat: np.ndarray
     pos: np.ndarray
-    section: str | None
-    region: str
-    resolution: int | None
-    seed: int | None
-    meta: dict = field(default_factory=dict)
 
     def write_csv(self, path) -> None:
         header = ",".join(f"a{i + 1}" for i in range(self.probes.shape[1])) + ",compat,pos"
-        _write_csv(path, header, self.probes, (self.compat, self.pos))
-
-    def sidecar_dict(self, spec: JointStateCoeffs, map_ref: str | None = None) -> dict:
-        return {
-            "spec": spec.to_json_dict(),
-            "map": map_ref,
-            "seed": self.seed,
-            "resolution": self.resolution,
-            "section": self.section,
-            "region": self.region,
-            **self.meta,
-        }
+        write_csv(path, header, self.probes, (self.compat, self.pos))
 
 
 def sample_domain(
@@ -423,12 +400,4 @@ def sample_domain(
     compat = compatibility(spec, probes, tol)[0].astype(int)
     pos = positivity(amap, probes, tol).astype(int) if amap is not None else np.ones(len(probes), dtype=int)
 
-    return DomainSample(
-        probes=probes,
-        compat=compat,
-        pos=pos,
-        section=section,
-        region=region,
-        resolution=None if count is not None else resolution,
-        seed=seed if region == "random" else None,
-    )
+    return DomainSample(probes, compat, pos)

@@ -111,11 +111,7 @@ def haar_unitary(z: np.ndarray) -> np.ndarray:
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None, shape: tuple = ()) -> np.ndarray:
     """Random density matrices G G^dagger / Tr of shape ``shape + (dim, dim)``, with optional rank restriction."""
     k = dim if rank is None else rank
-    g = rng.normal(size=shape + (dim, k)) + 1j * rng.normal(size=shape + (dim, k))
-    if not shape:
-        return gram_density(g)
-    m = g @ dagger(g)
-    return m / np.einsum("...ii->...", m).real[..., None, None]  # differs from gram_density in the last bit; kept for seeded draws
+    return gram_density(rng.normal(size=shape + (dim, k)) + 1j * rng.normal(size=shape + (dim, k)))
 
 
 def gram_density(g: np.ndarray) -> np.ndarray:

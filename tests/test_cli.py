@@ -170,7 +170,8 @@ def test_domains_command_writes_csv_and_sidecar(tmp_path):
     lines = (tmp_path / "section.csv").read_text().strip().split("\n")
     assert lines[0] == "a1,a2,a3,compat,pos"
     meta = read_json(tmp_path / "section.json")
-    assert meta["section"] == "p1p3"
+    assert meta["map"] is None
+    assert meta["resolution"] == 15 and meta["section"] == "p1p3"
     assert meta["spec"]["coeff"][0][1] == pytest.approx(SQ3)
 
 
@@ -375,6 +376,35 @@ def test_preset_fig1a_outputs(tmp_path, monkeypatch):
     full = (out_dir / "fig1a_full_p1p2.csv").read_text().strip().split("\n")[1:]
     # its inputs and labels are the fully fixed section's rows
     assert [row.split(",") for row in full] == [row.split(",")[:3] + row.split(",")[6:] for row in mapped[1:]]
+
+
+PRESET_FILES = {
+    "fig1": [f"fig1_{label}_{s}.csv" for s in ("p1p2", "p1p3", "p2p3") for label in ("partial", "full")],
+    "fig1a": ["fig1a_map.json"] + [f"fig1a_{stem}_p1p2.csv" for stem in ("partial", "full", "mapped", "circle")],
+    "fig2": [f"fig2_{s}.csv" for s in ("p1p2", "p1p3", "p2p3")],
+}
+PRESET_META_KEYS = {"fig1": ["spec_partial", "spec_full"], "fig1a": ["gamma"], "fig2": ["spec"]}
+
+
+def test_preset_meta_lists_its_files_and_the_domains_sidecar_its_inputs(tmp_path):
+    for name, files in PRESET_FILES.items():
+        out_dir = tmp_path / name
+        assert main(["preset", name, "--resolution", "21", "--out", str(out_dir)]) == 0
+        meta = read_json(out_dir / f"{name}_meta.json")
+        assert list(meta) == ["preset", "resolution", "files", *PRESET_META_KEYS[name]]
+        assert meta["files"] == files  # in write order
+        assert sorted(os.listdir(out_dir)) == sorted(files + [f"{name}_meta.json"])
+    s_path = write_spec(tmp_path / "spec.json", fig1_spec(True))
+    map_path = str(tmp_path / "fig1a" / "fig1a_map.json")
+    grid = ["--section", "p1p2", "--resolution", "21", "--seed", "3"]
+    cloud = ["--region", "random", "--count", "40", "--seed", "3"]
+    for argv, seed, resolution, section, region in ((grid, None, 21, "p1p2", "grid"), (cloud, 3, None, None, "random")):
+        out = tmp_path / region
+        assert main(["domains", "--spec", s_path, "--map", map_path, *argv, "--out", str(out)]) == 0
+        side = read_json(tmp_path / f"{region}.json")
+        assert list(side) == ["spec", "map", "seed", "resolution", "section", "region"]
+        assert side["spec"] == fig1_spec(True).to_json_dict() and side["map"] == map_path
+        assert (side["seed"], side["resolution"], side["section"], side["region"]) == (seed, resolution, section, region)
 
 
 def test_python_m_runs_the_cli(tmp_path):

@@ -732,8 +732,10 @@ def test_positivity_axis_probe_excluded():
 
 
 def test_positivity_rejects_invalid_probe():
-    with pytest.raises(ValueError):
-        positivity(kappa_one_map(), np.array([[0.5, 0.0, 0.0], [1.2, 0.0, 0.0]]))
+    # a NaN probe is no state either: it must not come back labelled outside
+    for probes in ([[0.5, 0.0, 0.0], [1.2, 0.0, 0.0]], [[np.nan, 0.0, 0.0]], [[0.5, 0.0, 0.0], [0.0, np.nan, 0.0]]):
+        with pytest.raises(ValueError, match="positive state"):
+            positivity(kappa_one_map(), np.array(probes))
 
 
 @pytest.mark.parametrize("section", sorted(SECTION_AXES))
@@ -857,10 +859,6 @@ def test_sample_csv_format(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "a1,a2,a3,compat,pos"
     assert len(lines) == 1 + len(s.probes)
-    meta = s.sidecar_dict(spec, map_ref=None)
-    assert meta["map"] is None
-    assert meta["resolution"] == 11 and meta["section"] == "p1p3"
-    assert meta["spec"]["coeff"][0][1] == pytest.approx(SQ3)
 
 
 def per_row_csv(header, values, labels):
@@ -873,16 +871,10 @@ def per_row_csv(header, values, labels):
 
 def test_write_csv_matches_per_row_format(tmp_path):
     edges = np.array([[-0.0, 5e-324, 1e-300], [1 / 3, np.pi, -1e20], [0.0, -1 / 3, 1.0]])
-    edge_sample = DomainSample(
-        probes=edges, compat=np.array([1, 0, 1]), pos=np.array([0, 1, 1]),
-        section=None, region="grid", resolution=1, seed=0,
-    )
+    edge_sample = DomainSample(probes=edges, compat=np.array([1, 0, 1]), pos=np.array([0, 1, 1]))
     # signed zeros repeat in the first column, the last column is constant
     zeros = np.array([[0.0, 1.0, 0.25], [-0.0, 0.0, 0.25], [0.0, -0.0, 0.25], [-0.0, 2.0, 0.25]])
-    zero_sample = DomainSample(
-        probes=zeros, compat=np.array([1, 1, 1, 1]), pos=np.array([0, 1, 0, 1]),
-        section=None, region="grid", resolution=1, seed=0,
-    )
+    zero_sample = DomainSample(probes=zeros, compat=np.array([1, 1, 1, 1]), pos=np.array([0, 1, 0, 1]))
     sample = sample_domain(two_coefficient_spec(), amap=kappa_one_map(), section="p1p3", resolution=201)
     assert set(sample.pos) == {0, 1} and set(sample.compat) == {0, 1}
     for s in (edge_sample, zero_sample, sample):
