@@ -36,13 +36,15 @@ def compatibility(
     ``spec``, which it fixes whatever ``spec.free`` says there; leading
     dimensions are batched.  Returns (inside, margin, completion) for
     t* = max over the free coefficients c of lambda_min(X(c)), where
-    X(0) = X0 = (X_fix + sum_alpha a_alpha F_alpha (x) 1)/d.  inside is
-    margin >= -tol, and then margin is the eigvalsh lambda_min of the
-    completion (..., d, d), the last X(c) (X0 on a screened row); outside,
-    it is an upper bound on t* from a dual Z, or the search's estimate where
-    the bounds meet (``_barrier_search``, ``_dual_screen``).  The search
-    stops on a test over its whole batch, so an inside margin can move by
-    about 5e-6 with the batch it is solved in.
+    X(0) = X0 = (X_fix + sum_alpha a_alpha F_alpha (x) 1)/d.  Each label is
+    a certificate.  Inside is margin >= -tol, the eigvalsh lambda_min of the
+    completion (..., d, d), the last X(c) (X0 on a screened row).  Outside,
+    margin is an upper bound on t* below -tol: a bound from a dual Z
+    (``_barrier_search``, ``_dual_screen``), or t* = lambda_min(X0) with no
+    free coefficient.  So a label depends on its probe, not on its batch, up
+    to eigvalsh rounding at -tol; only ``_barrier_search``'s fallback labels
+    outside without a certificate.  Margins and completions depend on the
+    batch (the warm start, the search's stopping test): margins moved by up to 9.1e-3 on fig1's partial p1p2 section.
     A batch of b >= 8 DUAL_ROWS probes is solved in order: a seed of every
     (b // DUAL_ROWS)-th row, a screen of the other rows by the seed's
     outside duals, and a solve of the rows left open, each starting from the
@@ -120,12 +122,11 @@ def _barrier_search(completion, margin, idx, free_ops, tol) -> list:
     Z = mu (S^-1 - S^-1 dS S^-1), dS the Newton step, is PSD with trace 1
     and no free components, so Tr[Z X0] bounds t* from above.  A row is
     decided inside once the lower bound reaches -tol, with margin
-    lambda_min(X(c)) from eigvalsh; outside (margin = upper bound) once the
-    upper bound is below -tol; otherwise by the midpoint of the bounds once
-    they are within tol/10.  A row still open after the last mu takes
-    lambda_min(X(c)).  Margins and last iterates are written into ``margin``
-    and ``completion``; returns the Z of the rows decided outside, one stack
-    per step.
+    lambda_min(X(c)) from eigvalsh, and outside (margin = upper bound) once
+    the upper bound is below -tol.  The fallback: a row still open after the
+    last mu takes lambda_min(X(c)), which certifies no outside label.
+    Margins and last iterates are written into ``margin`` and
+    ``completion``; returns the Z of the rows decided outside, one stack per step.
     """
     k, d = len(free_ops), free_ops.shape[-1]
     eye = np.eye(d)
@@ -149,16 +150,15 @@ def _barrier_search(completion, margin, idx, free_ops, tol) -> list:
             upper = np.where(dec < 1.0, t + mu * (d - (step * g0).sum(axis=1)), np.inf)
 
             inside = lower >= -tol
-            close = upper - lower < tol / 10
             out = upper < -tol
-            done = inside | close | out
+            done = inside | out
             if done.any():
                 if out.any():  # upper = Tr[Z X(c)]
                     s_out = s_inv[out]
                     duals.append(mu * (s_out - s_out @ combine(step[out], ops) @ s_out))
                 if inside.any():  # the margin of an inside probe is lambda_min of its completion
                     lower[inside] = np.linalg.eigvalsh(x[inside])[:, 0]
-                margin[idx[done]] = np.where(inside, lower, np.where(close, (lower + upper) / 2, upper))[done]
+                margin[idx[done]] = np.where(inside, lower, upper)[done]
                 completion[idx[done]] = x[done]
                 keep = ~done
                 idx, x, t, step, dec = idx[keep], x[keep], t[keep], step[keep], dec[keep]
@@ -191,13 +191,12 @@ def _dual_screen(flat, stride, margin, duals, probe_ops, free_ops, tol) -> np.nd
     / d covers the rounding of the affine evaluation.  With no free
     coefficient E0 = 0, t* = lambda_min(X0), and rho is also well above the
     rounding of eigvalsh (of order d eps ||X0||).  A row is screened when
-    its least bound plus tol/10 is below -tol, and gets it as margin.  The
-    search would label it outside too: it labels inside only on a lower
-    bound on t* of at least -tol, and by a midpoint only within tol/20 of
-    t*.  The least bound is taken in two stages, so that most rows meet only
-    a few duals: first over a greedy cover, the duals that screen the most
-    seed rows (every ``stride``-th) not yet screened, then over every dual
-    for the rows the cover leaves open.  The seed rows keep their margins.
+    its least bound is below -tol, and gets it as margin; the search, which
+    labels inside only on a lower bound on t* of at least -tol, would label
+    it outside too.  The least bound is taken in two stages, so that most
+    rows meet only a few duals: first over a greedy cover, the duals that
+    screen the most seed rows (every ``stride``-th) not yet screened, then
+    over every dual for the rows the cover leaves open.  The seed rows keep their margins.
     """
     d = probe_ops.shape[-1]
     eps = np.finfo(float).eps
@@ -211,7 +210,7 @@ def _dual_screen(flat, stride, margin, duals, probe_ops, free_ops, tol) -> np.nd
     rho = 16 * (len(probe_ops) + d * d) * eps * z_norm * (norms[0] + np.maximum(flat.max(), -flat.min()) * norms[1:].sum())
     den = np.trace(z, axis1=1, axis2=2).real + d * delta + 2 * d * e0
     coef, off = w[:, 1:] / den[:, None], ((w[:, 0] + delta + e0 + rho) / den)[:, None]  # Z_j bounds t* by coef_j . a + off_j
-    hit = coef @ flat[::stride].T + off + tol / 10 < -tol
+    hit = coef @ flat[::stride].T + off < -tol
     cover = []
     while hit.any():
         cover.append(int(hit.sum(axis=1).argmax()))
@@ -223,11 +222,11 @@ def _dual_screen(flat, stride, margin, duals, probe_ops, free_ops, tol) -> np.nd
         bounds = cover_coef @ a
         bounds += cover_off
         bound = bounds.min(axis=0, initial=np.inf)
-        again = ~(bound + tol / 10 < -tol)
+        again = ~(bound < -tol)
         bounds = coef @ a[:, again]
         bounds += off
         bound[again] = bounds.min(axis=0, initial=np.inf)
-        hit = bound + tol / 10 < -tol  # NaN is never screened
+        hit = bound < -tol  # NaN is never screened
         hit[-lo % stride :: stride] = False  # the seed rows keep their own margins
         m[hit] = bound[hit]
         left[lo : lo + SCREEN_CHUNK] = ~hit
@@ -322,11 +321,11 @@ def _fibonacci_shells(resolution: int) -> np.ndarray:
 
 def _random_ball(count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    pts = []
+    pts = np.empty((0, 3))
     while len(pts) < count:
         cand = rng.uniform(-1.0, 1.0, size=(count, 3))
-        pts.extend(cand[(cand**2).sum(axis=1) <= 1.0])
-    return np.array(pts[:count])
+        pts = np.concatenate([pts, cand[(cand**2).sum(axis=1) <= 1.0]])
+    return pts[:count]
 
 
 def _format_column(column: np.ndarray, end: bytes) -> np.ndarray:

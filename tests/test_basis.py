@@ -228,3 +228,5 @@ def test_coeffs_requires_unit_leading_entry():
     coeff = np.zeros((4, 4))
     with pytest.raises(ValueError):
         JointStateCoeffs(n=2, m=2, coeff=coeff, free=np.zeros((4, 4), dtype=bool))
+    with pytest.raises(ValueError, match=r"coefficient arrays must have shape \(4, 4\)"):
+        JointStateCoeffs(n=2, m=2, coeff=np.zeros((3, 4)), free=np.zeros((3, 4), dtype=bool))

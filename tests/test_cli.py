@@ -417,7 +417,7 @@ def test_python_m_runs_the_cli(tmp_path):
     assert read_json(out)["trials"] == 2
 
 
-def test_invalid_input_exit_codes(tmp_path):
+def test_invalid_input_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["extract", "--unitary", str(bad), "--state", str(bad)]) == 2
@@ -426,6 +426,20 @@ def test_invalid_input_exit_codes(tmp_path):
     u_path = write_matrix(tmp_path / "u.json", np.eye(4) * 2.0)  # not unitary
     s_path = write_spec(tmp_path / "s.json", JointStateCoeffs.blank(2, 2))
     assert main(["extract", "--unitary", u_path, "--state", s_path]) == 2
+    paths = malformed_files(tmp_path)
+    raw_path = write_matrix(tmp_path / "raw.json", np.eye(2) / 2)  # a raw 2x2 state
+    cases = [
+        # a one-point line holds only the corner (-1, -1), outside the unit disc
+        (["domains", "--spec", s_path, "--section", "p1p2", "--resolution", "1"], "no probes generated"),
+        (["domains", "--spec", write_spec(tmp_path / "s32.json", JointStateCoeffs.blank(3, 2))], "domain sampling is implemented for qubit subsystems"),
+        (["extract", "--unitary", paths["unitary"], "--state", raw_path, "--dims", "2"], "--dims must be N,M"),
+        (["extract", "--unitary", paths["unitary"], "--state", raw_path, "--dims", "2,2"], "state matrix has shape (2, 2), --dims (2, 2) needs (4, 4)"),
+        (["apply", "--map", paths["map"], "--probe", "0.1,0.2"], "--probe must have 3 comma-separated values, got 2"),
+    ]
+    capsys.readouterr()
+    for argv, message in cases:
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 ROT = '{"axis": [0, 0, 1], "angle": 0.5}'

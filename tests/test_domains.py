@@ -506,8 +506,9 @@ def test_open_rows_start_from_the_nearest_inside_seed(monkeypatch):
 )
 def test_warm_started_rows_keep_their_labels_and_certificates(dims, seed, count, tol):
     # a random spec with a random free mask, in batches where open rows start from an inside seed's
-    # free coefficients: the labels are those of the same probes solved in all-seed chunks, an inside
-    # margin is the eigvalsh of its completion, and every completion keeps the spec's fixed coefficients
+    # free coefficients: the labels are those of the same probes solved in all-seed chunks and in a
+    # permuted batch, an inside margin is the eigvalsh of its completion, and every completion keeps
+    # the spec's fixed coefficients
     n, m = dims
     rng = np.random.default_rng(seed)
     pb = product_basis(n, m)
@@ -518,12 +519,27 @@ def test_warm_started_rows_keep_their_labels_and_certificates(dims, seed, count,
     inside, margin, completion = compatibility(spec, probes, tol)
     chunks = [compatibility(spec, part, tol)[0] for part in np.array_split(probes, -(-count // (8 * DUAL_ROWS - 1)))]
     np.testing.assert_array_equal(inside, np.concatenate(chunks))
+    perm = rng.permutation(count)  # other seed rows, other duals and other warm starts: each label follows its probe
+    np.testing.assert_array_equal(compatibility(spec, probes[perm], tol)[0], inside[perm])
     assert np.array_equal(margin[inside], np.linalg.eigvalsh(completion[inside])[:, 0])
     fixed = ~spec.free
     fixed[1:, 0] = False  # the probe column, checked against each row's probe
     coeff = np.einsum("mnij,bji->bmn", pb.mats, completion).real
     np.testing.assert_allclose(coeff[:, fixed] - spec.coeff[fixed], 0, atol=1e-8)
     np.testing.assert_allclose(coeff[:, 1:, 0], probes, atol=1e-8)
+
+
+@pytest.mark.parametrize("spec", [fig1_spec(True), fig2_spec()], ids=["fig1-partial", "fig2-fixed"])
+def test_cloud_labels_do_not_depend_on_its_count(spec):
+    # the ball's accepted draws do not depend on the count, so the 700-probe cloud is the first 700
+    # rows of the 2000-probe one; both batches are screened, with other seeds and duals, and a label
+    # is a certificate of its own probe, so the labels agree too
+    for seed in (0, 5):
+        small = sample_domain(spec, region="random", count=700, seed=seed)
+        large = sample_domain(spec, region="random", count=2000, seed=seed)
+        assert np.array_equal(small.probes, large.probes[:700])
+        np.testing.assert_array_equal(small.compat, large.compat[:700])
+        assert 0 < small.compat.sum() < 700
 
 
 def spy_on_dual_screen(monkeypatch):
@@ -738,6 +754,16 @@ def test_positivity_rejects_invalid_probe():
             positivity(kappa_one_map(), np.array(probes))
 
 
+@pytest.mark.parametrize(
+    "label",
+    [lambda p: compatibility(JointStateCoeffs.blank(2, 2), p), lambda p: positivity(kappa_one_map(), p), lambda p: probe_state(p, 2)],
+    ids=["compatibility", "positivity", "probe_state"],
+)
+def test_qubit_probe_must_have_length_3(label):
+    with pytest.raises(ValueError, match="probe must have length 3"):
+        label(np.zeros((5, 2)))
+
+
 @pytest.mark.parametrize("section", sorted(SECTION_AXES))
 def test_positivity_matches_eigvalsh_on_fig2_sections(section):
     # the Bloch-norm label agrees with LAPACK's spectrum of every image; each section holds both labels
@@ -849,6 +875,8 @@ def test_sample_domain_rejects_bad_inputs():
         sample_domain(spec, region="grid", resolution=0)
     with pytest.raises(ValueError):
         sample_domain(spec, region="random", count=5, section="p1p2")
+    with pytest.raises(ValueError, match="region must be 'grid' or 'random', got 'cube'"):
+        sample_domain(spec, region="cube")
 
 
 def test_sample_csv_format(tmp_path):

@@ -327,6 +327,21 @@ def test_nan_fails_every_tolerance_check(build, match):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: AffineMap(n=2, m=2, g_ops=np.eye(2)[None], k_mat=np.zeros((2, 2))), r"expected 4 operators of size 2, got \(1, 2, 2\)"),
+        (lambda: AffineMap(n=2, m=1, g_ops=np.eye(2)[None], k_mat=np.zeros((3, 3))), r"K must be 2x2, got \(3, 3\)"),
+        (lambda: extract_G(np.eye(3), build_basis(2)), "unitary dimension 3 not divisible by environment dimension 2"),
+        (lambda: apply_affine(identity_with_kappa([0.0, 0.0, 0.0]), np.eye(3) / 3), r"state must be 2x2, got \(3, 3\)"),
+    ],
+    ids=["AffineMap-G", "AffineMap-K", "extract_G", "apply_affine"],
+)
+def test_shape_mismatch_is_rejected(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # apply_affine / the linear extension Q -> L(Q) + K Tr Q (BMatrix.apply)
 # ---------------------------------------------------------------------------

@@ -149,6 +149,14 @@ def test_reconstruct_known_map(rng):
     assert report.passed, report._asdict()
 
 
+def test_validate_rejects_a_truth_of_other_n(rng):
+    probes = design_probes(JointStateCoeffs.blank(2, 2), np.zeros(3), eps=0.1)
+    evaluate_probes(probes, map_oracle(random_map(rng)))
+    truth = extract_map(random_unitary(6, rng), random_density(6, rng), product_basis(3, 2))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        validate_reconstruction(reconstruct_map(probes), truth)
+
+
 def test_reconstruct_closed_form_family():
     corr = JointStateCoeffs.blank(2, 2)
     corr.coeff[0, 1] = 0.3
