@@ -38,7 +38,8 @@ def compatibility(
     t* = max over the free coefficients c of lambda_min(X(c)), where
     X(0) = X0 = (X_fix + sum_alpha a_alpha F_alpha (x) 1)/d.  Each label is
     a certificate.  Inside is margin >= -tol, the eigvalsh lambda_min of the
-    completion (..., d, d), the last X(c) (X0 on a screened row).  Outside,
+    completion (..., d, d), the last X(c) (X0 on a screened row), or with no
+    free coefficient a certified lower bound on it (``_weyl_screen``).  Outside,
     margin is an upper bound on t* below -tol: a bound from a dual Z
     (``_barrier_search``, ``_dual_screen``), or t* = lambda_min(X0) with no
     free coefficient.  So a label depends on its probe, not on its batch, up
@@ -47,8 +48,9 @@ def compatibility(
     batch (the warm start, the search's stopping test): margins moved by up to 9.1e-3 on fig1's partial p1p2 section.
     A batch of b >= 8 DUAL_ROWS probes is solved in order: a seed of every
     (b // DUAL_ROWS)-th row, a screen of the other rows by the seed's
-    outside duals, and a solve of the rows left open, each starting from the
-    free part of its nearest inside seed row.  A smaller batch is all seed.
+    outside duals, with no free coefficient a screen by the inside seed rows,
+    and a solve of the rows left open, each starting from the free part of
+    its nearest inside seed row.  A smaller batch is all seed.
     """
     probes = np.asarray(probes, dtype=float)
     n_axes = spec.n**2 - 1
@@ -76,12 +78,14 @@ def compatibility(
     duals = _solve_rows(x0, margin, seeds, free_ops, tol, stride > 1)
     if stride > 1:
         left = np.ones(len(flat), dtype=bool)
+        probe_ops = np.concatenate([x_fix[None], pb.mats[1:, 0]]) / d  # X0(a) = probe_ops[0] + a . probe_ops[1:]
         if len(duals):
-            probe_ops = np.concatenate([x_fix[None], pb.mats[1:, 0]]) / d  # X0(a) = probe_ops[0] + a . probe_ops[1:]
             left = _dual_screen(flat, stride, margin, duals, probe_ops, free_ops, tol)
         left[::stride] = False
-        rest = np.flatnonzero(left)
         warm = margin[seeds] >= -tol
+        if not len(free_ops) and warm.any():
+            _weyl_screen(flat, left, margin, x0, seeds[warm], _rounding(flat, probe_ops), np.sqrt(spec.n - 1) / d, tol)
+        rest = np.flatnonzero(left)
         if seed_x0 is not None and warm.any():  # each open row starts from its nearest inside seed's free part
             near, free_part = flat[seeds[warm]], x0[seeds[warm]] - seed_x0[warm]
             for lo in range(0, len(rest), SCREEN_CHUNK):
@@ -93,6 +97,9 @@ def compatibility(
 
 def _solve_rows(x0, margin, rows, free_ops, tol, duals: bool) -> list:
     """Margins of ``rows``: lambda_min of their ``x0`` per SCREEN_CHUNK rows, then ``_barrier_search`` on those below -tol.
+
+    ``rows`` are the seed rows, then the rows the screens left open; with no
+    free coefficient, a row screened inside or outside takes no eigvalsh.
 
     Returns the duals Z of the rows decided outside, as a list of stacks: the
     search's, or with no free coefficient and ``duals``, Z = v v^H for the
@@ -185,10 +192,9 @@ def _dual_screen(flat, stride, margin, duals, probe_ops, free_ops, tol) -> np.nd
     using Tr X = 1, gives t* tau <= Tr[Z X0(a)] + delta + sum_j c*_j
     Tr[Z F_j] / d.  For t* < 0, X(c*) + |t*| 1 >= 0 has trace 1 + d|t*|, so
     |c*_j| = |Tr[F_j X(c*)]| <= ||F_j||_op (1 + 2 d |t*|); for t* >= 0 the
-    sum is at most E0, so the numerator below is at least t* tau >= 0.  Hence t* <= (Tr[Z X0(a)] + delta + E0 + rho) /
-    (tau + 2 d E0) whenever the right side is negative, where rho = 16
-    (n^2 + d^2) eps ||Z||_F (||X_fix||_F + max|a| sum_alpha ||F_alpha0||_F)
-    / d covers the rounding of the affine evaluation.  With no free
+    sum is at most E0, so the numerator below is at least t* tau >= 0.  Hence t* <= (Tr[Z X0(a)] + delta + E0 + rho ||Z||_F) /
+    (tau + 2 d E0) whenever the right side is negative, where rho
+    (``_rounding``) covers the rounding of the affine evaluation.  With no free
     coefficient E0 = 0, t* = lambda_min(X0), and rho is also well above the
     rounding of eigvalsh (of order d eps ||X0||).  A row is screened when
     its least bound is below -tol, and gets it as margin; the search, which
@@ -206,10 +212,8 @@ def _dual_screen(flat, stride, margin, duals, probe_ops, free_ops, tol) -> np.nd
     delta = np.maximum(0.0, -np.linalg.eigvalsh(z)[:, 0]) + 4 * d * eps * z_norm
     e0 = d * np.abs(trace_pairing(free_ops, z)) @ np.linalg.norm(free_ops, 2, axis=(1, 2))
     w = trace_pairing(probe_ops, z)  # Tr[Z X0(a)] = w_0 + sum_alpha a_alpha w_alpha
-    norms = np.linalg.norm(probe_ops, axis=(1, 2))
-    rho = 16 * (len(probe_ops) + d * d) * eps * z_norm * (norms[0] + np.maximum(flat.max(), -flat.min()) * norms[1:].sum())
     den = np.trace(z, axis1=1, axis2=2).real + d * delta + 2 * d * e0
-    coef, off = w[:, 1:] / den[:, None], ((w[:, 0] + delta + e0 + rho) / den)[:, None]  # Z_j bounds t* by coef_j . a + off_j
+    coef, off = w[:, 1:] / den[:, None], ((w[:, 0] + delta + e0 + _rounding(flat, probe_ops) * z_norm) / den)[:, None]  # Z_j bounds t* by coef_j . a + off_j
     hit = coef @ flat[::stride].T + off < -tol
     cover = []
     while hit.any():
@@ -231,6 +235,46 @@ def _dual_screen(flat, stride, margin, duals, probe_ops, free_ops, tol) -> np.nd
         m[hit] = bound[hit]
         left[lo : lo + SCREEN_CHUNK] = ~hit
     return left
+
+
+def _rounding(flat, probe_ops) -> float:
+    """rho = 16 (n^2 + d^2) eps (||X_fix||_F + max|a| sum_alpha ||F_alpha0||_F) / d, the screens' rounding allowance on X0(a)."""
+    norms, d = np.linalg.norm(probe_ops, axis=(1, 2)), probe_ops.shape[-1]
+    return 16 * (len(probe_ops) + d * d) * np.finfo(float).eps * (norms[0] + np.maximum(flat.max(), -flat.min()) * norms[1:].sum())
+
+
+def _weyl_screen(flat, left, margin, x0, seeds, rho, c, tol) -> None:
+    """Certify rows of the probes ``flat`` open in ``left`` inside by the inside rows ``seeds``, and clear them in ``left``.
+
+    With no free coefficient t* = lambda_min(X0(a)), and X0(a) - X0(a_s) =
+    sum_alpha (a - a_s)_alpha F_alpha0 / d, F_alpha0 = F_alpha (x) 1.
+    ``build_basis`` scales Tr[F_alpha F_beta] = n delta_alpha beta, so
+    A = sum_alpha u_alpha F_alpha is traceless with Tr A^2 = n |u|^2, and its
+    largest |eigenvalue| x has x^2 + x^2 / (n - 1) <= n |u|^2: ||A (x) 1||_op
+    <= sqrt(n - 1) |u|.  Weyl's inequality (Horn & Johnson, Matrix Analysis,
+    Thm 4.3.1) then gives lambda_min(X0(a)) >= lambda_s - c |a - a_s| for
+    each seed s, with ``c`` = sqrt(n - 1) / d.  Less 4 d eps ||X0(a_s)||_F,
+    the error of the seed's eigvalsh lambda_s, and less ``rho``
+    (``_rounding``), which covers the rounding of X0 at both probes, of the
+    basis, of the bound and of the row's own eigvalsh, the largest such
+    bound is a lower bound on the eigvalsh lambda_min of the row.  A row is
+    screened when it is at least -tol, and gets it as margin; NaN is never
+    screened.  |a - a_s| is summed from the differences: the expanded
+    |a|^2 - 2 a.a_s + |a_s|^2 of the warm start can lose about 1e-8 to
+    cancellation.  The bounds of SCREEN_CHUNK rows by every seed are taken
+    at once, one axis at a time, so the temporaries are (seeds, SCREEN_CHUNK)
+    arrays of at most 65 x 1024 floats.
+    """
+    lam = margin[seeds] - 4 * x0.shape[-1] * np.finfo(float).eps * np.linalg.norm(x0[seeds], axis=(1, 2)) - rho
+    rows = np.flatnonzero(left)
+    for lo in range(0, len(rows), SCREEN_CHUNK):
+        r = rows[lo : lo + SCREEN_CHUNK]
+        dist = np.zeros((len(seeds), len(r)))
+        for a_j, s_j in zip(flat[r].T, flat[seeds].T):
+            dist += np.square(a_j - s_j[:, None])
+        bound = (lam[:, None] - c * np.sqrt(dist)).max(axis=0)
+        hit = bound >= -tol
+        margin[r[hit]], left[r[hit]] = bound[hit], False
 
 
 def _newton_terms(s_inv: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,13 +354,15 @@ def image_of_ball(amap: AffineMap, section: str, resolution: int = 256) -> tuple
 def _fibonacci_shells(resolution: int) -> np.ndarray:
     """Deterministic ball grid: Fibonacci spirals on concentric shells."""
     shells = max(1, resolution // 4)
+    pts = np.zeros((1 + shells * resolution, 3))  # the origin, then the shells; an impossible size fails here, before any work
     i = np.arange(resolution)
     z = 1.0 - 2.0 * (i + 0.5) / resolution
     radial = np.sqrt(np.maximum(1.0 - z * z, 0.0))
     theta = np.pi * (3.0 - np.sqrt(5.0)) * i  # golden-angle spiral, shared by every shell
-    radii = np.arange(1, shells + 1) / shells
-    pts = [np.column_stack([r * radial * np.cos(theta), r * radial * np.sin(theta), r * z]) for r in radii]
-    return np.vstack([np.zeros((1, 3)), *pts])
+    cos, sin = np.cos(theta), np.sin(theta)
+    for k, r in enumerate(np.arange(1, shells + 1) / shells):
+        pts[1 + k * resolution : 1 + (k + 1) * resolution] = np.column_stack([r * radial * cos, r * radial * sin, r * z])
+    return pts
 
 
 def _random_ball(count: int, seed: int) -> np.ndarray:

@@ -93,6 +93,18 @@ def test_coefficient_codec_round_trip(data, n):
     np.testing.assert_allclose(probe_state(c, n) - np.eye(n) / n, op, rtol=0, atol=1e-15)
 
 
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_traceless_operator_norm_is_at_most_sqrt_n_minus_1_times_its_coefficients(seed, n, scale):
+    # the constant of compatibility's Weyl screen: A = sum_alpha u_alpha F_alpha is traceless with
+    # Tr A^2 = n |u|^2, so ||A||_op <= sqrt(n - 1) |u|; at n = 2 every such A has eigenvalues +-|u|
+    u = scale * np.random.default_rng(seed).normal(size=n * n - 1)
+    op_norm = np.abs(np.linalg.eigvalsh(n * traceless_operator(u, n))).max()
+    bound = np.sqrt(n - 1) * np.linalg.norm(u)
+    assert op_norm <= bound * (1 + 1e-12)
+    if n == 2:
+        assert op_norm == pytest.approx(bound, rel=1e-12, abs=0)
+
+
 def test_expand_maximally_mixed(pb22):
     coeffs = expand_state(np.eye(4) / 4, pb22)
     expected = np.zeros((4, 4))

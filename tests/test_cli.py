@@ -582,6 +582,20 @@ def test_failed_allocation_exits_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_infeasible_volume_grid_exits_2_before_any_work(tmp_path):
+    # 25 000 000 shells of 10^8 points and the origin: the grid's (2500000000000001, 3) array is
+    # allocated before the shells are built, so it fails at once.  The child's address space is
+    # capped, so code that builds the shells first fails there too, not by exhausting the host
+    src = os.path.dirname(os.path.dirname(affinemaps.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env["OPENBLAS_NUM_THREADS"] = "1"  # BLAS buffers per thread would take the capped address space on a many-core host
+    cap = "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); from affinemaps.cli import main; sys.exit(main(sys.argv[1:]))"
+    s_path = write_spec(tmp_path / "spec.json", fig2_spec())
+    argv = [sys.executable, "-c", cap, "domains", "--spec", s_path, "--resolution", "100000000", "--out", str(tmp_path / "out")]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stderr.startswith("error: ") and "(2500000000000001, 3)" in proc.stderr, proc.stderr
+
+
 @pytest.mark.parametrize("command", ["apply", "purity"])
 def test_pure_probe_on_the_sphere_is_a_state(tmp_path, command):
     paths = malformed_files(tmp_path)

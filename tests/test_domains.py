@@ -317,17 +317,20 @@ def test_empty_probe_batch_gives_empty_labels(lead):
 
 def test_fixed_path_peak_memory_is_near_the_completion():
     # X0 is assembled in the returned completion itself: no per-probe copy of the
-    # (n^2, m^2) coefficient table, which took the peak to about 3x the completion
-    spec, probes = fig2_spec(), _section_grid("p1p2", 201)
-    assert spec.fully_fixed and len(probes) == 31417
-    compatibility(spec, probes[:1])  # the cached product basis is built outside the trace
-    tracemalloc.start()
-    try:
-        nbytes = compatibility(spec, probes)[2].nbytes
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * nbytes
+    # (n^2, m^2) coefficient table, which took the peak to about 3x the completion;
+    # on p1p3 the Weyl screen's bounds take (seeds, SCREEN_CHUNK) arrays only
+    spec = fig2_spec()
+    for section, ratio in (("p1p2", 1.5), ("p1p3", 1.1)):
+        probes = _section_grid(section, 201)
+        assert spec.fully_fixed and len(probes) == 31417
+        compatibility(spec, probes[:1])  # the cached product basis is built outside the trace
+        tracemalloc.start()
+        try:
+            nbytes = compatibility(spec, probes)[2].nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ratio * nbytes, section
 
 
 @settings(max_examples=40)
@@ -339,8 +342,9 @@ def test_fixed_path_peak_memory_is_near_the_completion():
     tol=st.sampled_from([0.0, 1e-12, 1e-9]),
 )
 def test_fixed_screen_keeps_the_eigvalsh_labels(dims, seed, scale, count, tol):
-    # batches large enough for the seed's duals to screen the other rows: labels and inside margins
-    # are eigvalsh's own, and an outside margin is a certified upper bound on lambda_min below -tol
+    # batches large enough for the seed rows to screen the other rows: labels are eigvalsh's own, an
+    # inside margin is eigvalsh's lambda_min or a certified lower bound on it, at least -tol, and an
+    # outside margin is a certified upper bound on lambda_min below -tol
     n, m = dims
     rng = np.random.default_rng(seed)
     spec = expand_state(random_density(n * m, rng), product_basis(n, m))
@@ -348,7 +352,7 @@ def test_fixed_screen_keeps_the_eigvalsh_labels(dims, seed, scale, count, tol):
     inside, margin, completion = compatibility(spec, probes, tol)
     lam = np.linalg.eigvalsh(completion)[:, 0]
     np.testing.assert_array_equal(inside, lam >= -tol)
-    assert np.array_equal(margin[inside], lam[inside])
+    assert (-tol <= margin[inside]).all() and (margin[inside] <= lam[inside]).all()
     assert (lam[~inside] <= margin[~inside]).all() and (margin[~inside] < -tol).all()
 
 
@@ -364,6 +368,23 @@ def test_fixed_screen_keeps_the_eigvalsh_labels_on_the_boundary(seed):
     lam = np.linalg.eigvalsh(completion)[:, 0]
     np.testing.assert_array_equal(inside, lam >= 0)
     assert (lam[~inside] <= margin[~inside]).all() and 0 < inside.sum() < 7 * DUAL_ROWS
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_weyl_screen_sends_the_boundary_to_eigvalsh(monkeypatch, seed):
+    # each seed row is 0.5 u for a unit u, inside with lambda_min = 1/8, and its seven followers are u
+    # itself, where lambda_min = (1 - |u|)/4 is 0 up to rounding; the Weyl bound 1/8 - |u - 0.5 u|/4
+    # is exactly 0 there, so at tol = 0 only the rounding allowance keeps these rows from the screen
+    u = np.random.default_rng(seed).normal(size=(DUAL_ROWS, 3))
+    probes = np.repeat(u / np.linalg.norm(u, axis=1, keepdims=True), 8, axis=0)
+    probes[::8] *= 0.5
+    counted, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: counted.append(len(a)) or eigvalsh(a))
+    inside, margin, completion = compatibility(JointStateCoeffs.blank(2, 2), probes, 0.0)
+    monkeypatch.undo()
+    lam = np.linalg.eigvalsh(completion)[:, 0]
+    np.testing.assert_array_equal(inside, lam >= 0)
+    assert inside[::8].all() and counted == [DUAL_ROWS, 7 * DUAL_ROWS]
 
 
 @pytest.mark.parametrize("extra", [1, SCREEN_CHUNK + 1])
@@ -394,15 +415,16 @@ def test_fixed_screen_passes_nan_rows_to_eigvalsh(monkeypatch):
 
 def test_fixed_path_takes_eigvalsh_only_for_undecided_rows(monkeypatch):
     # the 65 seed rows of a fig2 section at 201 take one eigvalsh, and the outside ones one eigh for
-    # their duals v v^H (65 / 54 / 54 / 60), whose own eigvalsh gives the screen's slack; the rows the
-    # screen leaves open (0 / 5861 / 5861 / 1013, all inside but 0 / 263 / 263 / 148) take the rest
+    # their duals v v^H (65 / 54 / 54 / 60), whose own eigvalsh gives the dual screen's slack; of the
+    # rows that screen leaves open (0 / 5861 / 5861 / 1013, all inside but 0 / 263 / 263 / 148), the
+    # 0 / 11 / 11 / 5 inside seed rows certify 0 / 4769 / 4769 / 118 inside, and the rest take eigvalsh
     spec = fig2_spec()
     counted, vectors = [], []
     eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: counted.append(len(a)) or eigvalsh(a))
     monkeypatch.setattr(np.linalg, "eigh", lambda a: vectors.append(len(a)) or eigh(a))
     grids = [_section_grid(section, 201) for section in ("p1p2", "p1p3", "p2p3")] + [_fibonacci_shells(201)]
-    expected = zip((0, 5609, 5609, 870), (130, 5980, 5980, 1138), (65, 54, 54, 60))
+    expected = zip((0, 5609, 5609, 870), (130, 1211, 1211, 1020), (65, 54, 54, 60))
     for probes, (inside, eigvalsh_rows, eigh_rows) in zip(grids, expected):
         counted.clear()
         vectors.clear()
