@@ -38,26 +38,26 @@ def compatibility(
     t* = max over the free coefficients c of lambda_min(X(c)), where
     X(0) = X0 = (X_fix + sum_alpha a_alpha F_alpha (x) 1)/d.  Each label is
     a certificate.  Inside is margin >= -tol, the eigvalsh lambda_min of the
-    completion (..., d, d), the last X(c) (X0 on a screened row), or with no
-    free coefficient a certified lower bound on it (``_weyl_screen``).  Outside,
-    margin is an upper bound on t* below -tol: a bound from a dual Z
-    (``_barrier_search``, ``_dual_screen``), or t* = lambda_min(X0) with no
-    free coefficient.  So a label depends on its probe, not on its batch, up
-    to eigvalsh rounding at -tol; only ``_barrier_search``'s fallback labels
-    outside without a certificate.  Margins and completions depend on the
-    batch (the warm start, the search's stopping test): margins moved by up to 9.1e-3 on fig1's partial p1p2 section.
-    A batch of b >= 8 DUAL_ROWS probes is solved in order: a seed of every
-    (b // DUAL_ROWS)-th row, a screen of the other rows by the seed's
-    outside duals, with no free coefficient a screen by the inside seed rows,
-    and a solve of the rows left open, each starting from the free part of
-    its nearest inside seed row.  A smaller batch is all seed.
+    completion (..., d, d), the last X(c), or a certified lower bound on it
+    (``_seed_step``).  Outside, margin is an upper bound on t* below -tol:
+    from a dual Z (``_barrier_search``; ``_dual_screen``, whose rows keep
+    X0), or t* = lambda_min(X0) with no free coefficient.  So a label
+    depends on its probe, not its batch, up to eigvalsh rounding at -tol;
+    only ``_barrier_search``'s fallback labels outside without a
+    certificate.  Margins and completions depend on the batch: inside
+    margins moved by up to 3.4e-2 between whole, shuffled and 511-row
+    batches of fig1's partial p1p2 section at 41, 101 and 201.  A batch of
+    b >= 8 DUAL_ROWS probes is solved in order: a seed of every
+    (b // DUAL_ROWS)-th row, ``_dual_screen`` by the seed's outside duals,
+    ``_seed_step`` by its inside rows, and a solve of the rows left open.
+    A smaller batch is all seed.
     """
     probes = np.asarray(probes, dtype=float)
     n_axes = spec.n**2 - 1
     if probes.shape[-1:] != (n_axes,):
         raise ValueError(f"probe must have length {n_axes}, got shape {probes.shape}")
     lead = probes.shape[:-1]
-    flat = probes.reshape(-1, n_axes)
+    flat = probes.reshape(np.prod(lead, dtype=int), n_axes)  # n = 1 has no axes, so the rows cannot be inferred
     free = spec.free.copy()
     free[1:, 0] = False
     base = np.where(free, 0.0, spec.coeff)
@@ -74,36 +74,30 @@ def compatibility(
     margin = np.empty(len(flat))
     stride = len(flat) // DUAL_ROWS if len(flat) >= 8 * DUAL_ROWS else 1
     seeds = np.arange(0, len(flat), stride)
-    seed_x0 = x0[seeds] if stride > 1 and len(free_ops) else None
+    seed_x0 = x0[seeds] if stride > 1 else None
     duals = _solve_rows(x0, margin, seeds, free_ops, tol, stride > 1)
     if stride > 1:
         left = np.ones(len(flat), dtype=bool)
+        left[seeds] = False
         probe_ops = np.concatenate([x_fix[None], pb.mats[1:, 0]]) / d  # X0(a) = probe_ops[0] + a . probe_ops[1:]
+        rho = _rounding(flat, probe_ops)
         if len(duals):
-            left = _dual_screen(flat, stride, margin, duals, probe_ops, free_ops, tol)
-        left[::stride] = False
+            _dual_screen(flat, left, margin, duals, probe_ops, free_ops, rho, tol)
         warm = margin[seeds] >= -tol
-        if not len(free_ops) and warm.any():
-            _weyl_screen(flat, left, margin, x0, seeds[warm], _rounding(flat, probe_ops), np.sqrt(spec.n - 1) / d, tol)
-        rest = np.flatnonzero(left)
-        if seed_x0 is not None and warm.any():  # each open row starts from its nearest inside seed's free part
-            near, free_part = flat[seeds[warm]], x0[seeds[warm]] - seed_x0[warm]
-            for lo in range(0, len(rest), SCREEN_CHUNK):
-                r = rest[lo : lo + SCREEN_CHUNK]
-                x0[r] += free_part[((near * near).sum(axis=1)[:, None] - 2 * near @ flat[r].T).argmin(axis=0)]
-        _solve_rows(x0, margin, rest, free_ops, tol, False)
+        if warm.any():
+            _seed_step(flat, left, margin, x0, seeds[warm], x0[seeds[warm]] - seed_x0[warm], rho, np.sqrt(spec.n - 1) / d, tol)
+        _solve_rows(x0, margin, np.flatnonzero(left), free_ops, tol, False)
     return (margin >= -tol).reshape(lead), margin.reshape(lead), x0.reshape(lead + (d, d))
 
 
 def _solve_rows(x0, margin, rows, free_ops, tol, duals: bool) -> list:
     """Margins of ``rows``: lambda_min of their ``x0`` per SCREEN_CHUNK rows, then ``_barrier_search`` on those below -tol.
 
-    ``rows`` are the seed rows, then the rows the screens left open; with no
-    free coefficient, a row screened inside or outside takes no eigvalsh.
-
-    Returns the duals Z of the rows decided outside, as a list of stacks: the
-    search's, or with no free coefficient and ``duals``, Z = v v^H for the
-    unit lowest eigenvector v of X0 from one eigh, since lambda_min(X0) <= v^H X0 v.
+    ``rows`` are the seed rows, then the rows the screens left open (a row a
+    screen certifies takes no eigvalsh).  Returns the duals Z of the rows
+    decided outside, as a list of stacks: the search's, or with no free
+    coefficient and ``duals``, Z = v v^H for the unit lowest eigenvector v of
+    X0 from one eigh, since lambda_min(X0) <= v^H X0 v.
     """
     for lo in range(0, len(rows), SCREEN_CHUNK):
         r = rows[lo : lo + SCREEN_CHUNK]
@@ -180,32 +174,31 @@ def _barrier_search(completion, margin, idx, free_ops, tol) -> list:
     return duals
 
 
-def _dual_screen(flat, stride, margin, duals, probe_ops, free_ops, tol) -> np.ndarray:
-    """Certify rows of the probes ``flat`` outside by the stacks ``duals`` of Z; returns the mask of rows left open.
+def _dual_screen(flat, left, margin, duals, probe_ops, free_ops, rho, tol) -> None:
+    """Certify rows of the probes ``flat`` open in ``left`` outside by the stacks ``duals`` of Z, and clear them in ``left``.
 
     Tr[Z X0(a)] is affine in a through ``probe_ops`` (X_fix / d, then the
-    F_alpha0 / d), and ``free_ops`` holds the free F_j / d.  Z is only
-    nearly dual feasible, so the bound is weak duality (Boyd & Vandenberghe,
-    Convex Optimization, ch. 5) made robust.  Take delta >= max(0,
-    -lambda_min(Z)), tau = Tr Z + d delta and E0 = sum_j ||F_j||_op
-    |Tr[Z F_j]| / d.  Pairing Z + delta 1 >= 0 with X(c*) - t* 1 >= 0, and
-    using Tr X = 1, gives t* tau <= Tr[Z X0(a)] + delta + sum_j c*_j
-    Tr[Z F_j] / d.  For t* < 0, X(c*) + |t*| 1 >= 0 has trace 1 + d|t*|, so
-    |c*_j| = |Tr[F_j X(c*)]| <= ||F_j||_op (1 + 2 d |t*|); for t* >= 0 the
-    sum is at most E0, so the numerator below is at least t* tau >= 0.  Hence t* <= (Tr[Z X0(a)] + delta + E0 + rho ||Z||_F) /
-    (tau + 2 d E0) whenever the right side is negative, where rho
-    (``_rounding``) covers the rounding of the affine evaluation.  With no free
-    coefficient E0 = 0, t* = lambda_min(X0), and rho is also well above the
-    rounding of eigvalsh (of order d eps ||X0||).  A row is screened when
-    its least bound is below -tol, and gets it as margin; the search, which
-    labels inside only on a lower bound on t* of at least -tol, would label
-    it outside too.  The least bound is taken in two stages, so that most
-    rows meet only a few duals: first over a greedy cover, the duals that
-    screen the most seed rows (every ``stride``-th) not yet screened, then
-    over every dual for the rows the cover leaves open.  The seed rows keep their margins.
+    F_alpha0 / d), and ``free_ops`` holds the free F_j / d.  Z is only nearly
+    dual feasible, so the bound is weak duality (Boyd & Vandenberghe, Convex
+    Optimization, ch. 5) made robust.  Take delta >= max(0, -lambda_min(Z)),
+    tau = Tr Z + d delta and E0 = sum_j ||F_j||_op |Tr[Z F_j]| / d.  Pairing
+    Z + delta 1 >= 0 with X(c*) - t* 1 >= 0, and using Tr X = 1, gives
+    t* tau <= Tr[Z X0(a)] + delta + sum_j c*_j Tr[Z F_j] / d.  For t* < 0,
+    X(c*) + |t*| 1 >= 0 has trace 1 + d|t*|, so |c*_j| = |Tr[F_j X(c*)]| <=
+    ||F_j||_op (1 + 2 d |t*|); for t* >= 0 the sum is at most E0, so the
+    numerator below is at least t* tau >= 0.  Hence t* <= (Tr[Z X0(a)] +
+    delta + E0 + rho ||Z||_F) / (tau + 2 d E0) whenever the right side is
+    negative, where ``rho`` (``_rounding``) covers the rounding of the affine
+    evaluation.  With no free coefficient E0 = 0, t* = lambda_min(X0), and
+    rho is also well above the rounding of eigvalsh (of order d eps ||X0||).
+    A row is screened when its least bound is below -tol, and gets it as
+    margin; the search, which labels inside only on a lower bound on t* of
+    at least -tol, would label it outside too.  The least bound is taken in
+    two stages, so that most rows meet only a few duals: over a greedy cover
+    (the duals that screen the most seed rows, closed in ``left``, not yet
+    screened), then over every dual on the rows the cover leaves open.
     """
-    d = probe_ops.shape[-1]
-    eps = np.finfo(float).eps
+    d, eps = probe_ops.shape[-1], np.finfo(float).eps
     z = np.concatenate(duals)
     z = (z + dagger(z)) / 2
     z_norm = np.linalg.norm(z, axis=(1, 2))
@@ -213,16 +206,15 @@ def _dual_screen(flat, stride, margin, duals, probe_ops, free_ops, tol) -> np.nd
     e0 = d * np.abs(trace_pairing(free_ops, z)) @ np.linalg.norm(free_ops, 2, axis=(1, 2))
     w = trace_pairing(probe_ops, z)  # Tr[Z X0(a)] = w_0 + sum_alpha a_alpha w_alpha
     den = np.trace(z, axis1=1, axis2=2).real + d * delta + 2 * d * e0
-    coef, off = w[:, 1:] / den[:, None], ((w[:, 0] + delta + e0 + _rounding(flat, probe_ops) * z_norm) / den)[:, None]  # Z_j bounds t* by coef_j . a + off_j
-    hit = coef @ flat[::stride].T + off < -tol
+    coef, off = w[:, 1:] / den[:, None], ((w[:, 0] + delta + e0 + rho * z_norm) / den)[:, None]  # Z_j bounds t* by coef_j . a + off_j
+    hit = coef @ flat[~left].T + off < -tol
     cover = []
     while hit.any():
         cover.append(int(hit.sum(axis=1).argmax()))
         hit = hit[:, ~hit[cover[-1]]]
     cover_coef, cover_off = coef[cover], off[cover]
-    left = np.empty(len(flat), dtype=bool)
     for lo in range(0, len(flat), SCREEN_CHUNK):  # duals by rows: the least bound is a min along the rows, not per short row
-        a, m = flat[lo : lo + SCREEN_CHUNK].T, margin[lo : lo + SCREEN_CHUNK]
+        a, m, todo = flat[lo : lo + SCREEN_CHUNK].T, margin[lo : lo + SCREEN_CHUNK], left[lo : lo + SCREEN_CHUNK]
         bounds = cover_coef @ a
         bounds += cover_off
         bound = bounds.min(axis=0, initial=np.inf)
@@ -230,49 +222,54 @@ def _dual_screen(flat, stride, margin, duals, probe_ops, free_ops, tol) -> np.nd
         bounds = coef @ a[:, again]
         bounds += off
         bound[again] = bounds.min(axis=0, initial=np.inf)
-        hit = bound < -tol  # NaN is never screened
-        hit[-lo % stride :: stride] = False  # the seed rows keep their own margins
+        hit = todo & (bound < -tol)  # NaN is never screened
         m[hit] = bound[hit]
-        left[lo : lo + SCREEN_CHUNK] = ~hit
-    return left
+        todo[hit] = False
 
 
 def _rounding(flat, probe_ops) -> float:
     """rho = 16 (n^2 + d^2) eps (||X_fix||_F + max|a| sum_alpha ||F_alpha0||_F) / d, the screens' rounding allowance on X0(a)."""
     norms, d = np.linalg.norm(probe_ops, axis=(1, 2)), probe_ops.shape[-1]
-    return 16 * (len(probe_ops) + d * d) * np.finfo(float).eps * (norms[0] + np.maximum(flat.max(), -flat.min()) * norms[1:].sum())
+    return 16 * (len(probe_ops) + d * d) * np.finfo(float).eps * (norms[0] + np.maximum(flat.max(initial=0.0), -flat.min(initial=0.0)) * norms[1:].sum())
 
 
-def _weyl_screen(flat, left, margin, x0, seeds, rho, c, tol) -> None:
-    """Certify rows of the probes ``flat`` open in ``left`` inside by the inside rows ``seeds``, and clear them in ``left``.
+def _seed_step(flat, left, margin, x0, seeds, free, rho, c, tol) -> None:
+    """Certify rows of ``flat`` open in ``left`` inside by the inside rows ``seeds``, clearing them in ``left``.
 
-    With no free coefficient t* = lambda_min(X0(a)), and X0(a) - X0(a_s) =
-    sum_alpha (a - a_s)_alpha F_alpha0 / d, F_alpha0 = F_alpha (x) 1.
-    ``build_basis`` scales Tr[F_alpha F_beta] = n delta_alpha beta, so
-    A = sum_alpha u_alpha F_alpha is traceless with Tr A^2 = n |u|^2, and its
-    largest |eigenvalue| x has x^2 + x^2 / (n - 1) <= n |u|^2: ||A (x) 1||_op
-    <= sqrt(n - 1) |u|.  Weyl's inequality (Horn & Johnson, Matrix Analysis,
-    Thm 4.3.1) then gives lambda_min(X0(a)) >= lambda_s - c |a - a_s| for
-    each seed s, with ``c`` = sqrt(n - 1) / d.  Less 4 d eps ||X0(a_s)||_F,
-    the error of the seed's eigvalsh lambda_s, and less ``rho``
-    (``_rounding``), which covers the rounding of X0 at both probes, of the
-    basis, of the bound and of the row's own eigvalsh, the largest such
-    bound is a lower bound on the eigvalsh lambda_min of the row.  A row is
-    screened when it is at least -tol, and gets it as margin; NaN is never
-    screened.  |a - a_s| is summed from the differences: the expanded
-    |a|^2 - 2 a.a_s + |a_s|^2 of the warm start can lose about 1e-8 to
-    cancellation.  The bounds of SCREEN_CHUNK rows by every seed are taken
-    at once, one axis at a time, so the temporaries are (seeds, SCREEN_CHUNK)
-    arrays of at most 65 x 1024 floats.
+    ``free`` holds the seeds' free parts X_s - X0(a_s), X_s the completion
+    in ``x0`` (all zero with no free coefficient).  ``build_basis`` scales
+    Tr[F_alpha F_beta] = n delta_alpha beta, so A = sum_alpha u_alpha
+    F_alpha is traceless with Tr A^2 = n |u|^2, and its largest |eigenvalue|
+    x has x^2 + x^2 / (n - 1) <= n |u|^2: ||A (x) 1||_op <= sqrt(n - 1) |u|.
+    As X0(a) - X0(a_s) = sum_alpha (a - a_s)_alpha F_alpha (x) 1 / d, Weyl's
+    inequality (Horn & Johnson, Matrix Analysis, Thm 4.3.1) gives
+    lambda_min(X0(a) + X_s - X0(a_s)) >= lambda_s - c |a - a_s|, lambda_s the
+    seed's margin (eigvalsh of X_s), ``c`` = sqrt(n - 1) / d.  That matrix
+    keeps the spec's fixed coefficients, so each open row takes it, from its
+    seed with the best bound, as completion and as the search's start (no
+    gather when every free part is zero).  Less 4 d eps ||X_s||_F for the
+    seed's eigvalsh, 4 (d + 1) eps ||X_s - X0(a_s)||_F for the free part's
+    subtraction, addition and share of the row's eigvalsh, and ``rho``
+    (``_rounding``) for the rounding of X0 at both probes, of the basis, of
+    the bound and of the rest of the row's eigvalsh, the best bound is a
+    lower bound on the completion's eigvalsh lambda_min.  A row is certified
+    when it is at least -tol, with it as margin; NaN never is.  |a - a_s| is
+    summed from the differences, not expanded (|a|^2 - 2 a.a_s + |a_s|^2 can
+    lose about 1e-8).  Per SCREEN_CHUNK rows the bounds by every seed take
+    two (seeds, SCREEN_CHUNK) arrays, at most 65 x 1024 floats each.
     """
-    lam = margin[seeds] - 4 * x0.shape[-1] * np.finfo(float).eps * np.linalg.norm(x0[seeds], axis=(1, 2)) - rho
+    d, eps = x0.shape[-1], np.finfo(float).eps
+    lam = margin[seeds] - 4 * d * eps * np.linalg.norm(x0[seeds], axis=(1, 2)) - rho - 4 * (d + 1) * eps * np.linalg.norm(free, axis=(1, 2))
     rows = np.flatnonzero(left)
     for lo in range(0, len(rows), SCREEN_CHUNK):
         r = rows[lo : lo + SCREEN_CHUNK]
-        dist = np.zeros((len(seeds), len(r)))
+        bounds = np.zeros((len(seeds), len(r)))
         for a_j, s_j in zip(flat[r].T, flat[seeds].T):
-            dist += np.square(a_j - s_j[:, None])
-        bound = (lam[:, None] - c * np.sqrt(dist)).max(axis=0)
+            bounds += np.square(a_j - s_j[:, None])
+        np.subtract(lam[:, None], c * np.sqrt(bounds, out=bounds), out=bounds)  # lambda_s - c |a - a_s| less the allowances
+        if free.any():
+            x0[r] += free[bounds.argmax(axis=0)]
+        bound = bounds.max(axis=0)
         hit = bound >= -tol
         margin[r[hit]], left[r[hit]] = bound[hit], False
 

@@ -62,6 +62,8 @@ def design_probes(
     """
     base = np.asarray(base, dtype=float)
     n_axes = spec.n**2 - 1
+    if spec.n < 2:
+        raise ValueError(f"probe design needs n >= 2 (n^2 - 1 >= 3 axes), got n = {spec.n}")
     if base.shape != (n_axes,):
         raise ValueError(f"base must have length {n_axes}")
     if not 0 < eps < np.inf:

@@ -428,7 +428,13 @@ def test_invalid_input_exit_codes(tmp_path, capsys):
     assert main(["extract", "--unitary", u_path, "--state", s_path]) == 2
     paths = malformed_files(tmp_path)
     raw_path = write_matrix(tmp_path / "raw.json", np.eye(2) / 2)  # a raw 2x2 state
+    # n = 1: a map of a one-level system, whose probes have no axes, and its blank spec
+    map_11 = tmp_path / "map_11.json"
+    map_11.write_text(json.dumps(map_to_json_dict(AffineMap(n=1, m=2, g_ops=np.eye(4)[:, :1, None].astype(complex), k_mat=np.zeros((1, 1))))))
+    spec_12 = write_spec(tmp_path / "s12.json", JointStateCoeffs.blank(1, 2))
     cases = [
+        (["tomography", "--map", str(map_11)], "probe design needs n >= 2 (n^2 - 1 >= 3 axes), got n = 1"),
+        (["tomography", "--map", str(map_11), "--spec", spec_12], "probe design needs n >= 2 (n^2 - 1 >= 3 axes), got n = 1"),
         # a one-point line holds only the corner (-1, -1), outside the unit disc
         (["domains", "--spec", s_path, "--section", "p1p2", "--resolution", "1"], "no probes generated"),
         (["domains", "--spec", write_spec(tmp_path / "s32.json", JointStateCoeffs.blank(3, 2))], "domain sampling is implemented for qubit subsystems"),
