@@ -35,8 +35,9 @@ def compatibility(
     Each probe is written into the subsystem column <F_{alpha 0}> of
     ``spec``, which it fixes whatever ``spec.free`` says there; leading
     dimensions are batched.  Returns (inside, margin, completion) for
-    t* = max over the free coefficients c of lambda_min(X(c)), where
-    X(0) = X0 = (X_fix + sum_alpha a_alpha F_alpha (x) 1)/d.  Each label is
+    t* = max over the free coefficients c of lambda_min(X(c)), where X(0) =
+    X0(a) = P_0 + sum_alpha a_alpha P_alpha for the one stack P = [X_fix,
+    F_alpha (x) 1]/d (``probe_ops``) that the screens share.  Each label is
     a certificate.  Inside is margin >= -tol, the eigvalsh lambda_min of the
     completion (..., d, d), the last X(c), or a certified lower bound on it
     (``_seed_step``).  Outside, margin is an upper bound on t* below -tol:
@@ -65,27 +66,23 @@ def compatibility(
 
     pb = product_basis(spec.n, spec.m)
     d = pb.dim
-    # X0 = (X_fix + sum_alpha a_alpha F_alpha (x) 1) / d, built in the array that becomes the completion
-    x0 = combine(flat, pb.mats[1:, 0])
-    x_fix = combine(base.reshape(-1), pb.mats.reshape(-1, d, d))
-    x0 += x_fix
-    x0.view(float)[...] *= 1 / d  # the bits of x0 /= d, which multiplies by the reciprocal, signed zeros apart
+    probe_ops = np.concatenate([combine(base.reshape(-1), pb.mats.reshape(-1, d, d))[None], pb.mats[1:, 0]]) / d
+    x0 = combine(flat, probe_ops[1:])  # X0(a) = probe_ops[0] + a . probe_ops[1:], built in the array that becomes the completion
+    x0 += probe_ops[0]
     free_ops = pb.mats[free] / d
     margin = np.empty(len(flat))
     stride = len(flat) // DUAL_ROWS if len(flat) >= 8 * DUAL_ROWS else 1
     seeds = np.arange(0, len(flat), stride)
-    seed_x0 = x0[seeds] if stride > 1 else None
     duals = _solve_rows(x0, margin, seeds, free_ops, tol, stride > 1)
     if stride > 1:
         left = np.ones(len(flat), dtype=bool)
         left[seeds] = False
-        probe_ops = np.concatenate([x_fix[None], pb.mats[1:, 0]]) / d  # X0(a) = probe_ops[0] + a . probe_ops[1:]
         rho = _rounding(flat, probe_ops)
         if len(duals):
             _dual_screen(flat, left, margin, duals, probe_ops, free_ops, rho, tol)
-        warm = margin[seeds] >= -tol
-        if warm.any():
-            _seed_step(flat, left, margin, x0, seeds[warm], x0[seeds[warm]] - seed_x0[warm], rho, np.sqrt(spec.n - 1) / d, tol)
+        warm = seeds[margin[seeds] >= -tol]
+        if warm.size:  # combine's bits do not depend on the batch, so X0 of the seeds is rebuilt exactly
+            _seed_step(flat, left, margin, x0, warm, x0[warm] - (combine(flat[warm], probe_ops[1:]) + probe_ops[0]), rho, np.sqrt(spec.n - 1) / d, tol)
         _solve_rows(x0, margin, np.flatnonzero(left), free_ops, tol, False)
     return (margin >= -tol).reshape(lead), margin.reshape(lead), x0.reshape(lead + (d, d))
 

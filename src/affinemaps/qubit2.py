@@ -341,19 +341,21 @@ class BoundsSweep(NamedTuple):
 def bounds_sweep(family: str, trials: int, seed: int = 0, tol: float = DEFAULT_TOL) -> BoundsSweep:
     """Check the two kappa bounds over random family draws and random states.
 
-    Every trial is drawn first, in the seeded order (one family draw, then
-    the complex_gaussian(4) that random_density(4) draws); the states, their
-    coefficients and the unitaries are then built in blocks, and each
-    (U, state) pair is checked by its own kappa_bounds_check call.
+    Trials go in blocks of _BLOCK, so memory does not grow with ``trials``:
+    a block is drawn in the seeded order (one family draw, then the
+    complex_gaussian(4) that random_density(4) draws), its unitaries, states
+    and coefficients are built as stacks, and each (U, state) pair is
+    checked by its own kappa_bounds_check call.
     """
     fam = _family(family, trials)
     rng = np.random.default_rng(seed)
-    params, gs = zip(*[(fam.draw(rng), complex_gaussian(4, rng)) for _ in range(trials)])
-    coeff = expand_states(gram_density(np.array(gs)), product_basis(2, 2), tol)
     ok, max_norm, min_margin = 0, 0.0, np.inf
-    for u, c in zip(fam.unitary(np.array(params)), coeff):
-        res = kappa_bounds_check(u, JointStateCoeffs(2, 2, c, np.zeros((4, 4), dtype=bool)), tol)
-        ok += int(res.ok)
-        max_norm = max(max_norm, res.kappa_norm)
-        min_margin = min(min_margin, min(res.bound_a, res.bound_b) - res.kappa_norm)
+    for start in range(0, trials, _BLOCK):
+        params, gs = zip(*[(fam.draw(rng), complex_gaussian(4, rng)) for _ in range(min(_BLOCK, trials - start))])
+        coeff = expand_states(gram_density(np.array(gs)), product_basis(2, 2), tol)
+        for u, c in zip(fam.unitary(np.array(params)), coeff):
+            res = kappa_bounds_check(u, JointStateCoeffs(2, 2, c, np.zeros((4, 4), dtype=bool)), tol)
+            ok += int(res.ok)
+            max_norm = max(max_norm, res.kappa_norm)
+            min_margin = min(min_margin, min(res.bound_a, res.bound_b) - res.kappa_norm)
     return BoundsSweep(checked=trials, ok=ok, max_kappa_norm=max_norm, min_margin=float(min_margin))

@@ -119,6 +119,16 @@ def test_extract_G_completeness(dims, rng):
         np.testing.assert_allclose(right, np.eye(pb.n), atol=1e-10)
 
 
+@settings(max_examples=40)
+@given(dims=st.sampled_from(DIMS), seed=st.integers(0, 2**32 - 1))
+def test_extract_G_completeness_sums_hold_for_any_unitary(dims, seed):
+    # sum_nu G(nu)^dag G(nu) = 1 (trace preservation) and sum_nu G(nu) G(nu)^dag = 1 (L(1) = 1)
+    pb = product_basis(*dims)
+    g = extract_G(random_unitary(pb.dim, np.random.default_rng(seed)), pb.basis_r)
+    np.testing.assert_allclose(np.einsum("nji,njk->ik", g.conj(), g), np.eye(pb.n), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(np.einsum("nij,nkj->ik", g, g.conj()), np.eye(pb.n), rtol=0, atol=1e-10)
+
+
 def test_extract_G_rejects_non_unitary(pb22):
     with pytest.raises(ValueError):
         extract_G(np.eye(4) * 1.5, pb22.basis_r)
@@ -543,6 +553,38 @@ def test_purity_increases_at_maximally_mixed(rng):
         delta = purity_delta(amap, np.eye(2, dtype=complex) / 2)
         assert delta > 0
         np.testing.assert_allclose(delta, (lam**2).sum(), rtol=1e-10)
+
+
+def random_subsystem_state(rng, n):
+    """A random n x n state of random rank, so that pure states are drawn too."""
+    return random_density(n, rng, rank=int(rng.integers(1, n + 1)))
+
+
+@settings(max_examples=40)
+@given(dims=st.sampled_from(DIMS), seed=st.integers(0, 2**32 - 1))
+def test_purity_theorem_product_state_with_mixed_environment(dims, seed):
+    # with Pi = rho (x) 1/M every correlation that enters K vanishes: K = 0, and no state gains purity
+    n, m = dims
+    rng = np.random.default_rng(seed)
+    pi = np.kron(random_density(n, rng), np.eye(m) / m)
+    amap = extract_map(random_unitary(n * m, rng), pi, product_basis(n, m))
+    assert np.linalg.norm(amap.k_mat) <= 1e-12
+    assert purity_delta(amap, random_subsystem_state(rng, n)) <= 1e-12
+
+
+@settings(max_examples=40)
+@given(dims=st.sampled_from(DIMS), seed=st.integers(0, 2**32 - 1))
+def test_purity_theorem_any_joint_state(dims, seed):
+    # for any Pi, L alone never raises Tr rho^2, and at 1/n the affine map raises it by exactly
+    # ||K||_F^2, since L(1/n) = 1/n and Tr K = 0
+    n, m = dims
+    rng = np.random.default_rng(seed)
+    amap = extract_map(random_unitary(n * m, rng), random_density(n * m, rng), product_basis(n, m))
+    rho = random_subsystem_state(rng, n)
+    out = apply_L(amap, rho)
+    assert np.trace(out @ out).real - np.trace(rho @ rho).real <= 1e-12
+    k2 = np.linalg.norm(amap.k_mat) ** 2
+    assert abs(purity_delta(amap, np.eye(n, dtype=complex) / n) - k2) <= 1e-8 * k2
 
 
 def test_purity_qubit_closed_form():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -410,7 +412,7 @@ def test_bounds_sweep_rejects_nonpositive_trials(trials):
 
 
 @pytest.mark.parametrize("family", list(FAMILIES))
-def test_bounds_sweep_matches_per_trial_loop(pb22, family):
+def test_bounds_sweep_matches_per_trial_loop(pb22, family, monkeypatch):
     # reference: one family draw, one state and one check per trial, in the seeded order
     rng = np.random.default_rng(9)
     ok, max_norm, min_margin = 0, 0.0, np.inf
@@ -421,6 +423,23 @@ def test_bounds_sweep_matches_per_trial_loop(pb22, family):
         max_norm = max(max_norm, res.kappa_norm)
         min_margin = min(min_margin, min(res.bound_a, res.bound_b) - res.kappa_norm)
     assert tuple(bounds_sweep(family, 50, seed=9)) == (50, ok, max_norm, float(min_margin))
+    monkeypatch.setattr(qubit2, "_BLOCK", 16)  # four blocks keep the seeded order and every check
+    assert tuple(bounds_sweep(family, 50, seed=9)) == (50, ok, max_norm, float(min_margin))
+
+
+def test_bounds_sweep_memory_does_not_grow_with_the_trials():
+    # about 3 KB a trial when every trial was drawn and built at once: the peak at 2 _BLOCK + 1
+    # trials was twice that at _BLOCK
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            bounds_sweep("lorentz", trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bounds_sweep("lorentz", 1)  # the cached product basis is built outside the trace
+    assert peak(2 * qubit2._BLOCK + 1) <= 1.3 * peak(qubit2._BLOCK)
 
 
 def record_sweep_expansions(monkeypatch):

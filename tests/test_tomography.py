@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import pairs_json
 
@@ -186,6 +188,18 @@ def test_reconstruction_exact_for_random_maps(rng):
         evaluate_probes(probes, map_oracle(truth))
         recon = reconstruct_map(probes)
         assert validate_reconstruction(recon, truth, tol=1e-9).passed
+
+
+@settings(max_examples=40)
+@given(dims=st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3)]), seed=st.integers(0, 2**32 - 1))
+def test_round_trip_recovers_any_extracted_map(dims, seed):
+    # probes around the maximally mixed state of a blank spec, the map's own outputs, then the fit
+    n, m = dims
+    rng = np.random.default_rng(seed)
+    truth = extract_map(random_unitary(n * m, rng), random_density(n * m, rng), product_basis(n, m))
+    probes = design_probes(JointStateCoeffs.blank(n, m), np.zeros(n**2 - 1), eps=0.05)
+    evaluate_probes(probes, map_oracle(truth))
+    assert validate_reconstruction(reconstruct_map(probes), truth, tol=1e-9).passed
 
 
 def test_reconstruction_base_independent(rng):
