@@ -19,8 +19,8 @@ from .linalg import DEFAULT_TOL, combine, dagger, trace_pairing
 from .maps import AffineMap, bloch_action
 
 
-SCREEN_CHUNK = 1024  # rows per chunk of the dual screen and of eigvalsh, so their copies have a fixed size
-DUAL_ROWS = 64  # seed rows of the dual screen; below 8 DUAL_ROWS (the measured break-even) a batch is all seed
+SCREEN_CHUNK = 1024  # rows per chunk of _screen's passes and of eigvalsh, so their copies have a fixed size
+DUAL_ROWS = 64  # seed rows of _screen; below 8 DUAL_ROWS (the measured break-even) a batch is all seed
 
 
 class InfeasibleError(Exception):
@@ -37,21 +37,21 @@ def compatibility(
     dimensions are batched.  Returns (inside, margin, completion) for
     t* = max over the free coefficients c of lambda_min(X(c)), where X(0) =
     X0(a) = P_0 + sum_alpha a_alpha P_alpha for the one stack P = [X_fix,
-    F_alpha (x) 1]/d (``probe_ops``) that the screens share.  Each label is
+    F_alpha (x) 1]/d (``probe_ops``) that every step shares.  Each label is
     a certificate.  Inside is margin >= -tol, the eigvalsh lambda_min of the
     completion (..., d, d), the last X(c), or a certified lower bound on it
-    (``_seed_step``).  Outside, margin is an upper bound on t* below -tol:
-    from a dual Z (``_barrier_search``; ``_dual_screen``, whose rows keep
-    X0), or t* = lambda_min(X0) with no free coefficient.  So a label
-    depends on its probe, not its batch, up to eigvalsh rounding at -tol;
-    only ``_barrier_search``'s fallback labels outside without a
-    certificate.  Margins and completions depend on the batch: inside
-    margins moved by up to 3.4e-2 between whole, shuffled and 511-row
-    batches of fig1's partial p1p2 section at 41, 101 and 201.  A batch of
-    b >= 8 DUAL_ROWS probes is solved in order: a seed of every
-    (b // DUAL_ROWS)-th row, ``_dual_screen`` by the seed's outside duals,
-    ``_seed_step`` by its inside rows, and a solve of the rows left open.
-    A smaller batch is all seed.
+    (``_screen``).  Outside, margin is an upper bound on t* below -tol: from
+    a dual Z (``_barrier_search``; ``_screen``, whose rows keep X0), or t* =
+    lambda_min(X0) with no free coefficient.  So a label depends on its
+    probe, not its batch, up to eigvalsh rounding at -tol; only
+    ``_barrier_search``'s fallback labels outside without a certificate.
+    Margins and completions depend on the batch: inside margins moved by up
+    to 3.4e-2 between whole, shuffled and 511-row batches of fig1's partial
+    p1p2 section at 41, 101 and 201.  A batch of b >= 8 DUAL_ROWS probes
+    takes three steps: the seed, every (b // DUAL_ROWS)-th row (64-72
+    rows), solved by ``_solve_rows``; ``_screen``, which certifies the other
+    rows from the seed's; and ``_solve_rows`` on the rows left open.  A
+    smaller batch is all seed.
     """
     probes = np.asarray(probes, dtype=float)
     n_axes = spec.n**2 - 1
@@ -73,39 +73,28 @@ def compatibility(
     margin = np.empty(len(flat))
     stride = len(flat) // DUAL_ROWS if len(flat) >= 8 * DUAL_ROWS else 1
     seeds = np.arange(0, len(flat), stride)
-    duals = _solve_rows(x0, margin, seeds, free_ops, tol, stride > 1)
+    duals = _solve_rows(x0, margin, seeds, free_ops, tol)
     if stride > 1:
         left = np.ones(len(flat), dtype=bool)
         left[seeds] = False
-        rho = _rounding(flat, probe_ops)
-        if len(duals):
-            _dual_screen(flat, left, margin, duals, probe_ops, free_ops, rho, tol)
-        warm = seeds[margin[seeds] >= -tol]
-        if warm.size:  # combine's bits do not depend on the batch, so X0 of the seeds is rebuilt exactly
-            _seed_step(flat, left, margin, x0, warm, x0[warm] - (combine(flat[warm], probe_ops[1:]) + probe_ops[0]), rho, np.sqrt(spec.n - 1) / d, tol)
-        _solve_rows(x0, margin, np.flatnonzero(left), free_ops, tol, False)
+        _screen(flat, left, margin, x0, seeds, duals, probe_ops, free_ops, np.sqrt(spec.n - 1) / d, tol)
+        _solve_rows(x0, margin, np.flatnonzero(left), free_ops, tol)
     return (margin >= -tol).reshape(lead), margin.reshape(lead), x0.reshape(lead + (d, d))
 
 
-def _solve_rows(x0, margin, rows, free_ops, tol, duals: bool) -> list:
+def _solve_rows(x0, margin, rows, free_ops, tol) -> list:
     """Margins of ``rows``: lambda_min of their ``x0`` per SCREEN_CHUNK rows, then ``_barrier_search`` on those below -tol.
 
-    ``rows`` are the seed rows, then the rows the screens left open (a row a
-    screen certifies takes no eigvalsh).  Returns the duals Z of the rows
-    decided outside, as a list of stacks: the search's, or with no free
-    coefficient and ``duals``, Z = v v^H for the unit lowest eigenvector v of
-    X0 from one eigh, since lambda_min(X0) <= v^H X0 v.
+    ``rows`` are the seed rows, then the rows ``_screen`` left open (a row it
+    certifies takes no eigvalsh).  Returns the search's duals Z of the rows
+    decided outside, as a list of stacks; with no free coefficient there is
+    no search and no Z.
     """
     for lo in range(0, len(rows), SCREEN_CHUNK):
         r = rows[lo : lo + SCREEN_CHUNK]
         margin[r] = np.linalg.eigvalsh(x0[r])[:, 0]
     below = rows[margin[rows] < -tol]
-    if len(free_ops):
-        return _barrier_search(x0, margin, below, free_ops, tol)
-    if not (duals and below.size):
-        return []
-    v = np.linalg.eigh(x0[below])[1][:, :, 0]
-    return [v[:, :, None] * v[:, None].conj()]
+    return _barrier_search(x0, margin, below, free_ops, tol) if len(free_ops) else []
 
 
 def _barrier_search(completion, margin, idx, free_ops, tol) -> list:
@@ -171,104 +160,114 @@ def _barrier_search(completion, margin, idx, free_ops, tol) -> list:
     return duals
 
 
-def _dual_screen(flat, left, margin, duals, probe_ops, free_ops, rho, tol) -> None:
-    """Certify rows of the probes ``flat`` open in ``left`` outside by the stacks ``duals`` of Z, and clear them in ``left``.
-
-    Tr[Z X0(a)] is affine in a through ``probe_ops`` (X_fix / d, then the
-    F_alpha0 / d), and ``free_ops`` holds the free F_j / d.  Z is only nearly
-    dual feasible, so the bound is weak duality (Boyd & Vandenberghe, Convex
-    Optimization, ch. 5) made robust.  Take delta >= max(0, -lambda_min(Z)),
-    tau = Tr Z + d delta and E0 = sum_j ||F_j||_op |Tr[Z F_j]| / d.  Pairing
-    Z + delta 1 >= 0 with X(c*) - t* 1 >= 0, and using Tr X = 1, gives
-    t* tau <= Tr[Z X0(a)] + delta + sum_j c*_j Tr[Z F_j] / d.  For t* < 0,
-    X(c*) + |t*| 1 >= 0 has trace 1 + d|t*|, so |c*_j| = |Tr[F_j X(c*)]| <=
-    ||F_j||_op (1 + 2 d |t*|); for t* >= 0 the sum is at most E0, so the
-    numerator below is at least t* tau >= 0.  Hence t* <= (Tr[Z X0(a)] +
-    delta + E0 + rho ||Z||_F) / (tau + 2 d E0) whenever the right side is
-    negative, where ``rho`` (``_rounding``) covers the rounding of the affine
-    evaluation.  With no free coefficient E0 = 0, t* = lambda_min(X0), and
-    rho is also well above the rounding of eigvalsh (of order d eps ||X0||).
-    A row is screened when its least bound is below -tol, and gets it as
-    margin; the search, which labels inside only on a lower bound on t* of
-    at least -tol, would label it outside too.  The least bound is taken in
-    two stages, so that most rows meet only a few duals: over a greedy cover
-    (the duals that screen the most seed rows, closed in ``left``, not yet
-    screened), then over every dual on the rows the cover leaves open.
-    """
-    d, eps = probe_ops.shape[-1], np.finfo(float).eps
-    z = np.concatenate(duals)
-    z = (z + dagger(z)) / 2
-    z_norm = np.linalg.norm(z, axis=(1, 2))
-    delta = np.maximum(0.0, -np.linalg.eigvalsh(z)[:, 0]) + 4 * d * eps * z_norm
-    e0 = d * np.abs(trace_pairing(free_ops, z)) @ np.linalg.norm(free_ops, 2, axis=(1, 2))
-    w = trace_pairing(probe_ops, z)  # Tr[Z X0(a)] = w_0 + sum_alpha a_alpha w_alpha
-    den = np.trace(z, axis1=1, axis2=2).real + d * delta + 2 * d * e0
-    coef, off = w[:, 1:] / den[:, None], ((w[:, 0] + delta + e0 + rho * z_norm) / den)[:, None]  # Z_j bounds t* by coef_j . a + off_j
-    hit = coef @ flat[~left].T + off < -tol
-    cover = []
-    while hit.any():
-        cover.append(int(hit.sum(axis=1).argmax()))
-        hit = hit[:, ~hit[cover[-1]]]
-    cover_coef, cover_off = coef[cover], off[cover]
-    for lo in range(0, len(flat), SCREEN_CHUNK):  # duals by rows: the least bound is a min along the rows, not per short row
-        a, m, todo = flat[lo : lo + SCREEN_CHUNK].T, margin[lo : lo + SCREEN_CHUNK], left[lo : lo + SCREEN_CHUNK]
-        bounds = cover_coef @ a
-        bounds += cover_off
-        bound = bounds.min(axis=0, initial=np.inf)
-        again = ~(bound < -tol)
-        bounds = coef @ a[:, again]
-        bounds += off
-        bound[again] = bounds.min(axis=0, initial=np.inf)
-        hit = todo & (bound < -tol)  # NaN is never screened
-        m[hit] = bound[hit]
-        todo[hit] = False
-
-
 def _rounding(flat, probe_ops) -> float:
-    """rho = 16 (n^2 + d^2) eps (||X_fix||_F + max|a| sum_alpha ||F_alpha0||_F) / d, the screens' rounding allowance on X0(a)."""
+    """rho = 16 (n^2 + d^2) eps (||X_fix||_F + max|a| sum_alpha ||F_alpha0||_F) / d, ``_screen``'s rounding allowance on X0(a)."""
     norms, d = np.linalg.norm(probe_ops, axis=(1, 2)), probe_ops.shape[-1]
     return 16 * (len(probe_ops) + d * d) * np.finfo(float).eps * (norms[0] + np.maximum(flat.max(initial=0.0), -flat.min(initial=0.0)) * norms[1:].sum())
 
 
-def _seed_step(flat, left, margin, x0, seeds, free, rho, c, tol) -> None:
-    """Certify rows of ``flat`` open in ``left`` inside by the inside rows ``seeds``, clearing them in ``left``.
+def _screen(flat, left, margin, x0, seeds, duals, probe_ops, free_ops, c, tol) -> None:
+    """Certify rows of the probes ``flat`` open in ``left`` from the solved ``seeds``, clearing them in ``left``.
 
-    ``free`` holds the seeds' free parts X_s - X0(a_s), X_s the completion
-    in ``x0`` (all zero with no free coefficient).  ``build_basis`` scales
-    Tr[F_alpha F_beta] = n delta_alpha beta, so A = sum_alpha u_alpha
-    F_alpha is traceless with Tr A^2 = n |u|^2, and its largest |eigenvalue|
-    x has x^2 + x^2 / (n - 1) <= n |u|^2: ||A (x) 1||_op <= sqrt(n - 1) |u|.
-    As X0(a) - X0(a_s) = sum_alpha (a - a_s)_alpha F_alpha (x) 1 / d, Weyl's
-    inequality (Horn & Johnson, Matrix Analysis, Thm 4.3.1) gives
-    lambda_min(X0(a) + X_s - X0(a_s)) >= lambda_s - c |a - a_s|, lambda_s the
-    seed's margin (eigvalsh of X_s), ``c`` = sqrt(n - 1) / d.  That matrix
-    keeps the spec's fixed coefficients, so each open row takes it, from its
-    seed with the best bound, as completion and as the search's start (no
-    gather when every free part is zero).  Less 4 d eps ||X_s||_F for the
-    seed's eigvalsh, 4 (d + 1) eps ||X_s - X0(a_s)||_F for the free part's
-    subtraction, addition and share of the row's eigvalsh, and ``rho``
-    (``_rounding``) for the rounding of X0 at both probes, of the basis, of
-    the bound and of the rest of the row's eigvalsh, the best bound is a
-    lower bound on the completion's eigvalsh lambda_min.  A row is certified
-    when it is at least -tol, with it as margin; NaN never is.  |a - a_s| is
-    summed from the differences, not expanded (|a|^2 - 2 a.a_s + |a_s|^2 can
-    lose about 1e-8).  Per SCREEN_CHUNK rows the bounds by every seed take
-    two (seeds, SCREEN_CHUNK) arrays, at most 65 x 1024 floats each.
+    Two passes over chunks of SCREEN_CHUNK rows, with ``rho`` (``_rounding``)
+    for the rounding of X0(a): outside by the stacks ``duals`` of Z of the
+    outside seed rows, then inside by the inside seed rows (in one loop the
+    Weyl pass would meet each chunk's few open rows, not full chunks of them).
+
+    Outside.  Tr[Z X0(a)] is affine in a through ``probe_ops`` (X_fix / d,
+    then the F_alpha0 / d), and ``free_ops`` holds the free F_j / d.  The Z
+    are the search's; with no free coefficient they are Z = v v^H for the
+    unit lowest eigenvector v of each outside seed row's X0, from one eigh,
+    since lambda_min(X0) <= v^H X0 v.  Z is only nearly dual feasible, so
+    the bound is weak duality (Boyd & Vandenberghe, Convex Optimization,
+    ch. 5) made robust.  Take delta >= max(0, -lambda_min(Z)), tau = Tr Z +
+    d delta and E0 = sum_j ||F_j||_op |Tr[Z F_j]| / d.  Pairing Z + delta 1
+    >= 0 with X(c*) - t* 1 >= 0, and using Tr X = 1, gives t* tau <=
+    Tr[Z X0(a)] + delta + sum_j c*_j Tr[Z F_j] / d.  For t* < 0, X(c*) +
+    |t*| 1 >= 0 has trace 1 + d|t*|, so |c*_j| = |Tr[F_j X(c*)]| <=
+    ||F_j||_op (1 + 2 d |t*|); for t* >= 0 the sum is at most E0, so the
+    numerator below is at least t* tau >= 0.  Hence t* <= (Tr[Z X0(a)] +
+    delta + E0 + rho ||Z||_F) / (tau + 2 d E0) whenever the right side is
+    negative, where ``rho`` covers the rounding of the affine evaluation.
+    With no free coefficient E0 = 0, t* = lambda_min(X0), and rho is also
+    well above the rounding of eigvalsh (of order d eps ||X0||).  A row is
+    screened when its least bound is below -tol, and gets it as margin; the
+    search, which labels inside only on a lower bound on t* of at least
+    -tol, would label it outside too.  The least bound is taken in two
+    stages, so that most rows meet only a few duals: over a greedy cover
+    (the duals that screen the most seed rows, not yet screened), then over
+    every dual on the rows the cover leaves open.
+
+    Inside.  Each inside seed row s has the completion X_s in ``x0``, with
+    free part X_s - X0(a_s) (all zero with no free coefficient).
+    ``build_basis`` scales Tr[F_alpha F_beta] = n delta_alpha beta, so A =
+    sum_alpha u_alpha F_alpha is traceless with Tr A^2 = n |u|^2, and its
+    largest |eigenvalue| x has x^2 + x^2 / (n - 1) <= n |u|^2: ||A (x) 1||_op
+    <= sqrt(n - 1) |u|.  As X0(a) - X0(a_s) = sum_alpha (a - a_s)_alpha
+    F_alpha (x) 1 / d, Weyl's inequality (Horn & Johnson, Matrix Analysis,
+    Thm 4.3.1) gives lambda_min(X0(a) + X_s - X0(a_s)) >= lambda_s - c
+    |a - a_s|, lambda_s the seed's margin (eigvalsh of X_s), ``c`` =
+    sqrt(n - 1) / d.  That matrix keeps the spec's fixed coefficients, so
+    each open row takes it, from its seed with the best bound, as completion
+    and as the search's start (no gather when every free part is zero).
+    Less 4 d eps ||X_s||_F for the seed's eigvalsh, 4 (d + 1) eps
+    ||X_s - X0(a_s)||_F for the free part's subtraction, addition and share
+    of the row's eigvalsh, and ``rho`` for the rounding of X0 at both
+    probes, of the basis, of the bound and of the rest of the row's
+    eigvalsh, the best bound is a lower bound on the completion's eigvalsh
+    lambda_min.  A row is certified when it is at least -tol, with it as
+    margin; NaN never is.  |a - a_s| is summed from the differences, not
+    expanded (|a|^2 - 2 a.a_s + |a_s|^2 can lose about 1e-8).  Per
+    SCREEN_CHUNK rows the bounds by every inside seed take two
+    (seeds, SCREEN_CHUNK) arrays, at most 72 x 1024 floats each.
     """
-    d, eps = x0.shape[-1], np.finfo(float).eps
-    lam = margin[seeds] - 4 * d * eps * np.linalg.norm(x0[seeds], axis=(1, 2)) - rho - 4 * (d + 1) * eps * np.linalg.norm(free, axis=(1, 2))
-    rows = np.flatnonzero(left)
-    for lo in range(0, len(rows), SCREEN_CHUNK):
-        r = rows[lo : lo + SCREEN_CHUNK]
-        bounds = np.zeros((len(seeds), len(r)))
-        for a_j, s_j in zip(flat[r].T, flat[seeds].T):
-            bounds += np.square(a_j - s_j[:, None])
-        np.subtract(lam[:, None], c * np.sqrt(bounds, out=bounds), out=bounds)  # lambda_s - c |a - a_s| less the allowances
-        if free.any():
-            x0[r] += free[bounds.argmax(axis=0)]
-        bound = bounds.max(axis=0)
-        hit = bound >= -tol
-        margin[r[hit]], left[r[hit]] = bound[hit], False
+    d, eps, rho = x0.shape[-1], np.finfo(float).eps, _rounding(flat, probe_ops)
+    out = seeds[margin[seeds] < -tol]
+    if out.size and not len(free_ops):
+        v = np.linalg.eigh(x0[out])[1][:, :, 0]
+        duals = [v[:, :, None] * v[:, None].conj()]
+    if duals:
+        z = np.concatenate(duals)
+        z = (z + dagger(z)) / 2
+        z_norm = np.linalg.norm(z, axis=(1, 2))
+        delta = np.maximum(0.0, -np.linalg.eigvalsh(z)[:, 0]) + 4 * d * eps * z_norm
+        e0 = d * np.abs(trace_pairing(free_ops, z)) @ np.linalg.norm(free_ops, 2, axis=(1, 2))
+        w = trace_pairing(probe_ops, z)  # Tr[Z X0(a)] = w_0 + sum_alpha a_alpha w_alpha
+        den = np.trace(z, axis1=1, axis2=2).real + d * delta + 2 * d * e0
+        coef, off = w[:, 1:] / den[:, None], ((w[:, 0] + delta + e0 + rho * z_norm) / den)[:, None]  # Z_j bounds t* by coef_j . a + off_j
+        hit = coef @ flat[seeds].T + off < -tol
+        cover = []
+        while hit.any():
+            cover.append(int(hit.sum(axis=1).argmax()))
+            hit = hit[:, ~hit[cover[-1]]]
+        cover_coef, cover_off = coef[cover], off[cover]
+        for lo in range(0, len(flat), SCREEN_CHUNK):  # duals by rows: the least bound is a min along the rows, not per short row
+            a, m, todo = flat[lo : lo + SCREEN_CHUNK].T, margin[lo : lo + SCREEN_CHUNK], left[lo : lo + SCREEN_CHUNK]
+            bounds = cover_coef @ a
+            bounds += cover_off
+            bound = bounds.min(axis=0, initial=np.inf)
+            again = ~(bound < -tol)
+            bounds = coef @ a[:, again]
+            bounds += off
+            bound[again] = bounds.min(axis=0, initial=np.inf)
+            hit = todo & (bound < -tol)  # NaN is never screened
+            m[hit], todo[hit] = bound[hit], False
+    warm = seeds[margin[seeds] >= -tol]
+    if warm.size:  # combine's bits do not depend on the batch, so X0 of the seeds is rebuilt exactly
+        free = x0[warm] - (combine(flat[warm], probe_ops[1:]) + probe_ops[0])
+        lam = margin[warm] - 4 * d * eps * np.linalg.norm(x0[warm], axis=(1, 2)) - rho - 4 * (d + 1) * eps * np.linalg.norm(free, axis=(1, 2))
+        rows = np.flatnonzero(left)
+        for lo in range(0, len(rows), SCREEN_CHUNK):
+            r = rows[lo : lo + SCREEN_CHUNK]
+            bounds = np.zeros((len(warm), len(r)))
+            for a_j, s_j in zip(flat[r].T, flat[warm].T):
+                bounds += np.square(a_j - s_j[:, None])
+            np.subtract(lam[:, None], c * np.sqrt(bounds, out=bounds), out=bounds)  # lambda_s - c |a - a_s| less the allowances
+            if free.any():
+                x0[r] += free[bounds.argmax(axis=0)]
+            bound = bounds.max(axis=0)
+            hit = bound >= -tol
+            margin[r[hit]], left[r[hit]] = bound[hit], False
 
 
 def _newton_terms(s_inv: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from affinemaps.basis import JointStateCoeffs, expand_state, probe_state, product_basis, reconstruct_state, traceless_operator
 from affinemaps.cli import _write_pairs_csv, fig1_spec, fig2_spec
-from affinemaps.linalg import combine, random_density, random_unitary
+from affinemaps.linalg import DEFAULT_TOL, combine, dagger, random_density, random_unitary
 from affinemaps import domains, tomography
 from affinemaps.maps import AffineMap, apply_L, extract_G, extract_map, map_from_unitary
 from affinemaps.domains import (
@@ -318,7 +319,7 @@ def test_empty_probe_batch_gives_empty_labels(lead):
 @pytest.mark.parametrize("lead", [(), (3,), (2, 8 * DUAL_ROWS)])
 def test_one_level_subsystem_probes_have_no_axes(lead):
     # n = 1: a probe has n^2 - 1 = 0 entries, so the rows of a batch come from its leading shape,
-    # and X0 = 1/m is inside with lambda_min 1/m (or, screened by the seed step, a bound just below)
+    # and X0 = 1/m is inside with lambda_min 1/m (or, certified by the Weyl screen, a bound just below)
     inside, margin, completion = compatibility(JointStateCoeffs.blank(1, 3), np.zeros(lead + (0,)))
     assert inside.shape == margin.shape == lead and completion.shape == lead + (3, 3)
     assert inside.all() and (np.abs(margin - 1 / 3) <= 1e-12).all()
@@ -327,7 +328,7 @@ def test_one_level_subsystem_probes_have_no_axes(lead):
 def test_fixed_path_peak_memory_is_near_the_completion():
     # X0 is assembled in the returned completion itself: no per-probe copy of the
     # (n^2, m^2) coefficient table, which took the peak to about 3x the completion;
-    # on p1p3 the seed step's bounds take (seeds, SCREEN_CHUNK) arrays only, and with no free
+    # on p1p3 the Weyl screen's bounds take (seeds, SCREEN_CHUNK) arrays only, and with no free
     # coefficient it adds no free part
     spec = fig2_spec()
     for section, ratio in (("p1p2", 1.5), ("p1p3", 1.1)):
@@ -415,29 +416,32 @@ def test_weyl_screen_sends_the_boundary_to_eigvalsh(monkeypatch, seed):
     assert warm.min() >= -1e-12
 
 
-def test_seed_step_allowance_covers_the_free_part_rounding():
+def test_weyl_screen_allowance_covers_the_free_part_rounding(monkeypatch):
     # rows on the a3 axis with X0(a) = B + rho_a (x) 1/2, B Hermitian with entries 2^20 times small
-    # integers, are exact in floats, so rho = 0 leaves only the step's own rounding to cover.  The
-    # seed a_s = z/2 has the completion X_s = rho_{a_s} (x) 1/2 + g v v^H, v on the block where
-    # lambda_min = 1/8, so its free part X_s - X0(a_s) is about -B and loses the low bits of X_s.
-    # At a = z, X0(a) plus that free part has lambda_min 0 in exact arithmetic and the Weyl bound
-    # 1/8 - |a - a_s| / 4 is 0 too, but the completion's eigvalsh lies about 1e-9 from 0 either way:
-    # a row certified there must have a margin no larger than that eigvalsh
+    # integers, are exact in floats, so with ``_rounding`` at 0 only the Weyl screen's own rounding
+    # is left to cover.  The seed a_s = z/2 has the completion X_s = rho_{a_s} (x) 1/2 + g v v^H, v
+    # on the block where lambda_min = 1/8, so its free part X_s - X0(a_s) is about -B and loses the
+    # low bits of X_s.  At a = z, X0(a) plus that free part has lambda_min 0 in exact arithmetic and
+    # the Weyl bound 1/8 - |a - a_s| / 4 is 0 too, but the completion's eigvalsh lies about 1e-9
+    # from 0 either way: a row certified there must have a margin no larger than that eigvalsh.
+    # The seed is inside and there is no dual, so only the Weyl screen runs
     rng = np.random.default_rng(0)
     flat = np.zeros((3, 3))
     flat[:, 2] = (0.5, 0.5, 1.0)  # the seed, a row at the seed and a row on the boundary
     tol = 1e-12
+    monkeypatch.setattr(domains, "_rounding", lambda flat, probe_ops: 0.0)
+    f_ops = product_basis(2, 2).mats[1:, 0] / 4  # F_alpha (x) 1 / d
     for _ in range(24):
         k = rng.integers(1, 4, size=(2, 4, 4))
         b = 2.0**20 * (k[0] + 1j * k[1])
-        x0 = np.array([b + b.conj().T + np.diag(np.repeat([1 + a, 1 - a], 2) / 4) for a in flat[:, 2]])
-        seed_x0 = x0[:1].copy()
+        probe_ops = np.concatenate([(b + b.conj().T + np.eye(4) / 4)[None], f_ops])
+        x0 = combine(flat, probe_ops[1:]) + probe_ops[0]  # as compatibility builds X0(a)
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         x0[0] = np.diag([3, 3, 1, 1]) / 8
         x0[0, 2:, 2:] += rng.uniform(0.5, 2.0) * np.outer(v, v.conj()) / np.vdot(v, v).real
         margin = np.linalg.eigvalsh(x0[:1])[:, 0].repeat(3)
         left = np.array([False, True, True])
-        domains._seed_step(flat, left, margin, x0, np.array([0]), x0[:1] - seed_x0, 0.0, 0.25, tol)
+        domains._screen(flat, left, margin, x0, np.array([0]), [], probe_ops, f_ops[:0], 0.25, tol)
         lam = np.linalg.eigvalsh(x0)[:, 0]
         assert not left[1] and abs(lam[1] - lam[0]) <= 1e-8
         assert (-tol <= margin[~left]).all() and (margin[~left] <= lam[~left]).all()
@@ -460,10 +464,11 @@ def test_fixed_screen_passes_nan_rows_to_eigvalsh(monkeypatch):
     # every seed row (each 8th) is outside, so the screen runs on row 5; a NaN row is never
     # screened, so eigvalsh raises as it does for a batch that is all seed
     spec, probes = JointStateCoeffs.blank(2, 2), np.tile([0.0, 0.0, 1.5], (8 * DUAL_ROWS, 1))
-    calls = spy_on_dual_screen(monkeypatch)
+    calls, vectors, eigh = spy_on_screen(monkeypatch), [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: vectors.append(len(a)) or eigh(a))  # the duals v v^H
     assert not compatibility(spec, probes)[0].any()
-    [(z, screened)] = calls
-    assert len(z) == DUAL_ROWS and len(screened) == 7 * DUAL_ROWS
+    [(_, screened)] = calls
+    assert vectors == [DUAL_ROWS] and len(screened) == 7 * DUAL_ROWS
     probes[5, 1] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
         compatibility(spec, probes)
@@ -503,7 +508,7 @@ def test_design_probes_batches_take_one_eigvalsh_each(monkeypatch, dims, base):
     eigvalsh, compat = np.linalg.eigvalsh, tomography.compatibility
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: counted.append(len(a)) or eigvalsh(a))
     monkeypatch.setattr(np.linalg, "eigh", None)
-    monkeypatch.setattr(domains, "_dual_screen", None)
+    monkeypatch.setattr(domains, "_screen", None)
     monkeypatch.setattr(tomography, "compatibility", lambda spec, probes, tol: steps.append(len(probes)) or compat(spec, probes, tol))
     design_probes(spec, np.array(base), eps=0.05)
     assert counted == steps and steps[0] == 2 * (n**2 - 1) + 1
@@ -566,10 +571,10 @@ def test_partial_path_takes_eigvalsh_only_at_decisions(monkeypatch):
 
 
 def test_open_rows_start_from_their_best_inside_seed(monkeypatch):
-    # of the 253 rows the dual screen leaves open on this section, the seed step certifies most
-    # inside ones by a Weyl bound or, from its best seed's completion, one eigvalsh, so the second
-    # search sees about the boundary alone (94 rows; 93 from the nearest seed, 253 when each open
-    # row started at c = 0)
+    # of the 253 rows the dual screen leaves open on this section, the Weyl screen certifies some
+    # inside ones by their bounds and starts the rest from their best seed's completion, where one
+    # eigvalsh certifies most inside ones, so the second search sees about the boundary alone (94
+    # rows; 93 from the nearest seed, 253 when each open row started at c = 0)
     searched = []
     search = domains._barrier_search
     monkeypatch.setattr(domains, "_barrier_search", lambda x, m, idx, f, t: searched.append(len(idx)) or search(x, m, idx, f, t))
@@ -658,17 +663,17 @@ def test_cloud_labels_do_not_depend_on_its_count(spec):
         assert 0 < small.compat.sum() < 700
 
 
-def spy_on_dual_screen(monkeypatch):
-    """Record (duals Z, rows screened) of every ``_dual_screen`` call in the returned list."""
+def spy_on_screen(monkeypatch):
+    """Record (the search's duals Z, rows certified inside or outside) of every ``_screen`` call in the returned list."""
     calls = []
-    screen = domains._dual_screen
+    screen = domains._screen
 
-    def spy(flat, left, margin, duals, probe_ops, free_ops, rho, tol):
-        seeds = ~left
-        screen(flat, left, margin, duals, probe_ops, free_ops, rho, tol)
-        calls.append((np.concatenate(duals), np.flatnonzero(~left & ~seeds)))
+    def spy(flat, left, margin, x0, seeds, duals, *rest):
+        open_rows = left.copy()
+        screen(flat, left, margin, x0, seeds, duals, *rest)
+        calls.append((np.concatenate(duals) if duals else x0[:0], np.flatnonzero(open_rows & ~left)))
 
-    monkeypatch.setattr(domains, "_dual_screen", spy)
+    monkeypatch.setattr(domains, "_screen", spy)
     return calls
 
 
@@ -680,9 +685,10 @@ def test_dual_screen_margins_bound_the_closed_form(monkeypatch):
     probes = rng.normal(size=(2400, 3))
     probes *= rng.uniform(0.0, 1.5, size=(len(probes), 1)) / np.linalg.norm(probes, axis=1, keepdims=True)
     t_star = (1 - np.linalg.norm(probes, axis=1)) / 4
-    calls = spy_on_dual_screen(monkeypatch)
+    calls = spy_on_screen(monkeypatch)
     inside, margin, completion = compatibility(all_free_spec(), probes)
-    [(z, screened)] = calls
+    [(z, certified)] = calls
+    screened = certified[~inside[certified]]
     assert len(screened) > (t_star < 0).sum() / 2
     assert (margin[screened] >= t_star[screened]).all() and (margin[screened] < -1e-9).all()
     band = np.abs(t_star) > 1e-6
@@ -706,11 +712,33 @@ def test_dual_screen_keeps_the_labels_of_small_batches(monkeypatch, dims, seed):
     spec.free = rng.random(spec.free.shape) < rng.uniform(0.2, 0.8)
     spec.free[0, 0] = False
     probes = spec.coeff[1:, 0] + rng.normal(scale=0.8 / n, size=(8 * DUAL_ROWS, n**2 - 1))
-    calls = spy_on_dual_screen(monkeypatch)
+    calls = spy_on_screen(monkeypatch)
     inside = compatibility(spec, probes)[0]
-    assert len(calls) == 1 and len(calls[0][1])
+    assert len(calls) == 1 and not inside[calls[0][1]].all()
     chunks = [compatibility(spec, part)[0] for part in np.split(probes, 8)]
     assert len(calls) == 1
+    np.testing.assert_array_equal(inside, np.concatenate(chunks))
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["partial", "fixed"])
+def test_screen_without_duals_keeps_the_labels_of_small_batches(monkeypatch, fixed):
+    # one batch of 8 DUAL_ROWS probes whose seed rows (each 8th) lie near the column of a qubit
+    # spec with lambda_min >= 1/8, so all are inside: the screen has no dual (the search gives none,
+    # and on a fully fixed spec no eigh may run), only its Weyl bounds certify rows, and the labels
+    # are those of the same probes solved in all-seed chunks
+    rng = np.random.default_rng(6)
+    spec = expand_state((random_density(4, rng) + np.eye(4) / 4) / 2, product_basis(2, 2))
+    spec.free = (rng.random(spec.free.shape) < 0.5) & (not fixed)
+    spec.free[0, 0] = False
+    probes = spec.coeff[1:, 0] + rng.normal(scale=0.3, size=(8 * DUAL_ROWS, 3))
+    probes[::8] = spec.coeff[1:, 0] + rng.normal(scale=0.01, size=(DUAL_ROWS, 3))
+    calls = spy_on_screen(monkeypatch)
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    inside = compatibility(spec, probes)[0]
+    [(z, certified)] = calls
+    assert inside[::8].all() and not len(z) and inside[certified].all() and len(certified)
+    chunks = [compatibility(spec, part)[0] for part in np.split(probes, 8)]
+    assert len(calls) == 1 and 0 < inside.sum() < len(probes)
     np.testing.assert_array_equal(inside, np.concatenate(chunks))
 
 
@@ -722,6 +750,52 @@ def test_dual_screen_passes_nan_rows_to_eigvalsh():
     probes[5, 1] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
         compatibility(all_free_spec(), probes)
+
+
+def exact_psd(x, tol):
+    """Whether X + tol 1 >= 0 for an exactly Hermitian float matrix X, by an exact LDL^T of its real embedding.
+
+    The embedding [[Re X, -Im X], [Im X, Re X]] is symmetric, with each eigenvalue of X twice, and
+    its entries and tol are read as fractions without rounding.  A symmetric matrix is PSD exactly
+    when every pivot of its elimination is >= 0 and a zero pivot has a zero column below it.
+    """
+    m = [[Fraction(v) for v in row] for row in np.block([[x.real, -x.imag], [x.imag, x.real]]).tolist()]
+    for k, row in enumerate(m):
+        row[k] += Fraction(tol)
+    for k, row in enumerate(m):
+        below = [r for r in m[k + 1 :] if r[k]]
+        if row[k] < 0 or (row[k] == 0 and below):
+            return False
+        for r in below:
+            f = r[k] / row[k]
+            for j in range(k + 1, len(m)):
+                r[j] -= f * row[j]
+    return True
+
+
+@pytest.mark.parametrize(
+    "spec, section, resolution",
+    [(fig1_spec(True), "p1p2", 41), (fig2_spec(), "p1p3", 41), (fig2_spec(), "p1p3", 101)],
+    ids=["fig1-partial-p1p2-41", "fig2-p1p3-41", "fig2-p1p3-101"],
+)
+def test_every_inside_row_has_an_exact_psd_completion(monkeypatch, spec, section, resolution):
+    # an exact audit of the inside labels: each inside row's completion X is exactly Hermitian and
+    # X + tol 1 >= 0 in exact arithmetic, both where the margin is eigvalsh's lambda_min and where it
+    # is the screen's Weyl bound, and X carries the spec's fixed coefficients and the probe column
+    # up to 1e-14, the rounding of the float trace pairings below
+    probes = _section_grid(section, resolution)
+    calls = spy_on_screen(monkeypatch)
+    inside, _, completion = compatibility(spec, probes, DEFAULT_TOL)
+    [(_, certified)] = calls
+    assert 0 < inside[certified].sum() < inside.sum()
+    x = completion[inside]
+    assert np.array_equal(x, dagger(x))
+    assert all(exact_psd(row, DEFAULT_TOL) for row in x)
+    coeff = np.einsum("mnij,bji->bmn", product_basis(2, 2).mats, x).real
+    fixed = ~spec.free
+    fixed[1:, 0] = False
+    np.testing.assert_allclose(coeff[:, fixed] - spec.coeff[fixed], 0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(coeff[:, 1:, 0], probes[inside], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("resolution, section_count, volume_count", [(41, 208, 61), (101, 1289, 340)])
@@ -914,14 +988,26 @@ def test_positivity_is_qubit_only(rng):
         positivity(amap, np.zeros(8))
 
 
-def test_positivity_contains_true_evolution_images(pb22, rng):
-    # probes in the compatibility domain evolve to positive states
-    spec = two_coefficient_spec(0.4)
-    u = random_unitary(4, rng)
-    amap = extract_map(u, reconstruct_state(at_probe(spec, np.zeros(3))), pb22)
-    probes = rng.uniform(-1, 1, size=(50, 3))
-    probes = probes[(probes**2).sum(axis=1) <= 1]
-    assert positivity(amap, probes[compatibility(spec, probes)[0]]).all()
+@settings(max_examples=60)
+@given(dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]), seed=st.integers(0, 2**32 - 1), count=st.integers(8 * DUAL_ROWS, 700))
+def test_positivity_contains_true_evolution_images(dims, seed, count):
+    # compat is inside pos: with Pi's own coefficient table as the spec, an inside probe a has
+    # X0(a) + tol 1 >= 0, so its image under the map of (U, Pi) has L(rho_a) + K + m tol 1 =
+    # Tr_B[U (X0(a) + tol 1) U^H] >= 0.  The batches are screened, and drawn near Pi's subsystem
+    # column, so that both labels occur
+    n, m = dims
+    rng = np.random.default_rng(seed)
+    pb = product_basis(n, m)
+    pi = random_density(n * m, rng)
+    amap = extract_map(random_unitary(n * m, rng), pi, pb)
+    spec = expand_state(pi, pb)
+    probes = spec.coeff[1:, 0] + rng.normal(scale=0.6 / n, size=(count, n**2 - 1))
+    tol = DEFAULT_TOL
+    a = probes[compatibility(spec, probes, tol)[0]]
+    if n == 2:
+        assert positivity(amap, a, m * tol).all()
+    else:
+        assert (np.linalg.eigvalsh(apply_L(amap, probe_state(a, n)) + amap.k_mat)[:, 0] >= -m * tol).all()
 
 
 # ---------------------------------------------------------------------------
