@@ -54,8 +54,7 @@ def _load_spec(path: str) -> JointStateCoeffs:
 def _write_payload(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=1)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        dom.write_bytes(out, (text + "\n").encode())
     else:
         print(text)
 

@@ -10,6 +10,8 @@ a probe grid or random cloud with both and writes it as CSV.
 
 from __future__ import annotations
 
+import os
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,6 +375,16 @@ def _format_column(column: np.ndarray, end: bytes) -> np.ndarray:
     return np.array([b"%.9g%s" % (x, end) for x in keys.view(float).tolist()])[inverse]
 
 
+def write_bytes(path, data: bytes) -> None:
+    """Write ``data`` to ``path``, first unlinking a lone writable regular file there (after symlinks): a rewrite can flush on close."""
+    real = os.path.realpath(path)
+    with suppress(OSError):  # a file that is gone, or a directory that does not let it go: open truncates it
+        if os.path.isfile(real) and os.stat(real).st_nlink == 1 and os.access(real, os.W_OK):
+            os.unlink(real)
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
 def write_csv(path, header: str, values: np.ndarray, labels=()) -> None:
     """Write ``header``, then per row the ``values`` as %.9g and the 0/1 ``labels`` as digits, in one write."""
     values = np.asarray(values, dtype=float).T
@@ -380,8 +392,7 @@ def write_csv(path, header: str, values: np.ndarray, labels=()) -> None:
     columns = [_format_column(c, end) for c, end in zip(values, ends)]
     columns += [np.array([b"0" + end, b"1" + end])[np.asarray(c, dtype=np.intp)] for c, end in zip(labels, ends[len(values) :])]
     block = np.hstack([c[:, None].view(np.uint8) for c in columns])  # the rows' bytes, with the S arrays' zero padding
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n" + block[block != 0].tobytes())
+    write_bytes(path, header.encode() + b"\n" + block[block != 0].tobytes())
 
 
 @dataclass

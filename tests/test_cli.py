@@ -407,6 +407,22 @@ def test_preset_meta_lists_its_files_and_the_domains_sidecar_its_inputs(tmp_path
         assert (side["seed"], side["resolution"], side["section"], side["region"]) == (seed, resolution, section, region)
 
 
+@pytest.mark.parametrize("where", ["existing directory", "missing directory"])
+@pytest.mark.parametrize("command", ["example", "domains"])
+def test_bad_output_paths_exit_2(tmp_path, capsys, command, where):
+    s_path = write_spec(tmp_path / "spec.json", fig2_spec())
+    argv = {"example": ["example", "int-ham"], "domains": ["domains", "--spec", s_path, "--section", "p1p2", "--resolution", "9"]}
+    if where == "existing directory":  # named as the file that would be written
+        out = tmp_path / ("x.csv" if command == "domains" else "x.json")
+        out.mkdir()
+    else:
+        out = tmp_path / "missing" / "x"
+    assert main(argv[command] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out.is_dir() == (where == "existing directory") and not (tmp_path / "x.json").is_file()
+
+
 def test_python_m_runs_the_cli(tmp_path):
     src = os.path.dirname(os.path.dirname(affinemaps.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinemaps.basis import JointStateCoeffs, expand_state, probe_state, product_basis, reconstruct_state, traceless_operator
-from affinemaps.cli import _write_pairs_csv, fig1_spec, fig2_spec
+from affinemaps.cli import _write_pairs_csv, _write_payload, fig1_spec, fig2_spec
 from affinemaps.linalg import DEFAULT_TOL, combine, dagger, random_density, random_unitary
 from affinemaps import domains, tomography
 from affinemaps.maps import AffineMap, apply_L, extract_G, extract_map, map_from_unitary
@@ -1118,6 +1119,72 @@ def test_write_csv_matches_per_row_format(tmp_path):
     assert (tmp_path / "p.csv").read_text() == expected
     _write_pairs_csv(str(tmp_path / "e.csv"), edges, edges[::-1])
     assert (tmp_path / "e.csv").read_text() == per_row_csv("in1,in2,in3,out1,out2,out3", np.hstack([edges, edges[::-1]]), ())
+
+
+# the library's two file writers, each writing one value v
+WRITERS = {
+    "csv": lambda path, v: domains.write_csv(path, "a", np.array([[v]])),
+    "json": lambda path, v: _write_payload({"v": v}, str(path)),
+}
+
+
+def written_bytes(tmp_path, write, v):
+    """The bytes ``write`` gives v in a path that did not exist."""
+    fresh = tmp_path / f"fresh_{v}"
+    write(fresh, v)
+    return fresh.read_bytes()
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_rewrite_writes_a_new_file_with_the_same_bytes(tmp_path, writer):
+    write, path = WRITERS[writer], tmp_path / "out"
+    old_bytes, new_bytes = written_bytes(tmp_path, write, 1.0), written_bytes(tmp_path, write, 2.0)
+    write(path, 1.0)
+    with open(path, "rb") as old:
+        write(path, 2.0)
+        assert old.read() == old_bytes  # the old file lives on under its handle
+    assert path.read_bytes() == new_bytes
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_symlinked_output_writes_through_to_its_target(tmp_path, writer):
+    write, target = WRITERS[writer], tmp_path / "data" / "target"
+    target.parent.mkdir()
+    write(target, 1.0)
+    (tmp_path / "data" / "hop").symlink_to("target")  # a relative link, reached through a second one
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "data" / "hop")
+    write(link, 2.0)
+    assert link.is_symlink() and (tmp_path / "data" / "hop").is_symlink()
+    assert target.read_bytes() == written_bytes(tmp_path, write, 2.0)
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_hard_linked_output_is_rewritten_in_place(tmp_path, writer):
+    write, path, other = WRITERS[writer], tmp_path / "out", tmp_path / "other"
+    write(path, 1.0)
+    os.link(path, other)
+    write(path, 2.0)
+    assert path.read_bytes() == other.read_bytes() == written_bytes(tmp_path, write, 2.0)
+    assert os.path.samefile(path, other)
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_a_special_file_is_never_unlinked(monkeypatch, writer):
+    unlinked = []
+    monkeypatch.setattr(os, "unlink", unlinked.append)  # records, never deletes
+    WRITERS[writer](os.devnull, 1.0)
+    assert unlinked == []
+
+
+def test_a_file_the_caller_may_not_write_is_truncated_in_place(tmp_path, monkeypatch):
+    # so open raises its permission error for it as before, not a fresh file in its place
+    path = tmp_path / "out"
+    _write_payload({"v": 1.0}, str(path))
+    monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+    with open(path, "rb") as old:
+        _write_payload({"v": 2.0}, str(path))
+        assert old.read() == path.read_bytes() == b'{\n "v": 2.0\n}\n'
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,18 @@ def test_preset_csvs_keep_their_bytes(tmp_path, name):
     assert written == CSV_SHA256[name]
 
 
+@pytest.mark.parametrize("name", sorted(CSV_SHA256))
+def test_preset_rerun_into_the_same_out_keeps_its_bytes(tmp_path, name):
+    assert main(["preset", name, "--resolution", "21", "--out", str(tmp_path)]) == 0
+    first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert main(["preset", name, "--resolution", "21", "--out", str(tmp_path)]) == 0
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
+    assert written == CSV_SHA256[name]
+    meta = json.loads((tmp_path / f"{name}_meta.json").read_text())
+    assert sorted(meta["files"] + [f"{name}_meta.json"]) == sorted(first)
+
+
 CSV_SHA256_101 = {
     "fig1": {
         "fig1_full_p1p2.csv": "e2a4d0ba22ea03d768646d3c33d7581c448cb39df3c3a9747452fd0d06048da6",

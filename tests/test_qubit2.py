@@ -385,6 +385,18 @@ def test_kappa_search_int_ham_reported():
     assert "gamma" in result.witness
 
 
+@pytest.mark.parametrize("family", ["int_ham", "random_unitary"])
+@pytest.mark.parametrize("seed", range(6))
+def test_kappa_search_stays_below_two_over_root_three(family, seed):
+    """|kappa| <= 2/sqrt(3) for both families: observed, not proved.
+
+    A scratch maximisation reached 2/sqrt(3) to within 1.6e-15 for both, and at 300 trials the largest
+    result over seeds 0-29 was 2/sqrt(3) - 1.4e-6 for int_ham (seed 2 here) and 2/sqrt(3) - 4.0e-6 for
+    random_unitary.  No search may exceed it by more than 1e-9.
+    """
+    assert kappa_search(family, trials=300, seed=seed).best_kappa_norm <= 2.0 / np.sqrt(3.0) + 1e-9
+
+
 def test_kappa_search_deterministic():
     r1 = kappa_search("lorentz", trials=50, seed=11)
     r2 = kappa_search("lorentz", trials=50, seed=11)
